@@ -10,8 +10,8 @@ use rp_core::ilp::{
 };
 use rp_core::Policy;
 use rp_lp::{
-    solve_lp, solve_lp_reusing, solve_lp_revised_reusing, BranchBoundOptions, LpEngine,
-    RevisedWorkspace, SimplexOptions, SimplexWorkspace,
+    solve_lp, solve_lp_reusing, BranchBoundOptions, LpEngine, RevisedWorkspace, SimplexOptions,
+    SimplexWorkspace,
 };
 use rp_workloads::platform::PlatformKind;
 
@@ -91,7 +91,7 @@ fn bench_lp_revised(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("revised", size),
             &formulation.model,
-            |b, model| b.iter(|| solve_lp_revised_reusing(model, &options, &mut revised_ws)),
+            |b, model| b.iter(|| revised_ws.solve_warm(model, &options)),
         );
     }
     // Warm-started mixed bound (integral x_j) with the revised engine.
@@ -111,51 +111,45 @@ fn bench_lp_revised(c: &mut Criterion) {
     group.finish();
 }
 
-/// The sparse-factorisation subsystem: cold solves under devex vs
-/// Dantzig pricing, the warm sibling re-solve fast path, and the
-/// hyper-sparse unit FTRAN/BTRAN plus one Markowitz refactorisation on
-/// a solved paper-scale basis. `BENCH_sparse.json` (baseline binary)
-/// tracks the same quantities outside criterion.
+/// The sparse-factorisation subsystem: cold solves, the warm sibling
+/// re-solve fast path, and the hyper-sparse unit FTRAN/BTRAN plus one
+/// Markowitz refactorisation on a solved paper-scale basis.
+/// `BENCH_sparse.json` (baseline binary) tracks the same quantities
+/// outside criterion.
 fn bench_sparse_lu(c: &mut Criterion) {
-    use rp_lp::Pricing;
-
     let mut group = c.benchmark_group("lp_sparse_lu");
     group.sample_size(10);
     group.warm_up_time(std::time::Duration::from_millis(500));
     group.measurement_time(std::time::Duration::from_secs(2));
-    let devex = SimplexOptions::default();
-    let dantzig = SimplexOptions {
-        pricing: Pricing::Dantzig,
-        ..SimplexOptions::default()
-    };
+    let options = SimplexOptions::default();
     for size in [40usize, 120] {
         let problem = bench_instance(size, 0.6, PlatformKind::default_heterogeneous(), 31);
         let formulation = build_model(&problem, Policy::Multiple, Integrality::RationalBound);
         let mut ws = RevisedWorkspace::new();
         group.bench_with_input(
-            BenchmarkId::new("solve_devex", size),
+            BenchmarkId::new("solve_cold", size),
             &formulation.model,
-            |b, model| b.iter(|| ws.solve_cold(model, &devex)),
-        );
-        group.bench_with_input(
-            BenchmarkId::new("solve_dantzig", size),
-            &formulation.model,
-            |b, model| b.iter(|| ws.solve_cold(model, &dantzig)),
+            |b, model| {
+                b.iter(|| {
+                    ws.invalidate();
+                    ws.solve_warm(model, &options)
+                })
+            },
         );
         // Sibling fast path: the matrix is unchanged, so the warm solve
         // is a refactorisation plus a handful of cleanup pivots.
-        ws.solve_cold(&formulation.model, &devex);
+        ws.solve_warm(&formulation.model, &options);
         group.bench_with_input(
             BenchmarkId::new("resolve_warm", size),
             &formulation.model,
-            |b, model| b.iter(|| ws.solve_warm(model, &devex)),
+            |b, model| b.iter(|| ws.solve_warm(model, &options)),
         );
     }
     {
         let problem = bench_instance(400, 0.4, PlatformKind::default_heterogeneous(), 31);
         let formulation = build_model(&problem, Policy::Multiple, Integrality::RationalBound);
         let mut ws = RevisedWorkspace::new();
-        ws.solve_cold(&formulation.model, &devex);
+        ws.solve_warm(&formulation.model, &options);
         let mut unit = 0usize;
         group.bench_function("ftran_unit/400", |b| {
             b.iter(|| {

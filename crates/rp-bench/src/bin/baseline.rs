@@ -9,14 +9,12 @@
 //! cargo run --release -p rp-bench --bin baseline -- --smoke-failures
 //! cargo run --release -p rp-bench --bin baseline -- --smoke-online
 //! cargo run --release -p rp-bench --bin baseline -- --smoke-obs
-//! cargo run --release -p rp-bench --bin baseline -- --smoke-pricing
 //! cargo run --release -p rp-bench --bin baseline -- --check-budget [perf-budget.toml]
 //! cargo run --release -p rp-bench --bin baseline -- [--obs-out OUT.json] --obs-only
 //! cargo run --release -p rp-bench --bin baseline -- [--sparse-out OUT.json] --sparse-only
 //! cargo run --release -p rp-bench --bin baseline -- [--heuristics-out OUT.json] --heuristics-only
 //! cargo run --release -p rp-bench --bin baseline -- [--failures-out OUT.json] --failures-only
 //! cargo run --release -p rp-bench --bin baseline -- [--online-out OUT.json] --online-only
-//! cargo run --release -p rp-bench --bin baseline -- [--pricing-out OUT.json] --pricing-only
 //! ```
 //!
 //! Metrics (all medians over several samples):
@@ -40,11 +38,10 @@
 //! revised-simplex timings per LP-bound size with the speedup ratio,
 //! plus the paper-scale `s = 400` revised-engine bound time that the
 //! dense engine cannot reach in reasonable time — and
-//! `BENCH_sparse.json`: the sparse-LU / Forrest–Tomlin / devex
-//! trajectory (factor nnz scaling, FTRAN/BTRAN and refactorisation
-//! timings, devex vs Dantzig iteration counts, warm sibling re-solves,
-//! and the `s = 2000` multi-thousand-row scenario; see
-//! [`write_sparse_report`]).
+//! `BENCH_sparse.json`: the sparse-LU / Forrest–Tomlin trajectory
+//! (factor nnz scaling, FTRAN/BTRAN and refactorisation timings,
+//! iteration counts, warm sibling re-solves, and the `s = 2000`
+//! multi-thousand-row scenario; see [`write_sparse_report`]).
 //!
 //! `--smoke-revised` is the CI mode: it solves one `s = 400`
 //! paper-scale LP bound with the revised engine, prints the timing and
@@ -63,14 +60,10 @@
 //! percentiles and rung counters per policy; see
 //! [`write_online_report`]) — and `BENCH_obs.json`:
 //! the full metrics-registry snapshot of an instrumented representative
-//! workload (see [`write_obs_report`]) — and `BENCH_pricing.json`: the
-//! per-rule pricing trajectory (cold and warm ms / iterations / bound
-//! flips at `s = 400` and `s = 2000`; see [`write_pricing_report`]).
-//! `--smoke-obs` gates the telemetry layer itself, `--smoke-pricing`
-//! gates the pricing machinery (dense-oracle agreement across rules +
-//! the `s = 2000` bound under `RP_SMOKE_PRICE_MS`), and
+//! workload (see [`write_obs_report`]).
+//! `--smoke-obs` gates the telemetry layer itself, and
 //! `--check-budget` enforces the pinned ceilings of `perf-budget.toml`
-//! (see [`smoke_obs`] / [`smoke_pricing`] / [`check_budget`]).
+//! (see [`smoke_obs`] / [`check_budget`]).
 //!
 //! With `--compare OLD.json` the output also contains a `speedup`
 //! section: `old / new` per metric shared with the old file.
@@ -174,11 +167,13 @@ fn time_once<R>(mut f: impl FnMut() -> R) -> (f64, R) {
 fn smoke_revised() {
     use rp_core::ilp::{build_model, Integrality};
     use rp_core::Policy;
-    use rp_lp::{solve_lp, solve_lp_revised, Status};
+    use rp_lp::{solve_lp, RevisedWorkspace, SimplexOptions, Status};
 
     let problem = paper_scale_instance(PlatformKind::default_heterogeneous(), 0.4, 31);
     let formulation = build_model(&problem, Policy::Multiple, Integrality::RationalBound);
-    let (ns, solution) = time_once(|| solve_lp_revised(&formulation.model));
+    let (ns, solution) = time_once(|| {
+        RevisedWorkspace::new().solve_warm(&formulation.model, &SimplexOptions::default())
+    });
     if solution.status != Status::Optimal || !solution.objective.is_finite() {
         eprintln!(
             "s=400 revised lp_rational_bound FAILED: status {}, objective {}",
@@ -219,10 +214,8 @@ fn smoke_revised() {
 ///
 /// 1. A small (`s = 120`) **ill-scaled bandwidth-constrained** LP —
 ///    wide-range capacities spanning five decades plus per-link
-///    bandwidth rows — must solve on the revised engine with the
-///    equilibration pass forced on (its ~2e5 spread sits below the
-///    `Auto` threshold, so the smoke pins the scaled path explicitly)
-///    *and* agree with the dense-tableau oracle's objective.
+///    bandwidth rows (entry spread ~2e5) — must solve on the revised
+///    engine *and* agree with the dense-tableau oracle's objective.
 /// 2. The `s = 2000`-class bandwidth instance (multi-thousand rows once
 ///    the flow recurrences materialise) must solve with the revised
 ///    engine inside the `RP_SMOKE_BW_MS` wall budget; the dense oracle
@@ -231,34 +224,21 @@ fn smoke_revised() {
 fn smoke_bandwidth() {
     use rp_core::ilp::{build_model, Integrality};
     use rp_core::Policy;
-    use rp_lp::{
-        solve_lp, solve_lp_revised_reusing, RevisedWorkspace, Scaling, SimplexOptions, Status,
-    };
+    use rp_lp::{solve_lp, RevisedWorkspace, SimplexOptions, Status};
     use rp_workloads::scenarios::{bandwidth_scale_instance, ill_scaled_bandwidth_instance};
 
     let mut workspace = RevisedWorkspace::new();
     let options = SimplexOptions::default();
 
-    // --- Dense-oracle agreement on the small ill-scaled instance, with
-    // the equilibration pass forced on so the scaled code path stays
-    // exercised now that `Auto` leaves ~2e5 spreads alone. ---
-    let scaled_options = SimplexOptions {
-        scaling: Scaling::Geometric,
-        ..SimplexOptions::default()
-    };
+    // --- Dense-oracle agreement on the small ill-scaled instance. ---
     let small = ill_scaled_bandwidth_instance(120, 0.4, 31);
     let formulation = build_model(&small, Policy::Multiple, Integrality::RationalBound);
-    let revised = solve_lp_revised_reusing(&formulation.model, &scaled_options, &mut workspace);
+    let revised = workspace.solve_warm(&formulation.model, &options);
     if revised.status != Status::Optimal || !revised.objective.is_finite() {
         eprintln!(
             "s=120 ill-scaled bandwidth bound FAILED: status {}, objective {}",
             revised.status, revised.objective
         );
-        std::process::exit(1);
-    }
-    let spread = workspace.scaling_spread();
-    if spread.is_none() {
-        eprintln!("s=120 ill-scaled bandwidth bound did not trigger the equilibration pass");
         std::process::exit(1);
     }
     let dense = solve_lp(&formulation.model);
@@ -271,18 +251,16 @@ fn smoke_bandwidth() {
         );
         std::process::exit(1);
     }
-    let (before, after) = spread.unwrap();
     println!(
-        "s=120 ill-scaled bandwidth bound = {:.3} (dense oracle agrees: {:.3}; entry spread {:.1e} -> {:.1e})",
-        revised.objective, dense.objective, before, after
+        "s=120 ill-scaled bandwidth bound = {:.3} (dense oracle agrees: {:.3})",
+        revised.objective, dense.objective
     );
 
     // --- The s = 2000 class within the wall budget. ---
     let problem = bandwidth_scale_instance(0.2, 31);
     workspace.invalidate();
     let formulation = build_model(&problem, Policy::Multiple, Integrality::RationalBound);
-    let (ns, solution) =
-        time_once(|| solve_lp_revised_reusing(&formulation.model, &options, &mut workspace));
+    let (ns, solution) = time_once(|| workspace.solve_warm(&formulation.model, &options));
     if solution.status != Status::Optimal || !solution.objective.is_finite() {
         eprintln!(
             "s=2000 bandwidth bound FAILED: status {}, objective {}",
@@ -311,117 +289,12 @@ fn smoke_bandwidth() {
         stats.iterations()
     );
     println!(
-        "  pivots: phase1 {} phase2 {} dual {} | flips: primal {} dual {} | queue: hits {} rebuilds {} | devex resets {}",
+        "  pivots: phase1 {} phase2 {} dual {} | flips: primal {} dual {}",
         stats.phase1_pivots,
         stats.phase2_pivots(),
         stats.dual_pivots,
         stats.bound_flips,
         stats.dual_bound_flips,
-        stats.queue_hits,
-        stats.queue_rebuilds,
-        stats.devex_resets
-    );
-}
-
-/// The pricing-machinery CI smoke (PR 9): two checks back to back.
-///
-/// 1. Every pricing pair — candidate-queue partial, devex and Dantzig
-///    on the primal side, dual devex and most-violated-row on the dual
-///    side — must reach `Status::Optimal` on the paper-scale
-///    (`s = 400`) bound and agree with the dense-tableau oracle's
-///    objective. A pricing rule only reorders pivots; a rule that
-///    changes the answer is broken.
-/// 2. The `s = 2000` bandwidth bound under the **default** rules
-///    (partial pricing + dual devex + the bound-flipping ratio test)
-///    must land inside the pinned `RP_SMOKE_PRICE_MS` wall budget
-///    (default 500 ms — generous against the ~45 ms on a quiet
-///    machine, far below the ~700 ms the pre-PR-9 engine needed).
-fn smoke_pricing() {
-    use rp_core::ilp::{build_model, Integrality};
-    use rp_core::Policy;
-    use rp_lp::{
-        solve_lp, solve_lp_revised_reusing, DualPricing, Pricing, RevisedWorkspace, SimplexOptions,
-        Status,
-    };
-    use rp_workloads::scenarios::{bandwidth_scale_instance, feasible_bandwidth_instance};
-
-    let mut workspace = RevisedWorkspace::new();
-
-    // --- Every rule pair agrees with the dense oracle at s = 400. ---
-    let problem = feasible_bandwidth_instance(400, 0.4, 31);
-    let formulation = build_model(&problem, Policy::Multiple, Integrality::RationalBound);
-    let dense = solve_lp(&formulation.model);
-    if dense.status != Status::Optimal {
-        eprintln!("s=400 dense oracle FAILED: status {}", dense.status);
-        std::process::exit(1);
-    }
-    for (pricing, dual_pricing, label) in [
-        (Pricing::Partial, DualPricing::Devex, "partial + dual devex"),
-        (Pricing::Devex, DualPricing::Devex, "devex + dual devex"),
-        (
-            Pricing::Dantzig,
-            DualPricing::MostViolated,
-            "dantzig + most-violated",
-        ),
-    ] {
-        let options = SimplexOptions {
-            pricing,
-            dual_pricing,
-            ..SimplexOptions::default()
-        };
-        workspace.invalidate();
-        let solution = solve_lp_revised_reusing(&formulation.model, &options, &mut workspace);
-        if solution.status != Status::Optimal
-            || (solution.objective - dense.objective).abs() > 1e-4 * dense.objective.abs().max(1.0)
-        {
-            eprintln!(
-                "s=400 pricing rule `{label}` disagrees: {} ({}) vs dense oracle {}",
-                solution.objective, solution.status, dense.objective
-            );
-            std::process::exit(1);
-        }
-    }
-    println!(
-        "s=400 pricing rules all agree with the dense oracle ({:.3})",
-        dense.objective
-    );
-
-    // --- The s = 2000 bound inside the pricing-wall budget. ---
-    let problem = bandwidth_scale_instance(0.2, 31);
-    let formulation = build_model(&problem, Policy::Multiple, Integrality::RationalBound);
-    workspace.invalidate();
-    let options = SimplexOptions::default();
-    let (ns, solution) =
-        time_once(|| solve_lp_revised_reusing(&formulation.model, &options, &mut workspace));
-    if solution.status != Status::Optimal || !solution.objective.is_finite() {
-        eprintln!(
-            "s=2000 pricing smoke FAILED: status {}, objective {}",
-            solution.status, solution.objective
-        );
-        std::process::exit(1);
-    }
-    let budget_ms: f64 = std::env::var("RP_SMOKE_PRICE_MS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(500.0);
-    if ns / 1e6 > budget_ms {
-        eprintln!(
-            "s=2000 pricing smoke REGRESSED: {:.1} ms exceeds the {budget_ms} ms budget",
-            ns / 1e6
-        );
-        std::process::exit(1);
-    }
-    let stats = workspace.last_stats();
-    println!(
-        "s=2000 bound = {:.3} in {:.1} ms under the default rules \
-         ({} dual pivots, {} dual bound flips, queue {} hits / {} rebuilds, {} devex resets)",
-        solution.objective,
-        ns / 1e6,
-        stats.dual_pivots,
-        stats.dual_bound_flips,
-        stats.queue_hits,
-        stats.queue_rebuilds,
-        stats.devex_resets
     );
 }
 
@@ -649,15 +522,14 @@ fn smoke_online() {
 /// between solves) and returns the median wall time in ms, exiting
 /// non-zero if any solve fails.
 fn median_cold_solve_ms(model: &rp_lp::Model, n: usize, what: &str) -> f64 {
-    use rp_lp::{solve_lp_revised_reusing, RevisedWorkspace, SimplexOptions, Status};
+    use rp_lp::{RevisedWorkspace, SimplexOptions, Status};
 
     let mut workspace = RevisedWorkspace::new();
     let options = SimplexOptions::default();
     let mut samples = Vec::with_capacity(n);
     for _ in 0..n {
         workspace.invalidate();
-        let (ns, solution) =
-            time_once(|| solve_lp_revised_reusing(model, &options, &mut workspace));
+        let (ns, solution) = time_once(|| workspace.solve_warm(model, &options));
         if solution.status != Status::Optimal {
             eprintln!("{what} FAILED: status {}", solution.status);
             std::process::exit(1);
@@ -722,7 +594,7 @@ fn json_is_well_formed(text: &str) -> bool {
 fn smoke_obs() {
     use rp_core::ilp::{build_model, Integrality};
     use rp_core::Policy;
-    use rp_lp::{solve_lp_revised_reusing, RevisedWorkspace, SimplexOptions, Status};
+    use rp_lp::{RevisedWorkspace, SimplexOptions, Status};
     use rp_obs::{Counter, Gauge, HistId};
 
     let problem = paper_scale_instance(PlatformKind::default_heterogeneous(), 0.4, 31);
@@ -734,8 +606,7 @@ fn smoke_obs() {
     rp_obs::clear_trace();
     let mut workspace = RevisedWorkspace::new();
     let options = SimplexOptions::default();
-    let (wall_ns, solution) =
-        time_once(|| solve_lp_revised_reusing(&formulation.model, &options, &mut workspace));
+    let (wall_ns, solution) = time_once(|| workspace.solve_warm(&formulation.model, &options));
     if solution.status != Status::Optimal {
         eprintln!(
             "s=400 instrumented solve FAILED: status {}",
@@ -1193,10 +1064,7 @@ fn obs_diff(old_path: &str, new_path: Option<&str>) {
 fn check_budget(budget_path: &str, section: Option<&str>) {
     use rp_core::ilp::{build_model, Integrality};
     use rp_core::Policy;
-    use rp_lp::{
-        solve_lp_hardened, solve_lp_revised_reusing, LpWorkspace, RevisedWorkspace, SimplexOptions,
-        Status,
-    };
+    use rp_lp::{solve_lp_hardened, LpWorkspace, RevisedWorkspace, SimplexOptions, Status};
     use rp_obs::Counter;
     use rp_workloads::scenarios::{bandwidth_scale_instance, feasible_bandwidth_instance};
 
@@ -1252,8 +1120,7 @@ fn check_budget(budget_path: &str, section: Option<&str>) {
         let problem = bandwidth_scale_instance(0.2, 31);
         let formulation = build_model(&problem, Policy::Multiple, Integrality::RationalBound);
         let mut workspace = RevisedWorkspace::new();
-        let (ns, solution) =
-            time_once(|| solve_lp_revised_reusing(&formulation.model, &options, &mut workspace));
+        let (ns, solution) = time_once(|| workspace.solve_warm(&formulation.model, &options));
         if solution.status != Status::Optimal {
             eprintln!("s=2000 budget solve FAILED: status {}", solution.status);
             std::process::exit(1);
@@ -1279,7 +1146,7 @@ fn check_budget(budget_path: &str, section: Option<&str>) {
         let formulation = build_model(&problem, Policy::Multiple, Integrality::RationalBound);
         let mut model = formulation.model;
         let mut workspace = RevisedWorkspace::new();
-        solve_lp_revised_reusing(&model, &options, &mut workspace);
+        workspace.solve_warm(&model, &options);
         let constraints: Vec<_> = model.constraint_ids().collect();
         for step in 1..=9 {
             // Perturb one right-hand side per sibling: the matrix — and
@@ -1287,7 +1154,7 @@ fn check_budget(budget_path: &str, section: Option<&str>) {
             let id = constraints[step % constraints.len()];
             let rhs = model.constraint(id).rhs;
             model.set_rhs(id, rhs + 1.0);
-            solve_lp_revised_reusing(&model, &options, &mut workspace);
+            workspace.solve_warm(&model, &options);
         }
         check(
             "warm_hit_rate_min",
@@ -1334,8 +1201,7 @@ fn check_budget(budget_path: &str, section: Option<&str>) {
         let problem = bandwidth_scale_instance(0.2, 31);
         let formulation = build_model(&problem, Policy::Multiple, Integrality::RationalBound);
         let mut workspace = RevisedWorkspace::new();
-        let (ns, solution) =
-            time_once(|| solve_lp_revised_reusing(&formulation.model, &options, &mut workspace));
+        let (ns, solution) = time_once(|| workspace.solve_warm(&formulation.model, &options));
         if solution.status != Status::Optimal {
             eprintln!(
                 "s=2000 obs-coverage solve FAILED: status {}",
@@ -1662,14 +1528,11 @@ fn write_heuristics_report(path: &str) {
 
 /// Writes `BENCH_scenarios.json`: the bandwidth-constrained and
 /// multi-object formulation trajectory — solve times and iteration
-/// counts per family and scale, the equilibration's entry-spread
-/// reduction and its iteration effect on the ill-scaled family, and a
-/// revised-vs-dense agreement probe at a size the dense oracle still
-/// reaches.
+/// counts per family and scale, the ill-scaled family included.
 fn write_scenarios_report(path: &str) {
     use rp_core::ilp::{build_model, build_multi_model, Integrality};
     use rp_core::Policy;
-    use rp_lp::{solve_lp_revised_reusing, RevisedWorkspace, Scaling, SimplexOptions, Status};
+    use rp_lp::{RevisedWorkspace, SimplexOptions, Status};
     use rp_workloads::scenarios::{
         bandwidth_scale_instance, feasible_bandwidth_instance, ill_scaled_bandwidth_instance,
         multi_object_bandwidth_instance, multi_object_instance,
@@ -1686,8 +1549,7 @@ fn write_scenarios_report(path: &str) {
         let problem = feasible_bandwidth_instance(size, 0.4, 31);
         let formulation = build_model(&problem, Policy::Multiple, Integrality::RationalBound);
         workspace.invalidate();
-        let (ns, solution) =
-            time_once(|| solve_lp_revised_reusing(&formulation.model, &options, &mut workspace));
+        let (ns, solution) = time_once(|| workspace.solve_warm(&formulation.model, &options));
         if solution.status == Status::Optimal {
             entries.push((format!("bandwidth_lp/s{size}_ms"), ns / 1e6));
             entries.push((
@@ -1705,8 +1567,7 @@ fn write_scenarios_report(path: &str) {
     let problem = bandwidth_scale_instance(0.2, 31);
     let formulation = build_model(&problem, Policy::Multiple, Integrality::RationalBound);
     workspace.invalidate();
-    let (ns, solution) =
-        time_once(|| solve_lp_revised_reusing(&formulation.model, &options, &mut workspace));
+    let (ns, solution) = time_once(|| workspace.solve_warm(&formulation.model, &options));
     if solution.status == Status::Optimal {
         entries.push(("bandwidth_lp/s2000_ms".to_string(), ns / 1e6));
         entries.push((
@@ -1721,46 +1582,20 @@ fn write_scenarios_report(path: &str) {
             "bandwidth_lp/s2000_cols".to_string(),
             formulation.model.num_vars() as f64,
         ));
-        if let Some((before, after)) = workspace.scaling_spread() {
-            entries.push(("scaling/s2000_spread_before".to_string(), before));
-            entries.push(("scaling/s2000_spread_after".to_string(), after));
-        }
     }
 
-    // Equilibration effect on the ill-scaled family. Three runs:
-    // `scaled` is the shipping `Auto` decision (which deliberately
-    // leaves this family's ~2e5 spread alone — see `AUTO_SPREAD`),
-    // `unscaled` forces the pass off, and `geometric` forces it on to
-    // keep the iteration cost of equilibrating this family honest in
-    // the snapshot (it collapses the spread but pays extra iterations
-    // in scaled-unit tolerance/tie-break geometry).
+    // The ill-scaled family (five-decade capacities, entry spread
+    // ~2e5).
     let problem = ill_scaled_bandwidth_instance(200, 0.4, 7);
     let formulation = build_model(&problem, Policy::Multiple, Integrality::RationalBound);
-    for (scaling, label) in [
-        (Scaling::Auto, "scaled"),
-        (Scaling::Off, "unscaled"),
-        (Scaling::Geometric, "geometric"),
-    ] {
-        let scaled_options = SimplexOptions {
-            scaling,
-            ..SimplexOptions::default()
-        };
-        workspace.invalidate();
-        let (ns, solution) = time_once(|| {
-            solve_lp_revised_reusing(&formulation.model, &scaled_options, &mut workspace)
-        });
-        if solution.status == Status::Optimal {
-            entries.push((format!("scaling/illscaled_s200_{label}_ms"), ns / 1e6));
-            entries.push((
-                format!("scaling/illscaled_s200_{label}_iters"),
-                workspace.last_stats().iterations() as f64,
-            ));
-            // Spread diagnostics exist only for the forced-on run.
-            if let Some((before, after)) = workspace.scaling_spread() {
-                entries.push(("scaling/illscaled_s200_spread_before".to_string(), before));
-                entries.push(("scaling/illscaled_s200_spread_after".to_string(), after));
-            }
-        }
+    workspace.invalidate();
+    let (ns, solution) = time_once(|| workspace.solve_warm(&formulation.model, &options));
+    if solution.status == Status::Optimal {
+        entries.push(("bandwidth_ill_lp/s200_ms".to_string(), ns / 1e6));
+        entries.push((
+            "bandwidth_ill_lp/s200_iters".to_string(),
+            workspace.last_stats().iterations() as f64,
+        ));
     }
 
     // Multi-object bounds: shared capacities, then shared links too.
@@ -1768,8 +1603,7 @@ fn write_scenarios_report(path: &str) {
         let problem = multi_object_instance(size, objects, 0.4, 11);
         let formulation = build_multi_model(&problem, Integrality::RationalBound);
         workspace.invalidate();
-        let (ns, solution) =
-            time_once(|| solve_lp_revised_reusing(&formulation.model, &options, &mut workspace));
+        let (ns, solution) = time_once(|| workspace.solve_warm(&formulation.model, &options));
         if solution.status == Status::Optimal {
             entries.push((format!("multi_lp/{objects}obj_s{size}_ms"), ns / 1e6));
             entries.push((
@@ -1781,8 +1615,7 @@ fn write_scenarios_report(path: &str) {
     let problem = multi_object_bandwidth_instance(120, 3, 0.4, 11);
     let formulation = build_multi_model(&problem, Integrality::RationalBound);
     workspace.invalidate();
-    let (ns, solution) =
-        time_once(|| solve_lp_revised_reusing(&formulation.model, &options, &mut workspace));
+    let (ns, solution) = time_once(|| workspace.solve_warm(&formulation.model, &options));
     if solution.status == Status::Optimal {
         entries.push(("multi_lp/3obj_s120_bandwidth_ms".to_string(), ns / 1e6));
         entries.push((
@@ -1800,146 +1633,7 @@ fn write_scenarios_report(path: &str) {
     });
     let mut s = String::new();
     s.push_str("{\n  \"schema\": 1,\n");
-    s.push_str(
-        "  \"units\": \"*_ms = wall-clock ms (one shot), *_iters = simplex iterations, \
-         spread_* = max|a|/min|a| of the constraint matrix\",\n",
-    );
-    s.push_str("  \"metrics\": {\n");
-    for (i, (name, value)) in entries.iter().enumerate() {
-        let comma = if i + 1 == entries.len() { "" } else { "," };
-        s.push_str(&format!("    \"{name}\": {value:.1}{comma}\n"));
-    }
-    s.push_str("  }\n}\n");
-    std::fs::write(path, &s).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
-    println!("{s}");
-    eprintln!("wrote {path}");
-}
-
-/// Writes `BENCH_pricing.json`: the pricing-machinery trajectory that
-/// PR 9's tentpole pins. For each scale (`s = 400`, `s = 2000`) and
-/// each rule pair —
-///
-/// * `partial` — candidate-queue partial pricing + dual devex (the
-///   shipping default),
-/// * `devex` — full devex scan + dual devex,
-/// * `dantzig` — textbook most-negative reduced cost + dual devex,
-/// * `dual_mv` — partial pricing + the pre-PR-9 most-violated-row dual
-///   rule (isolates what the dual devex weights buy),
-///
-/// the report records a **cold** solve (wall ms, simplex iterations,
-/// primal + dual bound flips) followed by a **warm** sibling re-solve
-/// (same matrix, one right-hand side nudged — the `check_budget`
-/// sibling pattern) through the same workspace — the
-/// branch-and-bound / λ-sweep path that partial pricing is meant to
-/// keep cheap.
-fn write_pricing_report(path: &str) {
-    use rp_core::ilp::{build_model, Integrality};
-    use rp_core::Policy;
-    use rp_lp::{
-        solve_lp_revised_reusing, DualPricing, Pricing, RevisedWorkspace, SimplexOptions, Status,
-    };
-    use rp_workloads::scenarios::{bandwidth_scale_instance, feasible_bandwidth_instance};
-
-    let mut entries: Vec<(String, f64)> = Vec::new();
-    let mut workspace = RevisedWorkspace::new();
-    let rules: [(Pricing, DualPricing, &str); 4] = [
-        (Pricing::Partial, DualPricing::Devex, "partial"),
-        (Pricing::Devex, DualPricing::Devex, "devex"),
-        (Pricing::Dantzig, DualPricing::Devex, "dantzig"),
-        (Pricing::Partial, DualPricing::MostViolated, "dual_mv"),
-    ];
-    for size in [400usize, 2000] {
-        let problem = if size == 2000 {
-            bandwidth_scale_instance(0.2, 31)
-        } else {
-            feasible_bandwidth_instance(size, 0.4, 31)
-        };
-        let formulation = build_model(&problem, Policy::Multiple, Integrality::RationalBound);
-        // Untimed warm-up so the first rule doesn't pay the workspace's
-        // one-off buffer growth on this size.
-        workspace.invalidate();
-        solve_lp_revised_reusing(
-            &formulation.model,
-            &SimplexOptions::default(),
-            &mut workspace,
-        );
-        for (pricing, dual_pricing, label) in rules {
-            let options = SimplexOptions {
-                pricing,
-                dual_pricing,
-                ..SimplexOptions::default()
-            };
-            workspace.invalidate();
-            let (ns, solution) = time_once(|| {
-                solve_lp_revised_reusing(&formulation.model, &options, &mut workspace)
-            });
-            if solution.status != Status::Optimal {
-                eprintln!(
-                    "pricing report: s={size} {label} cold solve failed: {}",
-                    solution.status
-                );
-                continue;
-            }
-            let stats = workspace.last_stats();
-            entries.push((format!("pricing/s{size}_{label}_cold_ms"), ns / 1e6));
-            entries.push((
-                format!("pricing/s{size}_{label}_cold_iters"),
-                stats.iterations() as f64,
-            ));
-            entries.push((
-                format!("pricing/s{size}_{label}_cold_flips"),
-                (stats.bound_flips + stats.dual_bound_flips) as f64,
-            ));
-            // Warm sibling: identical matrix, one `<=` right-hand side
-            // relaxed by +1.0 (the `check_budget` sibling pattern;
-            // nudging a demand/flow row can tip the instance
-            // infeasible), so the workspace's basis and factorisation
-            // stay valid and the sibling provably stays feasible.
-            let mut sibling = formulation.model.clone();
-            let id = sibling
-                .constraint_ids()
-                .find(|&id| sibling.constraint(id).cmp == rp_lp::Cmp::Le);
-            let Some(id) = id else {
-                continue;
-            };
-            let rhs = sibling.constraint(id).rhs;
-            sibling.set_rhs(id, rhs + 1.0);
-            let (ns, solution) =
-                time_once(|| solve_lp_revised_reusing(&sibling, &options, &mut workspace));
-            if solution.status != Status::Optimal {
-                eprintln!(
-                    "pricing report: s={size} {label} warm sibling failed: {}",
-                    solution.status
-                );
-                continue;
-            }
-            let stats = workspace.last_stats();
-            entries.push((format!("pricing/s{size}_{label}_warm_ms"), ns / 1e6));
-            entries.push((
-                format!("pricing/s{size}_{label}_warm_iters"),
-                stats.iterations() as f64,
-            ));
-            entries.push((
-                format!("pricing/s{size}_{label}_warm_flips"),
-                (stats.bound_flips + stats.dual_bound_flips) as f64,
-            ));
-        }
-    }
-
-    entries.retain(|(name, value)| {
-        let keep = value.is_finite();
-        if !keep {
-            eprintln!("skipping non-finite metric {name} = {value}");
-        }
-        keep
-    });
-    let mut s = String::new();
-    s.push_str("{\n  \"schema\": 1,\n");
-    s.push_str(
-        "  \"units\": \"*_ms = wall-clock ms (one shot), *_iters = simplex iterations, \
-         *_flips = primal + dual bound flips; cold = fresh workspace, warm = same matrix \
-         with one <= right-hand side relaxed\",\n",
-    );
+    s.push_str("  \"units\": \"*_ms = wall-clock ms (one shot), *_iters = simplex iterations\",\n");
     s.push_str("  \"metrics\": {\n");
     for (i, (name, value)) in entries.iter().enumerate() {
         let comma = if i + 1 == entries.len() { "" } else { "," };
@@ -1968,10 +1662,7 @@ fn write_pricing_report(path: &str) {
 fn write_revised_report(path: &str) {
     use rp_core::ilp::{build_model, Integrality};
     use rp_core::Policy;
-    use rp_lp::{
-        solve_lp_reusing, solve_lp_revised_reusing, RevisedWorkspace, SimplexOptions,
-        SimplexWorkspace,
-    };
+    use rp_lp::{solve_lp_reusing, RevisedWorkspace, SimplexOptions, SimplexWorkspace};
 
     let mut entries: Vec<(String, f64)> = Vec::new();
     for size in [20usize, 40, 80, 120] {
@@ -1990,11 +1681,7 @@ fn write_revised_report(path: &str) {
         });
         let mut revised_ws = RevisedWorkspace::new();
         let revised_solve = time_ns(|| {
-            black_box(solve_lp_revised_reusing(
-                black_box(&formulation.model),
-                &options,
-                &mut revised_ws,
-            ));
+            black_box(revised_ws.solve_warm(black_box(&formulation.model), &options));
         });
         entries.push((format!("lp_solve/dense/{size}"), dense_solve));
         entries.push((format!("lp_solve/revised/{size}"), revised_solve));
@@ -2104,49 +1791,7 @@ fn write_revised_report(path: &str) {
     eprintln!("wrote {path}");
 }
 
-/// A deterministic ill-scaled LP family (dense-ish `≤` rows whose
-/// coefficients span four orders of magnitude): the setting where devex
-/// reference weights separate from Dantzig pricing.
-fn ill_scaled_model(n: usize, m: usize, seed: u64) -> rp_lp::Model {
-    use rp_lp::{lin_sum, Cmp, Model, Sense};
-    let mut state = seed | 1;
-    let mut next = move || {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        state
-    };
-    let mut model = Model::new(Sense::Maximize);
-    let vars: Vec<_> = (0..n)
-        .map(|j| {
-            let scale = 10f64.powi((next() % 5) as i32 - 2);
-            let objective = ((next() % 1000) as f64 / 100.0 + 0.1) * scale;
-            model.add_var(
-                format!("x{j}"),
-                0.0,
-                Some(((next() % 90) + 10) as f64),
-                objective,
-            )
-        })
-        .collect();
-    for i in 0..m {
-        let mut terms = vec![];
-        for &v in &vars {
-            if (next() % 100) < 30 {
-                let scale = 10f64.powi((next() % 5) as i32 - 2);
-                terms.push((((next() % 1000) as f64 / 100.0 + 0.05) * scale, v));
-            }
-        }
-        if terms.is_empty() {
-            continue;
-        }
-        let rhs = ((next() % 5000) + 500) as f64 / 10.0;
-        model.add_constraint(format!("c{i}"), lin_sum(terms), Cmp::Le, rhs);
-    }
-    model
-}
-
-/// Writes `BENCH_sparse.json`: the sparse-LU / Forrest–Tomlin / devex
+/// Writes `BENCH_sparse.json`: the sparse-LU / Forrest–Tomlin
 /// trajectory of the revised engine —
 ///
 /// * `lp_solve/{dense,revised}/<s>` — cold engine-to-engine solve
@@ -2157,9 +1802,8 @@ fn ill_scaled_model(n: usize, m: usize, seed: u64) -> rp_lp::Model {
 /// * `lp_resolve_warm/<s>` — the sibling fast path: re-solving the same
 ///   matrix after an objective/rhs refresh (refactorisation + cleanup
 ///   pivots only), what the λ-sharded sweep pays per sibling trial;
-/// * `iters/{devex,dantzig}/<s>` — simplex iteration counts per pricing
-///   rule at `s = 80..400`, the devex payoff on the degenerate replica
-///   LPs;
+/// * `iters/<s>` — simplex iterations of the cold solve at
+///   `s = 80..2000`;
 /// * `factor/{m,nnz_l,nnz_u}/<s>`, `factor/refactor_ns/<s>`,
 ///   `ftran_ns/<s>`, `btran_ns/<s>` — factor sparsity and the
 ///   nnz-scaling of one Markowitz refactorisation and of hyper-sparse
@@ -2171,7 +1815,7 @@ fn ill_scaled_model(n: usize, m: usize, seed: u64) -> rp_lp::Model {
 fn write_sparse_report(path: &str) {
     use rp_core::ilp::{build_model, Integrality};
     use rp_core::Policy;
-    use rp_lp::{Pricing, RevisedWorkspace, SimplexOptions, SimplexWorkspace, Status};
+    use rp_lp::{RevisedWorkspace, SimplexOptions, SimplexWorkspace, Status};
     use rp_workloads::platform::paper_scale_instance_sized;
 
     let reference = std::fs::read_to_string("BENCH_revised.json")
@@ -2179,10 +1823,11 @@ fn write_sparse_report(path: &str) {
         .unwrap_or_default();
     let mut entries: Vec<(String, f64)> = Vec::new();
 
-    let devex = SimplexOptions::default();
-    let dantzig = SimplexOptions {
-        pricing: Pricing::Dantzig,
-        ..SimplexOptions::default()
+    let options = SimplexOptions::default();
+    // A cold solve on a reused workspace (buffers kept, basis dropped).
+    let solve_cold = |ws: &mut RevisedWorkspace, model: &rp_lp::Model| {
+        ws.invalidate();
+        ws.solve_warm(model, &options)
     };
 
     for size in [20usize, 40, 80, 120] {
@@ -2194,13 +1839,13 @@ fn write_sparse_report(path: &str) {
         let dense_solve = time_ns(|| {
             black_box(rp_lp::solve_lp_reusing(
                 black_box(model),
-                &devex,
+                &options,
                 &mut dense_ws,
             ));
         });
         let mut ws = RevisedWorkspace::new();
         let revised_solve = time_ns(|| {
-            black_box(ws.solve_cold(black_box(model), &devex));
+            black_box(solve_cold(&mut ws, black_box(model)));
         });
         entries.push((format!("lp_solve/dense/{size}"), dense_solve));
         entries.push((format!("lp_solve/revised/{size}"), revised_solve));
@@ -2219,14 +1864,14 @@ fn write_sparse_report(path: &str) {
         }
         // The sibling fast path: same matrix, refreshed data.
         let warm_solve = time_ns(|| {
-            black_box(ws.solve_warm(black_box(model), &devex));
+            black_box(ws.solve_warm(black_box(model), &options));
         });
         entries.push((format!("lp_resolve_warm/{size}"), warm_solve));
 
         if size >= 80 {
-            ws.solve_cold(model, &devex);
-            let devex_iters = ws.last_stats().iterations();
-            entries.push((format!("iters/devex/{size}"), devex_iters as f64));
+            solve_cold(&mut ws, model);
+            let iters = ws.last_stats().iterations();
+            entries.push((format!("iters/{size}"), iters as f64));
             let (lnnz, unnz) = ws.factor_nnz();
             entries.push((format!("factor/m/{size}"), model.num_constraints() as f64));
             entries.push((format!("factor/nnz_l/{size}"), lnnz as f64));
@@ -2246,10 +1891,6 @@ fn write_sparse_report(path: &str) {
                 unit = unit.wrapping_add(1);
             });
             entries.push((format!("btran_ns/{size}"), btran_ns));
-            ws.invalidate();
-            ws.solve_cold(model, &dantzig);
-            let dantzig_iters = ws.last_stats().iterations();
-            entries.push((format!("iters/dantzig/{size}"), dantzig_iters as f64));
         }
     }
 
@@ -2273,21 +1914,21 @@ fn write_sparse_report(path: &str) {
         let formulation = build_model(&problem, Policy::Multiple, Integrality::RationalBound);
         let model = &formulation.model;
         let mut ws = RevisedWorkspace::new();
-        let (_, solution) = time_once(|| ws.solve_cold(model, &devex));
+        let (_, solution) = time_once(|| solve_cold(&mut ws, model));
         if solution.status != Status::Optimal {
             eprintln!("s={s} revised solve failed: {}", solution.status);
             continue;
         }
-        let devex_iters = ws.last_stats().iterations();
+        let iters = ws.last_stats().iterations();
         let solve_ns = time_ns(|| {
-            black_box(ws.solve_cold(black_box(model), &devex));
+            black_box(solve_cold(&mut ws, black_box(model)));
         });
         entries.push((format!("lp_solve_ms/revised/{label}"), solve_ns / 1e6));
         // The sibling fast path the λ-sharded sweep pays: re-solving
         // the same matrix after a data refresh.
-        ws.solve_cold(model, &devex);
+        solve_cold(&mut ws, model);
         let warm_ns = time_ns(|| {
-            black_box(ws.solve_warm(black_box(model), &devex));
+            black_box(ws.solve_warm(black_box(model), &options));
         });
         entries.push((format!("lp_resolve_warm_ms/{label}"), warm_ns / 1e6));
         entries.push((format!("speedup/sibling_warm/{label}"), solve_ns / warm_ns));
@@ -2295,7 +1936,7 @@ fn write_sparse_report(path: &str) {
             format!("lp_rational_bound/revised/{label}_value"),
             solution.objective,
         ));
-        entries.push((format!("iters/devex/{label}"), devex_iters as f64));
+        entries.push((format!("iters/{label}"), iters as f64));
         let (lnnz, unnz) = ws.factor_nnz();
         entries.push((format!("factor/m/{label}"), model.num_constraints() as f64));
         entries.push((format!("factor/nnz_l/{label}"), lnnz as f64));
@@ -2315,13 +1956,6 @@ fn write_sparse_report(path: &str) {
             unit = unit.wrapping_add(1);
         });
         entries.push((format!("btran_ns/{label}"), btran_ns));
-        let (_, dantzig_sol) = time_once(|| ws.solve_cold(model, &dantzig));
-        if dantzig_sol.status == Status::Optimal {
-            entries.push((
-                format!("iters/dantzig/{label}"),
-                ws.last_stats().iterations() as f64,
-            ));
-        }
         if s == 400 {
             // Like-for-like against the recorded dense-LU engine: both
             // sides are one-shot `lower_bound` runs (build + solve).
@@ -2335,36 +1969,6 @@ fn write_sparse_report(path: &str) {
                 ));
             }
         }
-    }
-
-    // Devex vs Dantzig where column norms actually differ: a
-    // deterministic ill-scaled LP family (coefficients spanning four
-    // orders of magnitude). On the near-unimodular replica relaxations
-    // the two rules provably coincide (every tableau entry is ±1, so
-    // the reference weights never leave 1 — see the `iters/*` pairs
-    // above); here devex needs fewer iterations.
-    {
-        let mut devex_total = 0usize;
-        let mut dantzig_total = 0usize;
-        for seed in 1..=8u64 {
-            let model = ill_scaled_model(120, 60, seed * 7919);
-            for (pricing, total) in [
-                (Pricing::Devex, &mut devex_total),
-                (Pricing::Dantzig, &mut dantzig_total),
-            ] {
-                let opts = SimplexOptions {
-                    pricing,
-                    ..SimplexOptions::default()
-                };
-                let mut ws = RevisedWorkspace::new();
-                let solution = ws.solve_cold(&model, &opts);
-                if solution.status == Status::Optimal {
-                    *total += ws.last_stats().iterations();
-                }
-            }
-        }
-        entries.push(("iters/devex/illscaled".to_string(), devex_total as f64));
-        entries.push(("iters/dantzig/illscaled".to_string(), dantzig_total as f64));
     }
 
     entries.retain(|(name, value)| {
@@ -2398,7 +2002,6 @@ fn main() {
     let mut failures_output = String::from("BENCH_failures.json");
     let mut online_output = String::from("BENCH_online.json");
     let mut obs_output = String::from("BENCH_obs.json");
-    let mut pricing_output = String::from("BENCH_pricing.json");
     let mut compare: Option<String> = None;
     let mut sparse_only = false;
     let mut scenarios_only = false;
@@ -2406,7 +2009,6 @@ fn main() {
     let mut failures_only = false;
     let mut online_only = false;
     let mut obs_only = false;
-    let mut pricing_only = false;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
@@ -2436,10 +2038,6 @@ fn main() {
             }
             "--smoke-obs" => {
                 smoke_obs();
-                return;
-            }
-            "--smoke-pricing" => {
-                smoke_pricing();
                 return;
             }
             "--check-budget" => {
@@ -2496,16 +2094,6 @@ fn main() {
             "--obs-only" => {
                 obs_only = true;
                 i += 1;
-            }
-            "--pricing-only" => {
-                pricing_only = true;
-                i += 1;
-            }
-            "--pricing-out" => {
-                if let Some(path) = args.get(i + 1) {
-                    pricing_output = path.clone();
-                }
-                i += 2;
             }
             "--obs-out" => {
                 if let Some(path) = args.get(i + 1) {
@@ -2577,10 +2165,6 @@ fn main() {
     }
     if obs_only {
         write_obs_report(&obs_output);
-        return;
-    }
-    if pricing_only {
-        write_pricing_report(&pricing_output);
         return;
     }
 
@@ -2741,7 +2325,6 @@ fn main() {
     write_failures_report(&failures_output);
     write_online_report(&online_output);
     write_obs_report(&obs_output);
-    write_pricing_report(&pricing_output);
 }
 
 /// Extracts the flat `"name": value` pairs of a previous baseline file.
@@ -2860,7 +2443,7 @@ mod tests {
         // rank first.
         let old = r#"{"counters":{"lp.solves":10,"lp.ftran.calls":100,"lp.btran.calls":50}}"#;
         let new = r#"{"counters":{"lp.solves":10,"lp.ftran.calls":400,"lp.btran.calls":51,
-                      "lp.queue.rebuilds":3}}"#;
+                      "lp.refactor.count":3}}"#;
         let report = obs_diff_report(old, new, 10).expect("both parse");
         let first_mover = report.lines().nth(1).expect("at least one mover");
         assert!(
@@ -2869,7 +2452,7 @@ mod tests {
         );
         assert!(report.contains("100 -> 400"));
         assert!(report.contains("(+300.0%)"));
-        assert!(report.contains("counters.lp.queue.rebuilds: (new) -> 3"));
+        assert!(report.contains("counters.lp.refactor.count: (new) -> 3"));
         // The unchanged counter stays out of the report.
         assert!(!report.contains("lp.solves:"));
     }

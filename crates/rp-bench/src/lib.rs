@@ -99,7 +99,7 @@
 //!
 //! The top movers *are* the attribution: a wall-time regression with
 //! `lp.refactor.count` and `lp.phase.factorise_ns` leading the list is
-//! a factorisation-stability problem, one led by `lp.queue.rebuilds`
+//! a factorisation-stability problem, one led by `lp.dual_pivots`
 //! and `lp.phase.pricing_ns` is a pricing problem. The perf-budget
 //! gate prints exactly this report (against the checked-in
 //! `BENCH_obs.json`) whenever a ceiling is breached, and saves it as

@@ -17,8 +17,9 @@
 //! exactly the coupling that makes the multi-object problem harder than
 //! `K` independent single-object ones. On wide-range platforms the
 //! shared rows mix unit coefficients with capacities spanning several
-//! decades, the ill-scaled regime the LP engine's equilibration pass
-//! ([`rp_lp::Scaling`]) exists for.
+//! decades — an ill-scaled matrix that the LP engine solves unscaled
+//! (its solves agree with the dense oracle there; see the scenario
+//! property tests).
 
 use rp_lp::{lin_sum, Cmp, LinExpr, Model, VarId};
 use rp_tree::{LinkId, NodeId};

@@ -5,9 +5,8 @@
 //! The classic figure sweeps ([`crate::runner`]) evaluate heuristics
 //! against the LP bound on the base formulation. The problem-variant
 //! families are covered here: per (λ, tree) the sweep records the
-//! rational LP bound (wall-clock, iteration count and — on the
-//! ill-scaled families — the equilibration's entry-spread reduction)
-//! **plus two heuristic candidates**:
+//! rational LP bound (wall-clock and iteration count) **plus two
+//! heuristic candidates**:
 //!
 //! * the **LP-guided rounding** ([`rp_core::heuristics::lp_guided`]) —
 //!   the subsystem built for exactly these families (bandwidth-aware,
@@ -50,8 +49,9 @@ pub enum ScenarioFamily {
     /// Single-object instances with per-link bandwidth bounds at mixed
     /// headroom (some links bind; feasibility is λ-dependent).
     Bandwidth,
-    /// Bandwidth bounds over the wide-range (five-decade) platform: the
-    /// ill-scaled regime that triggers the LP equilibration pass.
+    /// Bandwidth bounds over the wide-range (five-decade) platform: an
+    /// ill-scaled constraint matrix (entry spread ~2e5) that the LP
+    /// engine solves unscaled.
     BandwidthIllScaled,
     /// Multi-object instances sharing node capacities.
     MultiObject,
@@ -88,7 +88,7 @@ impl ScenarioFamily {
         match self {
             ScenarioFamily::Bandwidth => "Bandwidth-constrained LP bound (mixed headroom links)",
             ScenarioFamily::BandwidthIllScaled => {
-                "Ill-scaled bandwidth LP bound (wide-range platform, equilibrated)"
+                "Ill-scaled bandwidth LP bound (wide-range platform)"
             }
             ScenarioFamily::MultiObject => "Multi-object LP bound (shared capacities)",
             ScenarioFamily::MultiObjectBandwidth => {
@@ -170,8 +170,6 @@ pub struct ScenarioTrial {
     pub rows: usize,
     /// Columns of the solved model.
     pub cols: usize,
-    /// Entry-spread before/after equilibration, when the pass ran.
-    pub scaling_spread: Option<(f64, f64)>,
     /// Cost of the LP-guided rounding (`None` = no feasible placement
     /// found — always the case when the relaxation is infeasible).
     pub lp_guided_cost: Option<u64>,
@@ -250,18 +248,6 @@ impl ScenarioBatch {
             self.trials.iter().map(|t| t.rows).sum::<usize>() as f64 / n,
             self.trials.iter().map(|t| t.cols).sum::<usize>() as f64 / n,
         )
-    }
-
-    /// Fraction of trials the equilibration pass scaled.
-    pub fn scaled_rate(&self) -> f64 {
-        if self.trials.is_empty() {
-            return 0.0;
-        }
-        self.trials
-            .iter()
-            .filter(|t| t.scaling_spread.is_some())
-            .count() as f64
-            / self.trials.len() as f64
     }
 
     /// Success rate of the LP-guided rounding over **all** trials of
@@ -427,12 +413,9 @@ fn solve_bound(
     let span = rp_obs::timed_span(rp_obs::SpanKind::LpBound);
     let solution = solve_lp_engine(model, config.engine, &options, workspace);
     let solve_seconds = span.finish_seconds();
-    let (iterations, scaling_spread) = match config.engine {
-        LpEngine::Revised => (
-            workspace.revised.last_stats().iterations(),
-            workspace.revised.scaling_spread(),
-        ),
-        LpEngine::DenseTableau => (0, None),
+    let iterations = match config.engine {
+        LpEngine::Revised => workspace.revised.last_stats().iterations(),
+        LpEngine::DenseTableau => 0,
     };
     ScenarioTrial {
         tree_index,
@@ -442,7 +425,6 @@ fn solve_bound(
         iterations,
         rows: model.num_constraints(),
         cols: model.num_vars(),
-        scaling_spread,
         lp_guided_cost: None,
         classic_cost: None,
         heuristics_seconds: 0.0,
@@ -523,7 +505,6 @@ pub fn scenario_table(results: &ScenarioResults) -> SeriesTable {
         "mean_iters".to_string(),
         "mean_rows".to_string(),
         "mean_cols".to_string(),
-        "scaled".to_string(),
     ];
     let gap_cell = |gap: Option<f64>| {
         gap.map(|g| format!("{:.1}", 100.0 * g))
@@ -550,7 +531,6 @@ pub fn scenario_table(results: &ScenarioResults) -> SeriesTable {
                 format!("{:.0}", batch.mean_iterations()),
                 format!("{rows:.0}"),
                 format!("{cols:.0}"),
-                format!("{:.2}", batch.scaled_rate()),
             ]
         })
         .collect();
@@ -660,30 +640,6 @@ mod tests {
                     assert!((x - y).abs() < 1e-5 * x.abs().max(1.0), "{x} vs {y}");
                 }
             }
-        }
-    }
-
-    #[test]
-    fn auto_scaling_leaves_both_bandwidth_families_unscaled() {
-        // The wide-range platform's ~2e5 entry spread sits below the
-        // retuned `Scaling::Auto` trigger (the solver is robust there
-        // without equilibration, and the pass costs iterations — see
-        // `AUTO_SPREAD`), so neither family scales under the default
-        // options; the forced-geometric path is pinned by the rp-lp
-        // unit tests and the `--smoke-bandwidth` CI gate instead.
-        for family in [
-            ScenarioFamily::BandwidthIllScaled,
-            ScenarioFamily::Bandwidth,
-        ] {
-            let results = run_scenario(&ScenarioConfig {
-                lambdas: vec![0.4],
-                trees_per_lambda: 2,
-                problem_size: 40,
-                ..ScenarioConfig::smoke_test(family)
-            });
-            let batch = &results.batches[0];
-            assert_eq!(batch.scaled_rate(), 0.0, "{family:?} should stay unscaled");
-            assert!(batch.trials.iter().all(|t| t.scaling_spread.is_none()));
         }
     }
 }

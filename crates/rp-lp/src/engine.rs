@@ -17,7 +17,7 @@
 
 use crate::error::LpError;
 use crate::model::Model;
-use crate::revised::{solve_lp_revised_reusing, RevisedWorkspace};
+use crate::revised::RevisedWorkspace;
 use crate::simplex::{solve_lp_reusing, SimplexOptions, SimplexWorkspace};
 use crate::solution::{Solution, Status};
 
@@ -67,7 +67,7 @@ pub fn solve_lp_engine(
 ) -> Solution {
     match engine {
         LpEngine::DenseTableau => solve_lp_reusing(model, options, &mut workspace.dense),
-        LpEngine::Revised => solve_lp_revised_reusing(model, options, &mut workspace.revised),
+        LpEngine::Revised => workspace.revised.solve_warm(model, options),
     }
 }
 
@@ -142,7 +142,7 @@ pub fn solve_lp_hardened(
     options: &SimplexOptions,
     workspace: &mut LpWorkspace,
 ) -> Result<HardenedSolve, LpError> {
-    let solution = solve_lp_revised_reusing(model, options, &mut workspace.revised);
+    let solution = workspace.revised.solve_warm(model, options);
     // A refused FT update that forced a mid-solve refactorisation is
     // the ladder's first escalation, even though the engine absorbs it
     // internally.

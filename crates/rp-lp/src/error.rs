@@ -33,8 +33,8 @@
 //! ([`crate::RevisedWorkspace::last_error`]) *in addition to* the
 //! conservative [`Status`] carried by the returned [`Solution`] — the
 //! status-based API stays unchanged for existing callers, and
-//! [`crate::solve_lp_revised_checked`] surfaces the error as a `Result`
-//! for callers that want to handle it.
+//! [`crate::solve_lp_hardened`] surfaces the error as a `Result` for
+//! callers that want to handle it.
 //!
 //! # Budgets return the best bound so far
 //!

@@ -9,11 +9,12 @@
 //!   constraints, linear objective.
 //! * [`solve_lp`] — dense two-phase primal simplex for the continuous
 //!   relaxation (the original engine, kept as a differential oracle).
-//! * [`solve_lp_revised`] — bounded-variable **revised simplex** with a
-//!   factorised basis: the default engine, an order of magnitude faster
-//!   on the replica formulations (see below).
+//! * [`RevisedWorkspace::solve_warm`] — bounded-variable **revised
+//!   simplex** with a factorised basis: the default engine, an order of
+//!   magnitude faster on the replica formulations (see below).
 //! * [`LpEngine`] / [`solve_lp_engine`] — explicit engine selection with
-//!   shared, reusable workspaces.
+//!   shared, reusable workspaces; [`solve_lp_hardened`] adds the
+//!   dense-oracle fallback and a typed `Result`.
 //! * [`solve_milp`] — LP-based branch-and-bound over the declared
 //!   integer variables, reporting both the best incumbent and a proven
 //!   bound; under the revised engine every node warm-starts from the
@@ -33,8 +34,7 @@
 //! and the per-pivot cost — which is what kept paper-scale (`s = 400`)
 //! instances out of reach.
 //!
-//! The revised engine ([`solve_lp_revised`], [`RevisedWorkspace`])
-//! removes both costs:
+//! The revised engine ([`RevisedWorkspace`]) removes both costs:
 //!
 //! * **Implicit bounds** — variables live in `l ≤ x ≤ u` boxes and the
 //!   bounded ratio test lets a nonbasic variable *flip* from one bound
@@ -63,35 +63,24 @@
 //!   skipping every position whose running value is exactly zero: an
 //!   FTRAN/BTRAN with a sparse right-hand side costs close to the
 //!   nonzeros it touches plus one `O(m)` sweep.
-//! * **Incremental pricing** — reduced costs are maintained by the
-//!   rank-one update `d ← d − (d_q/α_q)·α` per pivot, with the pivot
-//!   row `α = Aᵀ B⁻ᵀ e_r` computed row-wise over the nonzeros of
-//!   `B⁻ᵀe_r` only. A pricing pass is a flat `O(n)` scan; the full
-//!   `O(nnz)` recomputation happens only at phase starts and
-//!   refactorisations (plus once to confirm optimality).
-//! * **Partial pricing** ([`Pricing`], default `Partial`) —
-//!   candidate-list multiple pricing on top of Forrest–Goldfarb devex
-//!   weights: a full `O(n)` scan runs only to rebuild a small queue of
-//!   the most attractive columns, and ordinary iterations re-price just
-//!   the queue. Optimality is still only ever declared by a full scan,
-//!   so the rule changes the pivot order but never the answer. Full
-//!   devex, Dantzig and Bland remain selectable, and the differential
-//!   proptests pin all of them to the same objective. (On the replica
-//!   relaxations themselves the constraint matrices are near-unimodular
-//!   — every tableau entry is ±1 — so the devex weights provably stay
-//!   at 1 and devex coincides with Dantzig; `BENCH_sparse.json` records
-//!   both this equality and the devex win on an ill-scaled family, and
-//!   `BENCH_pricing.json` tracks every rule pair at `s = 400/2000`.)
-//! * **Dual cold start, dual devex and the bound-flipping ratio test**
-//!   — when the phase-2 costs are already dual feasible at the bound
-//!   point (true of all the min-cost replica relaxations), the solve
-//!   skips both primal phases and runs the dual simplex straight from
-//!   the slack basis. The leaving row comes from **dual devex** row
-//!   weights ([`DualPricing`], default) over an incrementally
-//!   maintained candidate list of violated rows (no `O(m)` rescan per
-//!   iteration), measured in *model units* so equilibration cannot bend
-//!   the pivot path; the entering column comes from a **bound-flipping
-//!   dual ratio test** that walks the pivot row's breakpoints and flips
+//! * **One primal and one dual pricing rule** — the primal simplex
+//!   prices with Dantzig's most attractive reduced cost and degrades to
+//!   Bland's rule after [`SimplexOptions::bland_after`] iterations.
+//!   Reduced costs are maintained by the rank-one update
+//!   `d ← d − (d_q/α_q)·α` per pivot, with the pivot row
+//!   `α = Aᵀ B⁻ᵀ e_r` computed row-wise over the nonzeros of `B⁻ᵀe_r`
+//!   only, so a pricing pass is a flat `O(n)` scan. The dual simplex
+//!   takes the most violated row from an incrementally maintained list
+//!   of violated rows (no `O(m)` rescan per iteration). The replica
+//!   relaxations are near-unimodular — every tableau entry is ±1 — so
+//!   weighted rules (devex, steepest edge) have nothing to rank by:
+//!   on every shipped family they pivot exactly like these two.
+//! * **Dual cold start and the bound-flipping ratio test** — when the
+//!   phase-2 costs are already dual feasible at the bound point (true
+//!   of all the min-cost replica relaxations), the solve skips both
+//!   primal phases and runs the dual simplex straight from the slack
+//!   basis; the entering column comes from a **bound-flipping dual
+//!   ratio test** that walks the pivot row's breakpoints and flips
 //!   boxed columns for longer dual steps. This is what broke the
 //!   pricing wall: the `s = 2000` bandwidth bound dropped from ~700 ms
 //!   to under 50 ms (see `perf-budget.toml`).
@@ -108,24 +97,11 @@
 //!   equality whose value fits its bounds (block-triangularly, so the
 //!   start basis is trivially nonsingular). Phase 1 shrinks from one
 //!   artificial per client to a handful of residual rows.
-//! * **Geometric-mean equilibration** ([`SimplexOptions::scaling`],
-//!   [`Scaling::Auto`] by default) — the bandwidth-constrained and
-//!   multi-object formulations over wide-range platforms mix unit
-//!   link/cover coefficients with capacities spanning five decades,
-//!   so the absolute simplex tolerances stop meaning the same thing in
-//!   every row. The scaling pass picks power-of-two row and column
-//!   scales by the alternating geometric-mean iteration and solves
-//!   `R·A·C`; the solution is unscaled on extraction **exactly**
-//!   (powers of two commute with IEEE rounding), which the
-//!   equilibration round-trip property test pins. `Auto` only fires
-//!   above an entry-spread threshold, so the near-unimodular classic
-//!   formulations keep their historical pivot paths bit for bit.
 //! * **Micro-size fast path** — below ~50 rows the presolve analysis
-//!   and the devex weight machinery cost more than they save (the
-//!   documented 10–20% cold-solve overhead at `s ≤ 40`); such solves
-//!   skip presolve and price with plain Dantzig automatically, and a
-//!   regression test pins the micro-size iteration counts to the
-//!   explicit fast-path configuration.
+//!   costs more than it saves (the documented 10–20% cold-solve
+//!   overhead at `s ≤ 40`); such solves skip presolve automatically,
+//!   and a regression test pins the micro-size iteration counts to the
+//!   explicit presolve-off configuration.
 //! * **Warm starts** — a bound change (the only thing branch-and-bound
 //!   does between nodes) leaves the reduced costs untouched, so the
 //!   parent basis stays dual feasible and a short **dual simplex**
@@ -134,7 +110,7 @@
 //!   basis across **sibling solves** (same constraint matrix, different
 //!   objective/rhs/bounds — one tree under several load factors in the
 //!   λ-sharded sweep, or consecutive branch-and-bound searches of one
-//!   shape): [`solve_lp_revised_reusing`] and
+//!   shape): [`RevisedWorkspace::solve_warm`] and
 //!   [`solve_milp_reusing`] re-solve with a refactorisation plus a few
 //!   cleanup pivots, falling back to a cold solve on any structural
 //!   change (verified entry-for-entry in `O(nnz)`).
@@ -143,9 +119,9 @@
 //! models; pick [`LpEngine::DenseTableau`] when you want a second,
 //! independently implemented opinion — the property tests in
 //! `tests/proptest_revised_equivalence.rs` pin the two engines (and
-//! every pricing rule, presolve on/off, and warm vs cold paths) to each
-//! other on random bounded LPs, and `rp-bench`'s `BENCH_revised.json` /
-//! `BENCH_sparse.json` track the speedups.
+//! Dantzig vs Bland pricing, presolve on/off, and warm vs cold paths)
+//! to each other on random bounded LPs, and `rp-bench`'s
+//! `BENCH_revised.json` / `BENCH_sparse.json` track the speedups.
 //!
 //! ```
 //! use rp_lp::{Model, LinExpr, Cmp, Sense, solve_milp};
@@ -198,9 +174,6 @@ pub use engine::{
 };
 pub use error::{LpError, SolveBudget};
 pub use model::{lin_sum, Cmp, Constraint, ConstraintId, LinExpr, Model, Sense, VarId, Variable};
-pub use revised::{
-    solve_lp_revised, solve_lp_revised_checked, solve_lp_revised_reusing, solve_lp_revised_with,
-    DualPricing, Pricing, RevisedWorkspace, Scaling, SolveStats, TranCounters, WarmStart,
-};
+pub use revised::{RevisedWorkspace, SolveStats, TranCounters, WarmStart};
 pub use simplex::{solve_lp, solve_lp_reusing, solve_lp_with, SimplexOptions, SimplexWorkspace};
 pub use solution::{Solution, Status};

@@ -28,7 +28,6 @@
 //! postsolve step in the driver restores every eliminated variable.
 
 use crate::model::{Cmp, Model, Sense};
-use crate::revised::scaling::{self, Scaling};
 
 /// Slack-variable bounds encoding a constraint's comparison direction.
 fn slack_bounds(cmp: Cmp) -> (f64, f64) {
@@ -70,18 +69,6 @@ pub(crate) struct StandardForm {
     /// Set when a variable's bounds are inverted (`ub < lb`): the LP is
     /// trivially infeasible.
     pub(crate) trivially_infeasible: bool,
-    /// Whether the stored matrix, bounds, costs and right-hand sides
-    /// are equilibrated (see [`StandardForm::apply_scaling`]).
-    pub(crate) scaled: bool,
-    /// Power-of-two row scales `r_i` (empty unless `scaled`).
-    pub(crate) row_scale: Vec<f64>,
-    /// Power-of-two structural column scales `c_j` (empty unless
-    /// `scaled`).
-    pub(crate) col_scale: Vec<f64>,
-    /// Entry spread `max|a|/min|a|` before / after the scaling pass
-    /// (diagnostics for the scenario benchmarks).
-    pub(crate) spread_before: f64,
-    pub(crate) spread_after: f64,
 }
 
 impl StandardForm {
@@ -110,7 +97,6 @@ impl StandardForm {
         self.art_rows.clear();
         self.art_signs.clear();
         self.trivially_infeasible = false;
-        self.reset_scaling();
 
         // CSC from the row-wise constraints: count, prefix, fill.
         self.col_ptr.clear();
@@ -182,117 +168,12 @@ impl StandardForm {
         }
     }
 
-    /// Forgets any equilibration. Called when a build starts from a
-    /// fresh model — and by the solve driver *before* presolve, so an
-    /// early infeasibility exit cannot leave a previous model's scaling
-    /// diagnostics behind (`scaling_spread` would report stale data).
-    pub(crate) fn reset_scaling(&mut self) {
-        self.scaled = false;
-        self.row_scale.clear();
-        self.col_scale.clear();
-        self.spread_before = 1.0;
-        self.spread_after = 1.0;
-    }
-
-    /// Equilibrates the freshly built form per `mode` (see
-    /// [`crate::revised::scaling`]): power-of-two row/column scales from
-    /// the geometric-mean iteration are folded into the matrix, bounds,
-    /// costs and right-hand sides. Slack columns keep coefficient `+1`
-    /// (their scale is `1/r_i`, absorbed into the slack's units), so the
-    /// all-slack basis stays the identity. Must run on an unscaled form,
-    /// before any artificials are appended.
-    pub(crate) fn apply_scaling(&mut self, mode: Scaling) {
-        debug_assert!(!self.scaled && self.art_rows.is_empty());
-        self.spread_before = scaling::entry_spread(&self.col_vals);
-        self.spread_after = self.spread_before;
-        let wanted = match mode {
-            Scaling::Off => false,
-            Scaling::Geometric => true,
-            Scaling::Auto => self.spread_before > scaling::AUTO_SPREAD,
-        };
-        if !wanted || self.m == 0 || self.n_struct == 0 || self.col_vals.is_empty() {
-            return;
-        }
-        let (row_scale, col_scale) = scaling::geometric_mean_scales(
-            self.m,
-            self.n_struct,
-            &self.col_ptr,
-            &self.col_rows,
-            &self.col_vals,
-        );
-        self.row_scale = row_scale;
-        self.col_scale = col_scale;
-        for j in 0..self.n_struct {
-            for k in self.col_ptr[j]..self.col_ptr[j + 1] {
-                self.col_vals[k] *= self.row_scale[self.col_rows[k] as usize] * self.col_scale[j];
-            }
-        }
-        for row in 0..self.m {
-            for t in self.row_ptr[row]..self.row_ptr[row + 1] {
-                self.row_vals[t] *= self.row_scale[row] * self.col_scale[self.row_cols[t] as usize];
-            }
-        }
-        self.scaled = true;
-        self.rescale_bounds_costs_rhs();
-        self.spread_after = scaling::entry_spread(&self.col_vals);
-    }
-
-    /// Converts freshly refreshed (model-unit) structural bounds, costs
-    /// and right-hand sides into scaled units: `x'_j = x_j / c_j`, so
-    /// bounds divide by `c_j`, the cost multiplies by `c_j`, and each
-    /// right-hand side multiplies by `r_i`. Power-of-two scales make
-    /// every one of these conversions exact.
-    fn rescale_bounds_costs_rhs(&mut self) {
-        for j in 0..self.n_struct {
-            let c = self.col_scale[j];
-            self.lower[j] /= c;
-            self.upper[j] /= c;
-            self.cost[j] *= c;
-        }
-        for (row, rhs) in self.rhs.iter_mut().enumerate() {
-            *rhs *= self.row_scale[row];
-        }
-    }
-
-    /// Multiplier converting a scaled bound violation of `col` back to
-    /// model units: a structural's scaled value is `x_j / c_j` so its
-    /// violation recovers `c_j`; a slack absorbed its row's scale
-    /// (`s' = r_i·s`) so its violation sheds `r_i`. Artificials only
-    /// exist in scaled row units and keep `1`. Pricing uses this to
-    /// rank violations by their model-unit magnitude — otherwise the
-    /// folded scales, not the geometry, decide the pivot order.
-    #[inline]
-    pub(crate) fn violation_unscale(&self, col: usize) -> f64 {
-        if !self.scaled {
-            1.0
-        } else if col < self.n_struct {
-            self.col_scale[col]
-        } else if col < self.n_struct + self.m {
-            1.0 / self.row_scale[col - self.n_struct]
-        } else {
-            1.0
-        }
-    }
-
-    /// The combined multiplier a model coefficient in `(row, col)` picks
-    /// up from the stored equilibration (`1` when unscaled).
-    #[inline]
-    fn entry_scale(&self, row: usize, col: usize) -> f64 {
-        if self.scaled {
-            self.row_scale[row] * self.col_scale[col]
-        } else {
-            1.0
-        }
-    }
-
     /// Refreshes the structural bounds, objective, right-hand sides
     /// **and the slack bounds** from `model` (used by the warm-started
     /// paths; the stored basis stays valid because none of these enter
     /// the basis matrix — the slack bounds encode each constraint's
     /// comparison direction, so refreshing them lets the warm path
     /// absorb even a flipped `≤`/`≥`/`=` without a stale-bound answer).
-    /// A scaled form re-applies its stored scales, which stay valid
-    /// because the warm path guarantees the matrix is unchanged.
     pub(crate) fn refresh_bounds(&mut self, model: &Model) {
         self.trivially_infeasible = false;
         let maximise = model.sense() == Sense::Maximize;
@@ -310,9 +191,6 @@ impl StandardForm {
             let (slo, shi) = slack_bounds(c.cmp);
             self.lower[self.n_struct + row] = slo;
             self.upper[self.n_struct + row] = shi;
-        }
-        if self.scaled {
-            self.rescale_bounds_costs_rhs();
         }
     }
 
@@ -335,9 +213,7 @@ impl StandardForm {
                 return false;
             }
             for (t, &(var, coeff)) in range.zip(&c.terms) {
-                if self.row_cols[t] as usize != var.index()
-                    || self.row_vals[t] != coeff * self.entry_scale(row, var.index())
-                {
+                if self.row_cols[t] as usize != var.index() || self.row_vals[t] != coeff {
                     return false;
                 }
             }
@@ -357,7 +233,6 @@ impl StandardForm {
         self.art_rows.clear();
         self.art_signs.clear();
         self.trivially_infeasible = false;
-        self.reset_scaling();
 
         // CSC over kept rows and columns: count, prefix, fill.
         self.col_ptr.clear();
@@ -454,9 +329,6 @@ impl StandardForm {
             self.lower[n + ri] = slo;
             self.upper[n + ri] = shi;
         }
-        if self.scaled {
-            self.rescale_bounds_costs_rhs();
-        }
     }
 
     /// `true` when `model`'s kept entries are entry-for-entry the ones
@@ -472,8 +344,7 @@ impl StandardForm {
                 }
                 if cursor == end
                     || self.row_cols[cursor] != pre.col_map[var.index()]
-                    || self.row_vals[cursor]
-                        != coeff * self.entry_scale(ri, pre.col_map[var.index()] as usize)
+                    || self.row_vals[cursor] != coeff
                 {
                     return false;
                 }

@@ -3,9 +3,9 @@
 //! This is the scalable counterpart of the dense tableau in
 //! [`crate::simplex`]. The method keeps the constraint matrix fixed and
 //! sparse (see [`basis::StandardForm`]) and represents the basis inverse
-//! as an LU factorisation plus a product-form eta file
-//! ([`factor::Factorization`]), so one iteration costs
-//! `O(m² + nnz)` instead of the tableau's `O(m·n)` full-matrix
+//! as a sparse LU factorisation kept current by Forrest–Tomlin updates
+//! ([`factor::Factorization`]), so one iteration costs close to the
+//! nonzeros it touches instead of the tableau's `O(m·n)` full-matrix
 //! elimination — with `m` equal to the *constraint* count only, because
 //! variable bounds are handled implicitly by the ratio test
 //! ([`ratio`]) rather than materialised as rows.
@@ -27,17 +27,16 @@
 //! variable bounds, the parent's optimal basis is still dual feasible
 //! (bounds do not enter the reduced costs), so a few dual-simplex
 //! pivots restore primal feasibility instead of re-running both phases
-//! from scratch. The dual simplex prices its leaving row with **dual
-//! devex** weights by default ([`DualPricing`]) and its entering column
-//! with the bound-flipping ratio test. The basis is refactorised every
-//! [`REFACTOR_EVERY`] updates — and the basic values recomputed from
-//! the right-hand side — to keep the product form numerically honest.
+//! from scratch. The dual simplex picks the most violated row to leave
+//! ([`pricing`]) and its entering column with the bound-flipping ratio
+//! test. The basis is refactorised every [`REFACTOR_EVERY`] updates —
+//! and the basic values recomputed from the right-hand side — to
+//! squash the drift the updates accumulate.
 
 mod basis;
 mod factor;
 mod pricing;
 mod ratio;
-mod scaling;
 
 use std::time::Instant;
 
@@ -48,27 +47,20 @@ use crate::solution::{Solution, Status};
 
 use basis::{BasisState, ColStatus, Presolve, StandardForm};
 use factor::Factorization;
-use pricing::{
-    choose_entering, devex_update, dual_devex_update, pivot_row_alphas, CandidateQueue,
-    DualCandidates, Entering,
-};
+use pricing::{choose_entering, pivot_row_alphas, DualCandidates, Entering};
 use ratio::{dual_ratio_test, primal_ratio_test, DualRatio, Ratio};
 
-pub use pricing::{DualPricing, Pricing};
-pub use scaling::Scaling;
-
-/// Eta updates tolerated before the basis is refactorised and the basic
-/// values recomputed from scratch.
+/// Forrest–Tomlin updates tolerated before the basis is refactorised
+/// and the basic values recomputed from scratch.
 const REFACTOR_EVERY: usize = 256;
 
 /// Pivot-magnitude tolerance of the ratio tests.
 const PIVOT_TOL: f64 = 1e-9;
 
-/// Constraint count below which the cold-solve fixed costs — the
-/// presolve analysis passes and the devex weight machinery — outweigh
-/// what they save (the documented ~10–20% overhead at `s ≤ 40`). Below
-/// this threshold a solve skips presolve and prices with plain Dantzig;
-/// the sweep's sibling warm starts are unaffected.
+/// Constraint count below which the presolve analysis passes cost more
+/// than they save (the documented ~10–20% cold-solve overhead at
+/// `s ≤ 40`). Below this threshold a solve skips presolve; the sweep's
+/// sibling warm starts are unaffected.
 const MICRO_LP_ROWS: usize = 50;
 
 /// Whether a solve of `model` should actually run the presolve pass.
@@ -76,44 +68,20 @@ fn effective_presolve(model: &Model, options: &SimplexOptions) -> bool {
     options.presolve && model.num_constraints() >= MICRO_LP_ROWS
 }
 
-/// The pricing rule a solve of `model` should actually use: the
-/// weight-carrying rules (partial, devex) downgrade to Dantzig on micro
-/// models, where every rule pivots near-identically but the weight and
-/// queue bookkeeping still costs.
-fn effective_pricing(model: &Model, options: &SimplexOptions) -> Pricing {
-    if matches!(options.pricing, Pricing::Partial | Pricing::Devex)
-        && model.num_constraints() < MICRO_LP_ROWS
-    {
-        Pricing::Dantzig
-    } else {
-        options.pricing
-    }
-}
-
 /// Reusable state of the revised simplex: standard form, basis,
 /// factorisation and every scratch vector. A workspace can be reused
-/// across solves ([`solve_lp_revised_reusing`]) and carries the optimal
-/// basis forward for warm starts ([`RevisedWorkspace::solve_warm`]).
+/// across solves and carries the optimal basis forward for warm starts
+/// ([`RevisedWorkspace::solve_warm`]).
 #[derive(Default)]
 pub struct RevisedWorkspace {
     form: StandardForm,
     basis: BasisState,
     factor: Factorization,
     presolve: Presolve,
-    /// Whether `form` is the presolved reduction of the last model.
+    /// Whether `form` is the presolved reduction of the last model (a
+    /// changed presolve decision forces a cold rebuild on the next
+    /// solve).
     presolved: bool,
-    /// The scaling mode `form` was built under (a changed mode forces a
-    /// cold rebuild on the next solve).
-    scaling_mode: Scaling,
-    /// The pricing rule of the current solve (the options' rule after
-    /// the micro-size downgrade).
-    pricing: Pricing,
-    /// The dual pricing rule of the current solve.
-    dual_pricing: DualPricing,
-    /// Partial-pricing candidate queue (see [`pricing`]).
-    queue: CandidateQueue,
-    /// Dual devex row weights (one per basis slot).
-    dual_weights: Vec<f64>,
     /// Incremental list of primal-infeasible rows (dual pricing).
     dual_cands: DualCandidates,
     /// Bound-flipping dual ratio test scratch: `(ratio, |alpha|, col)`
@@ -138,8 +106,6 @@ pub struct RevisedWorkspace {
     row_flags: Vec<bool>,
     /// Phase-1 cost buffer.
     phase_costs: Vec<f64>,
-    /// Devex reference-framework weights (one per column).
-    devex_weights: Vec<f64>,
     /// Incrementally maintained reduced costs (one per column).
     d: Vec<f64>,
     /// Sparse pivot row: dense accumulator plus the gathered
@@ -218,7 +184,7 @@ pub enum WarmStart {
     /// The warm path answered but needed further refactorisations along
     /// the way.
     WarmRefactor,
-    /// A stored basis existed but the presolve or scaling mode changed,
+    /// A stored basis existed but the presolve decision changed,
     /// forcing a cold rebuild.
     ModeChangeCold,
 }
@@ -236,9 +202,8 @@ impl WarmStart {
 }
 
 /// Counters describing the most recent solve of a
-/// [`RevisedWorkspace`] — what the iteration-count benchmarks (devex vs
-/// Dantzig), the `BENCH_sparse.json` report and the `rp-obs` registry
-/// read out.
+/// [`RevisedWorkspace`] — what the iteration-count benchmarks, the
+/// `BENCH_sparse.json` report and the `rp-obs` registry read out.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SolveStats {
     /// Primal simplex basis changes (phases 1 and 2 combined).
@@ -254,15 +219,6 @@ pub struct SolveStats {
     /// over dual pivots. Each flip replaces a would-be pivot;
     /// `dual_bound_flips / dual_pivots` is the long-step payoff.
     pub dual_bound_flips: usize,
-    /// Entering candidates served straight from the partial-pricing
-    /// queue (no full scan).
-    pub queue_hits: usize,
-    /// Full-scan rebuilds of the partial-pricing queue (queue
-    /// exhaustion, phase starts and optimality confirmations).
-    pub queue_rebuilds: usize,
-    /// Devex reference-framework resets (primal weight overflows plus
-    /// dual row-weight overflows).
-    pub devex_resets: usize,
     /// Basis changes with a zero step length (primal or dual).
     pub degenerate_pivots: usize,
     /// Refactorisations performed, the initial one included.
@@ -273,7 +229,8 @@ pub struct SolveStats {
     /// Refactorisations forced by a refused (numerically unsafe)
     /// Forrest–Tomlin update.
     pub refactor_ft_refused: usize,
-    /// Longest product-form eta chain reached before a refactorisation.
+    /// Longest chain of Forrest–Tomlin updates reached before a
+    /// refactorisation.
     pub max_eta_chain: usize,
     /// Rows eliminated by presolve (0 when presolve did not run).
     pub presolve_rows_removed: usize,
@@ -313,13 +270,20 @@ impl RevisedWorkspace {
         self.warm_ready = false;
     }
 
-    /// Solves `model`, reusing the previous optimal basis when the
-    /// constraint *matrix* is unchanged (verified entry-for-entry in
-    /// `O(nnz)`); bounds, objective and right-hand sides may all differ
-    /// — branch-and-bound only changes bounds, which additionally keeps
-    /// the basis dual feasible so the dual cleanup is short. Falls back
-    /// to a cold two-phase solve on any structural change, or when the
-    /// dual-simplex cleanup fails.
+    /// Solves the continuous relaxation of `model`, reusing the previous
+    /// optimal basis when the constraint *matrix* is unchanged (verified
+    /// entry-for-entry in `O(nnz)`); bounds, objective and right-hand
+    /// sides may all differ — branch-and-bound only changes bounds,
+    /// which additionally keeps the basis dual feasible so the dual
+    /// cleanup is short. Falls back to a cold solve on any structural
+    /// change, or when the dual-simplex cleanup fails; a fresh workspace
+    /// (or one after [`RevisedWorkspace::invalidate`]) always solves
+    /// cold.
+    ///
+    /// Abnormal stops are typed: [`RevisedWorkspace::last_error`] names
+    /// the reason. A budget stop after reaching primal feasibility still
+    /// returns the best point found so far (`Solution::has_point`); a
+    /// stop with no usable point returns a status-only solution.
     pub fn solve_warm(&mut self, model: &Model, options: &SimplexOptions) -> Solution {
         let _span = rp_obs::span(rp_obs::SpanKind::LpSolve);
         self.begin_solve(options);
@@ -332,17 +296,12 @@ impl RevisedWorkspace {
     /// budget reset or telemetry bookkeeping.
     fn solve_warm_inner(&mut self, model: &Model, options: &SimplexOptions) -> Solution {
         self.stats = SolveStats::default();
-        self.pricing = effective_pricing(model, options);
-        self.dual_pricing = options.dual_pricing;
-        if !self.warm_ready
-            || self.presolved != effective_presolve(model, options)
-            || self.scaling_mode != options.scaling
-        {
+        if !self.warm_ready || self.presolved != effective_presolve(model, options) {
             let was_warm = self.warm_ready;
             let solution = self.solve_cold_inner(model, options);
             if was_warm {
-                // A usable basis existed; only the mode mismatch forced
-                // the cold path.
+                // A usable basis existed; only the presolve mismatch
+                // forced the cold path.
                 self.stats.warm = WarmStart::ModeChangeCold;
             }
             return solution;
@@ -442,29 +401,13 @@ impl RevisedWorkspace {
         }
     }
 
-    /// Cold two-phase solve, ignoring any stored basis.
-    pub fn solve_cold(&mut self, model: &Model, options: &SimplexOptions) -> Solution {
-        let _span = rp_obs::span(rp_obs::SpanKind::LpSolve);
-        self.begin_solve(options);
-        let solution = self.solve_cold_inner(model, options);
-        self.finish_solve(&solution);
-        solution
-    }
-
-    /// [`RevisedWorkspace::solve_cold`] without resetting the solve
-    /// budget — the warm path falls back here mid-solve, and the clock
-    /// must keep running across the fallback.
+    /// Cold solve, ignoring any stored basis. Runs inside an open solve
+    /// without resetting its budget — the warm path falls back here
+    /// mid-solve, and the clock must keep running across the fallback.
     fn solve_cold_inner(&mut self, model: &Model, options: &SimplexOptions) -> Solution {
         self.stats = SolveStats::default();
         self.warm_ready = false;
-        self.pricing = effective_pricing(model, options);
-        self.dual_pricing = options.dual_pricing;
         self.presolved = effective_presolve(model, options);
-        self.scaling_mode = options.scaling;
-        // Clear any previous model's scaling state up front: presolve
-        // may prove infeasibility and return before the build runs, and
-        // `scaling_spread` must not report the previous solve's data.
-        self.form.reset_scaling();
         let presolve_timer = rp_obs::phase_timer(rp_obs::Phase::Presolve);
         if self.presolved {
             if !self.presolve.analyze(model) {
@@ -478,10 +421,6 @@ impl RevisedWorkspace {
         drop(presolve_timer);
         if self.form.trivially_infeasible {
             return Solution::status_only(Status::Infeasible);
-        }
-        {
-            let _t = rp_obs::phase_timer(rp_obs::Phase::Scaling);
-            self.form.apply_scaling(options.scaling);
         }
         let m = self.form.m;
         let n = self.form.n_struct;
@@ -796,7 +735,7 @@ impl RevisedWorkspace {
     /// registry and files the solve with the flight recorder; in
     /// `Full` mode additionally emits one structured `lp.solve` event.
     fn publish_stats(&self, solution: &Solution, solve_us: u64) {
-        use rp_obs::{Counter, Gauge, GaugeF};
+        use rp_obs::{Counter, Gauge};
         let stats = &self.stats;
         rp_obs::incr(Counter::LpSolves);
         rp_obs::add(Counter::LpPhase1Pivots, stats.phase1_pivots as u64);
@@ -827,16 +766,7 @@ impl RevisedWorkspace {
             Counter::LpPresolveColsRemoved,
             stats.presolve_cols_removed as u64,
         );
-        rp_obs::incr(match self.pricing {
-            Pricing::Partial => Counter::LpPricingPartial,
-            Pricing::Devex => Counter::LpPricingDevex,
-            Pricing::Dantzig => Counter::LpPricingDantzig,
-            Pricing::Bland => Counter::LpPricingBland,
-        });
-        rp_obs::add(Counter::LpQueueHits, stats.queue_hits as u64);
-        rp_obs::add(Counter::LpQueueRebuilds, stats.queue_rebuilds as u64);
         rp_obs::add(Counter::LpDualBoundFlips, stats.dual_bound_flips as u64);
-        rp_obs::add(Counter::LpDevexResets, stats.devex_resets as u64);
         rp_obs::add(Counter::LpFtranCalls, stats.ftran.calls);
         rp_obs::add(Counter::LpFtranInNnz, stats.ftran.in_nnz);
         rp_obs::add(Counter::LpFtranDim, stats.ftran.dim);
@@ -866,10 +796,6 @@ impl RevisedWorkspace {
             stop_reason: self.last_error.map(|err| err.to_string()),
             phases: stats.phases,
         });
-        if let Some((before, after)) = self.scaling_spread() {
-            rp_obs::gauge_f_set(GaugeF::LpScalingSpreadBefore, before);
-            rp_obs::gauge_f_set(GaugeF::LpScalingSpreadAfter, after);
-        }
         if rp_obs::full_on() {
             let status = solution.status.to_string();
             rp_obs::emit_event(
@@ -954,29 +880,7 @@ impl RevisedWorkspace {
         for (j, v) in values.iter_mut().enumerate() {
             *v = v.max(self.form.lower[j]).min(self.form.upper[j]);
         }
-        if self.form.scaled {
-            // Unscale: `x_j = c_j·x'_j`, exact because the scales are
-            // powers of two.
-            for (v, &c) in values.iter_mut().zip(&self.form.col_scale) {
-                *v *= c;
-            }
-        }
-        if self.presolved {
-            // Postsolve: expand the reduced solution back over the
-            // original variables (in place, back to front — a kept
-            // column's reduced index never exceeds its original one).
-            let n = model.num_vars();
-            let mut reduced = self.presolve.cols.len();
-            values.resize(n, 0.0);
-            for j in (0..n).rev() {
-                values[j] = if self.presolve.col_kept[j] {
-                    reduced -= 1;
-                    values[reduced]
-                } else {
-                    self.presolve.fixed[j]
-                };
-            }
-        }
+        self.postsolve(model, &mut values);
         let mut objective = model.objective_value(&values);
         if objective.abs() < options.tolerance {
             objective = 0.0;
@@ -1004,25 +908,28 @@ impl RevisedWorkspace {
         let _t = rp_obs::phase_timer(rp_obs::Phase::Extract);
         let mut values = Vec::new();
         self.basis.extract_values(&self.form, &mut values);
-        if self.form.scaled {
-            for (v, &c) in values.iter_mut().zip(&self.form.col_scale) {
-                *v *= c;
-            }
-        }
-        if self.presolved {
-            let n = model.num_vars();
-            let mut reduced = self.presolve.cols.len();
-            values.resize(n, 0.0);
-            for j in (0..n).rev() {
-                values[j] = if self.presolve.col_kept[j] {
-                    reduced -= 1;
-                    values[reduced]
-                } else {
-                    self.presolve.fixed[j]
-                };
-            }
-        }
+        self.postsolve(model, &mut values);
         model.objective_value(&values)
+    }
+
+    /// Expands a solution over the working form's columns back over the
+    /// original variables when presolve ran (in place, back to front — a
+    /// kept column's reduced index never exceeds its original one).
+    fn postsolve(&self, model: &Model, values: &mut Vec<f64>) {
+        if !self.presolved {
+            return;
+        }
+        let n = model.num_vars();
+        let mut reduced = self.presolve.cols.len();
+        values.resize(n, 0.0);
+        for j in (0..n).rev() {
+            values[j] = if self.presolve.col_kept[j] {
+                reduced -= 1;
+                values[reduced]
+            } else {
+                self.presolve.fixed[j]
+            };
+        }
     }
 
     /// Pivot/refactorisation counters of the most recent solve.
@@ -1030,26 +937,11 @@ impl RevisedWorkspace {
         self.stats
     }
 
-    /// Entry-spread diagnostics `(before, after)` of the equilibration
-    /// pass, or `None` when the last solve ran unscaled (mode `Off`, or
-    /// `Auto` on a well-scaled matrix).
-    pub fn scaling_spread(&self) -> Option<(f64, f64)> {
-        self.form
-            .scaled
-            .then_some((self.form.spread_before, self.form.spread_after))
-    }
-
     /// Whether the last solve actually ran the presolve pass — `false`
     /// on micro models even when [`SimplexOptions::presolve`] is set
     /// (the size-threshold fast path).
     pub fn last_solve_used_presolve(&self) -> bool {
         self.presolved
-    }
-
-    /// The pricing rule the last solve actually used (devex downgrades
-    /// to Dantzig below the micro-size threshold).
-    pub fn last_solve_pricing(&self) -> Pricing {
-        self.pricing
     }
 
     /// Nonzero counts `(nnz(L), nnz(U))` of the current basis
@@ -1145,7 +1037,7 @@ impl RevisedWorkspace {
     }
 
     /// Refactorises and recomputes the basic values from the residual
-    /// right-hand side (squashing accumulated product-form drift).
+    /// right-hand side (squashing the drift the updates accumulated).
     fn refactor_and_recompute(&mut self) -> bool {
         if !self.refactor() {
             return false;
@@ -1265,16 +1157,6 @@ impl RevisedWorkspace {
         let max_iter = options
             .max_iterations
             .unwrap_or_else(|| 200 + 50 * (self.form.m + self.form.num_cols()));
-        // Each phase starts a fresh devex reference framework (the
-        // current nonbasic set with unit weights) and an empty
-        // candidate queue.
-        let queue_mode = self.pricing == Pricing::Partial;
-        let devex_mode = queue_mode || self.pricing == Pricing::Devex;
-        if devex_mode {
-            self.devex_weights.clear();
-            self.devex_weights.resize(self.form.num_cols(), 1.0);
-        }
-        self.queue.clear();
         {
             let _t = rp_obs::phase_timer(rp_obs::Phase::Pricing);
             self.compute_reduced_costs(costs);
@@ -1284,45 +1166,15 @@ impl RevisedWorkspace {
         // fresh recomputation confirms it.
         let mut stale_pivots = 0usize;
         for iteration in 0..max_iter {
-            let use_bland = iteration >= options.bland_after || self.pricing == Pricing::Bland;
-            let candidate = if queue_mode && !use_bland {
-                // Partial pricing: serve from the candidate queue; only
-                // an exhausted queue pays for a full rebuild scan. A
-                // `None` out of the rebuilt queue is the full-scan
-                // optimality signal every other rule produces directly.
-                match self
-                    .queue
-                    .pick(&self.form, &self.basis, &self.d, tol, &self.devex_weights)
-                {
-                    Some(e) => {
-                        self.stats.queue_hits += 1;
-                        Some(e)
-                    }
-                    None => {
-                        self.stats.queue_rebuilds += 1;
-                        self.queue.rebuild(
-                            &self.form,
-                            &self.basis,
-                            &self.d,
-                            tol,
-                            allow_artificial,
-                            &self.devex_weights,
-                        );
-                        self.queue
-                            .pick(&self.form, &self.basis, &self.d, tol, &self.devex_weights)
-                    }
-                }
-            } else {
-                choose_entering(
-                    &self.form,
-                    &self.basis,
-                    &self.d,
-                    tol,
-                    use_bland,
-                    allow_artificial,
-                    (devex_mode && !use_bland).then_some(self.devex_weights.as_slice()),
-                )
-            };
+            let use_bland = iteration >= options.bland_after;
+            let candidate = choose_entering(
+                &self.form,
+                &self.basis,
+                &self.d,
+                tol,
+                use_bland,
+                allow_artificial,
+            );
             let entering = match candidate {
                 Some(e) => e,
                 None => {
@@ -1332,7 +1184,6 @@ impl RevisedWorkspace {
                     let _t = rp_obs::phase_timer(rp_obs::Phase::Pricing);
                     self.compute_reduced_costs(costs);
                     stale_pivots = 0;
-                    self.queue.clear();
                     continue;
                 }
             };
@@ -1384,8 +1235,7 @@ impl RevisedWorkspace {
                         self.stats.degenerate_pivots += 1;
                     }
                     // Sparse pivot row on the pre-pivot basis: it
-                    // drives the rank-one reduced-cost update and the
-                    // devex weights.
+                    // drives the rank-one reduced-cost update.
                     self.compute_pivot_row(row);
                     let alpha_q = self.w[row];
                     let theta_d = self.d[entering.col] / alpha_q;
@@ -1401,57 +1251,39 @@ impl RevisedWorkspace {
                     self.basis.status[entering.col] = ColStatus::Basic(row as u32);
                     self.basis.basic[row] = entering.col;
                     self.basis.x_basic[row] = entering_value;
-                    if devex_mode {
-                        let wq = self.devex_weights[entering.col].max(1.0);
-                        let overflow = devex_update(
-                            &self.form,
-                            &self.basis,
-                            &mut self.devex_weights,
-                            &self.alpha_cols,
-                            &self.alpha_vals,
-                            alpha_q,
-                            wq,
-                            leaving,
-                        );
-                        if overflow {
-                            self.devex_weights.iter_mut().for_each(|w| *w = 1.0);
-                            self.stats.devex_resets += 1;
-                        }
-                    }
                     self.update_reduced_costs(theta_d, entering.col);
-                    // Forrest–Tomlin update from the spike the FTRAN
-                    // saved; a refused (numerically unsafe) update or a
-                    // full update budget forces a refactorisation.
-                    let ft_ok = self.factor.update(row);
-                    if ft_ok {
-                        self.stats.max_eta_chain =
-                            self.stats.max_eta_chain.max(self.factor.updates());
-                    }
-                    if !ft_ok || self.factor.updates() >= REFACTOR_EVERY {
-                        if ft_ok {
-                            self.stats.refactor_scheduled += 1;
-                        } else {
-                            self.stats.refactor_ft_refused += 1;
-                        }
-                        let refac_ok = {
-                            let _t = rp_obs::phase_timer(rp_obs::Phase::Factorise);
-                            let ok = self.refactor_and_recompute();
-                            if ok {
-                                self.compute_reduced_costs(costs);
-                            }
-                            ok
-                        };
-                        if !refac_ok {
-                            return PhaseOutcome::Stopped(LpError::SingularBasis);
-                        }
-                        stale_pivots = 0;
-                    } else {
-                        stale_pivots += 1;
+                    match self.update_basis(row, costs) {
+                        Ok(true) => stale_pivots = 0,
+                        Ok(false) => stale_pivots += 1,
+                        Err(err) => return PhaseOutcome::Stopped(err),
                     }
                 }
             }
         }
         PhaseOutcome::Stopped(LpError::IterationLimit)
+    }
+
+    /// Forrest–Tomlin update for the basis change in `row`, from the
+    /// spike the entering FTRAN saved. A refused (numerically unsafe)
+    /// update or a full update budget forces a refactorisation, after
+    /// which the reduced costs are recomputed from `costs`. Returns
+    /// whether the basis was refactorised.
+    fn update_basis(&mut self, row: usize, costs: &[f64]) -> Result<bool, LpError> {
+        if self.factor.update(row) {
+            self.stats.max_eta_chain = self.stats.max_eta_chain.max(self.factor.updates());
+            if self.factor.updates() < REFACTOR_EVERY {
+                return Ok(false);
+            }
+            self.stats.refactor_scheduled += 1;
+        } else {
+            self.stats.refactor_ft_refused += 1;
+        }
+        let _t = rp_obs::phase_timer(rp_obs::Phase::Factorise);
+        if !self.refactor_and_recompute() {
+            return Err(LpError::SingularBasis);
+        }
+        self.compute_reduced_costs(costs);
+        Ok(true)
     }
 
     /// Moves every basic variable along the pivot column: the entering
@@ -1513,21 +1345,14 @@ impl RevisedWorkspace {
 
     /// Dual simplex: restores primal feasibility while keeping the
     /// reduced costs sign-feasible. Serves both the warm cleanup and
-    /// the cold dual start; assumes the factorisation is fresh. The
-    /// leaving row comes from the configured [`DualPricing`] rule, the
-    /// entering column from the bound-flipping dual ratio test.
+    /// the cold dual start; assumes the factorisation is fresh. The most
+    /// violated row leaves; the entering column comes from the
+    /// bound-flipping dual ratio test.
     fn dual_loop(&mut self, options: &SimplexOptions) -> DualOutcome {
         let tol = options.tolerance;
         let max_iter = options
             .max_iterations
             .unwrap_or_else(|| 200 + 50 * (self.form.m + self.form.num_cols()));
-        // Each dual run starts a fresh devex reference framework: the
-        // current basis with unit row weights.
-        let dual_devex = self.dual_pricing == DualPricing::Devex;
-        if dual_devex {
-            self.dual_weights.clear();
-            self.dual_weights.resize(self.form.m, 1.0);
-        }
         // Establish the sparse-`w` invariant the loop's hyper-sparse
         // FTRANs maintain: zero outside `w_nz`.
         self.w.clear();
@@ -1545,15 +1370,14 @@ impl RevisedWorkspace {
         self.dual_cands.rebuild(&self.form, &self.basis, tol);
         let outcome = 'search: {
             for _ in 0..max_iter {
-                let weights = dual_devex.then_some(self.dual_weights.as_slice());
-                let leaving = match self.dual_cands.pick(&self.form, &self.basis, tol, weights) {
+                let leaving = match self.dual_cands.pick(&self.form, &self.basis, tol) {
                     Some(l) => Some(l),
                     None => {
                         // The incremental list only tracks rows the
                         // pivots touched — confirm primal feasibility
                         // with a full rescan before declaring it.
                         self.dual_cands.rebuild(&self.form, &self.basis, tol);
-                        self.dual_cands.pick(&self.form, &self.basis, tol, weights)
+                        self.dual_cands.pick(&self.form, &self.basis, tol)
                     }
                 };
                 let leaving = match leaving {
@@ -1656,46 +1480,12 @@ impl RevisedWorkspace {
                     self.dual_cands.note(&self.form, &self.basis, tol, row);
                 }
                 self.update_reduced_costs(theta_d, entering);
-                if dual_devex
-                    && dual_devex_update(
-                        &self.form,
-                        &self.basis,
-                        &mut self.dual_weights,
-                        &self.w,
-                        &self.w_nz,
-                        row,
-                        alpha,
-                        leaving_col,
-                    )
-                {
-                    // Weight overflow: restart the reference framework.
-                    self.dual_weights.iter_mut().for_each(|w| *w = 1.0);
-                    self.stats.devex_resets += 1;
-                }
-                let ft_ok = self.factor.update(row);
-                if ft_ok {
-                    self.stats.max_eta_chain = self.stats.max_eta_chain.max(self.factor.updates());
-                }
-                if !ft_ok || self.factor.updates() >= REFACTOR_EVERY {
-                    if ft_ok {
-                        self.stats.refactor_scheduled += 1;
-                    } else {
-                        self.stats.refactor_ft_refused += 1;
-                    }
-                    let ok = {
-                        let _t = rp_obs::phase_timer(rp_obs::Phase::Factorise);
-                        let ok = self.refactor_and_recompute();
-                        if ok {
-                            self.compute_reduced_costs(&costs);
-                        }
-                        ok
-                    };
-                    if !ok {
-                        break 'search DualOutcome::Stopped(LpError::SingularBasis);
-                    }
+                match self.update_basis(row, &costs) {
                     // Recomputing the basic values from scratch can move
                     // any row across the violation tolerance.
-                    self.dual_cands.rebuild(&self.form, &self.basis, tol);
+                    Ok(true) => self.dual_cands.rebuild(&self.form, &self.basis, tol),
+                    Ok(false) => {}
+                    Err(err) => break 'search DualOutcome::Stopped(err),
                 }
             }
             DualOutcome::Stopped(LpError::IterationLimit)
@@ -1721,56 +1511,6 @@ enum DualOutcome {
     Stopped(LpError),
 }
 
-/// Solves the continuous relaxation of `model` with the revised simplex
-/// and default options.
-pub fn solve_lp_revised(model: &Model) -> Solution {
-    solve_lp_revised_with(model, &SimplexOptions::default())
-}
-
-/// [`solve_lp_revised`] with explicit options.
-pub fn solve_lp_revised_with(model: &Model, options: &SimplexOptions) -> Solution {
-    let mut workspace = RevisedWorkspace::new();
-    solve_lp_revised_reusing(model, options, &mut workspace)
-}
-
-/// [`solve_lp_revised`] reusing the buffers of `workspace` — including
-/// its stored basis: when the constraint matrix is unchanged since the
-/// previous solve (the λ-sharded sweep solving the same tree under a
-/// different load factor, sibling branch-and-bound searches), the solve
-/// is a refactorisation plus a short dual/primal cleanup instead of a
-/// cold two-phase run. Any structural change falls back to a cold solve
-/// transparently; call [`RevisedWorkspace::invalidate`] to force one.
-pub fn solve_lp_revised_reusing(
-    model: &Model,
-    options: &SimplexOptions,
-    workspace: &mut RevisedWorkspace,
-) -> Solution {
-    workspace.solve_warm(model, options)
-}
-
-/// [`solve_lp_revised_reusing`] with the abnormal-stop reason surfaced
-/// as a typed error instead of a status code.
-///
-/// * `Ok(solution)` — the solve concluded (optimal, infeasible or
-///   unbounded), **or** it was stopped by the [`crate::SolveBudget`]
-///   after reaching primal feasibility, in which case the solution
-///   carries the best point found so far and
-///   [`RevisedWorkspace::last_error`] names the budget limit that hit.
-/// * `Err(error)` — the solve stopped without any usable point:
-///   singular basis, numerical loss, or a budget that expired before a
-///   feasible point existed.
-pub fn solve_lp_revised_checked(
-    model: &Model,
-    options: &SimplexOptions,
-    workspace: &mut RevisedWorkspace,
-) -> Result<Solution, LpError> {
-    let solution = workspace.solve_warm(model, options);
-    match workspace.last_error() {
-        Some(err) if !solution.has_point() => Err(err),
-        _ => Ok(solution),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1779,6 +1519,15 @@ mod tests {
 
     fn assert_close(a: f64, b: f64) {
         assert!((a - b).abs() < 1e-6, "expected {b}, got {a}");
+    }
+
+    /// A cold solve on a fresh workspace.
+    fn solve_with(model: &Model, options: &SimplexOptions) -> Solution {
+        RevisedWorkspace::new().solve_warm(model, options)
+    }
+
+    fn solve(model: &Model) -> Solution {
+        solve_with(model, &SimplexOptions::default())
     }
 
     #[test]
@@ -1790,7 +1539,7 @@ mod tests {
         m.add_constraint("c1", LinExpr::var(x), Cmp::Le, 4.0);
         m.add_constraint("c2", lin_sum([(2.0, y)]), Cmp::Le, 12.0);
         m.add_constraint("c3", lin_sum([(3.0, x), (2.0, y)]), Cmp::Le, 18.0);
-        let sol = solve_lp_revised(&m);
+        let sol = solve(&m);
         assert_eq!(sol.status, Status::Optimal);
         assert_close(sol.objective, 36.0);
         assert_close(sol.value(x), 2.0);
@@ -1806,7 +1555,7 @@ mod tests {
         m.add_constraint("sum", lin_sum([(1.0, x), (1.0, y)]), Cmp::Ge, 10.0);
         m.add_constraint("xmin", LinExpr::var(x), Cmp::Ge, 2.0);
         m.add_constraint("ymin", LinExpr::var(y), Cmp::Ge, 3.0);
-        let sol = solve_lp_revised(&m);
+        let sol = solve(&m);
         assert_eq!(sol.status, Status::Optimal);
         assert_close(sol.objective, 23.0);
     }
@@ -1817,7 +1566,7 @@ mod tests {
         let x = m.add_var("x", 0.0, Some(4.0), 1.0);
         let y = m.add_var("y", 0.0, None, 1.0);
         m.add_constraint("eq", lin_sum([(1.0, x), (2.0, y)]), Cmp::Eq, 8.0);
-        let sol = solve_lp_revised(&m);
+        let sol = solve(&m);
         assert_eq!(sol.status, Status::Optimal);
         assert_close(sol.objective, 4.0);
         assert_close(sol.value(x), 0.0);
@@ -1829,12 +1578,12 @@ mod tests {
         let mut m = Model::minimize();
         let x = m.add_var("x", 0.0, Some(1.0), 1.0);
         m.add_constraint("too_big", LinExpr::var(x), Cmp::Ge, 5.0);
-        assert_eq!(solve_lp_revised(&m).status, Status::Infeasible);
+        assert_eq!(solve(&m).status, Status::Infeasible);
 
         let mut m = Model::new(Sense::Maximize);
         let x = m.add_var("x", 0.0, None, 1.0);
         m.add_constraint("ge", LinExpr::var(x), Cmp::Ge, 1.0);
-        assert_eq!(solve_lp_revised(&m).status, Status::Unbounded);
+        assert_eq!(solve(&m).status, Status::Unbounded);
     }
 
     #[test]
@@ -1843,7 +1592,7 @@ mod tests {
         let mut m = Model::new(Sense::Maximize);
         let x = m.add_var("x", 1.5, Some(9.0), 2.0);
         let y = m.add_var("y", 0.0, Some(3.0), 1.0);
-        let sol = solve_lp_revised(&m);
+        let sol = solve(&m);
         assert_eq!(sol.status, Status::Optimal);
         assert_close(sol.value(x), 9.0);
         assert_close(sol.value(y), 3.0);
@@ -1874,7 +1623,7 @@ mod tests {
             bland_after: 20,
             ..SimplexOptions::default()
         };
-        let sol = solve_lp_revised_with(&m, &options);
+        let sol = solve_with(&m, &options);
         assert_eq!(sol.status, Status::Optimal);
         assert_close(sol.objective, 0.05);
     }
@@ -1900,7 +1649,7 @@ mod tests {
             m.add_constraint(format!("dem{c}"), expr, Cmp::Ge, demands[c]);
         }
         let dense = solve_lp(&m);
-        let revised = solve_lp_revised(&m);
+        let revised = solve(&m);
         assert_eq!(dense.status, revised.status);
         assert_close(revised.objective, dense.objective);
         assert!(m.is_feasible(&revised.values, 1e-6));
@@ -1915,13 +1664,13 @@ mod tests {
         m.add_constraint("cover", lin_sum([(1.0, x), (1.0, y)]), Cmp::Ge, 4.0);
         let options = SimplexOptions::default();
         let mut ws = RevisedWorkspace::new();
-        let first = ws.solve_cold(&m, &options);
+        let first = ws.solve_warm(&m, &options);
         assert_eq!(first.status, Status::Optimal);
         assert_close(first.objective, 5.0); // x = 3, y = 1
 
         m.set_bounds(x, 0.0, Some(1.0));
         let warm = ws.solve_warm(&m, &options);
-        let cold = solve_lp_revised(&m);
+        let cold = solve(&m);
         assert_eq!(warm.status, Status::Optimal);
         assert_close(warm.objective, cold.objective); // x = 1, y = 3 -> 7
         assert_close(warm.objective, 7.0);
@@ -1944,7 +1693,7 @@ mod tests {
         let options = SimplexOptions::default();
         let mut ws = RevisedWorkspace::new();
 
-        let first = ws.solve_cold(&m, &options);
+        let first = ws.solve_warm(&m, &options);
         assert_eq!(first.status, Status::Optimal);
         let stats = ws.last_stats();
         assert_eq!(stats.warm, WarmStart::Cold);
@@ -1968,16 +1717,6 @@ mod tests {
         );
         // The per-solve IO deltas restart at each solve entry.
         assert!(stats.ftran.calls > 0);
-
-        // A scaling-mode change with a stored basis is the one cold
-        // flavour that gets its own classification.
-        let scaled = SimplexOptions {
-            scaling: Scaling::Geometric,
-            ..SimplexOptions::default()
-        };
-        let resolved = ws.solve_warm(&m, &scaled);
-        assert_eq!(resolved.status, Status::Optimal);
-        assert_eq!(ws.last_stats().warm, WarmStart::ModeChangeCold);
     }
 
     #[test]
@@ -1987,7 +1726,7 @@ mod tests {
         m.add_constraint("ge", LinExpr::var(x), Cmp::Ge, 2.0);
         let options = SimplexOptions::default();
         let mut ws = RevisedWorkspace::new();
-        assert_eq!(ws.solve_cold(&m, &options).status, Status::Optimal);
+        assert_eq!(ws.solve_warm(&m, &options).status, Status::Optimal);
         m.set_bounds(x, 0.0, Some(1.0));
         assert_eq!(ws.solve_warm(&m, &options).status, Status::Infeasible);
         // And a sibling that is feasible again still solves warm.
@@ -2013,22 +1752,22 @@ mod tests {
         let options = SimplexOptions::default();
         let mut ws = RevisedWorkspace::new();
         assert_eq!(
-            ws.solve_cold(&build(1.0, 1.0, 6.0), &options).status,
+            ws.solve_warm(&build(1.0, 1.0, 6.0), &options).status,
             Status::Optimal
         );
         // Objective change: x becomes expensive, y wins.
         let m = build(1.0, 5.0, 6.0);
         let warm = ws.solve_warm(&m, &options);
-        assert_close(warm.objective, solve_lp_revised(&m).objective);
+        assert_close(warm.objective, solve(&m).objective);
         // Right-hand-side change.
         let m = build(1.0, 5.0, 9.0);
         let warm = ws.solve_warm(&m, &options);
-        assert_close(warm.objective, solve_lp_revised(&m).objective);
+        assert_close(warm.objective, solve(&m).objective);
         // Coefficient change (same shape): must cold-fall-back and
         // still be exact.
         let m = build(2.0, 5.0, 9.0);
         let warm = ws.solve_warm(&m, &options);
-        assert_close(warm.objective, solve_lp_revised(&m).objective);
+        assert_close(warm.objective, solve(&m).objective);
         assert!(m.is_feasible(&warm.values, 1e-6));
     }
 
@@ -2051,13 +1790,13 @@ mod tests {
                 ..SimplexOptions::default()
             };
             let mut ws = RevisedWorkspace::new();
-            let le = solve_lp_revised_reusing(&build(Cmp::Le), &options, &mut ws);
+            let le = ws.solve_warm(&build(Cmp::Le), &options);
             assert_eq!(le.status, Status::Optimal);
             assert_close(le.objective, 0.0); // x = y = 0
             for cmp in [Cmp::Ge, Cmp::Eq, Cmp::Le, Cmp::Eq, Cmp::Ge] {
                 let model = build(cmp);
-                let warm = solve_lp_revised_reusing(&model, &options, &mut ws);
-                let cold = solve_lp_revised_with(&model, &options);
+                let warm = ws.solve_warm(&model, &options);
+                let cold = solve_with(&model, &options);
                 assert_eq!(warm.status, cold.status, "{cmp:?} presolve={presolve}");
                 assert_close(warm.objective, cold.objective);
                 assert!(model.is_feasible(&warm.values, 1e-6), "{cmp:?}");
@@ -2075,7 +1814,7 @@ mod tests {
             m.add_constraint("c2", lin_sum([(2.0, y)]), Cmp::Le, 12.0);
             m.add_constraint("c3", lin_sum([(3.0, x), (2.0, y)]), Cmp::Le, 18.0);
             let dense = solve_lp(&m);
-            let revised = solve_lp_revised_reusing(&m, &SimplexOptions::default(), &mut ws);
+            let revised = ws.solve_warm(&m, &SimplexOptions::default());
             assert_eq!(dense.status, revised.status);
             assert_close(revised.objective, dense.objective);
         }
@@ -2087,138 +1826,9 @@ mod tests {
         let x = m.add_var("x", 0.0, None, 0.0);
         let y = m.add_var("y", 0.0, None, 1.0);
         m.add_constraint("neg", lin_sum([(1.0, x), (-1.0, y)]), Cmp::Le, -2.0);
-        let sol = solve_lp_revised(&m);
+        let sol = solve(&m);
         assert_eq!(sol.status, Status::Optimal);
         assert_close(sol.objective, 2.0);
-    }
-
-    /// A deterministic ill-scaled LP: every coefficient is a row
-    /// magnitude times a column magnitude spanning ~12 decades in
-    /// total, the separable shape equilibration is built to fix (a
-    /// bandwidth row of huge capacities next to unit cover rows).
-    fn ill_scaled_model(n: usize) -> Model {
-        let row_mag = |i: usize| [1e-3, 1.0, 30.0, 1e3][i % 4];
-        let col_mag = |j: usize| [1.0, 2e-3, 40.0, 1e3][j % 4];
-        let mut m = Model::minimize();
-        let vars: Vec<_> = (0..n)
-            .map(|j| m.add_var(format!("x{j}"), 0.0, None, col_mag(j)))
-            .collect();
-        for i in 0..n {
-            let mut expr = LinExpr::new();
-            for (j, &v) in vars.iter().enumerate() {
-                if (i + 3 * j) % 3 != 0 {
-                    expr.add_term(row_mag(i) * col_mag(j), v);
-                }
-            }
-            if !expr.is_empty() {
-                m.add_constraint(format!("c{i}"), expr, Cmp::Ge, 10.0 + i as f64);
-            }
-        }
-        m
-    }
-
-    #[test]
-    fn equilibrated_solves_match_unscaled_solves_exactly_after_unscaling() {
-        for n in [4usize, 7, 12] {
-            let model = ill_scaled_model(n);
-            let solve = |scaling| {
-                solve_lp_revised_with(
-                    &model,
-                    &SimplexOptions {
-                        scaling,
-                        ..SimplexOptions::default()
-                    },
-                )
-            };
-            let scaled = solve(Scaling::Geometric);
-            let unscaled = solve(Scaling::Off);
-            assert_eq!(scaled.status, unscaled.status, "n={n}");
-            if scaled.status == Status::Optimal {
-                let tol = 1e-6 * unscaled.objective.abs().max(1.0);
-                assert!(
-                    (scaled.objective - unscaled.objective).abs() < tol,
-                    "n={n}: scaled {} vs unscaled {}",
-                    scaled.objective,
-                    unscaled.objective
-                );
-                assert!(model.is_feasible(&scaled.values, 1e-6));
-            }
-        }
-    }
-
-    #[test]
-    fn auto_scaling_triggers_only_on_ill_scaled_matrices() {
-        let options = SimplexOptions::default();
-        let mut ws = RevisedWorkspace::new();
-        // Well-scaled: Auto must not scale (historical pivot paths).
-        let mut tame = Model::minimize();
-        let x = tame.add_var("x", 0.0, Some(4.0), 2.0);
-        let y = tame.add_var("y", 0.0, None, 3.0);
-        tame.add_constraint("c", lin_sum([(1.0, x), (1.0, y)]), Cmp::Ge, 6.0);
-        assert_eq!(ws.solve_cold(&tame, &options).status, Status::Optimal);
-        assert_eq!(ws.scaling_spread(), None);
-        // Ill-scaled: Auto scales and the spread shrinks by orders of
-        // magnitude.
-        let wild = ill_scaled_model(8);
-        let solution = ws.solve_cold(&wild, &options);
-        assert_eq!(solution.status, Status::Optimal);
-        let (before, after) = ws.scaling_spread().expect("auto scaling should trigger");
-        assert!(before > 1e4, "spread before = {before}");
-        assert!(after < before / 1e3, "spread {before} -> {after}");
-        assert!(wild.is_feasible(&solution.values, 1e-6));
-    }
-
-    #[test]
-    fn warm_starts_survive_scaling_and_absorb_mode_changes() {
-        // Warm re-solves of a scaled form (rhs/objective edits) must
-        // match cold solves, and switching the scaling mode between
-        // solves must transparently fall back to a cold rebuild.
-        let mut model = ill_scaled_model(9);
-        let geometric = SimplexOptions {
-            scaling: Scaling::Geometric,
-            ..SimplexOptions::default()
-        };
-        let mut ws = RevisedWorkspace::new();
-        assert_eq!(ws.solve_cold(&model, &geometric).status, Status::Optimal);
-        let cons: Vec<_> = model.constraint_ids().collect();
-        for id in cons {
-            let rhs = model.constraint(id).rhs * 1.5;
-            model.set_rhs(id, rhs);
-        }
-        let warm = ws.solve_warm(&model, &geometric);
-        let cold = solve_lp_revised_with(&model, &geometric);
-        assert_eq!(warm.status, cold.status);
-        let tol = 1e-6 * cold.objective.abs().max(1.0);
-        assert!((warm.objective - cold.objective).abs() < tol);
-        // Mode change: Off after Geometric must not reuse scaled data.
-        let off = SimplexOptions {
-            scaling: Scaling::Off,
-            ..SimplexOptions::default()
-        };
-        let refreshed = ws.solve_warm(&model, &off);
-        assert_eq!(refreshed.status, Status::Optimal);
-        assert!((refreshed.objective - cold.objective).abs() < tol);
-        assert_eq!(ws.scaling_spread(), None);
-    }
-
-    #[test]
-    fn scaling_diagnostics_do_not_leak_across_solves() {
-        // A scaled solve followed by a solve that exits early (presolve
-        // proves infeasibility before any build) must not report the
-        // previous model's spread.
-        let options = SimplexOptions::default();
-        let mut ws = RevisedWorkspace::new();
-        let wild = ill_scaled_model(8);
-        assert_eq!(ws.solve_cold(&wild, &options).status, Status::Optimal);
-        assert!(ws.scaling_spread().is_some());
-        let mut infeasible = Model::minimize();
-        let x = infeasible.add_var("x", 0.0, Some(1.0), 1.0);
-        infeasible.add_constraint("impossible", LinExpr::var(x), Cmp::Ge, 5.0);
-        assert_eq!(
-            ws.solve_cold(&infeasible, &options).status,
-            Status::Infeasible
-        );
-        assert_eq!(ws.scaling_spread(), None);
     }
 
     /// A replica-cover-shaped LP with `rows` cover rows and one shared
@@ -2244,32 +1854,63 @@ mod tests {
         let options = SimplexOptions::default();
         let mut ws = RevisedWorkspace::new();
         let micro = cover_model(MICRO_LP_ROWS - 10);
-        assert_eq!(ws.solve_cold(&micro, &options).status, Status::Optimal);
+        assert_eq!(ws.solve_warm(&micro, &options).status, Status::Optimal);
         assert!(!ws.last_solve_used_presolve());
-        assert_eq!(ws.last_solve_pricing(), Pricing::Dantzig);
         let large = cover_model(MICRO_LP_ROWS + 10);
-        assert_eq!(ws.solve_cold(&large, &options).status, Status::Optimal);
+        ws.invalidate();
+        assert_eq!(ws.solve_warm(&large, &options).status, Status::Optimal);
         assert!(ws.last_solve_used_presolve());
-        assert_eq!(ws.last_solve_pricing(), Pricing::Partial);
+    }
+
+    #[test]
+    fn warm_starts_survive_scaling_and_absorb_mode_changes() {
+        // Warm re-solves of a presolved form (rhs edits) must match
+        // cold solves, and switching presolve off between solves must
+        // transparently fall back to a cold rebuild.
+        let mut model = cover_model(MICRO_LP_ROWS + 10);
+        let options = SimplexOptions::default();
+        let mut ws = RevisedWorkspace::new();
+        assert_eq!(ws.solve_warm(&model, &options).status, Status::Optimal);
+        assert!(ws.last_solve_used_presolve());
+        let cons: Vec<_> = model.constraint_ids().collect();
+        for id in cons {
+            let rhs = model.constraint(id).rhs * 1.5;
+            model.set_rhs(id, rhs);
+        }
+        let warm = ws.solve_warm(&model, &options);
+        assert_ne!(ws.last_stats().warm, WarmStart::Cold);
+        let cold = solve(&model);
+        assert_eq!(warm.status, cold.status);
+        assert_close(warm.objective, cold.objective);
+        // Mode change: an unreduced solve must not reuse the reduced
+        // basis.
+        let unreduced = SimplexOptions {
+            presolve: false,
+            ..SimplexOptions::default()
+        };
+        let refreshed = ws.solve_warm(&model, &unreduced);
+        assert_eq!(ws.last_stats().warm, WarmStart::ModeChangeCold);
+        assert!(!ws.last_solve_used_presolve());
+        assert_eq!(refreshed.status, Status::Optimal);
+        assert_close(refreshed.objective, cold.objective);
     }
 
     #[test]
     fn micro_size_iteration_counts_match_the_explicit_fast_path() {
         // Regression pin for the micro-size fast path: a default-options
         // solve of a micro model must replay the exact pivot trajectory
-        // of an explicit presolve-off / Dantzig solve — identical
-        // iteration and refactorisation counts, not just the objective.
+        // of an explicit presolve-off solve — identical iteration and
+        // refactorisation counts, not just the objective.
         for rows in [5usize, 20, MICRO_LP_ROWS - 1] {
             let model = cover_model(rows);
             let mut default_ws = RevisedWorkspace::new();
-            let defaulted = default_ws.solve_cold(&model, &SimplexOptions::default());
+            let defaulted = default_ws.solve_warm(&model, &SimplexOptions::default());
             let explicit_options = SimplexOptions {
                 presolve: false,
-                pricing: Pricing::Dantzig,
                 ..SimplexOptions::default()
             };
             let mut explicit_ws = RevisedWorkspace::new();
-            let explicit = explicit_ws.solve_cold(&model, &explicit_options);
+            let explicit = explicit_ws.solve_warm(&model, &explicit_options);
             assert_eq!(defaulted.status, explicit.status, "rows={rows}");
             assert_eq!(defaulted.objective, explicit.objective, "rows={rows}");
             let d = default_ws.last_stats();
@@ -2305,7 +1946,7 @@ mod tests {
             ..SimplexOptions::default()
         };
         let mut ws = RevisedWorkspace::new();
-        let sol = ws.solve_cold(&m, &options);
+        let sol = ws.solve_warm(&m, &options);
         assert_eq!(sol.status, Status::DeadlineExceeded);
         assert!(!sol.has_point());
         assert_eq!(ws.last_error(), Some(LpError::DeadlineExceeded));
@@ -2361,7 +2002,7 @@ mod tests {
         let x = m.add_var("x", 0.0, None, 2.0);
         m.add_constraint("ge", LinExpr::var(x), Cmp::Ge, 4.0);
         let mut ws = RevisedWorkspace::new();
-        let sol = ws.solve_cold(&m, &SimplexOptions::default());
+        let sol = ws.solve_warm(&m, &SimplexOptions::default());
         assert_eq!(sol.status, Status::Optimal);
         assert_eq!(ws.last_error(), None);
     }
@@ -2379,12 +2020,12 @@ mod tests {
         m.add_constraint("c1", LinExpr::var(x), Cmp::Le, 4.0);
         m.add_constraint("c2", lin_sum([(2.0, y)]), Cmp::Le, 12.0);
         m.add_constraint("c3", lin_sum([(3.0, x), (2.0, y)]), Cmp::Le, 18.0);
-        let optimal = solve_lp_revised(&m);
+        let optimal = solve(&m);
         assert_eq!(optimal.status, Status::Optimal);
         assert_close(optimal.objective, 36.0);
 
         let mut ws = RevisedWorkspace::new();
-        let stopped = ws.solve_cold(
+        let stopped = ws.solve_warm(
             &m,
             &SimplexOptions {
                 budget: SolveBudget::with_iterations(1),
@@ -2402,7 +2043,7 @@ mod tests {
         // A generous budget reaches the same optimum and clears the
         // error.
         let mut ws = RevisedWorkspace::new();
-        let full = ws.solve_cold(
+        let full = ws.solve_warm(
             &m,
             &SimplexOptions {
                 budget: SolveBudget::with_iterations(10_000),
@@ -2420,24 +2061,28 @@ mod tests {
         use std::time::Duration;
         let m = needs_phase_one_pivots();
         let mut ws = RevisedWorkspace::new();
-        // Conclusive solve: Ok with an optimal point.
-        let ok = solve_lp_revised_checked(&m, &SimplexOptions::default(), &mut ws);
-        assert_eq!(ok.unwrap().status, Status::Optimal);
-        // Expired deadline before any feasible point: typed Err.
+        // Conclusive solve: an optimal point and no error.
+        let ok = ws.solve_warm(&m, &SimplexOptions::default());
+        assert_eq!(ok.status, Status::Optimal);
+        assert_eq!(ws.last_error(), None);
+        // Expired deadline before any feasible point: the typed error
+        // and no point.
         let options = SimplexOptions {
             budget: SolveBudget::with_deadline(Duration::ZERO),
             ..SimplexOptions::default()
         };
         ws.invalidate();
-        let err = solve_lp_revised_checked(&m, &options, &mut ws);
-        assert_eq!(err.unwrap_err(), LpError::DeadlineExceeded);
+        let stopped = ws.solve_warm(&m, &options);
+        assert!(!stopped.has_point());
+        assert_eq!(ws.last_error(), Some(LpError::DeadlineExceeded));
         // Infeasible models are a conclusive answer, not an error.
         let mut inf = Model::minimize();
         let z = inf.add_var("z", 0.0, Some(1.0), 1.0);
         inf.add_constraint("imp", LinExpr::var(z), Cmp::Ge, 5.0);
         ws.invalidate();
-        let sol = solve_lp_revised_checked(&inf, &SimplexOptions::default(), &mut ws);
-        assert_eq!(sol.unwrap().status, Status::Infeasible);
+        let sol = ws.solve_warm(&inf, &SimplexOptions::default());
+        assert_eq!(sol.status, Status::Infeasible);
+        assert_eq!(ws.last_error(), None);
     }
 
     #[test]
@@ -2447,7 +2092,7 @@ mod tests {
         let y = m.add_var("y", 0.0, None, 2.0);
         m.add_constraint("e1", lin_sum([(1.0, x), (1.0, y)]), Cmp::Eq, 5.0);
         m.add_constraint("e2", lin_sum([(2.0, x), (2.0, y)]), Cmp::Eq, 10.0);
-        let sol = solve_lp_revised(&m);
+        let sol = solve(&m);
         assert_eq!(sol.status, Status::Optimal);
         assert_close(sol.objective, 5.0);
     }

@@ -1,38 +1,10 @@
 //! Column and row pricing for the revised simplex.
 //!
-//! Primal side: four rules behind the [`Pricing`] enum —
-//!
-//! * **Partial** (the default): candidate-list *multiple pricing* on
-//!   top of devex metrics. A full `O(n)` scan runs only to **rebuild**
-//!   a small candidate queue (the [`PARTIAL_QUEUE_MAX`]-best attractive
-//!   columns by `d_j²/w_j`); every ordinary iteration then re-prices
-//!   just the queue — dozens of entries instead of ~20k columns —
-//!   dropping members that went basic, hit a fixed bound or lost their
-//!   attractiveness as the reduced costs drifted. When the queue runs
-//!   dry the next full scan recycles it. Optimality is still only ever
-//!   declared by a *full* scan (and, as for every rule, confirmed
-//!   against freshly recomputed reduced costs), so the rule changes the
-//!   pivot order but never the answer. Queue traffic is observable as
-//!   `SolveStats::queue_hits` / `queue_rebuilds`.
-//! * **Devex**: Forrest–Goldfarb reference-framework pricing over the
-//!   full column set. Every nonbasic column carries a weight `w_j ≥ 1`
-//!   approximating `‖B⁻¹a_j‖²` over the current reference framework,
-//!   and the entering column maximises `d_j² / w_j`. After a pivot with
-//!   entering column `q` and pivot row `r`, the weights update from the
-//!   pivot row `α_r = aᵀ B⁻ᵀ e_r` alone:
-//!   `w_j ← max(w_j, (α_rj / α_rq)² · w_q)` and
-//!   `w_leaving ← max(w_q / α_rq², 1)`. The update rides on the sparse
-//!   pivot row the reduced-cost maintenance computes anyway, so it is
-//!   close to free. The framework resets (all weights to 1) at every
-//!   phase start and whenever a weight overflows [`DEVEX_RESET`];
-//!   resets are counted in `SolveStats::devex_resets`. Partial pricing
-//!   shares these weights and reset rules.
-//! * **Dantzig**: the classic most-negative reduced cost, `O(n)` per
-//!   pass with no update cost — still the best choice for very short
-//!   solves (and what micro models downgrade to).
-//! * **Bland**: smallest eligible index, the anti-cycling guarantee.
-//!   Any rule degrades to Bland after `SimplexOptions::bland_after`
-//!   iterations, bypassing the candidate queue entirely.
+//! Primal side: **Dantzig** pricing — the nonbasic column with the most
+//! attractive reduced cost enters, `O(n)` per pass with no update cost.
+//! After `SimplexOptions::bland_after` iterations of one phase the rule
+//! degrades to **Bland** (smallest eligible index), the anti-cycling
+//! guarantee.
 //!
 //! The reduced costs `d_j = c_j − yᵀ a_j` are maintained
 //! **incrementally**: the driver computes them from scratch (`O(nnz)`)
@@ -40,81 +12,22 @@
 //! rank-one update `d ← d − (d_q/α_q)·α` after each pivot, where the
 //! pivot row `α = Aᵀ B⁻ᵀ e_r` comes out of [`pivot_row_alphas`] —
 //! computed **row-wise** over the nonzeros of `B⁻ᵀe_r` only, which on
-//! the tree-structured replica bases touches a handful of rows. The
-//! same sparse `α` drives the devex weight update for free.
+//! the tree-structured replica bases touches a handful of rows.
 //!
-//! Dual side: two rules behind [`DualPricing`] pick the **leaving row**
-//! (the primal-infeasible basic variable the dual simplex repairs
-//! next) —
-//!
-//! * **Devex** (the default): dual devex row weights `w_r ≥ 1`
-//!   approximating `‖B⁻ᵀe_r‖²`; the leaving row maximises
-//!   `violation²/w_r`. After a dual pivot on row `r` with pivot column
-//!   `w = B⁻¹a_q` and pivot element `α_r`, the standard rank-one update
-//!   runs over the pivot *column*: `w_i ← max(w_i, (w_i/α_r)²·w_r)` for
-//!   `i ≠ r` and `w_r ← max(w_r/α_r², 1)`, with the same overflow reset
-//!   rule as the primal weights.
-//! * **MostViolated**: the historical rule — the largest bound
-//!   violation wins. Kept as the differential baseline.
-//!
-//! Both dual rules price in **model units**: the violation (and the
-//! devex update's pivot-column entries) are multiplied by
-//! [`StandardForm::violation_unscale`] so that, when the equilibration
-//! pass is on, the metric ranks rows by their *unscaled* violations.
-//! Without this, folded row/column scales bend the dual pivot path and
-//! the scaled solve of an ill-scaled family pays extra iterations for
-//! no numerical benefit (the PR 9 scaling-regression root cause).
-//!
-//! The violated-row set itself is kept **incrementally** in
-//! [`DualCandidates`]: a dual pivot only moves the basic values in the
-//! entering column's FTRAN pattern plus the bound-flip deltas, so the
-//! loop patches the list from those sparse updates and pays a full
-//! `O(m)` rebuild only at (re)factorisations and before declaring
-//! primal feasibility.
+//! Dual side: the **most-violated row** leaves — the primal-infeasible
+//! basic variable with the largest bound violation, ties broken towards
+//! the smallest row. The violated-row set itself is kept
+//! **incrementally** in [`DualCandidates`]: a dual pivot only moves the
+//! basic values in the entering column's FTRAN pattern plus the
+//! bound-flip deltas, so the loop patches the list from those sparse
+//! updates and pays a full `O(m)` rebuild only at (re)factorisations
+//! and before declaring primal feasibility.
 //!
 //! The dual *entering* column comes out of the bound-flipping dual
 //! ratio test in [`super::ratio`], which walks the sparse pivot row's
 //! breakpoints and flips boxed columns for longer dual steps.
 
 use super::basis::{BasisState, ColStatus, StandardForm};
-
-/// Primal pricing rule of the revised simplex (see the module docs).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum Pricing {
-    /// Candidate-list multiple pricing with devex metrics: full scans
-    /// only rebuild the queue, ordinary iterations re-price the queue.
-    #[default]
-    Partial,
-    /// Devex reference-framework pricing (Forrest–Goldfarb) over the
-    /// full column set.
-    Devex,
-    /// Most-negative reduced cost.
-    Dantzig,
-    /// Smallest eligible index (anti-cycling; slow).
-    Bland,
-}
-
-/// Dual pricing rule: how the dual simplex picks its leaving row (see
-/// the module docs).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum DualPricing {
-    /// Dual devex row weights: the leaving row maximises
-    /// `violation² / w_r`.
-    #[default]
-    Devex,
-    /// Largest bound violation (the historical baseline rule).
-    MostViolated,
-}
-
-/// Weight magnitude that triggers a devex reference-framework reset
-/// (primal column weights and dual row weights alike).
-const DEVEX_RESET: f64 = 1e7;
-
-/// Candidate-queue capacity of [`Pricing::Partial`]: a full rebuild
-/// keeps at most this many attractive columns. Sized so a queue scan
-/// stays cache-resident while holding enough candidates that typical
-/// minor cycles run 20+ pivots between rebuilds.
-const PARTIAL_QUEUE_MAX: usize = 192;
 
 /// An entering candidate: the column and the direction it moves in
 /// (`+1.0` away from its lower bound, `−1.0` away from its upper).
@@ -125,10 +38,9 @@ pub(crate) struct Entering {
 
 /// Picks the entering column for a primal iteration from the
 /// (incrementally maintained) reduced costs `d`, or `None` when none is
-/// attractive. Artificial columns may be barred (phase 2). With
-/// `devex_weights` present, candidates are ranked by `d_j² / w_j`
-/// instead of `|d_j|`; `use_bland` overrides both with the smallest
-/// eligible index. A flat `O(n)` scan — no matrix access at all.
+/// attractive. Artificial columns may be barred (phase 2). Dantzig
+/// ranks candidates by `|d_j|`; `use_bland` takes the smallest eligible
+/// index instead. A flat `O(n)` scan — no matrix access at all.
 pub(crate) fn choose_entering(
     form: &StandardForm,
     basis: &BasisState,
@@ -136,11 +48,10 @@ pub(crate) fn choose_entering(
     tol: f64,
     use_bland: bool,
     allow_artificial: bool,
-    devex_weights: Option<&[f64]>,
 ) -> Option<Entering> {
     let _t = rp_obs::phase_timer(rp_obs::Phase::Pricing);
     let art_base = form.art_base();
-    let mut best: Option<(usize, f64, f64)> = None; // (col, sigma, metric)
+    let mut best: Option<(usize, f64, f64)> = None; // (col, sigma, score)
     debug_assert_eq!(d.len(), form.num_cols());
     for (col, &reduced) in d.iter().enumerate() {
         let sigma = match basis.status[col] {
@@ -160,122 +71,13 @@ pub(crate) fn choose_entering(
             if use_bland {
                 return Some(Entering { col, sigma });
             }
-            let metric = match devex_weights {
-                Some(weights) => reduced * reduced / weights[col].max(1.0),
-                None => score,
-            };
             match best {
-                Some((_, _, best_metric)) if metric <= best_metric => {}
-                _ => best = Some((col, sigma, metric)),
+                Some((_, _, best_score)) if score <= best_score => {}
+                _ => best = Some((col, sigma, score)),
             }
         }
     }
     best.map(|(col, sigma, _)| Entering { col, sigma })
-}
-
-/// The recycled candidate queue of [`Pricing::Partial`].
-///
-/// Lifecycle: [`CandidateQueue::rebuild`] runs one full `O(n)` scan and
-/// keeps the [`PARTIAL_QUEUE_MAX`]-best attractive columns by devex
-/// metric; [`CandidateQueue::pick`] then serves entering candidates
-/// from the queue alone, compacting away entries that went basic, hit a
-/// fixed bound or stopped being attractive. An empty pick after a fresh
-/// rebuild means no attractive column exists anywhere — the driver's
-/// optimality signal.
-#[derive(Default)]
-pub(crate) struct CandidateQueue {
-    cols: Vec<u32>,
-    /// Rebuild scratch: `(metric, col)` of every attractive column.
-    scratch: Vec<(f64, u32)>,
-}
-
-impl CandidateQueue {
-    /// Empties the queue (phase starts, reduced-cost recomputations
-    /// that invalidate the ranking wholesale).
-    pub(crate) fn clear(&mut self) {
-        self.cols.clear();
-    }
-
-    /// Best still-attractive candidate in the queue, or `None` when the
-    /// queue is exhausted. Entries that are no longer priceable are
-    /// swap-removed on the way.
-    pub(crate) fn pick(
-        &mut self,
-        form: &StandardForm,
-        basis: &BasisState,
-        d: &[f64],
-        tol: f64,
-        weights: &[f64],
-    ) -> Option<Entering> {
-        let _t = rp_obs::phase_timer(rp_obs::Phase::Pricing);
-        let mut best: Option<(usize, f64, f64)> = None; // (col, sigma, metric)
-        let mut i = 0;
-        while i < self.cols.len() {
-            let col = self.cols[i] as usize;
-            let sigma = match basis.status[col] {
-                ColStatus::Basic(_) => {
-                    self.cols.swap_remove(i);
-                    continue;
-                }
-                ColStatus::Lower => 1.0,
-                ColStatus::Upper => -1.0,
-            };
-            let reduced = d[col];
-            if form.is_fixed(col) || -sigma * reduced <= tol {
-                self.cols.swap_remove(i);
-                continue;
-            }
-            let metric = reduced * reduced / weights[col].max(1.0);
-            match best {
-                Some((_, _, best_metric)) if metric <= best_metric => {}
-                _ => best = Some((col, sigma, metric)),
-            }
-            i += 1;
-        }
-        best.map(|(col, sigma, _)| Entering { col, sigma })
-    }
-
-    /// Full `O(n)` rescan: refills the queue with the top
-    /// [`PARTIAL_QUEUE_MAX`] attractive columns by devex metric.
-    pub(crate) fn rebuild(
-        &mut self,
-        form: &StandardForm,
-        basis: &BasisState,
-        d: &[f64],
-        tol: f64,
-        allow_artificial: bool,
-        weights: &[f64],
-    ) {
-        let _t = rp_obs::phase_timer(rp_obs::Phase::Pricing);
-        self.cols.clear();
-        self.scratch.clear();
-        let art_base = form.art_base();
-        debug_assert_eq!(d.len(), form.num_cols());
-        for (col, &reduced) in d.iter().enumerate() {
-            let sigma = match basis.status[col] {
-                ColStatus::Basic(_) => continue,
-                ColStatus::Lower => 1.0,
-                ColStatus::Upper => -1.0,
-            };
-            if form.is_fixed(col) || (!allow_artificial && col >= art_base) {
-                continue;
-            }
-            if -sigma * reduced > tol {
-                let metric = reduced * reduced / weights[col].max(1.0);
-                self.scratch.push((metric, col as u32));
-            }
-        }
-        if self.scratch.len() > PARTIAL_QUEUE_MAX {
-            // Keep the best PARTIAL_QUEUE_MAX by metric (order inside
-            // the kept block is irrelevant — `pick` rescans it anyway).
-            self.scratch
-                .select_nth_unstable_by(PARTIAL_QUEUE_MAX - 1, |a, b| {
-                    b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal)
-                });
-            self.scratch.truncate(PARTIAL_QUEUE_MAX);
-        }
-        self.cols.extend(self.scratch.iter().map(|&(_, col)| col));
-    }
 }
 
 /// Computes the sparse pivot row `α = Aᵀ·rho` **row-wise**: only the
@@ -340,48 +142,6 @@ pub(crate) fn pivot_row_alphas(
     }
 }
 
-/// Devex weight update after a pivot, from the sparse pivot row
-/// `(alpha_cols, alpha_vals)` (computed on the *pre-pivot* basis):
-/// `w_j ← max(w_j, (α_j/α_q)²·w_q)` for the touched nonbasic columns
-/// and `w_leaving ← max(w_q/α_q², 1)`. Returns `true` when a weight
-/// overflowed and the caller must reset the reference framework.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn devex_update(
-    form: &StandardForm,
-    basis: &BasisState,
-    weights: &mut [f64],
-    alpha_cols: &[u32],
-    alpha_vals: &[f64],
-    alpha_q: f64,
-    wq: f64,
-    leaving: usize,
-) -> bool {
-    let _t = rp_obs::phase_timer(rp_obs::Phase::Pricing);
-    let scale = wq / (alpha_q * alpha_q);
-    let mut wmax = 0.0f64;
-    for (&col, &alpha) in alpha_cols.iter().zip(alpha_vals) {
-        let col = col as usize;
-        if alpha == 0.0 {
-            continue;
-        }
-        match basis.status[col] {
-            ColStatus::Basic(_) => continue,
-            ColStatus::Lower | ColStatus::Upper => {}
-        }
-        if form.is_fixed(col) {
-            continue;
-        }
-        let candidate = alpha * alpha * scale;
-        if candidate > weights[col] {
-            weights[col] = candidate;
-            wmax = wmax.max(candidate);
-        }
-    }
-    weights[leaving] = scale.max(1.0);
-    wmax = wmax.max(weights[leaving]);
-    wmax > DEVEX_RESET
-}
-
 /// Bound violation of the basic variable in `row`: magnitude and side
 /// (`true` = above the upper bound).
 #[inline]
@@ -417,10 +177,10 @@ pub(crate) struct Leaving {
 /// currently violated rows and patches it from those sparse deltas:
 /// [`Self::note`] admits rows whose value just moved, [`Self::pick`]
 /// evicts rows that pivoted back inside their bounds while selecting
-/// the best metric. The list is only a superset heuristic — before the
-/// loop may declare primal feasibility it must [`Self::rebuild`] from a
-/// full scan and pick again, and a refactorisation recomputes every
-/// basic value so it rebuilds too.
+/// the most violated one. The list is only a superset heuristic —
+/// before the loop may declare primal feasibility it must
+/// [`Self::rebuild`] from a full scan and pick again, and a
+/// refactorisation recomputes every basic value so it rebuilds too.
 #[derive(Default)]
 pub(crate) struct DualCandidates {
     rows: Vec<u32>,
@@ -456,108 +216,42 @@ impl DualCandidates {
         }
     }
 
-    /// Best candidate under the dual devex metric (or raw violation
-    /// without `weights`), compacting away rows that no longer violate.
-    /// `None` means the *list* drained — the caller must `rebuild` and
-    /// pick once more before trusting it as primal feasibility.
+    /// The most violated candidate, compacting away rows that no longer
+    /// violate. `None` means the *list* drained — the caller must
+    /// `rebuild` and pick once more before trusting it as primal
+    /// feasibility.
     pub(crate) fn pick(
         &mut self,
         form: &StandardForm,
         basis: &BasisState,
         tol: f64,
-        weights: Option<&[f64]>,
     ) -> Option<Leaving> {
         let _t = rp_obs::phase_timer(rp_obs::Phase::Pricing);
-        let mut best: Option<(Leaving, f64)> = None;
+        let mut best: Option<Leaving> = None;
         let mut i = 0;
         while i < self.rows.len() {
             let row = self.rows[i] as usize;
-            let (violation, is_above) = row_violation(form, basis, row);
+            let (violation, above) = row_violation(form, basis, row);
             if violation <= tol {
                 self.in_list[row] = false;
                 self.rows.swap_remove(i);
                 continue;
             }
-            // Rank by the model-unit violation: the equilibration folds
-            // a per-column scale into every basic value, and without
-            // undoing it here the row/column scales — not the geometry
-            // — would drive the pivot order (the ill-scaled families
-            // paid ~20% extra iterations for exactly that bias).
-            let v = violation * form.violation_unscale(basis.basic[row]);
-            let metric = match weights {
-                Some(weights) => v * v / weights[row].max(1.0),
-                None => v,
-            };
             // Ties break towards the smallest row so the selection is
             // independent of the list's (compaction-dependent) order.
             let better = match &best {
-                Some((best_leaving, best_metric)) => {
-                    metric > *best_metric || (metric == *best_metric && row < best_leaving.row)
-                }
+                Some(b) => violation > b.violation || (violation == b.violation && row < b.row),
                 None => true,
             };
             if better {
-                best = Some((
-                    Leaving {
-                        row,
-                        above: is_above,
-                        violation,
-                    },
-                    metric,
-                ));
+                best = Some(Leaving {
+                    row,
+                    above,
+                    violation,
+                });
             }
             i += 1;
         }
-        best.map(|(leaving, _)| leaving)
+        best
     }
-}
-
-/// Dual devex weight update after a dual pivot on `row`, from the pivot
-/// column `w = B⁻¹a_q` with pattern `w_nz` (computed on the *pre-pivot*
-/// basis, only the pattern's rows are touched) and pivot
-/// element `alpha = w[row]`: `w_i ← max(w_i, (w_i/α)²·w_r)` for every
-/// other row touched by the column, then `w_r ← max(w_r/α², 1)`.
-/// Returns `true` when a weight overflowed and the caller must reset
-/// the reference framework.
-///
-/// Like [`DualCandidates::pick`], the update runs in **model units**.
-/// On an equilibrated form row `i` of `w` carries the folded scale
-/// `c_q / c_{B_i}`; multiplying by each row's basic-column unscale
-/// factor (the leaving column's for the pivot row — `w` belongs to the
-/// pre-pivot basis) cancels the common `c_q` in the `w_i/α` ratios and
-/// reproduces the unscaled update exactly. Equilibration then only
-/// conditions the numerics; it no longer bends the dual pivot path.
-/// Must be called *after* the basis update, so `basis.basic[i]` is the
-/// post-pivot (= pre-pivot, for `i ≠ row`) basic column.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn dual_devex_update(
-    form: &StandardForm,
-    basis: &BasisState,
-    weights: &mut [f64],
-    w: &[f64],
-    w_nz: &[u32],
-    row: usize,
-    alpha: f64,
-    leaving_col: usize,
-) -> bool {
-    let _t = rp_obs::phase_timer(rp_obs::Phase::Pricing);
-    let alpha_model = alpha * form.violation_unscale(leaving_col);
-    let scale = weights[row].max(1.0) / (alpha_model * alpha_model);
-    let mut wmax = 0.0f64;
-    for &i in w_nz {
-        let i = i as usize;
-        let wi = w[i];
-        if wi == 0.0 || i == row {
-            continue;
-        }
-        let wi = wi * form.violation_unscale(basis.basic[i]);
-        let candidate = wi * wi * scale;
-        if candidate > weights[i] {
-            weights[i] = candidate;
-            wmax = wmax.max(candidate);
-        }
-    }
-    weights[row] = scale.max(1.0);
-    wmax = wmax.max(weights[row]);
-    wmax > DEVEX_RESET
 }

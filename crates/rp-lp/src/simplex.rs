@@ -31,7 +31,6 @@
 
 use crate::error::SolveBudget;
 use crate::model::{Cmp, Model, Sense};
-use crate::revised::{DualPricing, Pricing, Scaling};
 use crate::solution::{Solution, Status};
 
 /// Tunable solver parameters.
@@ -42,16 +41,10 @@ pub struct SimplexOptions {
     /// Hard cap on pivot iterations per phase. `None` picks a bound that
     /// scales with the problem size.
     pub max_iterations: Option<usize>,
-    /// Number of pricing iterations before switching to Bland's rule
-    /// (anti-cycling).
+    /// Number of Dantzig pricing iterations per phase before switching
+    /// to Bland's rule (anti-cycling); `0` prices with Bland from the
+    /// first pivot. Both engines price their primal phases this way.
     pub bland_after: usize,
-    /// Primal pricing rule of the **revised** engine (the dense tableau
-    /// keeps its built-in Dantzig/Bland pricing).
-    pub pricing: Pricing,
-    /// Leaving-row rule of the revised engine's dual simplex — the warm
-    /// cleanup after bound changes and the cold dual start. The dense
-    /// tableau has no dual path and ignores it.
-    pub dual_pricing: DualPricing,
     /// Run the presolve pass (singleton rows/columns, forcing and
     /// redundant constraints) before a cold solve. **Revised engine
     /// only**; branch-and-bound disables it for its node solves, where
@@ -59,14 +52,6 @@ pub struct SimplexOptions {
     /// below the micro-size threshold skip the pass regardless (the
     /// analysis there costs more than it saves).
     pub presolve: bool,
-    /// Geometric-mean equilibration of the constraint matrix before the
-    /// solve (**revised engine only**; the dense tableau ignores it).
-    /// The default `Auto` scales only genuinely ill-scaled matrices —
-    /// the bandwidth-constrained and wide-range multi-object replica
-    /// formulations — and leaves the near-unimodular classic
-    /// formulations on their historical pivot paths. The solution is
-    /// unscaled on extraction (exactly: scales are powers of two).
-    pub scaling: Scaling,
     /// Whole-solve resource budget: wall-clock deadline and/or a total
     /// iteration cap, both unlimited by default. A budget stop returns
     /// the best primal-feasible point found so far (see
@@ -81,10 +66,7 @@ impl Default for SimplexOptions {
             tolerance: 1e-7,
             max_iterations: None,
             bland_after: 10_000,
-            pricing: Pricing::default(),
-            dual_pricing: DualPricing::default(),
             presolve: true,
-            scaling: Scaling::default(),
             budget: SolveBudget::UNLIMITED,
         }
     }

@@ -63,7 +63,7 @@ pub use recorder::{
     clear_flight_recorder, flight_recorder, flight_snapshot, last_flight_dump, note_anomaly,
     record_solve, AnomalyKind, FlightRecorder, SolveRecord, FLIGHT_RING_CAP,
 };
-pub use registry::{catalogue_markdown, global, Counter, Gauge, GaugeF, HistId, MetricsRegistry};
+pub use registry::{catalogue_markdown, global, Counter, Gauge, HistId, MetricsRegistry};
 pub use sink::{
     clear_events, emit_event, event_count, events_dropped_count, events_jsonl, write_events_jsonl,
 };
@@ -183,14 +183,6 @@ pub fn gauge_set(gauge: Gauge, value: u64) {
 pub fn gauge_max(gauge: Gauge, value: u64) {
     if counters_on() {
         global().gauge_max(gauge, value);
-    }
-}
-
-/// Sets float gauge `gauge` (mode-gated).
-#[inline]
-pub fn gauge_f_set(gauge: GaugeF, value: f64) {
-    if counters_on() {
-        global().gauge_f_set(gauge, value);
     }
 }
 

@@ -26,8 +26,8 @@ pub const PHASE_COUNT: usize = 9;
 /// so per-phase accumulators are plain arrays.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Phase {
-    /// Entering/leaving candidate selection and reduced-cost / devex
-    /// weight maintenance.
+    /// Entering/leaving candidate selection and reduced-cost
+    /// maintenance.
     Pricing,
     /// Forward transforms `B^-1 a` (dense and hyper-sparse) plus the
     /// primal step application.
@@ -43,7 +43,10 @@ pub enum Phase {
     FtUpdate,
     /// Presolve analysis and reduced-model build.
     Presolve,
-    /// Geometric-mean equilibration of the working form.
+    /// Equilibration of the working form. The revised simplex solves
+    /// every model unscaled, so this phase always reads 0; it stays in
+    /// the set so the nine-phase breakdown (and every report keyed on
+    /// it) keeps its shape.
     Scaling,
     /// Solution extraction, postsolve and dual-bound assembly.
     Extract,

@@ -69,14 +69,7 @@ metric_enum! {
     LpWarmModeChangeCold => ("lp.warm.mode_change_cold", "1", "rp-lp"),
     LpPresolveRowsRemoved => ("lp.presolve.rows_removed", "1", "rp-lp"),
     LpPresolveColsRemoved => ("lp.presolve.cols_removed", "1", "rp-lp"),
-    LpPricingPartial => ("lp.pricing.partial", "1", "rp-lp"),
-    LpPricingDevex => ("lp.pricing.devex", "1", "rp-lp"),
-    LpPricingDantzig => ("lp.pricing.dantzig", "1", "rp-lp"),
-    LpPricingBland => ("lp.pricing.bland", "1", "rp-lp"),
-    LpQueueHits => ("lp.queue.hits", "1", "rp-lp"),
-    LpQueueRebuilds => ("lp.queue.rebuilds", "1", "rp-lp"),
     LpDualBoundFlips => ("lp.dual.bound_flips", "1", "rp-lp"),
-    LpDevexResets => ("lp.devex.resets", "1", "rp-lp"),
     LpFtranCalls => ("lp.ftran.calls", "1", "rp-lp"),
     LpFtranInNnz => ("lp.ftran.in_nnz", "1", "rp-lp"),
     LpFtranDim => ("lp.ftran.dim", "1", "rp-lp"),
@@ -149,13 +142,6 @@ metric_enum! {
 }
 
 metric_enum! {
-    /// Float gauges (`f64` stored as bits; last value wins).
-    GaugeF :
-    LpScalingSpreadBefore => ("lp.scaling.spread_before", "ratio", "rp-lp"),
-    LpScalingSpreadAfter => ("lp.scaling.spread_after", "ratio", "rp-lp"),
-}
-
-metric_enum! {
     /// Latency histograms (microsecond samples, 1–2–5 buckets).
     HistId :
     LpSolveUs => ("lp.solve_us", "us", "rp-lp"),
@@ -177,7 +163,6 @@ metric_enum! {
 pub struct MetricsRegistry {
     counters: Box<[AtomicU64]>,
     gauges: Box<[AtomicU64]>,
-    gauges_f: Box<[AtomicU64]>,
     hists: Box<[Histogram]>,
 }
 
@@ -193,9 +178,6 @@ impl MetricsRegistry {
         Self {
             counters: (0..Counter::COUNT).map(|_| AtomicU64::new(0)).collect(),
             gauges: (0..Gauge::COUNT).map(|_| AtomicU64::new(0)).collect(),
-            gauges_f: (0..GaugeF::COUNT)
-                .map(|_| AtomicU64::new(0f64.to_bits()))
-                .collect(),
             hists: (0..HistId::COUNT).map(|_| Histogram::new()).collect(),
         }
     }
@@ -228,17 +210,6 @@ impl MetricsRegistry {
         self.gauges[gauge.index()].load(Ordering::Relaxed)
     }
 
-    /// Sets a float gauge (last write wins).
-    #[inline]
-    pub fn gauge_f_set(&self, gauge: GaugeF, value: f64) {
-        self.gauges_f[gauge.index()].store(value.to_bits(), Ordering::Relaxed);
-    }
-
-    /// Current float gauge value.
-    pub fn gauge_f(&self, gauge: GaugeF) -> f64 {
-        f64::from_bits(self.gauges_f[gauge.index()].load(Ordering::Relaxed))
-    }
-
     /// The histogram behind `id`.
     pub fn histogram(&self, id: HistId) -> &Histogram {
         &self.hists[id.index()]
@@ -263,12 +234,6 @@ impl MetricsRegistry {
         for (mine, theirs) in self.gauges.iter().zip(other.gauges.iter()) {
             mine.fetch_max(theirs.load(Ordering::Relaxed), Ordering::Relaxed);
         }
-        for (mine, theirs) in self.gauges_f.iter().zip(other.gauges_f.iter()) {
-            let bits = theirs.load(Ordering::Relaxed);
-            if f64::from_bits(bits) != 0.0 {
-                mine.store(bits, Ordering::Relaxed);
-            }
-        }
         for (mine, theirs) in self.hists.iter().zip(other.hists.iter()) {
             mine.merge_from(theirs);
         }
@@ -281,9 +246,6 @@ impl MetricsRegistry {
         }
         for gauge in self.gauges.iter() {
             gauge.store(0, Ordering::Relaxed);
-        }
-        for gauge in self.gauges_f.iter() {
-            gauge.store(0f64.to_bits(), Ordering::Relaxed);
         }
         for hist in self.hists.iter() {
             hist.reset();
@@ -315,12 +277,6 @@ impl MetricsRegistry {
             push_json_string(&mut out, gauge.name());
             out.push(':');
             out.push_str(&self.gauge(gauge).to_string());
-        }
-        for &gauge in GaugeF::ALL.iter() {
-            out.push(',');
-            push_json_string(&mut out, gauge.name());
-            out.push(':');
-            push_json_f64(&mut out, self.gauge_f(gauge));
         }
         out.push_str("},\"histograms\":{");
         for (i, &id) in HistId::ALL.iter().enumerate() {
@@ -416,14 +372,6 @@ pub fn catalogue_markdown() -> String {
             g.layer()
         ));
     }
-    for &g in GaugeF::ALL.iter() {
-        out.push_str(&format!(
-            "| `{}` | gauge (f64) | {} | {} |\n",
-            g.name(),
-            g.unit(),
-            g.layer()
-        ));
-    }
     for &h in HistId::ALL.iter() {
         out.push_str(&format!(
             "| `{}` | histogram | {} | {} |\n",
@@ -443,7 +391,6 @@ mod tests {
     fn metric_names_are_unique_across_all_kinds() {
         let mut names: Vec<&str> = Counter::ALL.iter().map(|c| c.name()).collect();
         names.extend(Gauge::ALL.iter().map(|g| g.name()));
-        names.extend(GaugeF::ALL.iter().map(|g| g.name()));
         names.extend(HistId::ALL.iter().map(|h| h.name()));
         let total = names.len();
         names.sort_unstable();
@@ -504,8 +451,6 @@ mod tests {
         reg.gauge_max(Gauge::LpEtaChainMax, 7);
         reg.gauge_max(Gauge::LpEtaChainMax, 3);
         assert_eq!(reg.gauge(Gauge::LpEtaChainMax), 7);
-        reg.gauge_f_set(GaugeF::LpScalingSpreadAfter, 4.5);
-        assert_eq!(reg.gauge_f(GaugeF::LpScalingSpreadAfter), 4.5);
     }
 
     #[test]

@@ -13,9 +13,9 @@
 //!   and the success rate λ-dependent.
 //! * **Ill-scaled bandwidth** ([`ill_scaled_bandwidth_instance`]):
 //!   the same link structure over a platform whose capacities span five
-//!   decades, which drives the constraint-matrix entry spread far past
-//!   the equilibration trigger ([`rp_lp` `Scaling::Auto`]) — the
-//!   numerically hostile regime the scaling pass exists for.
+//!   decades, which drives the constraint-matrix entry spread to ~2e5 —
+//!   the widest coefficient range any shipped family asks the LP engine
+//!   to solve unscaled.
 //! * **Multi-object** ([`multi_object_instance`],
 //!   [`multi_object_bandwidth_instance`]): several databases share the
 //!   node capacities (and, in the bandwidth variant, the links); the
@@ -137,7 +137,7 @@ pub fn feasible_bandwidth_instance(problem_size: usize, lambda: f64, seed: u64) 
 
 /// The ill-scaled bandwidth family: feasible-headroom links over the
 /// [`wide_range_platform`], whose five-decade capacities push the
-/// constraint matrix's entry spread past the `Scaling::Auto` trigger.
+/// constraint matrix's entry spread to ~2e5.
 pub fn ill_scaled_bandwidth_instance(
     problem_size: usize,
     lambda: f64,

@@ -23,9 +23,7 @@ use replica_placement::core::heuristics::lp_guided::lp_guided_with;
 use replica_placement::core::ilp::IlpOptions;
 use replica_placement::core::{inject_and_repair, Heuristic, Policy};
 use replica_placement::experiments::runner::{run_single_trial, ExperimentConfig};
-use replica_placement::lp::{
-    solve_lp_revised_reusing, Cmp, LinExpr, Model, RevisedWorkspace, Sense, SimplexOptions, Status,
-};
+use replica_placement::lp::{Cmp, LinExpr, Model, RevisedWorkspace, Sense, SimplexOptions, Status};
 use replica_placement::obs::{self, ObsMode};
 use replica_placement::workloads::failures::sample_node_failure;
 use replica_placement::workloads::scenarios::feasible_bandwidth_instance;
@@ -129,7 +127,7 @@ proptest! {
         let model = build_model(&spec);
         let ((off, off_phases), (full, _full_phases)) = under_both_modes(|| {
             let mut workspace = RevisedWorkspace::new();
-            let solution = workspace.solve_cold(&model, &SimplexOptions::default());
+            let solution = workspace.solve_warm(&model, &SimplexOptions::default());
             let stats = workspace.last_stats();
             (
                 SolveFingerprint {
@@ -162,17 +160,17 @@ proptest! {
             let mut workspace = RevisedWorkspace::new();
             let options = SimplexOptions::default();
             let mut model = model.clone();
-            solve_lp_revised_reusing(&model, &options, &mut workspace);
+            workspace.solve_warm(&model, &options);
             let first_constraint = model.constraint_ids().next();
             let warm = match first_constraint {
                 Some(id) => {
                     let rhs = model.constraint(id).rhs;
                     model.set_rhs(id, rhs + f64::from(bump));
-                    solve_lp_revised_reusing(&model, &options, &mut workspace)
+                    workspace.solve_warm(&model, &options)
                 }
                 // No constraints: the re-solve is the interesting call
                 // all the same (bound-only models warm-start too).
-                None => solve_lp_revised_reusing(&model, &options, &mut workspace),
+                None => workspace.solve_warm(&model, &options),
             };
             let stats = workspace.last_stats();
             (

@@ -10,10 +10,10 @@
 //! tolerance); on every random MILP the warm-started revised
 //! branch-and-bound must agree with the cold dense search. Further
 //! properties pin the solver's internal degrees of freedom to the same
-//! answers: every pricing rule (devex / Dantzig / Bland) reaches the
-//! same objective, presolve+postsolve round-trips against the
-//! unreduced solve, and warm sibling re-solves (same matrix, shifted
-//! objective/rhs) match cold solves.
+//! answers: Dantzig and Bland pricing reach the same objective,
+//! presolve+postsolve round-trips against the unreduced solve, and warm
+//! sibling re-solves (same matrix, shifted objective/rhs) match cold
+//! solves.
 //!
 //! (Values are generated as small unsigned integers and decoded into
 //! signed coefficients/bounds — the vendored proptest stand-in only
@@ -24,9 +24,8 @@
 use proptest::prelude::*;
 
 use replica_placement::lp::{
-    solve_lp, solve_lp_revised, solve_lp_revised_reusing, solve_lp_revised_with, solve_milp_with,
-    BranchBoundOptions, Cmp, DualPricing, LinExpr, LpEngine, Model, Pricing, RevisedWorkspace,
-    Sense, SimplexOptions, Status,
+    solve_lp, solve_milp_with, BranchBoundOptions, Cmp, LinExpr, LpEngine, Model, RevisedWorkspace,
+    Sense, SimplexOptions, Solution, Status,
 };
 
 /// One encoded variable: (bounded?, lower, range-above-lower, packed).
@@ -49,6 +48,11 @@ fn model_strategy(
             0u32..=1, // maximise?
         )
     })
+}
+
+/// A cold revised-simplex solve on a fresh workspace.
+fn solve_revised(model: &Model, options: &SimplexOptions) -> Solution {
+    RevisedWorkspace::new().solve_warm(model, options)
 }
 
 /// Decodes a generated spec into a [`Model`]. When `integers` is false
@@ -114,7 +118,7 @@ proptest! {
     fn revised_simplex_matches_the_dense_tableau(spec in model_strategy(6, 5)) {
         let model = build_model(&spec, false);
         let dense = solve_lp(&model);
-        let revised = solve_lp_revised(&model);
+        let revised = solve_revised(&model, &SimplexOptions::default());
         // Both solvers are exact on these tame instances; an iteration
         // limit would indicate a bug, not hard numerics.
         prop_assert_ne!(dense.status, Status::IterationLimit);
@@ -141,69 +145,30 @@ proptest! {
         }
     }
 
-    /// Partial, devex, Dantzig and Bland pricing are different *routes*
-    /// to the same optimum: identical status and, when optimal,
-    /// identical objective (each point feasible for the model).
+    /// Dantzig pricing (the default) and Bland's rule from the first
+    /// pivot (`bland_after: 0`) are different *routes* to the same
+    /// optimum: identical status and, when optimal, the objective of the
+    /// dense oracle (each point feasible for the model). This keeps the
+    /// anti-cycling path covered.
     #[test]
     fn pricing_rules_agree_on_the_objective(spec in model_strategy(6, 5)) {
         let model = build_model(&spec, false);
-        let solve = |pricing| {
-            solve_lp_revised_with(&model, &SimplexOptions { pricing, ..SimplexOptions::default() })
-        };
-        let partial = solve(Pricing::Partial);
-        let devex = solve(Pricing::Devex);
-        let dantzig = solve(Pricing::Dantzig);
-        let bland = solve(Pricing::Bland);
-        prop_assert_eq!(partial.status, devex.status);
-        prop_assert_eq!(partial.status, dantzig.status);
-        prop_assert_eq!(partial.status, bland.status);
-        if partial.status == Status::Optimal {
-            prop_assert!(
-                (partial.objective - devex.objective).abs() < 1e-6,
-                "partial {} vs devex {} on\n{}", partial.objective, devex.objective, model
-            );
-            prop_assert!(
-                (partial.objective - dantzig.objective).abs() < 1e-6,
-                "partial {} vs dantzig {} on\n{}", partial.objective, dantzig.objective, model
-            );
-            prop_assert!(
-                (partial.objective - bland.objective).abs() < 1e-6,
-                "partial {} vs bland {} on\n{}", partial.objective, bland.objective, model
-            );
-            prop_assert!(model.is_feasible(&partial.values, 1e-6));
-            prop_assert!(model.is_feasible(&devex.values, 1e-6));
-        }
-    }
-
-    /// The two dual pricing rules (devex row weights vs most-violated
-    /// row) are different routes through the dual simplex to the same
-    /// optimum — and both must agree with the dense tableau oracle.
-    #[test]
-    fn dual_pricing_rules_agree_on_the_objective(spec in model_strategy(6, 5)) {
-        let model = build_model(&spec, false);
-        let solve = |dual_pricing| {
-            solve_lp_revised_with(
-                &model,
-                &SimplexOptions { dual_pricing, ..SimplexOptions::default() },
-            )
-        };
-        let devex = solve(DualPricing::Devex);
-        let most_violated = solve(DualPricing::MostViolated);
+        let dantzig = solve_revised(&model, &SimplexOptions::default());
+        let bland = solve_revised(&model, &SimplexOptions { bland_after: 0, ..SimplexOptions::default() });
         let dense = solve_lp(&model);
-        prop_assert_eq!(devex.status, most_violated.status);
-        prop_assert_eq!(devex.status, dense.status);
-        if devex.status == Status::Optimal {
+        prop_assert_eq!(dantzig.status, bland.status);
+        prop_assert_eq!(dantzig.status, dense.status);
+        if dantzig.status == Status::Optimal {
             prop_assert!(
-                (devex.objective - most_violated.objective).abs() < 1e-6,
-                "dual devex {} vs most-violated {} on\n{}",
-                devex.objective, most_violated.objective, model
+                (dantzig.objective - bland.objective).abs() < 1e-6,
+                "dantzig {} vs bland {} on\n{}", dantzig.objective, bland.objective, model
             );
             prop_assert!(
-                (devex.objective - dense.objective).abs() < 1e-6,
-                "dual devex {} vs dense {} on\n{}", devex.objective, dense.objective, model
+                (dantzig.objective - dense.objective).abs() < 1e-6,
+                "dantzig {} vs dense {} on\n{}", dantzig.objective, dense.objective, model
             );
-            prop_assert!(model.is_feasible(&devex.values, 1e-6));
-            prop_assert!(model.is_feasible(&most_violated.values, 1e-6));
+            prop_assert!(model.is_feasible(&dantzig.values, 1e-6));
+            prop_assert!(model.is_feasible(&bland.values, 1e-6));
         }
     }
 
@@ -214,8 +179,8 @@ proptest! {
     #[test]
     fn presolve_round_trips_against_the_unreduced_solve(spec in model_strategy(6, 5)) {
         let model = build_model(&spec, false);
-        let with = solve_lp_revised_with(&model, &SimplexOptions::default());
-        let without = solve_lp_revised_with(
+        let with = solve_revised(&model, &SimplexOptions::default());
+        let without = solve_revised(
             &model,
             &SimplexOptions { presolve: false, ..SimplexOptions::default() },
         );
@@ -238,41 +203,36 @@ proptest! {
     #[test]
     fn warm_sibling_solves_match_cold_solves(spec in model_strategy(5, 4), shifts in collection::vec((0u32..=6, 0u32..=12), 3)) {
         let base = build_model(&spec, false);
-        // The warm path's dual cleanup must match cold solves under
-        // both dual rules — the new devex row weights and the
-        // historical most-violated-row rule.
-        for dual_pricing in [DualPricing::Devex, DualPricing::MostViolated] {
-            let mut ws = RevisedWorkspace::new();
-            let options = SimplexOptions { dual_pricing, ..SimplexOptions::default() };
-            solve_lp_revised_reusing(&base, &options, &mut ws);
-            for &(obj_shift, rhs_shift) in &shifts {
-                let mut sibling = build_model(&spec, false);
-                // Shift every objective coefficient and right-hand side;
-                // the matrix (and thus the warm path's validity check)
-                // stays identical.
-                let delta_obj = f64::from(obj_shift) - 3.0;
-                let delta_rhs = f64::from(rhs_shift) - 6.0;
-                let vars: Vec<_> = sibling.var_ids().collect();
-                for id in vars {
-                    let objective = sibling.variable(id).objective + delta_obj;
-                    sibling.set_objective(id, objective);
-                }
-                let cons: Vec<_> = sibling.constraint_ids().collect();
-                for id in cons {
-                    let rhs = sibling.constraint(id).rhs + delta_rhs;
-                    sibling.set_rhs(id, rhs);
-                }
-                let warm = solve_lp_revised_reusing(&sibling, &options, &mut ws);
-                let cold = solve_lp_revised(&sibling);
-                prop_assert_eq!(warm.status, cold.status, "dual rule {:?} on\n{}", dual_pricing, sibling);
-                if warm.status == Status::Optimal {
-                    prop_assert!(
-                        (warm.objective - cold.objective).abs() < 1e-6,
-                        "warm {} vs cold {} (dual rule {:?}) on\n{}",
-                        warm.objective, cold.objective, dual_pricing, sibling
-                    );
-                    prop_assert!(sibling.is_feasible(&warm.values, 1e-6));
-                }
+        let options = SimplexOptions::default();
+        let mut ws = RevisedWorkspace::new();
+        ws.solve_warm(&base, &options);
+        for &(obj_shift, rhs_shift) in &shifts {
+            let mut sibling = build_model(&spec, false);
+            // Shift every objective coefficient and right-hand side; the
+            // matrix (and thus the warm path's validity check) stays
+            // identical.
+            let delta_obj = f64::from(obj_shift) - 3.0;
+            let delta_rhs = f64::from(rhs_shift) - 6.0;
+            let vars: Vec<_> = sibling.var_ids().collect();
+            for id in vars {
+                let objective = sibling.variable(id).objective + delta_obj;
+                sibling.set_objective(id, objective);
+            }
+            let cons: Vec<_> = sibling.constraint_ids().collect();
+            for id in cons {
+                let rhs = sibling.constraint(id).rhs + delta_rhs;
+                sibling.set_rhs(id, rhs);
+            }
+            let warm = ws.solve_warm(&sibling, &options);
+            let cold = solve_revised(&sibling, &options);
+            prop_assert_eq!(warm.status, cold.status, "on\n{}", sibling);
+            if warm.status == Status::Optimal {
+                prop_assert!(
+                    (warm.objective - cold.objective).abs() < 1e-6,
+                    "warm {} vs cold {} on\n{}",
+                    warm.objective, cold.objective, sibling
+                );
+                prop_assert!(sibling.is_feasible(&warm.values, 1e-6));
             }
         }
     }
@@ -346,7 +306,7 @@ fn degenerate_boxed_cover_does_not_cycle() {
         max_iterations: Some(2_000),
         ..SimplexOptions::default()
     };
-    let revised = solve_lp_revised_with(&model, &options);
+    let revised = solve_revised(&model, &options);
     assert_eq!(
         revised.status,
         Status::Optimal,
@@ -361,4 +321,49 @@ fn degenerate_boxed_cover_does_not_cycle() {
         dense.objective
     );
     assert!(model.is_feasible(&revised.values, 1e-6));
+}
+
+/// Warm-start regression: the paper-scale (`s = 400`) bandwidth bound
+/// re-solved on its own workspace after `capacity_n0` is relaxed by one
+/// unit. The optimal basis the cold solve ends on stays optimal for
+/// this sibling, so the re-solve must answer without a single pivot, at
+/// the objective a fresh cold solve of the sibling reaches. The LP is
+/// degenerate, and which optimal basis the cold solve ends on decides
+/// the sibling's work: from a basis where the relaxed row moves basic
+/// values out of their bounds, this sibling took 171 dual pivots — more
+/// work than the cold solve.
+#[test]
+fn warm_sibling_of_the_s400_bandwidth_bound_needs_no_pivots() {
+    use replica_placement::core::ilp::{self, Integrality};
+    use replica_placement::core::Policy;
+    use replica_placement::workloads::scenarios::feasible_bandwidth_instance;
+
+    let problem = feasible_bandwidth_instance(400, 0.4, 31);
+    let mut model = ilp::build_model(&problem, Policy::Multiple, Integrality::RationalBound).model;
+    let options = SimplexOptions::default();
+    let mut workspace = RevisedWorkspace::new();
+    let base = workspace.solve_warm(&model, &options);
+    assert_eq!(base.status, Status::Optimal);
+
+    let row = model
+        .constraint_ids()
+        .find(|&id| model.constraint(id).name == "capacity_n0")
+        .expect("the Multiple formulation has a capacity row per node");
+    let rhs = model.constraint(row).rhs;
+    model.set_rhs(row, rhs + 1.0);
+    let warm = workspace.solve_warm(&model, &options);
+    let cold = solve_revised(&model, &options);
+    assert_eq!(warm.status, Status::Optimal);
+    assert_eq!(cold.status, Status::Optimal);
+    assert!(
+        (warm.objective - cold.objective).abs() < 1e-6 * cold.objective.abs().max(1.0),
+        "warm {} vs cold {}",
+        warm.objective,
+        cold.objective
+    );
+    assert_eq!(
+        workspace.last_stats().iterations(),
+        0,
+        "the relaxed sibling must re-solve from the stored optimal basis without pivots"
+    );
 }
