@@ -6,12 +6,13 @@
 //!   plus micro-benchmarks of the heuristics, the exact algorithms and
 //!   the LP solver;
 //! * `src/bin/baseline.rs` — the machine-readable perf snapshots
-//!   (`BENCH_*.json`), the CI smoke gates (`--smoke-revised`,
-//!   `--smoke-bandwidth`, `--smoke-heuristics`, `--smoke-failures`,
-//!   `--smoke-obs`) and the `perf-budget.toml` regression gate
-//!   (`--check-budget`).
+//!   (`BENCH_*.json`, one suite each: `baseline -- [SUITE...] [--out
+//!   DIR]`) and the CI perf gate, which checks every entry of
+//!   `perf-budget.toml` and the correctness invariants that ride with
+//!   them (`baseline -- --check perf-budget.toml [--section NAME]`).
 //!
-//! This crate contains shared helpers for the benchmarks.
+//! This crate contains shared helpers for the benchmarks and the
+//! snapshot format ([`snapshot`]).
 //!
 //! # Reading a trace
 //!
@@ -85,10 +86,10 @@
 //!
 //! # Reading an obs-diff report
 //!
-//! `baseline -- --obs-diff OLD.json [NEW.json]` compares two metrics
-//! snapshots (omit `NEW.json` to compare against a fresh run of the
-//! reference workload) and ranks every counter, gauge, histogram stat
-//! and derived ratio by relative movement, `|new − old| / max(|old|, 1)`:
+//! `baseline -- --obs-diff OLD.json NEW.json` compares two snapshots
+//! (`baseline -- obs --out DIR` writes a fresh one of the reference
+//! workload) and ranks every counter, gauge, histogram stat and derived
+//! ratio by relative movement, `|new − old| / max(|old|, 1)`:
 //!
 //! ```text
 //! obs-diff: 12 of 152 metrics moved (top 25 below)
@@ -100,16 +101,18 @@
 //! The top movers *are* the attribution: a wall-time regression with
 //! `lp.refactor.count` and `lp.phase.factorise_ns` leading the list is
 //! a factorisation-stability problem, one led by `lp.dual_pivots`
-//! and `lp.phase.pricing_ns` is a pricing problem. The perf-budget
-//! gate prints exactly this report (against the checked-in
-//! `BENCH_obs.json`) whenever a ceiling is breached, and saves it as
-//! `obs-breach.diff.txt` next to `obs-breach.metrics.json` and
-//! `obs-breach.flight.jsonl`. Re-measure just the breached section
-//! with a filter: `--check-budget lp` (or `warm` / `hardened` /
-//! `obs`).
+//! and `lp.phase.pricing_ns` is a pricing problem. The perf gate
+//! prints exactly this report (against the checked-in `BENCH_obs.json`)
+//! whenever a check is breached, and saves it as `obs-breach.diff.txt`
+//! next to `obs-breach.metrics.json` and `obs-breach.flight.jsonl`.
+//! Re-measure just the breached section of the budget with a filter:
+//! `--check perf-budget.toml --section lp` (or `warm`, `hardened`,
+//! `obs`, `heuristics`, `failures`, `online`).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+
+pub mod snapshot;
 
 use rp_core::ProblemInstance;
 use rp_workloads::platform::{generate_problem, PlatformKind, WorkloadConfig};

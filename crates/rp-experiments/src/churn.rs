@@ -14,7 +14,8 @@
 //! * incumbent verification after **every** apply — the engine runs at
 //!   [`Paranoia::Full`] and the aggregate
 //!   [`unverified`](ChurnPolicyOutcome::unverified) count must be
-//!   zero, which the chaos harness and `--smoke-online` assert.
+//!   zero, which the chaos harness and the perf gate's `[online]`
+//!   section (`baseline --check`) assert.
 //!
 //! `reproduce churn` renders the summary as a markdown table; the
 //! baseline binary records the same numbers in `BENCH_online.json`.

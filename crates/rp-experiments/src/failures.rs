@@ -136,21 +136,23 @@ pub struct HeuristicSummary {
     pub baseline_runs: usize,
     /// Trials in which it failed before any fault was injected.
     pub baseline_failures: usize,
-    /// Fraction of baseline runs whose repair restored full service.
-    pub survival_rate: f64,
+    /// Fraction of baseline runs whose repair restored full service;
+    /// `None` (like every per-run figure below) when the heuristic never
+    /// placed the healthy instance, so nothing was repaired.
+    pub survival_rate: Option<f64>,
     /// Mean served fraction over baseline runs (degraded included).
-    pub mean_served_fraction: f64,
+    pub mean_served_fraction: Option<f64>,
     /// Mean storage-cost delta of *surviving* repairs versus the
     /// pre-failure placement, as a percentage; `None` when nothing
     /// survived.
     pub mean_cost_delta_pct: Option<f64>,
     /// Mean repair wall-clock in milliseconds.
-    pub mean_repair_ms: f64,
+    pub mean_repair_ms: Option<f64>,
     /// 99th-percentile repair wall-clock in milliseconds.
-    pub p99_repair_ms: f64,
+    pub p99_repair_ms: Option<f64>,
     /// Worst observed repair wall-clock in milliseconds — the exact
     /// maximum, not a percentile estimate.
-    pub max_repair_ms: f64,
+    pub max_repair_ms: Option<f64>,
     /// Outcomes that failed their machine check — must be zero.
     pub unverified: usize,
 }
@@ -232,7 +234,6 @@ impl ResilienceResults {
                     .filter_map(|t| t.per_heuristic[slot].as_ref())
                     .collect();
                 let baseline_runs = runs.len();
-                let survived = runs.iter().filter(|r| r.survived).count();
                 let deltas: Vec<f64> = runs
                     .iter()
                     .filter(|r| r.survived && r.original_cost > 0)
@@ -247,13 +248,13 @@ impl ResilienceResults {
                     heuristic,
                     baseline_runs,
                     baseline_failures: self.trials.len() - baseline_runs,
-                    survival_rate: rate(survived, baseline_runs),
-                    mean_served_fraction: mean(runs.iter().map(|r| r.served_fraction))
-                        .unwrap_or(0.0),
+                    survival_rate: mean(runs.iter().map(|r| if r.survived { 1.0 } else { 0.0 })),
+                    mean_served_fraction: mean(runs.iter().map(|r| r.served_fraction)),
                     mean_cost_delta_pct: mean(deltas.iter().copied()),
-                    mean_repair_ms: mean(repair_ms.iter().copied()).unwrap_or(0.0),
-                    p99_repair_ms: rp_obs::nearest_rank(&repair_ms, 0.99),
-                    max_repair_ms: repair_ms.last().copied().unwrap_or(0.0),
+                    mean_repair_ms: mean(repair_ms.iter().copied()),
+                    p99_repair_ms: (baseline_runs > 0)
+                        .then(|| rp_obs::nearest_rank(&repair_ms, 0.99)),
+                    max_repair_ms: repair_ms.last().copied(),
                     unverified: runs.iter().filter(|r| !r.verified).count(),
                 }
             })
@@ -264,14 +265,6 @@ impl ResilienceResults {
     /// check, across the whole sweep. Must be zero.
     pub fn total_unverified(&self) -> usize {
         self.summaries().iter().map(|s| s.unverified).sum()
-    }
-}
-
-fn rate(count: usize, total: usize) -> f64 {
-    if total == 0 {
-        0.0
-    } else {
-        count as f64 / total as f64
     }
 }
 
@@ -298,6 +291,10 @@ pub fn resilience_table(results: &ResilienceResults) -> SeriesTable {
         "max_ms".to_string(),
         "unverified".to_string(),
     ];
+    // A figure no trial produced prints as `-`, not as a zero.
+    let cell = |value: Option<f64>, decimals: usize| {
+        value.map_or_else(|| "-".to_string(), |v| format!("{v:.decimals$}"))
+    };
     let rows = results
         .summaries()
         .iter()
@@ -306,14 +303,12 @@ pub fn resilience_table(results: &ResilienceResults) -> SeriesTable {
                 s.heuristic.acronym().to_string(),
                 s.baseline_runs.to_string(),
                 s.baseline_failures.to_string(),
-                format!("{:.2}", s.survival_rate),
-                format!("{:.3}", s.mean_served_fraction),
-                s.mean_cost_delta_pct
-                    .map(|d| format!("{d:.1}"))
-                    .unwrap_or_else(|| "-".to_string()),
-                format!("{:.2}", s.mean_repair_ms),
-                format!("{:.2}", s.p99_repair_ms),
-                format!("{:.2}", s.max_repair_ms),
+                cell(s.survival_rate, 2),
+                cell(s.mean_served_fraction, 3),
+                cell(s.mean_cost_delta_pct, 1),
+                cell(s.mean_repair_ms, 2),
+                cell(s.p99_repair_ms, 2),
+                cell(s.max_repair_ms, 2),
                 s.unverified.to_string(),
             ]
         })
@@ -444,11 +439,47 @@ mod tests {
         assert!(table.headers.contains(&"max_ms".to_string()));
         for summary in results.summaries() {
             // The exact max tops every percentile estimate.
-            assert!(summary.max_repair_ms >= summary.p99_repair_ms);
+            if let (Some(max), Some(p99)) = (summary.max_repair_ms, summary.p99_repair_ms) {
+                assert!(max >= p99);
+            }
         }
         let markdown = resilience_markdown(&results);
         assert!(markdown.contains(&format!("seed = {}", config.seed)));
         assert!(markdown.contains("MB"));
+    }
+
+    #[test]
+    fn candidates_that_never_placed_report_no_figures() {
+        let mut results = run_resilience(&ResilienceConfig {
+            trials: 2,
+            ..ResilienceConfig::smoke_test()
+        });
+        // The first candidate never places the healthy instance.
+        for trial in &mut results.trials {
+            trial.per_heuristic[0] = None;
+        }
+        let summary = &results.summaries()[0];
+        assert_eq!((summary.baseline_runs, summary.baseline_failures), (0, 2));
+        for figure in [
+            summary.survival_rate,
+            summary.mean_served_fraction,
+            summary.mean_cost_delta_pct,
+            summary.mean_repair_ms,
+            summary.p99_repair_ms,
+            summary.max_repair_ms,
+        ] {
+            assert_eq!(figure, None);
+        }
+        let table = resilience_table(&results);
+        assert_eq!(table.rows[0][2], "2");
+        assert!(table.rows[0][3..9].iter().all(|cell| cell == "-"));
+        // A candidate that ran still reports numbers.
+        let ran = results
+            .summaries()
+            .into_iter()
+            .find(|s| s.baseline_runs > 0);
+        let ran = ran.expect("some candidate places the smoke instances");
+        assert!(ran.survival_rate.is_some() && ran.p99_repair_ms.is_some());
     }
 
     #[test]

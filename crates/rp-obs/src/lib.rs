@@ -30,9 +30,10 @@
 //! `Off` is the default and compiles down to one relaxed atomic load
 //! per instrumentation site — instrumented and uninstrumented runs are
 //! bit-identical (observation never feeds back into any solver
-//! decision; the proptest suite pins this) and the disabled overhead
-//! stays under the measurement noise floor (the `--smoke-obs` gate in
-//! `rp-bench` enforces < 2%).
+//! decision; the proptest suite pins this). What observation costs is
+//! measured end to end by the benchmark in `perfbench/`: its
+//! `obs.overhead_frac.*` metrics give each workload part's traced wall
+//! over its plain (`Off`) wall, minus 1.
 //!
 //! Select the mode programmatically with [`set_mode`] or via the
 //! `RP_OBS` environment variable (`off` / `counters` / `full`, read by

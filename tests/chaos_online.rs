@@ -4,10 +4,10 @@
 //! in a machine-verified incumbent (the engines run at
 //! [`Paranoia::Full`], so an unverified placement can never be
 //! observed) and the outcome/rung/generation bookkeeping must account
-//! for every delta. The release-mode sibling (`--smoke-online` in
-//! `rp-bench`) drives the same engine through 2000 deltas at `s = 400`;
-//! this debug-friendly harness keeps the instance small enough to run
-//! under `cargo test`.
+//! for every delta. The release-mode sibling (the `[online]` section of
+//! the `rp-bench` perf gate, `baseline --check`) drives the same engine
+//! through 2000 deltas at `s = 400`; this debug-friendly harness keeps
+//! the instance small enough to run under `cargo test`.
 
 use std::time::Duration;
 
