@@ -800,6 +800,20 @@ fn check(budget_path: &str, section: Option<&str>) {
     let s120 = feasible_bandwidth_instance(120, 0.4, 31);
     let s120_model = rational_model(&s120);
 
+    // [lp] times five builds of the s = 2000 bandwidth model (median ms)
+    // and keeps the last one for the solves below.
+    let s2000_build = (run("lp") || run("obs")).then(|| {
+        let problem = bandwidth_scale_instance(0.2, 31);
+        let (mut ms, mut model) = (Vec::with_capacity(5), Model::default());
+        for _ in 0..5 {
+            let (ns, built) = time_once(|| rational_model(&problem));
+            ms.push(ns / 1e6);
+            model = built;
+        }
+        ms.sort_by(f64::total_cmp);
+        (ms[2], model)
+    });
+
     // One instrumented cold solve of each bound: [lp] takes the s = 2000
     // wall time and iterations from it, [obs] the phase coverage of both
     // and the metrics and trace they leave behind.
@@ -813,11 +827,9 @@ fn check(budget_path: &str, section: Option<&str>) {
         let coverage = stats.phases.total_nanos() as f64 / (ms * 1e6);
         Some((ms, stats.iterations() as f64, coverage))
     };
-    let (s400_full, s2000_full) = if run("lp") || run("obs") {
-        let s2000_model = rational_model(&bandwidth_scale_instance(0.2, 31));
-        (instrumented(&s400_model), instrumented(&s2000_model))
-    } else {
-        (None, None)
+    let (s400_full, s2000_full) = match &s2000_build {
+        Some((_, s2000_model)) => (instrumented(&s400_model), instrumented(s2000_model)),
+        None => (None, None),
     };
     let metrics = flatten_json_numbers(&rp_obs::metrics_json()).unwrap_or_default();
     let trace = flatten_json_numbers(&rp_obs::chrome_trace_json()).unwrap_or_default();
@@ -835,6 +847,13 @@ fn check(budget_path: &str, section: Option<&str>) {
         let invariants = [dense_agrees(&s400_model, median.map(|m| m.1))];
         let subject = "[s=400 bound, median of 5, ObsMode::Off]";
         checks.record("s400_bound_ms", subject, median.map(|m| m.0), &invariants);
+        let build_ms = s2000_build.as_ref().map(|build| build.0);
+        let shape = s2000_build.as_ref().is_some_and(|(_, model)| {
+            model.num_vars() == 19_732 && model.num_constraints() == 13_518
+        });
+        let invariants = [("19,732 cols × 13,518 rows", shape)];
+        let subject = "[s=2000 bandwidth model, median of 5 builds]";
+        checks.record("s2000_build_ms", subject, build_ms, &invariants);
         let subject = "[s=2000 bandwidth bound, one cold solve]";
         checks.record("s2000_bound_ms", subject, s2000_full.map(|s| s.0), &[]);
         let iterations = s2000_full.map(|s| s.1);
@@ -1163,7 +1182,7 @@ mod tests {
         let obs = ("obs".to_string(), "obs_phase_coverage_min".to_string(), 0.8);
         assert_eq!(parse_budget(text), [lp, obs]);
         let shipped = parse_budget(SHIPPED_BUDGET);
-        assert!(shipped.len() <= 10, "at most ten settable thresholds");
+        assert!(shipped.len() <= 11, "at most eleven settable thresholds");
     }
 
     #[test]
@@ -1203,7 +1222,12 @@ mod tests {
         let mut budget = parse_budget(SHIPPED_BUDGET);
         budget.push(("lp".to_string(), "s400_bound_mss".to_string(), 15.0));
         let mut checks = Checks::new(&budget);
-        for key in ["s400_bound_ms", "s2000_bound_ms", "s2000_iterations_max"] {
+        for key in [
+            "s400_bound_ms",
+            "s2000_build_ms",
+            "s2000_bound_ms",
+            "s2000_iterations_max",
+        ] {
             checks.record(key, "[test]", Some(0.0), &[]);
         }
         assert_eq!(

@@ -42,10 +42,8 @@ use rp_experiments::churn::{churn_markdown, churn_table, run_churn, ChurnRunConf
 use rp_experiments::failures::{
     resilience_markdown, resilience_table, run_resilience, ResilienceConfig,
 };
-use rp_experiments::figures::{
-    check_cost_shape, check_success_shape, reproduce_figure_with, FigureId,
-};
-use rp_experiments::runner::{run_sweep, ExperimentConfig};
+use rp_experiments::figures::{reproduce_figure_with, FigureId};
+use rp_experiments::runner::ExperimentConfig;
 use rp_experiments::scenarios::{
     run_scenario, scenario_markdown, scenario_table, ScenarioConfig, ScenarioFamily,
 };
@@ -256,16 +254,7 @@ fn main() {
         }
 
         if options.check_shape {
-            let results = run_sweep(&config);
-            let violations = match figure {
-                FigureId::Fig9HomogeneousSuccess
-                | FigureId::Fig11HeterogeneousSuccess
-                | FigureId::QosSweep
-                | FigureId::PaperScaleSuccess => check_success_shape(&results),
-                FigureId::Fig10HomogeneousCost
-                | FigureId::Fig12HeterogeneousCost
-                | FigureId::PaperScaleCost => check_cost_shape(&results),
-            };
+            let violations = report.shape_violations();
             if violations.is_empty() {
                 eprintln!("  shape check: OK");
             } else {

@@ -193,9 +193,11 @@ impl std::fmt::Display for Heuristic {
 /// steady-state heap allocation: buffers and assignment lists only grow
 /// on the first encounter with a larger problem, and the incumbent is
 /// updated in place with [`Placement::copy_from`] instead of being
-/// cloned per improvement. This is the per-worker unit the parallel
-/// sweep pins to each thread (`allocs/full_sweep_pooled/*` in
-/// `BENCH_baseline.json` measures the O(1) claim).
+/// cloned per improvement. A caller that runs MixedBest on many
+/// problems keeps one driver (`allocs/full_sweep_pooled/*` in
+/// `BENCH_baseline.json` measures the O(1) claim). The experiment
+/// runner needs no driver: it already has the eight base costs of a
+/// trial and takes their minimum.
 #[derive(Default)]
 pub struct MixedBest {
     buffers: StateBuffers,
@@ -316,9 +318,8 @@ impl MixedBest {
 /// and because MG never misses a feasible instance, neither does
 /// MixedBest (Section 7.3).
 ///
-/// One-shot convenience over the pooled [`MixedBest`] driver (which the
-/// sweep harness holds onto per worker thread to amortise every
-/// allocation across trials).
+/// One-shot convenience over the pooled [`MixedBest`] driver (keep a
+/// driver instead to amortise every allocation across problems).
 pub fn mixed_best(problem: &ProblemInstance) -> Option<Placement> {
     MixedBest::new().full_sweep(problem).cloned()
 }

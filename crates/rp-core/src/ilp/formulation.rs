@@ -16,6 +16,15 @@
 //!   that they can be eliminated otherwise.
 //!
 //! The objective is the total storage cost `Σ_j s_j · x_j`.
+//!
+//! Variables and rows are unnamed (the model's `Display` labels them
+//! `x{i}` and `r{i}`); callers reach them through the `x`/`y`/`z`
+//! indices of [`IlpFormulation`]. Rows come in a fixed order — the
+//! coverage rows, one capacity row per node in node order, then the
+//! link flows, bandwidths and Closest exclusions — and sibling
+//! re-solves that patch a row pick it by position. The capacity rows
+//! are filled from per-node buckets in one pass over the `y` lists, as
+//! the bandwidth rows are from per-link buckets over the `z` lists.
 
 use rp_lp::{Cmp, LinExpr, Model, VarId};
 use rp_tree::{ClientId, LinkId, NodeId};
@@ -84,9 +93,9 @@ pub fn build_model(
         .map(|node| {
             let cost = problem.storage_cost(node) as f64;
             if x_integral {
-                model.add_binary_var(format!("x_{node}"), cost)
+                model.add_binary_var("", cost)
             } else {
-                model.add_var(format!("x_{node}"), 0.0, Some(1.0), cost)
+                model.add_var("", 0.0, Some(1.0), cost)
             }
         })
         .collect();
@@ -103,16 +112,16 @@ pub fn build_model(
             let var = match policy {
                 Policy::Closest | Policy::Upwards => {
                     if yz_integral {
-                        model.add_binary_var(format!("y_{client}_{server}"), 0.0)
+                        model.add_binary_var("", 0.0)
                     } else {
-                        model.add_var(format!("y_{client}_{server}"), 0.0, Some(1.0), 0.0)
+                        model.add_var("", 0.0, Some(1.0), 0.0)
                     }
                 }
                 Policy::Multiple => {
                     if yz_integral {
-                        model.add_int_var(format!("y_{client}_{server}"), 0.0, Some(requests), 0.0)
+                        model.add_int_var("", 0.0, Some(requests), 0.0)
                     } else {
-                        model.add_var(format!("y_{client}_{server}"), 0.0, Some(requests), 0.0)
+                        model.add_var("", 0.0, Some(requests), 0.0)
                     }
                 }
             };
@@ -133,9 +142,9 @@ pub fn build_model(
                     Policy::Multiple => requests,
                 };
                 let var = if yz_integral {
-                    model.add_int_var(format!("z_{client}_{link}"), 0.0, Some(upper), 0.0)
+                    model.add_int_var("", 0.0, Some(upper), 0.0)
                 } else {
-                    model.add_var(format!("z_{client}_{link}"), 0.0, Some(upper), 0.0)
+                    model.add_var("", 0.0, Some(upper), 0.0)
                 };
                 row.push((link, var));
             }
@@ -156,23 +165,25 @@ pub fn build_model(
             Policy::Multiple => requests as f64,
         };
         let expr = rp_lp::lin_sum(y[client.index()].iter().map(|&(_, var)| (1.0, var)));
-        model.add_constraint(format!("cover_{client}"), expr, Cmp::Eq, rhs);
+        model.add_constraint("", expr, Cmp::Eq, rhs);
     }
 
     // --- Server capacities (also tie y to x). ---
-    for node in tree.node_ids() {
-        let mut expr = LinExpr::new();
-        for client in tree.client_ids() {
-            if let Some(var) = y_lookup(&y, client, node) {
-                let coeff = match policy {
-                    Policy::Closest | Policy::Upwards => problem.requests(client) as f64,
-                    Policy::Multiple => 1.0,
-                };
-                expr.add_term(coeff, var);
-            }
+    // Bucket every y variable by its server in one pass (a per-node scan
+    // of every client's servers would cost O(nodes · clients · depth)).
+    let mut per_node = vec![LinExpr::new(); tree.num_nodes()];
+    for client in tree.client_ids() {
+        let coeff = match policy {
+            Policy::Closest | Policy::Upwards => problem.requests(client) as f64,
+            Policy::Multiple => 1.0,
+        };
+        for &(server, var) in &y[client.index()] {
+            per_node[server.index()].add_term(coeff, var);
         }
+    }
+    for (node, mut expr) in tree.node_ids().zip(per_node) {
         expr.add_term(-(problem.capacity(node) as f64), x[node.index()]);
-        model.add_constraint(format!("capacity_{node}"), expr, Cmp::Le, 0.0);
+        model.add_constraint("", expr, Cmp::Le, 0.0);
     }
 
     // --- Link-flow recurrences and bandwidths (only when z exists). ---
@@ -194,33 +205,19 @@ pub fn build_model(
                 }
                 Policy::Multiple => requests as f64,
             };
-            model.add_constraint(
-                format!("first_link_{client}"),
-                LinExpr::var(path[0].1),
-                Cmp::Eq,
-                first_rhs,
-            );
-            // succ(l) = z_l - y_{i, upper(l)}.
+            model.add_constraint("", LinExpr::var(path[0].1), Cmp::Eq, first_rhs);
+            // succ(l) = z_l - y_{i, upper(l)}; the topmost link has no
+            // successor, so whatever crosses it must be served by the root.
             for window in 0..path.len() {
                 let (link, z_var) = path[window];
-                let upper = tree.link_upper(link);
-                let y_upper = y_lookup(&y, client, upper);
-                let next = path.get(window + 1).map(|&(_, var)| var);
                 let mut expr = LinExpr::var(z_var);
-                if let Some(y_var) = y_upper {
+                if let Some(y_var) = y_lookup(&y, client, tree.link_upper(link)) {
                     expr.add_term(-1.0, y_var);
                 }
-                match next {
-                    Some(next_var) => {
-                        expr.add_term(-1.0, next_var);
-                        model.add_constraint(format!("flow_{client}_{link}"), expr, Cmp::Eq, 0.0);
-                    }
-                    None => {
-                        // Topmost link: whatever crosses it must be served
-                        // by the root.
-                        model.add_constraint(format!("flow_{client}_{link}"), expr, Cmp::Eq, 0.0);
-                    }
+                if let Some(&(_, next_var)) = path.get(window + 1) {
+                    expr.add_term(-1.0, next_var);
                 }
+                model.add_constraint("", expr, Cmp::Eq, 0.0);
             }
         }
         // Bandwidths: bucket every z variable by its link in one pass
@@ -247,7 +244,7 @@ pub fn build_model(
                     let terms = &per_link[link];
                     if !terms.is_empty() {
                         let expr = rp_lp::lin_sum(terms.iter().copied());
-                        model.add_constraint(format!("bandwidth_{link}"), expr, Cmp::Le, bw as f64);
+                        model.add_constraint("", expr, Cmp::Le, bw as f64);
                     }
                 }
             }
@@ -276,12 +273,7 @@ pub fn build_model(
                         z[other.index()].iter().find(|(l, _)| *l == blocking_link)
                     {
                         let expr = LinExpr::var(y_var).plus(1.0, z_var);
-                        model.add_constraint(
-                            format!("closest_{client}_{server}_{other}"),
-                            expr,
-                            Cmp::Le,
-                            1.0,
-                        );
+                        model.add_constraint("", expr, Cmp::Le, 1.0);
                     }
                 }
             }
@@ -336,9 +328,19 @@ mod tests {
         let f = build_model(&p, Policy::Closest, Integrality::Exact);
         assert!(f.z.iter().any(|row| !row.is_empty()));
         // The exclusion constraints must reference the link below the
-        // candidate server.
+        // candidate server: c0 served at `mid` keeps c1 off mid's uplink,
+        // y_{c0,mid} + z_{c1,mid->root} <= 1.
+        let mut clients = p.tree().client_ids();
+        let (c0, c1) = (clients.next().unwrap(), clients.next().unwrap());
+        let mid = p.tree().parent_of_client(c0);
+        let y = f.y_var(c0, mid).unwrap();
+        let (_, z) = f.z[c1.index()]
+            .iter()
+            .copied()
+            .find(|&(link, _)| link == LinkId::Node(mid))
+            .unwrap();
         let text = f.model.to_string();
-        assert!(text.contains("closest_"));
+        assert!(text.contains(&format!(": +1 {y} +1 {z} <= 1\n")), "{text}");
     }
 
     #[test]
@@ -398,8 +400,13 @@ mod tests {
             .node_link_bandwidths(vec![None, Some(2)])
             .build();
         let f = build_model(&p, Policy::Multiple, Integrality::Exact);
+        // The client's 4 requests cross its first link, and at most 2 of
+        // them cross mid's uplink.
+        let [(_, first), (_, uplink)] = f.z[0][..] else {
+            panic!("the client's path has two links: {:?}", f.z[0]);
+        };
         let text = f.model.to_string();
-        assert!(text.contains("bandwidth_"));
-        assert!(text.contains("first_link_"));
+        assert!(text.contains(&format!(": +1 {uplink} <= 2\n")), "{text}");
+        assert!(text.contains(&format!(": +1 {first} == 4\n")), "{text}");
     }
 }

@@ -20,6 +20,11 @@
 //! decades — an ill-scaled matrix that the LP engine solves unscaled
 //! (its solves agree with the dense oracle there; see the scenario
 //! property tests).
+//!
+//! As in the single-object model, variables and rows are unnamed, and
+//! each node's per-object replica rows and its shared capacity row are
+//! filled from per-(object, node) buckets in one pass over the `y`
+//! lists.
 
 use rp_lp::{lin_sum, Cmp, LinExpr, Model, VarId};
 use rp_tree::{LinkId, NodeId};
@@ -67,9 +72,9 @@ pub fn build_multi_model(
             .map(|node| {
                 let cost = problem.storage_cost(object, node) as f64;
                 if x_integral {
-                    model.add_binary_var(format!("x_{object}_{node}"), cost)
+                    model.add_binary_var("", cost)
                 } else {
-                    model.add_var(format!("x_{object}_{node}"), 0.0, Some(1.0), cost)
+                    model.add_var("", 0.0, Some(1.0), cost)
                 }
             })
             .collect();
@@ -80,11 +85,10 @@ pub fn build_multi_model(
             let row: Vec<(NodeId, VarId)> = tree
                 .ancestors_of_client(client)
                 .map(|server| {
-                    let name = format!("y_{object}_{client}_{server}");
                     let var = if yz_integral {
-                        model.add_int_var(name, 0.0, Some(requests), 0.0)
+                        model.add_int_var("", 0.0, Some(requests), 0.0)
                     } else {
-                        model.add_var(name, 0.0, Some(requests), 0.0)
+                        model.add_var("", 0.0, Some(requests), 0.0)
                     };
                     (server, var)
                 })
@@ -93,11 +97,10 @@ pub fn build_multi_model(
             let links: Vec<(LinkId, VarId)> = if need_z {
                 tree.client_path_to_root(client)
                     .map(|link| {
-                        let name = format!("z_{object}_{client}_{link}");
                         let var = if yz_integral {
-                            model.add_int_var(name, 0.0, Some(requests), 0.0)
+                            model.add_int_var("", 0.0, Some(requests), 0.0)
                         } else {
-                            model.add_var(name, 0.0, Some(requests), 0.0)
+                            model.add_var("", 0.0, Some(requests), 0.0)
                         };
                         (link, var)
                     })
@@ -121,43 +124,40 @@ pub fn build_multi_model(
                     .iter()
                     .map(|&(_, var)| (1.0, var)),
             );
-            model.add_constraint(
-                format!("cover_{object}_{client}"),
-                expr,
-                Cmp::Eq,
-                requests as f64,
-            );
+            model.add_constraint("", expr, Cmp::Eq, requests as f64);
         }
     }
 
     // --- Replica activation (per object) and shared capacities. ---
-    for node in tree.node_ids() {
-        let mut shared = LinExpr::new();
-        for object in problem.object_ids() {
-            let mut per_object = LinExpr::new();
-            for client in tree.client_ids() {
-                if let Some(&(_, var)) = y[object.index()][client.index()]
-                    .iter()
-                    .find(|(server, _)| *server == node)
-                {
-                    shared.add_term(1.0, var);
-                    per_object.add_term(1.0, var);
+    // Bucket every y variable by object and server in one pass (a
+    // per-node scan of every client's servers would cost
+    // O(objects · nodes · clients · depth)).
+    let mut per_object: Vec<Vec<LinExpr>> = y
+        .iter()
+        .map(|object_rows| {
+            let mut per_node = vec![LinExpr::new(); tree.num_nodes()];
+            for row in object_rows {
+                for &(server, var) in row {
+                    per_node[server.index()].add_term(1.0, var);
                 }
+            }
+            per_node
+        })
+        .collect();
+    for node in tree.node_ids() {
+        let capacity = problem.capacity(node) as f64;
+        let mut shared = LinExpr::new();
+        for (object_x, per_node) in x.iter().zip(&mut per_object) {
+            let mut expr = std::mem::take(&mut per_node[node.index()]);
+            for (var, coeff) in expr.terms() {
+                shared.add_term(coeff, var);
             }
             // A replica of the object must be bought before serving any
             // of its requests at this node.
-            per_object.add_term(
-                -(problem.capacity(node) as f64),
-                x[object.index()][node.index()],
-            );
-            model.add_constraint(format!("replica_{object}_{node}"), per_object, Cmp::Le, 0.0);
+            expr.add_term(-capacity, object_x[node.index()]);
+            model.add_constraint("", expr, Cmp::Le, 0.0);
         }
-        model.add_constraint(
-            format!("capacity_{node}"),
-            shared,
-            Cmp::Le,
-            problem.capacity(node) as f64,
-        );
+        model.add_constraint("", shared, Cmp::Le, capacity);
     }
 
     // --- Link-flow recurrences and shared bandwidths. ---
@@ -169,12 +169,8 @@ pub fn build_multi_model(
                     continue;
                 }
                 // First link: everything the client requests crosses it.
-                model.add_constraint(
-                    format!("first_link_{object}_{client}"),
-                    LinExpr::var(path[0].1),
-                    Cmp::Eq,
-                    problem.requests(object, client) as f64,
-                );
+                let requests = problem.requests(object, client) as f64;
+                model.add_constraint("", LinExpr::var(path[0].1), Cmp::Eq, requests);
                 // succ(l) = z_l − y_{i, upper(l)} (the topmost link's
                 // residual is served by the root).
                 for window in 0..path.len() {
@@ -190,12 +186,7 @@ pub fn build_multi_model(
                     if let Some(&(_, next_var)) = path.get(window + 1) {
                         expr.add_term(-1.0, next_var);
                     }
-                    model.add_constraint(
-                        format!("flow_{object}_{client}_{link}"),
-                        expr,
-                        Cmp::Eq,
-                        0.0,
-                    );
+                    model.add_constraint("", expr, Cmp::Eq, 0.0);
                 }
             }
         }
@@ -221,7 +212,7 @@ pub fn build_multi_model(
                 let vars = &per_link[link];
                 if !vars.is_empty() {
                     let expr = lin_sum(vars.iter().map(|&var| (1.0, var)));
-                    model.add_constraint(format!("bandwidth_{link}"), expr, Cmp::Le, bw as f64);
+                    model.add_constraint("", expr, Cmp::Le, bw as f64);
                 }
             }
         }
@@ -272,17 +263,40 @@ mod tests {
         assert!(p.has_bandwidth_limits());
         assert!(f.z.iter().flatten().any(|row| !row.is_empty()));
         let text = f.model.to_string();
-        assert!(text.contains("bandwidth_"));
-        assert!(text.contains("first_link_obj0"));
-        assert!(text.contains("first_link_obj1"));
-        // The shared bandwidth row references z variables of both objects.
+        // Each object's first-link row for c0 carries that object's demand.
+        let c0 = p.tree().client_ids().next().unwrap();
+        for object in p.object_ids() {
+            let (_, first) = f.z[object.index()][c0.index()][0];
+            let requests = p.requests(object, c0);
+            assert!(
+                text.contains(&format!(": +1 {first} == {requests}\n")),
+                "{text}"
+            );
+        }
+        // The shared bandwidth row is the `<=` row over the hub uplink's
+        // flow variables, and it references z variables of both objects.
+        let hub = LinkId::Node(p.tree().parent_of_client(c0));
+        let uplink = |object: usize| {
+            let path = &f.z[object][c0.index()];
+            path.iter().find(|(link, _)| *link == hub).unwrap().1
+        };
         let bandwidth_row = f
             .model
             .constraint_ids()
             .map(|id| f.model.constraint(id))
-            .find(|c| c.name.starts_with("bandwidth_"))
+            .find(|c| c.cmp == Cmp::Le && c.terms.iter().any(|&(var, _)| var == uplink(0)))
             .expect("one bounded link");
+        assert!(bandwidth_row.terms.iter().any(|&(var, _)| var == uplink(1)));
         assert!(bandwidth_row.terms.len() >= 4, "{:?}", bandwidth_row.terms);
+        let terms: Vec<String> = bandwidth_row
+            .terms
+            .iter()
+            .map(|(var, coeff)| format!("{coeff:+} {var}"))
+            .collect();
+        assert!(
+            text.contains(&format!(": {} <= 4\n", terms.join(" "))),
+            "{text}"
+        );
     }
 
     #[test]

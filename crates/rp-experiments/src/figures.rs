@@ -137,9 +137,26 @@ pub struct FigureReport {
     pub table: SeriesTable,
     /// Problem-size / runtime summary of the underlying sweep.
     pub runtime: SeriesTable,
+    /// The sweep both tables were computed from.
+    pub results: SweepResults,
 }
 
 impl FigureReport {
+    /// The paper's qualitative claims that this figure's sweep violates
+    /// (empty = every claim holds): [`check_success_shape`] for a
+    /// success-rate figure, [`check_cost_shape`] for a relative-cost one.
+    pub fn shape_violations(&self) -> Vec<String> {
+        match self.figure {
+            FigureId::Fig9HomogeneousSuccess
+            | FigureId::Fig11HeterogeneousSuccess
+            | FigureId::QosSweep
+            | FigureId::PaperScaleSuccess => check_success_shape(&self.results),
+            FigureId::Fig10HomogeneousCost
+            | FigureId::Fig12HeterogeneousCost
+            | FigureId::PaperScaleCost => check_cost_shape(&self.results),
+        }
+    }
+
     /// Renders the report as markdown (title + table).
     pub fn to_markdown(&self) -> String {
         format!(
@@ -164,6 +181,7 @@ pub fn reproduce_figure_with(figure: FigureId, config: &ExperimentConfig) -> Fig
         figure,
         table: figure.table(&results),
         runtime: runtime_table(&results),
+        results,
     }
 }
 
@@ -276,13 +294,12 @@ mod tests {
         assert_eq!(report.table.num_rows(), config.lambdas.len());
         assert!(report.to_markdown().contains("Figure 9"));
 
-        let results = run_sweep(&config);
-        let success_violations = check_success_shape(&results);
+        let success_violations = report.shape_violations();
         assert!(
             success_violations.is_empty(),
             "shape violations: {success_violations:?}"
         );
-        let cost_violations = check_cost_shape(&results);
+        let cost_violations = check_cost_shape(&report.results);
         assert!(
             cost_violations.is_empty(),
             "shape violations: {cost_violations:?}"

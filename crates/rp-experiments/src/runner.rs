@@ -10,19 +10,26 @@
 //! The sweep is sharded across **all** (λ, tree) pairs at once — not
 //! per-λ batch — through one shared work queue, so slow λ values never
 //! leave workers idle. Every worker thread pins one [`WorkerScratch`]:
-//! the `HeuristicState` buffers and pooled `MixedBest` incumbent, the
-//! LP workspace of the selected [`LpEngine`], and the previous trial's
-//! retired tree (recycled into the next tree's derived arrays). The
-//! allocation-free steady state of the solvers therefore holds under
-//! the parallel runner as well: after warm-up, a worker's trial
-//! allocates only the tree/problem value vectors themselves.
+//! the `HeuristicState` buffers, the LP workspace of the selected
+//! [`LpEngine`], and the previous trial's retired tree (recycled into
+//! the next tree's derived arrays). The allocation-free steady state of
+//! the solvers therefore holds under the parallel runner as well: after
+//! warm-up, a worker's trial allocates only the tree/problem value
+//! vectors themselves.
+//!
+//! # One heuristic pass per trial
+//!
+//! A trial runs each requested base heuristic once. MixedBest is the
+//! cheapest of the eight base costs, so when it is requested all eight
+//! run and its cost is their minimum: no second pass, and no pooled
+//! MixedBest incumbent.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use rp_core::heuristics::{HeuristicState, StateBuffers};
 use rp_core::ilp::{integral_lower_bound, lower_bound_reusing, BoundKind, IlpOptions};
-use rp_core::{Heuristic, MixedBest, ProblemInstance};
+use rp_core::{Heuristic, ProblemInstance};
 use rp_lp::{LpEngine, LpWorkspace};
 use rp_tree::TreeNetwork;
 use rp_workloads::platform::{generate_problem_split_rng, PlatformKind, WorkloadConfig};
@@ -137,11 +144,9 @@ pub struct SweepResults {
 /// let [`run_sweep`] pin one per worker.
 #[derive(Default)]
 pub struct WorkerScratch {
-    /// The single shared heuristic buffer set: the base heuristics and
-    /// the MixedBest sweep all run on it.
+    /// The single heuristic buffer set every base heuristic runs on
+    /// (MixedBest reuses their costs and runs nothing of its own).
     buffers: StateBuffers,
-    /// Pooled MixedBest incumbent (its sweeps borrow `buffers`).
-    mixed_best: MixedBest,
     /// LP workspaces of both engines (factorisation, tableau, scratch).
     lp: LpWorkspace,
     /// The previous trial's tree, recycled into the next generation.
@@ -230,39 +235,7 @@ pub fn run_single_trial_with(
         generate_trial_problem_reusing(config, lambda, tree_index, scratch.recycled_tree.take());
 
     let heuristics_span = rp_obs::timed_span(rp_obs::SpanKind::HeuristicsPhase);
-    let heuristic_costs: Vec<(Heuristic, Option<u64>)> = config
-        .heuristics
-        .iter()
-        .map(|&h| {
-            let cost = match h {
-                // The MixedBest sweep borrows the same buffer set the
-                // single heuristics use: one allocation pool per worker.
-                Heuristic::MixedBest => scratch
-                    .mixed_best
-                    .full_sweep_reusing(&problem, &mut scratch.buffers)
-                    .map(|placement| {
-                        debug_assert!(placement.is_valid(&problem, h.policy()));
-                        placement.cost(&problem)
-                    }),
-                base => {
-                    let mut state = HeuristicState::with_buffers(
-                        &problem,
-                        std::mem::take(&mut scratch.buffers),
-                    );
-                    let served = base.run_with(&mut state);
-                    let cost = if served {
-                        debug_assert!(state.placement().is_valid(&problem, h.policy()));
-                        Some(state.current_cost())
-                    } else {
-                        None
-                    };
-                    scratch.buffers = state.into_buffers();
-                    cost
-                }
-            };
-            (h, cost)
-        })
-        .collect();
+    let heuristic_costs = heuristic_costs(&problem, &config.heuristics, &mut scratch.buffers);
     let heuristics_seconds = heuristics_span.finish_seconds();
 
     let lp_span = rp_obs::timed_span(rp_obs::SpanKind::LpBound);
@@ -292,6 +265,44 @@ pub fn run_single_trial_with(
     drop(problem);
     scratch.recycled_tree = std::sync::Arc::try_unwrap(tree).ok();
     result
+}
+
+/// The cost of each heuristic of `requested`, in that order, with every
+/// base heuristic run at most once on `buffers`. MixedBest is the
+/// cheapest of the eight base costs (Section 7.3), so requesting it runs
+/// all eight.
+fn heuristic_costs(
+    problem: &ProblemInstance,
+    requested: &[Heuristic],
+    buffers: &mut StateBuffers,
+) -> Vec<(Heuristic, Option<u64>)> {
+    let run_all = requested.contains(&Heuristic::MixedBest);
+    let base_costs: Vec<(Heuristic, Option<u64>)> = Heuristic::BASE
+        .into_iter()
+        .filter(|h| run_all || requested.contains(h))
+        .map(|h| {
+            let mut state = HeuristicState::with_buffers(problem, std::mem::take(buffers));
+            let cost = h.run_with(&mut state).then(|| {
+                debug_assert!(state.placement().is_valid(problem, h.policy()));
+                state.current_cost()
+            });
+            *buffers = state.into_buffers();
+            (h, cost)
+        })
+        .collect();
+    requested
+        .iter()
+        .map(|&h| {
+            let cost = match h {
+                Heuristic::MixedBest => base_costs.iter().filter_map(|&(_, cost)| cost).min(),
+                base => base_costs
+                    .iter()
+                    .find(|&&(b, _)| b == base)
+                    .and_then(|&(_, cost)| cost),
+            };
+            (h, cost)
+        })
+        .collect()
 }
 
 /// Generates the problem instance for one (λ, tree index) pair. Exposed
@@ -467,6 +478,62 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn mixed_best_matches_the_full_sweep_on_every_smoke_trial() {
+        for platform in [
+            PlatformKind::default_homogeneous(),
+            PlatformKind::default_heterogeneous(),
+        ] {
+            let config = ExperimentConfig {
+                platform,
+                ..ExperimentConfig::smoke_test()
+            };
+            let mut driver = rp_core::MixedBest::new();
+            for batch in &run_sweep(&config).batches {
+                for trial in &batch.trials {
+                    let problem = generate_trial_problem(&config, batch.lambda, trial.tree_index);
+                    let expected = driver.full_sweep(&problem).map(|p| p.cost(&problem));
+                    assert_eq!(
+                        trial.cost_of(Heuristic::MixedBest),
+                        expected,
+                        "{platform:?} λ={} tree {}",
+                        batch.lambda,
+                        trial.tree_index
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn mixed_best_is_the_minimum_over_all_eight_even_when_fewer_are_requested() {
+        let config = ExperimentConfig::smoke_test();
+        let all = run_sweep(&config);
+        let partial = run_sweep(&ExperimentConfig {
+            heuristics: vec![Heuristic::Cbu, Heuristic::MixedBest],
+            ..config
+        });
+        let mut cbu_not_best = 0;
+        for (ba, bp) in all.batches.iter().zip(&partial.batches) {
+            for (ta, tp) in ba.trials.iter().zip(&bp.trials) {
+                let requested: Vec<_> = tp.heuristic_costs.iter().map(|&(h, _)| h).collect();
+                assert_eq!(requested, [Heuristic::Cbu, Heuristic::MixedBest]);
+                assert_eq!(tp.cost_of(Heuristic::Cbu), ta.cost_of(Heuristic::Cbu));
+                assert_eq!(
+                    tp.cost_of(Heuristic::MixedBest),
+                    ta.cost_of(Heuristic::MixedBest),
+                    "λ={} tree {}",
+                    ba.lambda,
+                    ta.tree_index
+                );
+                cbu_not_best +=
+                    usize::from(ta.cost_of(Heuristic::Cbu) != ta.cost_of(Heuristic::MixedBest));
+            }
+        }
+        // Some trial tells a minimum over {CBU} apart from one over all eight.
+        assert!(cbu_not_best > 0);
     }
 
     #[test]

@@ -1,7 +1,10 @@
 //! Linear-program model builder.
 //!
-//! A [`Model`] is a collection of named variables (continuous or
-//! integer, with bounds), linear constraints and a linear objective.
+//! A [`Model`] is a collection of variables (continuous or integer, with
+//! bounds), linear constraints and a linear objective. Variables and
+//! constraints carry optional names that the replica builders leave
+//! empty; `Display` labels an unnamed variable `x{i}` and an unnamed
+//! constraint `r{i}`.
 //! It is deliberately small: just enough expressive power for the
 //! replica-placement formulations of the paper (Section 5), which only
 //! need non-negative variables, `<=`/`>=`/`=` constraints and a
@@ -156,7 +159,7 @@ where
 /// A decision variable.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Variable {
-    /// Human-readable name (used in diagnostics).
+    /// Optional human-readable name for diagnostics; empty when unnamed.
     pub name: String,
     /// Lower bound (must be finite and non-negative for the solver).
     pub lower: f64,
@@ -171,7 +174,7 @@ pub struct Variable {
 /// A linear constraint `expr cmp rhs`.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Constraint {
-    /// Human-readable name (used in diagnostics).
+    /// Optional human-readable name for diagnostics; empty when unnamed.
     pub name: String,
     /// Left-hand side, already merged (sorted by variable, no duplicates).
     pub terms: Vec<(VarId, f64)>,
@@ -245,17 +248,20 @@ impl Model {
         objective: f64,
         integer: bool,
     ) -> VarId {
+        let id = VarId(self.variables.len() as u32);
+        let label = || display_name(&name, 'x', id.index());
         assert!(
             lower.is_finite() && lower >= 0.0,
-            "variable {name}: lower bound must be finite and non-negative (got {lower})"
+            "variable {}: lower bound must be finite and non-negative (got {lower})",
+            label()
         );
         if let Some(ub) = upper {
             assert!(
                 ub.is_finite() && ub >= lower,
-                "variable {name}: upper bound {ub} must be finite and >= lower bound {lower}"
+                "variable {}: upper bound {ub} must be finite and >= lower bound {lower}",
+                label()
             );
         }
-        let id = VarId(self.variables.len() as u32);
         self.variables.push(Variable {
             name,
             lower,
@@ -406,11 +412,11 @@ impl fmt::Display for Model {
             .iter()
             .enumerate()
             .filter(|(_, v)| v.objective != 0.0)
-            .map(|(i, v)| format!("{:+} {}", v.objective, display_name(&v.name, i)))
+            .map(|(i, v)| format!("{:+} {}", v.objective, display_name(&v.name, 'x', i)))
             .collect();
         writeln!(f, "  {}", obj.join(" "))?;
         writeln!(f, "subject to")?;
-        for c in &self.constraints {
+        for (i, c) in self.constraints.iter().enumerate() {
             let lhs: Vec<String> = c
                 .terms
                 .iter()
@@ -418,33 +424,30 @@ impl fmt::Display for Model {
                     format!(
                         "{:+} {}",
                         k,
-                        display_name(&self.variables[v.index()].name, v.index())
+                        display_name(&self.variables[v.index()].name, 'x', v.index())
                     )
                 })
                 .collect();
-            writeln!(f, "  {}: {} {} {}", c.name, lhs.join(" "), c.cmp, c.rhs)?;
+            let name = display_name(&c.name, 'r', i);
+            writeln!(f, "  {name}: {} {} {}", lhs.join(" "), c.cmp, c.rhs)?;
         }
         writeln!(f, "bounds")?;
         for (i, v) in self.variables.iter().enumerate() {
             let kind = if v.integer { "int" } else { "cont" };
+            let name = display_name(&v.name, 'x', i);
             match v.upper {
-                Some(ub) => writeln!(
-                    f,
-                    "  {} <= {} <= {} ({kind})",
-                    v.lower,
-                    display_name(&v.name, i),
-                    ub
-                )?,
-                None => writeln!(f, "  {} <= {} ({kind})", v.lower, display_name(&v.name, i))?,
+                Some(ub) => writeln!(f, "  {} <= {name} <= {ub} ({kind})", v.lower)?,
+                None => writeln!(f, "  {} <= {name} ({kind})", v.lower)?,
             }
         }
         Ok(())
     }
 }
 
-fn display_name(name: &str, index: usize) -> String {
+/// `name`, or `{prefix}{index}` when it is empty.
+fn display_name(name: &str, prefix: char, index: usize) -> String {
     if name.is_empty() {
-        format!("x{index}")
+        format!("{prefix}{index}")
     } else {
         name.to_string()
     }
@@ -554,5 +557,17 @@ mod tests {
         assert!(text.contains("c:"));
         assert!(text.contains("(int)"));
         assert!(text.contains("(cont)"));
+    }
+
+    #[test]
+    fn display_labels_unnamed_variables_and_rows_by_index() {
+        let mut m = Model::minimize();
+        let x = m.add_var("", 0.0, Some(1.0), 1.0);
+        m.add_constraint("named", LinExpr::var(x), Cmp::Ge, 1.0);
+        m.add_constraint("", LinExpr::var(x), Cmp::Le, 1.0);
+        let text = m.to_string();
+        assert!(text.contains("named: +1 x0 >= 1"), "{text}");
+        assert!(text.contains("r1: +1 x0 <= 1"), "{text}");
+        assert!(text.contains("0 <= x0 <= 1 (cont)"), "{text}");
     }
 }

@@ -324,14 +324,14 @@ fn degenerate_boxed_cover_does_not_cycle() {
 }
 
 /// Warm-start regression: the paper-scale (`s = 400`) bandwidth bound
-/// re-solved on its own workspace after `capacity_n0` is relaxed by one
-/// unit. The optimal basis the cold solve ends on stays optimal for
-/// this sibling, so the re-solve must answer without a single pivot, at
-/// the objective a fresh cold solve of the sibling reaches. The LP is
-/// degenerate, and which optimal basis the cold solve ends on decides
-/// the sibling's work: from a basis where the relaxed row moves basic
-/// values out of their bounds, this sibling took 171 dual pivots — more
-/// work than the cold solve.
+/// re-solved on its own workspace after node 0's capacity row is
+/// relaxed by one unit. The optimal basis the cold solve ends on stays
+/// optimal for this sibling, so the re-solve must answer without a
+/// single pivot, at the objective a fresh cold solve of the sibling
+/// reaches. The LP is degenerate, and which optimal basis the cold
+/// solve ends on decides the sibling's work: from a basis where the
+/// relaxed row moves basic values out of their bounds, this sibling
+/// took 171 dual pivots — more work than the cold solve.
 #[test]
 fn warm_sibling_of_the_s400_bandwidth_bound_needs_no_pivots() {
     use replica_placement::core::ilp::{self, Integrality};
@@ -339,15 +339,18 @@ fn warm_sibling_of_the_s400_bandwidth_bound_needs_no_pivots() {
     use replica_placement::workloads::scenarios::feasible_bandwidth_instance;
 
     let problem = feasible_bandwidth_instance(400, 0.4, 31);
-    let mut model = ilp::build_model(&problem, Policy::Multiple, Integrality::RationalBound).model;
+    let formulation = ilp::build_model(&problem, Policy::Multiple, Integrality::RationalBound);
+    let x0 = formulation.x[0];
+    let mut model = formulation.model;
     let options = SimplexOptions::default();
     let mut workspace = RevisedWorkspace::new();
     let base = workspace.solve_warm(&model, &options);
     assert_eq!(base.status, Status::Optimal);
 
+    // x_0 appears in node 0's capacity row only.
     let row = model
         .constraint_ids()
-        .find(|&id| model.constraint(id).name == "capacity_n0")
+        .find(|&id| model.constraint(id).terms.iter().any(|&(var, _)| var == x0))
         .expect("the Multiple formulation has a capacity row per node");
     let rhs = model.constraint(row).rhs;
     model.set_rhs(row, rhs + 1.0);

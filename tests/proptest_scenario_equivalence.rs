@@ -1,6 +1,7 @@
 //! Differential property tests pinning the **problem-variant
 //! formulations** — bandwidth-constrained links and multi-object
-//! workloads — to the dense-tableau oracle.
+//! workloads — to the dense-tableau oracle, and their capacity rows to
+//! the definition those rows are built from.
 //!
 //! The bandwidth and multi-object models are exactly where the sparse
 //! revised engine leaves the near-unimodular comfort zone: link-flow
@@ -14,6 +15,8 @@
 
 #![allow(clippy::disallowed_methods)] // test/driver code may unwrap freely
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
 
 use replica_placement::core::ilp::{
@@ -21,7 +24,9 @@ use replica_placement::core::ilp::{
 };
 use replica_placement::core::multi::{solve_multi_ilp, MultiObjectProblem};
 use replica_placement::core::{Policy, ProblemInstance};
-use replica_placement::lp::{solve_lp, Model, RevisedWorkspace, SimplexOptions, Solution, Status};
+use replica_placement::lp::{
+    solve_lp, Cmp, ConstraintId, Model, RevisedWorkspace, SimplexOptions, Solution, Status, VarId,
+};
 use replica_placement::tree::{TreeBuilder, TreeNetwork};
 
 /// Encoded tree + platform: node parent choices, per-client
@@ -99,7 +104,18 @@ fn multi_strategy() -> impl Strategy<Value = MultiSpec> {
 }
 
 fn build_multi_problem(spec: &MultiSpec) -> MultiObjectProblem {
-    let ((parents, clients, platform, bw_codes), object_requests) = spec;
+    let ((_, clients, _, bw_codes), _) = spec;
+    let node_links: Vec<Option<u64>> = bw_codes
+        .iter()
+        .enumerate()
+        .map(|(index, &code)| (index > 0 && code < 10).then_some(u64::from(code)))
+        .collect();
+    build_unbounded_multi_problem(spec).with_link_bandwidths(vec![None; clients.len()], node_links)
+}
+
+/// [`build_multi_problem`] without the link bandwidths.
+fn build_unbounded_multi_problem(spec: &MultiSpec) -> MultiObjectProblem {
+    let ((parents, clients, platform, _), object_requests) = spec;
     let tree = build_tree(parents, clients);
     let capacities: Vec<u64> = platform
         .iter()
@@ -120,14 +136,47 @@ fn build_multi_problem(spec: &MultiSpec) -> MultiObjectProblem {
                 .collect()
         })
         .collect();
-    let node_links: Vec<Option<u64>> = bw_codes
-        .iter()
-        .enumerate()
-        .map(|(index, &code)| (index > 0 && code < 10).then_some(u64::from(code)))
-        .collect();
-    let num_clients = clients.len();
     MultiObjectProblem::new(tree, requests, capacities, storage_costs)
-        .with_link_bandwidths(vec![None; num_clients], node_links)
+}
+
+/// Decodes a spec into the three single-object variants whose capacity
+/// rows are checked against their definition: no limits, a QoS bound of
+/// 1–3 hops per client, and the spec's link bandwidths.
+fn build_row_variants(spec: &ScenarioSpec) -> [ProblemInstance; 3] {
+    let (parents, clients, platform, _) = spec;
+    let tree = Arc::new(build_tree(parents, clients));
+    let unbounded = || {
+        ProblemInstance::builder(Arc::clone(&tree))
+            .requests(clients.iter().map(|&(_, r)| u64::from(r)).collect())
+            .capacities(platform.iter().map(|&(cap, _)| u64::from(cap)).collect())
+    };
+    let qos = clients
+        .iter()
+        .map(|&(choice, _)| Some(1 + choice % 3))
+        .collect();
+    [
+        unbounded().build(),
+        unbounded().qos(qos).build(),
+        build_bandwidth_problem(spec, false),
+    ]
+}
+
+/// The only row of `model` that holds `var`.
+fn only_row_holding(model: &Model, var: VarId) -> ConstraintId {
+    let mut rows = model
+        .constraint_ids()
+        .filter(|&id| model.constraint(id).terms.iter().any(|&(v, _)| v == var));
+    let row = rows.next().expect("some row holds the variable");
+    assert!(rows.next().is_none(), "{var} sits in more than one row");
+    row
+}
+
+/// `terms` as a model stores a row: sorted by variable, zero
+/// coefficients dropped.
+fn stored(mut terms: Vec<(VarId, f64)>) -> Vec<(VarId, f64)> {
+    terms.retain(|&(_, coeff)| coeff != 0.0);
+    terms.sort_by_key(|&(var, _)| var);
+    terms
 }
 
 /// A cold revised-simplex solve on a fresh workspace.
@@ -187,6 +236,77 @@ proptest! {
                 dense.objective, revised.objective, formulation.model
             );
             prop_assert!(formulation.model.is_feasible(&revised.values, 1e-6));
+        }
+    }
+
+    /// Capacity row j of the single-object model holds exactly
+    /// (coeffᵢ, y_{i,j}) for each client i with a y variable at j, plus
+    /// (−W_j, x_j); coeffᵢ is rᵢ under Closest/Upwards and 1 under
+    /// Multiple. A dropped or doubled term, which an LP objective can
+    /// hide, breaks the equality.
+    #[test]
+    fn capacity_rows_hold_exactly_their_defining_terms(spec in scenario_strategy()) {
+        for problem in build_row_variants(&spec) {
+            let tree = problem.tree();
+            for policy in [Policy::Closest, Policy::Upwards, Policy::Multiple] {
+                let f = build_model(&problem, policy, Integrality::RationalBound);
+                for node in tree.node_ids() {
+                    let x = f.x[node.index()];
+                    let mut expected = vec![(x, -(problem.capacity(node) as f64))];
+                    for client in tree.client_ids() {
+                        if let Some(y) = f.y_var(client, node) {
+                            let coeff = match policy {
+                                Policy::Closest | Policy::Upwards => problem.requests(client) as f64,
+                                Policy::Multiple => 1.0,
+                            };
+                            expected.push((y, coeff));
+                        }
+                    }
+                    let row = f.model.constraint(only_row_holding(&f.model, x));
+                    prop_assert_eq!((row.cmp, row.rhs), (Cmp::Le, 0.0));
+                    prop_assert_eq!(&row.terms, &stored(expected), "{} {}", policy, node);
+                }
+            }
+        }
+    }
+
+    /// The multi-object rows follow the same rule: the replica row of
+    /// object k at node j holds (1, y_{k,i,j}) per client plus
+    /// (−W_j, x_{k,j}), and the shared capacity row right after node j's
+    /// last replica row holds every object's (1, y_{k,i,j}) with rhs W_j.
+    #[test]
+    fn multi_object_replica_and_capacity_rows_hold_exactly_their_defining_terms(
+        spec in multi_strategy()
+    ) {
+        for problem in [build_unbounded_multi_problem(&spec), build_multi_problem(&spec)] {
+            let tree = problem.tree();
+            let f = build_multi_model(&problem, Integrality::RationalBound);
+            for node in tree.node_ids() {
+                let capacity = problem.capacity(node) as f64;
+                let mut shared = Vec::new();
+                let mut last_replica_row = None;
+                for object in problem.object_ids() {
+                    let k = object.index();
+                    let x = f.x[k][node.index()];
+                    let mut expected = vec![(x, -capacity)];
+                    for client in tree.client_ids() {
+                        let servers = &f.y[k][client.index()];
+                        if let Some(&(_, y)) = servers.iter().find(|&&(server, _)| server == node) {
+                            expected.push((y, 1.0));
+                            shared.push((y, 1.0));
+                        }
+                    }
+                    let id = only_row_holding(&f.model, x);
+                    let row = f.model.constraint(id);
+                    prop_assert_eq!((row.cmp, row.rhs), (Cmp::Le, 0.0));
+                    prop_assert_eq!(&row.terms, &stored(expected), "{} {}", object, node);
+                    last_replica_row = Some(id.index());
+                }
+                let id = f.model.constraint_ids().nth(last_replica_row.unwrap() + 1).unwrap();
+                let row = f.model.constraint(id);
+                prop_assert_eq!((row.cmp, row.rhs), (Cmp::Le, capacity));
+                prop_assert_eq!(&row.terms, &stored(shared), "{}", node);
+            }
         }
     }
 }
