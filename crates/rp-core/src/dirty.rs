@@ -18,6 +18,9 @@
 
 use rp_tree::{ClientId, LinkId, NodeId, TreeNetwork};
 
+use crate::delta::InstanceDelta;
+use crate::failures::{FailureEvent, RecoveryScope};
+
 /// A bitset over nodes and clients marking what an incremental pass
 /// must re-examine. Reused across applies; `clear` is O(marked).
 #[derive(Clone, Debug)]
@@ -79,6 +82,30 @@ impl DirtyRegion {
         match link {
             LinkId::Client(client) => self.mark_client(tree, client),
             LinkId::Node(node) => self.mark_subtree(tree, node),
+        }
+    }
+
+    /// Marks the region `delta` can affect: a demand change its client,
+    /// a capacity change, crash or recovery the subtree of its node, a
+    /// link event its link, and a full recovery everything.
+    pub fn mark_delta(&mut self, tree: &TreeNetwork, delta: InstanceDelta) {
+        match delta {
+            InstanceDelta::ClientArrived { client, .. }
+            | InstanceDelta::ClientDeparted { client }
+            | InstanceDelta::DemandChanged { client, .. } => self.mark_client(tree, client),
+            InstanceDelta::CapacityChanged { node, .. }
+            | InstanceDelta::Failure(
+                FailureEvent::ServerCrash(node)
+                | FailureEvent::CapacityLoss { node, .. }
+                | FailureEvent::SubtreeFailure(node)
+                | FailureEvent::Recovered(RecoveryScope::Server(node) | RecoveryScope::Subtree(node)),
+            ) => self.mark_subtree(tree, node),
+            InstanceDelta::Failure(
+                FailureEvent::UplinkDown(link) | FailureEvent::Recovered(RecoveryScope::Link(link)),
+            ) => self.mark_link(tree, link),
+            InstanceDelta::Failure(FailureEvent::Recovered(RecoveryScope::All)) => {
+                self.mark_all(tree)
+            }
         }
     }
 

@@ -1,4 +1,4 @@
-//! Applying failure events to a healthy instance.
+//! Folding failure events into the surviving platform.
 
 use std::sync::Arc;
 
@@ -6,6 +6,128 @@ use rp_tree::{ClientId, LinkId, NodeId, TreeNetwork};
 
 use crate::failures::event::{FailureEvent, RecoveryScope};
 use crate::problem::ProblemInstance;
+
+/// The failures outstanding on a platform: capacity loss per node,
+/// crashed servers, and dead client and node uplinks. Events fold in
+/// one at a time ([`FailureState::fold`]), left to right with the worst
+/// effect winning, so a batch trace ([`apply_failures`]) and a live
+/// delta stream (the online engine) share one fold.
+#[derive(Clone, Debug)]
+pub struct FailureState {
+    /// Outstanding `CapacityLoss` per node (`None` = no loss); cleared
+    /// by the node's recovery.
+    capacity_loss: Vec<Option<u64>>,
+    dead_servers: Vec<bool>,
+    dead_client_links: Vec<bool>,
+    dead_node_links: Vec<bool>,
+}
+
+impl FailureState {
+    /// No failures on `tree`.
+    pub fn healthy(tree: &TreeNetwork) -> Self {
+        FailureState {
+            capacity_loss: vec![None; tree.num_nodes()],
+            dead_servers: vec![false; tree.num_nodes()],
+            dead_client_links: vec![false; tree.num_clients()],
+            dead_node_links: vec![false; tree.num_nodes()],
+        }
+    }
+
+    /// Folds one event into the outstanding failures.
+    pub fn fold(&mut self, tree: &TreeNetwork, event: FailureEvent) {
+        match event {
+            FailureEvent::ServerCrash(node) => self.dead_servers[node.index()] = true,
+            FailureEvent::UplinkDown(link) => self.set_link_dead(tree, link, true),
+            FailureEvent::CapacityLoss { node, remaining } => {
+                let slot = &mut self.capacity_loss[node.index()];
+                *slot = Some(slot.unwrap_or(u64::MAX).min(remaining));
+            }
+            FailureEvent::SubtreeFailure(node) => {
+                for &member in tree.subtree_nodes(node) {
+                    self.dead_servers[member.index()] = true;
+                    self.set_link_dead(tree, LinkId::Node(member), true);
+                }
+            }
+            FailureEvent::Recovered(RecoveryScope::Server(node)) => self.heal_server(node),
+            FailureEvent::Recovered(RecoveryScope::Link(link)) => {
+                self.set_link_dead(tree, link, false);
+            }
+            FailureEvent::Recovered(RecoveryScope::Subtree(node)) => {
+                for &member in tree.subtree_nodes(node) {
+                    self.heal_server(member);
+                    self.dead_node_links[member.index()] = false;
+                }
+                for &client in tree.subtree_clients(node) {
+                    self.dead_client_links[client.index()] = false;
+                }
+            }
+            FailureEvent::Recovered(RecoveryScope::All) => {
+                self.capacity_loss.fill(None);
+                self.dead_servers.fill(false);
+                self.dead_client_links.fill(false);
+                self.dead_node_links.fill(false);
+            }
+        }
+    }
+
+    fn heal_server(&mut self, node: NodeId) {
+        self.capacity_loss[node.index()] = None;
+        self.dead_servers[node.index()] = false;
+    }
+
+    /// The root has no uplink: marking it dead is a no-op.
+    fn set_link_dead(&mut self, tree: &TreeNetwork, link: LinkId, dead: bool) {
+        match link {
+            LinkId::Client(client) => self.dead_client_links[client.index()] = dead,
+            LinkId::Node(node) if !tree.is_root(node) => self.dead_node_links[node.index()] = dead,
+            LinkId::Node(_) => {}
+        }
+    }
+
+    /// Whether the server at `node` crashed.
+    pub fn is_server_dead(&self, node: NodeId) -> bool {
+        self.dead_servers[node.index()]
+    }
+
+    /// Whether `link` is down.
+    pub fn is_link_dead(&self, link: LinkId) -> bool {
+        match link {
+            LinkId::Client(c) => self.dead_client_links[c.index()],
+            LinkId::Node(n) => self.dead_node_links[n.index()],
+        }
+    }
+
+    /// The capacity `node` keeps out of `healthy`: 0 while it is
+    /// crashed, else the smaller of `healthy` and its outstanding loss.
+    pub fn capacity(&self, node: NodeId, healthy: u64) -> u64 {
+        if self.dead_servers[node.index()] {
+            0
+        } else {
+            healthy.min(self.capacity_loss[node.index()].unwrap_or(u64::MAX))
+        }
+    }
+
+    /// The surviving platform: `base` (the source of storage costs, QoS
+    /// bounds, bandwidths and the objective) with the current
+    /// `requests` per client and the failures applied to the
+    /// `healthy_capacities` per node.
+    pub fn platform(
+        &self,
+        base: &ProblemInstance,
+        requests: &[u64],
+        healthy_capacities: &[u64],
+    ) -> DegradedPlatform {
+        let capacities = base
+            .tree()
+            .node_ids()
+            .map(|n| self.capacity(n, healthy_capacities[n.index()]))
+            .collect();
+        DegradedPlatform {
+            problem: rebuild_with(base, requests.to_vec(), capacities, self),
+            failures: self.clone(),
+        }
+    }
+}
 
 /// A [`ProblemInstance`] after a failure trace: the surviving platform.
 ///
@@ -19,136 +141,50 @@ use crate::problem::ProblemInstance;
 #[derive(Clone)]
 pub struct DegradedPlatform {
     problem: ProblemInstance,
-    dead_servers: Vec<bool>,
-    dead_client_links: Vec<bool>,
-    dead_node_links: Vec<bool>,
+    failures: FailureState,
 }
 
 /// Applies `events` (left to right, worst effect wins) to `problem`,
 /// producing the surviving platform.
 pub fn apply_failures(problem: &ProblemInstance, events: &[FailureEvent]) -> DegradedPlatform {
     let tree = problem.tree();
-    let mut capacities: Vec<u64> = tree.node_ids().map(|n| problem.capacity(n)).collect();
-    let mut dead_servers = vec![false; tree.num_nodes()];
-    let mut dead_client_links = vec![false; tree.num_clients()];
-    let mut dead_node_links = vec![false; tree.num_nodes()];
-
-    fn kill_server(capacities: &mut [u64], dead: &mut [bool], node: NodeId) {
-        capacities[node.index()] = 0;
-        dead[node.index()] = true;
-    }
-
+    let mut failures = FailureState::healthy(tree);
     for &event in events {
-        match event {
-            FailureEvent::ServerCrash(node) => {
-                kill_server(&mut capacities, &mut dead_servers, node);
-            }
-            FailureEvent::UplinkDown(LinkId::Client(client)) => {
-                dead_client_links[client.index()] = true;
-            }
-            FailureEvent::UplinkDown(LinkId::Node(node)) => {
-                // The root has no uplink: nothing to sever.
-                if !tree.is_root(node) {
-                    dead_node_links[node.index()] = true;
-                }
-            }
-            FailureEvent::CapacityLoss { node, remaining } => {
-                let slot = &mut capacities[node.index()];
-                *slot = (*slot).min(remaining);
-            }
-            FailureEvent::SubtreeFailure(node) => {
-                for &member in tree.subtree_nodes(node) {
-                    kill_server(&mut capacities, &mut dead_servers, member);
-                    if !tree.is_root(member) {
-                        dead_node_links[member.index()] = true;
-                    }
-                }
-            }
-            FailureEvent::Recovered(scope) => {
-                let mut heal_server = |node: NodeId| {
-                    capacities[node.index()] = problem.capacity(node);
-                    dead_servers[node.index()] = false;
-                };
-                match scope {
-                    RecoveryScope::Server(node) => heal_server(node),
-                    RecoveryScope::Link(LinkId::Client(client)) => {
-                        dead_client_links[client.index()] = false;
-                    }
-                    RecoveryScope::Link(LinkId::Node(node)) => {
-                        dead_node_links[node.index()] = false;
-                    }
-                    RecoveryScope::Subtree(node) => {
-                        for &member in tree.subtree_nodes(node) {
-                            heal_server(member);
-                            dead_node_links[member.index()] = false;
-                        }
-                        for &client in tree.subtree_clients(node) {
-                            dead_client_links[client.index()] = false;
-                        }
-                    }
-                    RecoveryScope::All => {
-                        for node in tree.node_ids() {
-                            heal_server(node);
-                            dead_node_links[node.index()] = false;
-                        }
-                        dead_client_links.fill(false);
-                    }
-                }
-            }
-        }
+        failures.fold(tree, event);
     }
-
-    let problem = rebuild_with(
-        problem,
-        capacities,
-        |c| dead_client_links[c.index()],
-        |n| dead_node_links[n.index()],
-        |c| problem.requests(c),
-    );
-    DegradedPlatform {
-        problem,
-        dead_servers,
-        dead_client_links,
-        dead_node_links,
-    }
+    let requests: Vec<u64> = tree.client_ids().map(|c| problem.requests(c)).collect();
+    let capacities: Vec<u64> = tree.node_ids().map(|n| problem.capacity(n)).collect();
+    failures.platform(problem, &requests, &capacities)
 }
 
-/// Rebuilds an instance with new capacities, zeroed bandwidth on dead
-/// links, and (for the report path) possibly reduced requests. Every
-/// other parameter — tree, storage costs, QoS bounds, objective kind —
+/// The one instance rebuild: `base` with new requests and capacities
+/// and zeroed bandwidth on the links `failures` marks dead. Every other
+/// parameter — tree, storage costs, QoS bounds, objective kind —
 /// carries over unchanged.
 fn rebuild_with(
-    problem: &ProblemInstance,
+    base: &ProblemInstance,
+    requests: Vec<u64>,
     capacities: Vec<u64>,
-    client_link_dead: impl Fn(ClientId) -> bool,
-    node_link_dead: impl Fn(NodeId) -> bool,
-    requests: impl Fn(ClientId) -> u64,
+    failures: &FailureState,
 ) -> ProblemInstance {
-    let tree: Arc<TreeNetwork> = problem.tree_arc();
-    let requests: Vec<u64> = tree.client_ids().map(requests).collect();
-    let storage_costs: Vec<u64> = tree.node_ids().map(|n| problem.storage_cost(n)).collect();
-    let qos: Vec<Option<u32>> = tree.client_ids().map(|c| problem.qos(c)).collect();
+    let tree: Arc<TreeNetwork> = base.tree_arc();
+    let storage_costs: Vec<u64> = tree.node_ids().map(|n| base.storage_cost(n)).collect();
+    let qos: Vec<Option<u32>> = tree.client_ids().map(|c| base.qos(c)).collect();
+    let bandwidth = |link: LinkId| {
+        if failures.is_link_dead(link) {
+            Some(0)
+        } else {
+            base.bandwidth(link)
+        }
+    };
     let client_bw: Vec<Option<u64>> = tree
         .client_ids()
-        .map(|c| {
-            if client_link_dead(c) {
-                Some(0)
-            } else {
-                problem.bandwidth(LinkId::Client(c))
-            }
-        })
+        .map(|c| bandwidth(LinkId::Client(c)))
         .collect();
     let node_bw: Vec<Option<u64>> = tree
         .node_ids()
-        .map(|n| {
-            if !tree.is_root(n) && node_link_dead(n) {
-                Some(0)
-            } else {
-                problem.bandwidth(LinkId::Node(n))
-            }
-        })
+        .map(|n| bandwidth(LinkId::Node(n)))
         .collect();
-    let kind = problem.kind();
     ProblemInstance::builder(tree)
         .requests(requests)
         .capacities(capacities)
@@ -156,38 +192,11 @@ fn rebuild_with(
         .qos(qos)
         .client_link_bandwidths(client_bw)
         .node_link_bandwidths(node_bw)
-        .kind(kind)
+        .kind(base.kind())
         .build()
 }
 
 impl DegradedPlatform {
-    /// Assembles a platform from an already-degraded instance plus its
-    /// dead flags. The online engine maintains these four pieces
-    /// incrementally (one delta at a time) rather than replaying a
-    /// growing trace through [`apply_failures`]; `problem` must already
-    /// encode the flags (capacity 0 on dead servers, bandwidth
-    /// `Some(0)` on dead links).
-    ///
-    /// # Panics
-    /// If a flag vector's length does not match the tree.
-    pub fn from_parts(
-        problem: ProblemInstance,
-        dead_servers: Vec<bool>,
-        dead_client_links: Vec<bool>,
-        dead_node_links: Vec<bool>,
-    ) -> Self {
-        let tree = problem.tree();
-        assert_eq!(dead_servers.len(), tree.num_nodes());
-        assert_eq!(dead_client_links.len(), tree.num_clients());
-        assert_eq!(dead_node_links.len(), tree.num_nodes());
-        DegradedPlatform {
-            problem,
-            dead_servers,
-            dead_client_links,
-            dead_node_links,
-        }
-    }
-
     /// The surviving instance (degraded capacities and bandwidths).
     pub fn problem(&self) -> &ProblemInstance {
         &self.problem
@@ -196,15 +205,12 @@ impl DegradedPlatform {
     /// Whether the server at `node` crashed (capacity-degraded but
     /// surviving servers report `false`).
     pub fn is_server_dead(&self, node: NodeId) -> bool {
-        self.dead_servers[node.index()]
+        self.failures.is_server_dead(node)
     }
 
     /// Whether `link` went down.
     pub fn is_link_dead(&self, link: LinkId) -> bool {
-        match link {
-            LinkId::Client(c) => self.dead_client_links[c.index()],
-            LinkId::Node(n) => self.dead_node_links[n.index()],
-        }
+        self.failures.is_link_dead(link)
     }
 
     /// Whether `client` can still physically reach `server`: the server
@@ -228,42 +234,33 @@ impl DegradedPlatform {
 
     /// Number of crashed servers.
     pub fn num_dead_servers(&self) -> usize {
-        self.dead_servers.iter().filter(|&&d| d).count()
+        self.failures.dead_servers.iter().filter(|&&d| d).count()
     }
 
     /// Number of severed links.
     pub fn num_dead_links(&self) -> usize {
-        self.dead_client_links.iter().filter(|&&d| d).count()
-            + self.dead_node_links.iter().filter(|&&d| d).count()
+        self.failures
+            .dead_client_links
+            .iter()
+            .filter(|&&d| d)
+            .count()
+            + self.failures.dead_node_links.iter().filter(|&&d| d).count()
     }
 
     /// A copy of the surviving instance with the requests of `unserved`
     /// clients zeroed — the instance a degraded placement is validated
     /// against (a zero-request client passes validation unassigned).
     pub fn problem_with_unserved_dropped(&self, unserved: &[ClientId]) -> ProblemInstance {
-        let mut dropped = vec![false; self.problem.tree().num_clients()];
-        for &client in unserved {
-            dropped[client.index()] = true;
-        }
-        let capacities: Vec<u64> = self
-            .problem
-            .tree()
-            .node_ids()
-            .map(|n| self.problem.capacity(n))
+        let tree = self.problem.tree();
+        let mut requests: Vec<u64> = tree
+            .client_ids()
+            .map(|c| self.problem.requests(c))
             .collect();
-        rebuild_with(
-            &self.problem,
-            capacities,
-            |c| self.dead_client_links[c.index()],
-            |n| self.dead_node_links[n.index()],
-            |c| {
-                if dropped[c.index()] {
-                    0
-                } else {
-                    self.problem.requests(c)
-                }
-            },
-        )
+        for &client in unserved {
+            requests[client.index()] = 0;
+        }
+        let capacities: Vec<u64> = tree.node_ids().map(|n| self.problem.capacity(n)).collect();
+        rebuild_with(&self.problem, requests, capacities, &self.failures)
     }
 }
 
@@ -451,18 +448,32 @@ mod tests {
     }
 
     #[test]
-    fn from_parts_round_trips_an_applied_platform() {
-        let (p, n, _) = sample();
-        let applied = apply_failures(&p, &[FailureEvent::ServerCrash(n[2])]);
-        let rebuilt = DegradedPlatform::from_parts(
-            applied.problem().clone(),
-            applied.dead_servers.clone(),
-            applied.dead_client_links.clone(),
-            applied.dead_node_links.clone(),
+    fn folded_state_rebuilds_with_current_demand_and_capacities() {
+        let (p, n, c) = sample();
+        let mut failures = FailureState::healthy(p.tree());
+        failures.fold(
+            p.tree(),
+            FailureEvent::CapacityLoss {
+                node: n[0],
+                remaining: 4,
+            },
         );
-        assert!(rebuilt.is_server_dead(n[2]));
-        assert_eq!(rebuilt.problem().capacity(n[2]), 0);
-        assert_eq!(rebuilt.num_dead_servers(), 1);
+        failures.fold(p.tree(), FailureEvent::ServerCrash(n[2]));
+        failures.fold(p.tree(), FailureEvent::UplinkDown(LinkId::Client(c[1])));
+        // The engine's demand and re-provisioned capacities, not `p`'s.
+        let platform = failures.platform(&p, &[1, 1, 1], &[20, 3, 6]);
+        let rebuilt = platform.problem();
+        assert_eq!(rebuilt.capacity(n[0]), 4);
+        assert_eq!(rebuilt.capacity(n[1]), 3);
+        assert_eq!(rebuilt.capacity(n[2]), 0);
+        assert!(platform.is_server_dead(n[2]));
+        assert_eq!(rebuilt.bandwidth(LinkId::Client(c[1])), Some(0));
+        for &client in &c {
+            assert_eq!(rebuilt.requests(client), 1);
+        }
+        assert_eq!(rebuilt.storage_cost(n[1]), p.storage_cost(n[1]));
+        assert_eq!(platform.num_dead_servers(), 1);
+        assert_eq!(platform.num_dead_links(), 1);
     }
 
     #[test]

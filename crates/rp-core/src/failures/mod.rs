@@ -1,29 +1,32 @@
 //! Fault injection and survivor repair (the resilience subsystem).
 //!
 //! The paper's model assumes a healthy platform; this module asks what
-//! happens to a deployed placement when the platform degrades. The
-//! pipeline has three stages, each usable on its own:
+//! happens to a deployed placement when the platform degrades. It owns
+//! the one failure pipeline, shared by the batch resilience sweep and
+//! the online engine (`rp-online`):
 //!
 //! * **Failure model** — [`FailureEvent`] enumerates server crashes,
-//!   severed links, partial capacity loss, and correlated subtree
-//!   failures (racks, sites). Failures compose left to right with the
-//!   worst effect winning.
-//! * **Application** — [`apply_failures`] turns a healthy
-//!   [`ProblemInstance`](crate::ProblemInstance) plus a failure trace
-//!   into a [`DegradedPlatform`]: a *bona fide* instance whose crashed
-//!   servers have capacity 0 and whose dead links have bandwidth 0, so
-//!   the entire existing stack (heuristics, validation, the exact
-//!   accounting, the LP machinery) runs on it unchanged; the dead
-//!   flags ride alongside for route-aliveness queries.
-//! * **Repair** — [`repair_after_failure`] adapts the pre-failure
-//!   placement: strip what died, shed what no longer fits, re-home the
-//!   orphans through the LP-guided repair stack's exact accounting,
-//!   fall back to re-running the policy's heuristics, and — when full
-//!   service is genuinely infeasible — degrade *gracefully* to a
-//!   [`DegradedPlacement`] report (served fraction, unserved clients,
-//!   cost) whose correctness is machine-checkable via
-//!   [`DegradedPlacement::verify`]. There is no panicking path and no
-//!   bare `None`: every failure has a well-defined [`RepairOutcome`].
+//!   severed links, partial capacity loss, correlated subtree failures
+//!   (racks, sites) and recoveries.
+//! * **One fold** — [`FailureState`] holds the outstanding failures and
+//!   folds one event at a time, left to right with the worst effect
+//!   winning. [`FailureState::platform`] turns it into a
+//!   [`DegradedPlatform`]: a *bona fide*
+//!   [`ProblemInstance`](crate::ProblemInstance) whose crashed servers
+//!   have capacity 0 and whose dead links have bandwidth 0, so the
+//!   entire existing stack (heuristics, validation, the exact
+//!   accounting, the LP machinery) runs on it unchanged; the dead flags
+//!   ride alongside for route-aliveness queries. [`apply_failures`]
+//!   folds a whole trace.
+//! * **One ladder** — [`repair_ladder`] adapts an incumbent placement:
+//!   surgical repair of the dirty clients, an LP-guided re-solve under
+//!   Multiple, a heuristic re-run, and — when full service is not found
+//!   — a verified [`DegradedPlacement`] that keeps the surgical partial
+//!   when it verifies. [`repair_after_failure`] is that ladder over
+//!   every client with no deadline. There is no panicking path: every
+//!   failure has a well-defined [`RepairOutcome`], machine-checkable
+//!   via [`RepairOutcome::verify`], and every accepted answer is
+//!   counted once per [`ApplyRung`].
 //!
 //! ```
 //! use rp_core::{inject_and_repair, FailureEvent, Heuristic, Policy, ProblemInstance};
@@ -50,10 +53,10 @@ mod event;
 mod repair;
 mod report;
 
-pub use apply::{apply_failures, DegradedPlatform};
+pub use apply::{apply_failures, DegradedPlatform, FailureState};
 pub use event::{FailureEvent, RecoveryScope};
 pub use repair::{
-    degraded_best_effort, heuristic_fallback, inject_and_repair, prune_idle_replicas, rehome,
-    repair_after_failure, surgical_repair,
+    degraded_best_effort, heuristic_fallback, inject_and_repair, repair_after_failure,
+    repair_ladder, ApplyRung,
 };
 pub use report::{DegradedPlacement, RepairOutcome};

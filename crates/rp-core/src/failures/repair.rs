@@ -1,43 +1,93 @@
-//! Survivor repair: re-homing orphaned clients after a failure.
+//! The repair ladder: adapting a placement to a changed platform.
 //!
-//! [`repair_after_failure`] takes a placement that was valid on the
-//! healthy instance and adapts it to the surviving platform produced by
-//! [`apply_failures`](crate::failures::apply_failures). The pass reuses
-//! the LP-guided repair stack's exact accounting
-//! ([`FeasAccounting`]) so every move is feasible by construction:
+//! One ladder serves both the batch resilience path
+//! ([`repair_after_failure`], every client dirty) and the online engine
+//! (only the clients a delta can affect dirty). Each rung is
+//! deadline-checked before it starts and its answer is machine-checked
+//! before it is accepted:
 //!
-//! 1. **strip** — replicas on crashed servers are removed, and every
-//!    assignment whose server died or whose route crosses a dead link
-//!    is torn down; the affected request volume becomes *orphaned*;
-//! 2. **shed** — capacity-degraded servers drop load until they fit
-//!    their new capacity (whole clients under the single-server
-//!    policies, exact amounts under Multiple), orphaning the excess;
-//! 3. **re-home** — orphans move onto surviving replicas closest-first,
-//!    then onto the cheapest newly opened replica on their eligible
-//!    path (under Closest, only positions that keep every affected
-//!    client's first-replica rule intact are considered);
-//! 4. **fallback** — if the surgical repair cannot restore full
-//!    service, the policy's own heuristics (bandwidth-repaired) re-run
-//!    from scratch on the surviving instance;
-//! 5. **degrade** — when full service is infeasible or not found, a
-//!    best-effort placement is grown from empty and shrunk by a
-//!    validate-and-drop loop until it is provably correct, yielding a
-//!    [`DegradedPlacement`] report instead of a panic or a bare `None`.
+//! 1. **surgical** ([`ApplyRung::Surgical`]) — repair the incumbent
+//!    touching only the dirty clients: strip replicas on crashed
+//!    servers, tear down routes that died, sync each dirty client to its
+//!    current demand, shed load from servers whose capacity dropped
+//!    (whole clients under the single-server policies, exact amounts
+//!    under Multiple), and re-home the orphans through the LP-guided
+//!    repair stack's exact accounting ([`FeasAccounting`]). Orphans that
+//!    find no home are left unserved, which keeps a partial answer;
+//! 2. **LP-guided** ([`ApplyRung::LpRepair`]) — under Multiple only, a
+//!    warm LP re-solve rounded to an integral placement (the rounding
+//!    splits clients, which the single-server policies forbid);
+//! 3. **re-run** ([`ApplyRung::Rerun`]) — the policy's own heuristics
+//!    (bandwidth-repaired) from scratch on the surviving instance;
+//! 4. **degrade** ([`ApplyRung::Degraded`]) — the surgical partial if it
+//!    verifies (it moved the fewest clients), else a best-effort
+//!    placement grown from empty and shrunk by a validate-and-drop loop
+//!    until it is provably correct.
 //!
-//! The last step is total: it always terminates (each round drops at
+//! The last rung is total: it always terminates (each round drops at
 //! least one client, and the empty placement over zeroed requests is
-//! vacuously valid), so **every** failure has a well-defined outcome.
+//! vacuously valid), so only a passed deadline leaves the ladder
+//! without an answer.
 
+use std::fmt;
+use std::time::Instant;
+
+use rp_lp::{LpWorkspace, SolveBudget};
 use rp_tree::{ClientId, NodeId};
 
 use crate::failures::apply::{apply_failures, DegradedPlatform};
 use crate::failures::event::FailureEvent;
 use crate::failures::report::{DegradedPlacement, RepairOutcome};
 use crate::heuristics::lp_guided::accounting::FeasAccounting;
+use crate::heuristics::lp_guided::lp_guided_reusing;
 use crate::heuristics::{BandwidthRepair, Heuristic};
+use crate::ilp::IlpOptions;
 use crate::policy::Policy;
 use crate::problem::ProblemInstance;
 use crate::solution::{Placement, Violation};
+
+/// Which rung of the repair ladder produced an accepted answer.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum ApplyRung {
+    /// Dirty-region surgical repair of the incumbent.
+    Surgical,
+    /// LP-guided re-solve warm-started from the caller's LP workspace.
+    LpRepair,
+    /// Full heuristic re-run from scratch.
+    Rerun,
+    /// A verified partial answer (some clients unserved).
+    Degraded,
+}
+
+impl ApplyRung {
+    /// Stable machine-readable tag.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            ApplyRung::Surgical => "surgical",
+            ApplyRung::LpRepair => "lp-repair",
+            ApplyRung::Rerun => "rerun",
+            ApplyRung::Degraded => "degraded",
+        }
+    }
+
+    /// Counts one accepted answer of this rung that leaves `unserved`
+    /// clients unserved (the `core.repair.*` counters).
+    pub fn record(self, unserved: usize) {
+        rp_obs::incr(match self {
+            ApplyRung::Surgical => rp_obs::Counter::CoreRepairRungSurgical,
+            ApplyRung::LpRepair => rp_obs::Counter::CoreRepairRungLpRepair,
+            ApplyRung::Rerun => rp_obs::Counter::CoreRepairRungRerun,
+            ApplyRung::Degraded => rp_obs::Counter::CoreRepairRungDegraded,
+        });
+        rp_obs::add(rp_obs::Counter::CoreRepairDroppedClients, unserved as u64);
+    }
+}
+
+impl fmt::Display for ApplyRung {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.as_str())
+    }
+}
 
 /// Applies `events` to `problem` and repairs `placement` over the
 /// survivors. Convenience wrapper bundling
@@ -55,94 +105,197 @@ pub fn inject_and_repair(
 }
 
 /// Repairs `placement` (valid on the healthy instance) over the
-/// surviving platform. Never panics and never returns an unusable
-/// answer: the result is either a placement fully valid on
+/// surviving platform: the [`repair_ladder`] with every client dirty,
+/// no deadline and a fresh LP workspace. Never panics and never returns
+/// an unusable answer: the result is either a placement fully valid on
 /// [`DegradedPlatform::problem`] or a verified [`DegradedPlacement`]
-/// report (see the module docs for the escalation ladder).
+/// report.
 pub fn repair_after_failure(
     platform: &DegradedPlatform,
     placement: &Placement,
     policy: Policy,
 ) -> RepairOutcome {
     let _span = rp_obs::span(rp_obs::SpanKind::FailureRepair);
-    if let Some(repaired) = surgical_repair(platform, placement, policy) {
-        rp_obs::incr(rp_obs::Counter::CoreRepairSurgical);
-        return RepairOutcome::Full(repaired);
+    let everyone: Vec<ClientId> = platform.problem().tree().client_ids().collect();
+    let (report, rung) = repair_ladder(
+        platform,
+        placement,
+        &everyone,
+        policy,
+        None,
+        SolveBudget::UNLIMITED,
+        &mut LpWorkspace::new(),
+    )
+    .unwrap_or_else(|| (degraded_best_effort(platform, policy), ApplyRung::Degraded));
+    rung.record(report.unserved.len());
+    if report.unserved.is_empty() {
+        RepairOutcome::Full(report.placement)
+    } else {
+        RepairOutcome::Degraded(report)
     }
-    if let Some(rebuilt) = heuristic_fallback(platform, policy) {
-        rp_obs::incr(rp_obs::Counter::CoreRepairHeuristicRerun);
-        return RepairOutcome::Full(rebuilt);
-    }
-    rp_obs::incr(rp_obs::Counter::CoreRepairDegraded);
-    let report = degraded_best_effort(platform, policy);
-    rp_obs::add(
-        rp_obs::Counter::CoreRepairDroppedClients,
-        report.unserved.len() as u64,
-    );
-    RepairOutcome::Degraded(report)
 }
 
-/// Steps 1–3: strip, shed, re-home. Returns a fully valid placement or
-/// `None` when some orphan cannot be re-homed. Public because the
-/// online engine uses it as the cheapest rung of its own escalation
-/// ladder (failure-only deltas leave demand untouched, so this exact
-/// pass applies).
-pub fn surgical_repair(
+/// Climbs the repair ladder (see the module docs) from `incumbent` over
+/// `platform`, re-examining only the `dirty` clients in the surgical
+/// rung. `budget`'s iteration cap and the time left before `deadline`
+/// bound the LP rung. Returns the accepted answer and its rung, or
+/// `None` when the deadline passed before any rung answered.
+pub fn repair_ladder(
     platform: &DegradedPlatform,
-    placement: &Placement,
+    incumbent: &Placement,
+    dirty: &[ClientId],
     policy: Policy,
-) -> Option<Placement> {
+    deadline: Option<Instant>,
+    budget: SolveBudget,
+    workspace: &mut LpWorkspace,
+) -> Option<(DegradedPlacement, ApplyRung)> {
+    let problem = platform.problem();
+
+    // Rung 1: surgical repair of the dirty region.
+    let mut partial: Option<(Placement, Vec<ClientId>)> = None;
+    if !expired(deadline) {
+        if let Some((placement, unserved)) = surgical(platform, incumbent, dirty, policy) {
+            if unserved.is_empty() && placement.is_valid(problem, policy) {
+                let report = DegradedPlacement::new(platform, placement, Vec::new());
+                return Some((report, ApplyRung::Surgical));
+            }
+            partial = Some((placement, unserved));
+        }
+    }
+
+    // Rung 2: LP-guided re-solve (Multiple only).
+    if policy == Policy::Multiple && !expired(deadline) {
+        let options = lp_options(deadline, budget);
+        if let Some(placement) = lp_guided_reusing(problem, &options, workspace) {
+            if placement.is_valid(problem, policy) {
+                let report = DegradedPlacement::new(platform, placement, Vec::new());
+                return Some((report, ApplyRung::LpRepair));
+            }
+        }
+    }
+
+    // Rung 3: full heuristic re-run from scratch.
+    if !expired(deadline) {
+        if let Some(placement) = heuristic_fallback(platform, policy) {
+            let report = DegradedPlacement::new(platform, placement, Vec::new());
+            return Some((report, ApplyRung::Rerun));
+        }
+    }
+
+    // Rung 4: a verified degraded answer.
+    if expired(deadline) {
+        return None;
+    }
+    if let Some((placement, unserved)) = partial {
+        let report = DegradedPlacement::new(platform, placement, unserved);
+        if report.verify(platform, policy) {
+            return Some((report, ApplyRung::Degraded));
+        }
+    }
+    let report = degraded_best_effort(platform, policy);
+    debug_assert!(
+        report.verify(platform, policy),
+        "unverified degraded report"
+    );
+    Some((report, ApplyRung::Degraded))
+}
+
+/// Whether `deadline` has passed.
+fn expired(deadline: Option<Instant>) -> bool {
+    deadline.is_some_and(|d| Instant::now() >= d)
+}
+
+/// The LP options for the guided rung: the remaining wall budget (and
+/// the caller's iteration cap) threaded into the warm simplex solve.
+fn lp_options(deadline: Option<Instant>, budget: SolveBudget) -> IlpOptions {
+    let mut options = IlpOptions::default();
+    options.branch_bound.simplex.budget = SolveBudget {
+        deadline: deadline.map(|d| d.saturating_duration_since(Instant::now())),
+        max_iterations: budget.max_iterations,
+    };
+    options
+}
+
+/// Rung 1: repair `incumbent` touching only the `dirty` clients.
+/// Returns the repaired placement plus the clients it had to leave
+/// unserved (empty = full service); `None` when overload shedding
+/// cannot restore non-negative residuals.
+fn surgical(
+    platform: &DegradedPlatform,
+    incumbent: &Placement,
+    dirty: &[ClientId],
+    policy: Policy,
+) -> Option<(Placement, Vec<ClientId>)> {
     let problem = platform.problem();
     let tree = problem.tree();
-    let mut survivor = placement.clone();
+    let mut survivor = incumbent.clone();
 
-    // Strip replicas lost to crashes.
-    let dead_replicas: Vec<NodeId> = survivor
+    // Replicas on dead servers go first (all their clients are in the
+    // dead server's subtree, hence dirty).
+    let dead: Vec<NodeId> = survivor
         .replicas()
         .iter()
         .copied()
         .filter(|&n| platform.is_server_dead(n))
         .collect();
-    for node in dead_replicas {
+    for node in dead {
         survivor.remove_replica(node);
     }
 
-    // Tear down assignments whose server died or whose route crosses a
-    // dead link; the volume becomes orphaned.
+    // Tear down the dirty clients' broken routes and sync each to its
+    // current demand; deficits become orphans.
     let mut orphans: Vec<(ClientId, u64)> = Vec::new();
-    for client in tree.client_ids() {
+    for &client in dirty {
         let broken: Vec<(NodeId, u64)> = survivor
             .assignments(client)
             .iter()
             .filter(|a| !platform.path_is_alive(client, a.server))
             .map(|a| (a.server, a.amount))
             .collect();
-        let mut lost = 0;
         for (server, amount) in broken {
-            lost += survivor.unassign(client, server, amount);
+            survivor.unassign(client, server, amount);
         }
-        if lost > 0 {
-            orphans.push((client, lost));
+
+        let target = problem.requests(client);
+        let assigned = survivor.assigned_requests(client);
+        if assigned > target {
+            // Demand shrank: trim the excess in place (valid under every
+            // policy — the server set only shrinks).
+            let mut excess = assigned - target;
+            for (server, amount) in held(&survivor, client).into_iter().rev() {
+                if excess == 0 {
+                    break;
+                }
+                excess -= survivor.unassign(client, server, amount.min(excess));
+            }
+        } else if assigned < target {
+            if policy.is_single_server() && assigned > 0 {
+                // A single-server client cannot split its top-up:
+                // re-home the whole client.
+                for (server, amount) in held(&survivor, client) {
+                    survivor.unassign(client, server, amount);
+                }
+                orphans.push((client, target));
+            } else {
+                orphans.push((client, target - assigned));
+            }
         }
     }
 
-    // Charge the survivors into the exact accounting of the *degraded*
-    // instance; capacity-lost servers may now show negative residuals.
+    // Charge every surviving assignment into the exact accounting of the
+    // current instance; capacity-lost servers may show negative
+    // residuals.
     let mut accounting = FeasAccounting::for_problem(problem);
     for client in tree.client_ids() {
-        let current: Vec<(NodeId, u64)> = survivor
-            .assignments(client)
-            .iter()
-            .map(|a| (a.server, a.amount))
-            .collect();
-        for (server, amount) in current {
+        for (server, amount) in held(&survivor, client) {
             accounting.assign(tree, client, server, amount);
         }
     }
 
-    // Shed overload on capacity-degraded servers. Smallest assignments
-    // go first so the orphaned volume stays close to the deficit;
-    // single-server policies must shed whole clients.
+    // Shed overload where the effective capacity dropped below the
+    // carried load. Smallest assignments go first so the orphaned
+    // volume stays close to the deficit; single-server policies must
+    // shed whole clients.
     for node in tree.node_ids() {
         if accounting.node_residual(node) >= 0 {
             continue;
@@ -183,9 +336,10 @@ pub fn surgical_repair(
         }
     }
 
-    // Re-home the orphans, hardest (largest) first.
+    // Re-home the orphans hardest (largest) first; what cannot be
+    // re-homed is fully unassigned and reported unserved.
+    let mut unserved: Vec<ClientId> = Vec::new();
     orphans.sort_by_key(|&(c, amount)| (std::cmp::Reverse(amount), c.index()));
-    let mut rehomed = 0u64;
     for (client, amount) in orphans {
         if !rehome(
             problem,
@@ -196,17 +350,26 @@ pub fn surgical_repair(
             amount,
             policy,
         ) {
-            return None;
+            for (server, amount) in held(&survivor, client) {
+                let removed = survivor.unassign(client, server, amount);
+                accounting.unassign(tree, client, server, removed);
+            }
+            unserved.push(client);
         }
-        rehomed += 1;
     }
 
     prune_idle_replicas(&mut survivor, tree.num_nodes());
-    let valid = survivor.is_valid(problem, policy);
-    if valid {
-        rp_obs::add(rp_obs::Counter::CoreRepairRehomedClients, rehomed);
-    }
-    valid.then_some(survivor)
+    Some((survivor, unserved))
+}
+
+/// `client`'s current `(server, amount)` assignments, copied out so the
+/// placement can be edited while walking them.
+fn held(placement: &Placement, client: ClientId) -> Vec<(NodeId, u64)> {
+    placement
+        .assignments(client)
+        .iter()
+        .map(|a| (a.server, a.amount))
+        .collect()
 }
 
 /// Places `amount` orphaned requests of `client` onto surviving
@@ -215,7 +378,7 @@ pub fn surgical_repair(
 /// in the degraded accounting. `survivor` and `accounting` must agree
 /// (every assignment charged) before the call; on `false` they are left
 /// exactly as they were (partial moves under Multiple are rolled back).
-pub fn rehome(
+fn rehome(
     problem: &ProblemInstance,
     platform: &DegradedPlatform,
     survivor: &mut Placement,
@@ -363,7 +526,7 @@ fn closest_safe_to_open(tree: &rp_tree::TreeNetwork, survivor: &Placement, v: No
     })
 }
 
-/// Step 4: rebuild from scratch with the policy's own heuristics
+/// Rung 3: rebuild from scratch with the policy's own heuristics
 /// (bandwidth-repaired, since dead links surface as zero-bandwidth
 /// limits) and keep the cheapest valid placement.
 pub fn heuristic_fallback(platform: &DegradedPlatform, policy: Policy) -> Option<Placement> {
@@ -383,37 +546,20 @@ pub fn heuristic_fallback(platform: &DegradedPlatform, policy: Policy) -> Option
     best.map(|(_, placement)| placement)
 }
 
-/// Step 5: grow a best-effort partial placement from empty and shrink
-/// it by validate-and-drop until provably correct. Total: every
-/// platform, however broken, yields a verified report.
+/// Rung 4's fallback: grow a best-effort partial placement from empty
+/// and shrink it by validate-and-drop until provably correct. Total:
+/// every platform, however broken, yields a verified report.
 pub fn degraded_best_effort(platform: &DegradedPlatform, policy: Policy) -> DegradedPlacement {
     let problem = platform.problem();
     let tree = problem.tree();
-    let mut placement = Placement::empty(tree.num_clients());
-    let mut accounting = FeasAccounting::for_problem(problem);
-    let mut unserved: Vec<ClientId> = Vec::new();
 
-    // Serve the heavy clients while the surviving capacity lasts.
-    let mut clients: Vec<ClientId> = tree.client_ids().collect();
-    clients.sort_by_key(|&c| (std::cmp::Reverse(problem.requests(c)), c.index()));
-    for client in clients {
-        let requests = problem.requests(client);
-        if requests == 0 {
-            continue;
-        }
-        if !rehome(
-            problem,
-            platform,
-            &mut placement,
-            &mut accounting,
-            client,
-            requests,
-            policy,
-        ) {
-            unserved.push(client);
-        }
-    }
-    prune_idle_replicas(&mut placement, tree.num_nodes());
+    // Serve the heavy clients while the surviving capacity lasts: the
+    // surgical rung grown from the empty placement with every client
+    // dirty (nothing is carried, so nothing needs shedding).
+    let everyone: Vec<ClientId> = tree.client_ids().collect();
+    let empty = Placement::empty(tree.num_clients());
+    let (mut placement, mut unserved) =
+        surgical(platform, &empty, &everyone, policy).unwrap_or((empty, everyone));
 
     // Validate-and-drop: every round either converges or drops one more
     // client, and with everything dropped the placement is vacuously
@@ -431,12 +577,7 @@ pub fn degraded_best_effort(platform: &DegradedPlatform, policy: Policy) -> Degr
         match victim {
             Some(client) if rounds > 0 => {
                 rounds -= 1;
-                let current: Vec<(NodeId, u64)> = placement
-                    .assignments(client)
-                    .iter()
-                    .map(|a| (a.server, a.amount))
-                    .collect();
-                for (server, amount) in current {
+                for (server, amount) in held(&placement, client) {
                     placement.unassign(client, server, amount);
                 }
                 unserved.push(client);
@@ -455,22 +596,7 @@ pub fn degraded_best_effort(platform: &DegradedPlatform, policy: Policy) -> Degr
         }
     }
 
-    unserved.sort();
-    unserved.dedup();
-    let served_requests: u64 = tree
-        .client_ids()
-        .filter(|c| !unserved.contains(c))
-        .map(|c| problem.requests(c))
-        .sum();
-    let total_requests: u64 = tree.client_ids().map(|c| problem.requests(c)).sum();
-    let cost = placement.cost(problem);
-    DegradedPlacement {
-        placement,
-        unserved,
-        served_requests,
-        total_requests,
-        cost,
-    }
+    DegradedPlacement::new(platform, placement, unserved)
 }
 
 /// Maps a violation to a client whose removal resolves it.
@@ -502,7 +628,7 @@ fn violating_client(
 
 /// Drops replicas that no longer serve anything (they cost money and,
 /// under Closest, can shadow the real server).
-pub fn prune_idle_replicas(placement: &mut Placement, num_nodes: usize) {
+fn prune_idle_replicas(placement: &mut Placement, num_nodes: usize) {
     let mut loads = rp_tree::NodeMap::filled(num_nodes, 0u64);
     placement.accumulate_server_loads(&mut loads);
     let idle: Vec<NodeId> = placement
@@ -633,6 +759,46 @@ mod tests {
                 }
                 RepairOutcome::Full(_) => panic!("{policy}: c0 is unreachable"),
             }
+        }
+    }
+
+    #[test]
+    fn degraded_repair_keeps_the_surgical_partial() {
+        // root(W=10,s=10) -> mid(W=5,s=5) -> {c0: 2, c1: 2}; root -> c2: 3.
+        let mut b = TreeBuilder::new();
+        let root = b.add_root();
+        let mid = b.add_node(root);
+        let c0 = b.add_client(mid);
+        let c1 = b.add_client(mid);
+        let c2 = b.add_client(root);
+        let p = ProblemInstance::replica_cost(b.build().unwrap(), vec![2, 2, 3], vec![10, 5]);
+        let n: Vec<NodeId> = p.tree().node_ids().collect();
+        let mut placement = Placement::empty(3);
+        placement.add_replica(n[0]);
+        placement.add_replica(n[1]);
+        placement.assign(c0, n[1], 2);
+        placement.assign(c1, n[1], 2);
+        placement.assign(c2, n[0], 3);
+        assert!(placement.is_valid(&p, Policy::Closest));
+        // Only c0 loses its route: c1 and c2 stay where they were.
+        let events = [FailureEvent::UplinkDown(LinkId::Client(c0))];
+        for policy in Policy::ALL {
+            let (platform, outcome) = inject_and_repair(&p, &placement, policy, &events);
+            assert!(outcome.verify(&platform, policy), "{policy}");
+            let RepairOutcome::Degraded(report) = outcome else {
+                panic!("{policy}: c0 is unreachable");
+            };
+            assert_eq!(report.unserved, vec![c0], "{policy}");
+            let servers = |c| -> Vec<NodeId> {
+                report
+                    .placement
+                    .assignments(c)
+                    .iter()
+                    .map(|a| a.server)
+                    .collect()
+            };
+            assert_eq!(servers(c1), vec![n[1]], "{policy}: c1 moved");
+            assert_eq!(servers(c2), vec![n[0]], "{policy}: c2 moved");
         }
     }
 

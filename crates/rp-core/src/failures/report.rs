@@ -27,6 +27,28 @@ pub struct DegradedPlacement {
 }
 
 impl DegradedPlacement {
+    /// Bookkeeps `placement` against `platform`, with `unserved` (in any
+    /// order, duplicates allowed) as the clients it leaves unserved.
+    pub fn new(
+        platform: &DegradedPlatform,
+        placement: Placement,
+        mut unserved: Vec<ClientId>,
+    ) -> Self {
+        let problem = platform.problem();
+        unserved.sort();
+        unserved.dedup();
+        let total_requests = problem.total_requests();
+        let lost: u64 = unserved.iter().map(|&c| problem.requests(c)).sum();
+        let cost = placement.cost(problem);
+        DegradedPlacement {
+            placement,
+            unserved,
+            served_requests: total_requests - lost,
+            total_requests,
+            cost,
+        }
+    }
+
     /// Fraction of all requests still served, in `[0, 1]` (1.0 for an
     /// instance with no requests at all).
     pub fn served_fraction(&self) -> f64 {

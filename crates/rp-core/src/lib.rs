@@ -24,6 +24,9 @@
 //! * [`multi`] — the several-object-types extension of Section 8.1;
 //! * [`objective`] — the read/write/combined objectives of Section 8.2;
 //! * [`io`] — plain-text (de)serialisation of whole problem instances;
+//! * [`failures`] — the one failure pipeline: the failure-event fold
+//!   and the repair ladder, shared by the resilience sweep and the
+//!   online engine in `rp-online`;
 //! * [`assignment`] — request-assignment procedures for a fixed replica
 //!   set, shared by the solvers above.
 //!

@@ -796,45 +796,6 @@ impl RevisedWorkspace {
             stop_reason: self.last_error.map(|err| err.to_string()),
             phases: stats.phases,
         });
-        if rp_obs::full_on() {
-            let status = solution.status.to_string();
-            rp_obs::emit_event(
-                "lp.solve",
-                &[
-                    ("status", rp_obs::JsonValue::Str(&status)),
-                    ("objective", rp_obs::JsonValue::F64(solution.objective)),
-                    (
-                        "iterations",
-                        rp_obs::JsonValue::U64(stats.iterations() as u64),
-                    ),
-                    (
-                        "primal_pivots",
-                        rp_obs::JsonValue::U64(stats.primal_pivots as u64),
-                    ),
-                    (
-                        "dual_pivots",
-                        rp_obs::JsonValue::U64(stats.dual_pivots as u64),
-                    ),
-                    (
-                        "bound_flips",
-                        rp_obs::JsonValue::U64(stats.bound_flips as u64),
-                    ),
-                    (
-                        "refactorisations",
-                        rp_obs::JsonValue::U64(stats.refactorisations as u64),
-                    ),
-                    ("warm", rp_obs::JsonValue::Str(stats.warm.as_str())),
-                    (
-                        "ftran_skip_ratio",
-                        rp_obs::JsonValue::F64(stats.ftran.skip_ratio()),
-                    ),
-                    (
-                        "btran_skip_ratio",
-                        rp_obs::JsonValue::F64(stats.btran.skip_ratio()),
-                    ),
-                ],
-            );
-        }
     }
 
     /// Charges one iteration against the whole-solve budget, returning

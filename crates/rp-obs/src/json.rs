@@ -1,5 +1,5 @@
 //! Minimal JSON rendering helpers — just enough for the metrics
-//! export, the JSONL event sink and the chrome-trace writer. No
+//! export, the flight-recorder dump and the chrome-trace writer. No
 //! parsing, no dependencies, no allocation beyond the output buffer.
 
 use std::fmt::Write as _;
@@ -33,7 +33,7 @@ pub fn push_json_f64(out: &mut String, v: f64) {
     }
 }
 
-/// A scalar value for the structured event sink.
+/// A JSON scalar value.
 #[derive(Clone, Copy, Debug)]
 pub enum JsonValue<'a> {
     /// Unsigned integer.

@@ -9,7 +9,6 @@
 //! * RAII [`Span`] scoped timers with thread-local span stacks that
 //!   aggregate per worker and merge across the λ-sharded pool
 //!   ([`span`], [`timed_span`]);
-//! * a structured **JSONL event sink** ([`emit_event`]);
 //! * a **chrome://tracing** exporter ([`write_chrome_trace`]) — load
 //!   the emitted `.trace.json` straight into chrome://tracing or
 //!   Perfetto;
@@ -21,11 +20,11 @@
 //!
 //! Everything is gated by a single global [`ObsMode`]:
 //!
-//! | mode | counters + histograms | spans → trace | JSONL events |
-//! |---|---|---|---|
-//! | `Off` | – | – | – |
-//! | `Counters` | ✓ | – | – |
-//! | `Full` | ✓ | ✓ | ✓ |
+//! | mode | counters + histograms | spans → trace |
+//! |---|---|---|
+//! | `Off` | – | – |
+//! | `Counters` | ✓ | – |
+//! | `Full` | ✓ | ✓ |
 //!
 //! `Off` is the default and compiles down to one relaxed atomic load
 //! per instrumentation site — instrumented and uninstrumented runs are
@@ -50,7 +49,6 @@ mod json;
 mod profile;
 mod recorder;
 mod registry;
-mod sink;
 mod span;
 mod trace;
 
@@ -65,9 +63,6 @@ pub use recorder::{
     record_solve, AnomalyKind, FlightRecorder, SolveRecord, FLIGHT_RING_CAP,
 };
 pub use registry::{catalogue_markdown, global, Counter, Gauge, HistId, MetricsRegistry};
-pub use sink::{
-    clear_events, emit_event, event_count, events_dropped_count, events_jsonl, write_events_jsonl,
-};
 pub use span::{
     current_span_depth, flush_thread_trace, span, span_labeled, timed_span, timed_span_labeled,
     Span, SpanKind,
@@ -87,7 +82,7 @@ pub enum ObsMode {
     Off = 0,
     /// Counters, gauges and histograms only.
     Counters = 1,
-    /// Counters plus trace spans and JSONL events.
+    /// Counters plus trace spans.
     Full = 2,
 }
 
@@ -138,7 +133,7 @@ pub fn counters_on() -> bool {
     MODE.load(Ordering::Relaxed) != ObsMode::Off as u8
 }
 
-/// `true` when trace spans and JSONL events should record too.
+/// `true` when trace spans should record too.
 #[inline(always)]
 pub fn full_on() -> bool {
     MODE.load(Ordering::Relaxed) == ObsMode::Full as u8
@@ -205,13 +200,11 @@ pub fn write_metrics_json(path: &std::path::Path) -> std::io::Result<()> {
     std::fs::write(path, metrics_json())
 }
 
-/// Resets everything: the global registry, the trace buffer, the
-/// event sink and the flight recorder. Benchmarks call this between
-/// phases.
+/// Resets everything: the global registry, the trace buffer and the
+/// flight recorder. Benchmarks call this between phases.
 pub fn reset_all() {
     global().reset();
     clear_trace();
-    clear_events();
     clear_flight_recorder();
 }
 

@@ -102,17 +102,13 @@ metric_enum! {
     CoreLpgMovesPushDown => ("core.lpg.moves.push_down", "1", "rp-core"),
     CoreLpgMovesPruneDrop => ("core.lpg.moves.prune_drop", "1", "rp-core"),
     CoreLpgMovesConsolidate => ("core.lpg.moves.consolidate", "1", "rp-core"),
-    CoreRepairSurgical => ("core.repair.rung.surgical", "1", "rp-core"),
-    CoreRepairHeuristicRerun => ("core.repair.rung.heuristic_rerun", "1", "rp-core"),
-    CoreRepairDegraded => ("core.repair.rung.degraded", "1", "rp-core"),
-    CoreRepairRehomedClients => ("core.repair.rehomed_clients", "1", "rp-core"),
+    CoreRepairRungSurgical => ("core.repair.rung.surgical", "1", "rp-core"),
+    CoreRepairRungLpRepair => ("core.repair.rung.lp_repair", "1", "rp-core"),
+    CoreRepairRungRerun => ("core.repair.rung.rerun", "1", "rp-core"),
+    CoreRepairRungDegraded => ("core.repair.rung.degraded", "1", "rp-core"),
     CoreRepairDroppedClients => ("core.repair.dropped_clients", "1", "rp-core"),
     // --- rp-online: the incremental placement engine. ---
     OnlineApplies => ("online.applies", "1", "rp-online"),
-    OnlineRungSurgical => ("online.rung.surgical", "1", "rp-online"),
-    OnlineRungLpRepair => ("online.rung.lp_repair", "1", "rp-online"),
-    OnlineRungRerun => ("online.rung.rerun", "1", "rp-online"),
-    OnlineRungDegraded => ("online.rung.degraded", "1", "rp-online"),
     OnlineRollbacks => ("online.rollbacks", "1", "rp-online"),
     OnlineDeferred => ("online.deferred", "1", "rp-online"),
     // --- rp-experiments: sweep drivers. ---

@@ -1,21 +1,17 @@
-//! The [`PlacementEngine`] itself: live state, the apply path, and the
-//! four-rung escalation ladder. See the crate docs for the contract.
+//! The [`PlacementEngine`] itself: live state, the apply path, the
+//! budget, rollback and deferral around `rp-core`'s repair ladder. See
+//! the crate docs for the contract.
 
 use std::collections::VecDeque;
-use std::fmt;
 use std::sync::Arc;
 use std::time::Instant;
 
 use rp_core::failures::{
-    degraded_best_effort, heuristic_fallback, prune_idle_replicas, rehome, DegradedPlacement,
-    DegradedPlatform, FailureEvent, RecoveryScope,
+    degraded_best_effort, heuristic_fallback, repair_ladder, ApplyRung, DegradedPlacement,
+    DegradedPlatform, FailureState,
 };
-use rp_core::heuristics::lp_guided::accounting::FeasAccounting;
-use rp_core::heuristics::lp_guided::lp_guided_reusing;
-use rp_core::ilp::IlpOptions;
-use rp_core::{DirtyRegion, InstanceDelta, Placement, Policy, ProblemInstance};
+use rp_core::{DirtyRegion, InstanceDelta, Policy, ProblemInstance};
 use rp_lp::{LpWorkspace, SolveBudget};
-use rp_tree::{ClientId, LinkId, NodeId};
 
 /// How thoroughly the engine re-checks its own incumbent after every
 /// accepted apply. The rung results are machine-verified before
@@ -30,37 +26,6 @@ pub enum Paranoia {
     /// Full verification after every apply in release builds too; a
     /// failed check rolls the apply back and defers the delta.
     Full,
-}
-
-/// Which rung of the escalation ladder produced the accepted answer.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum ApplyRung {
-    /// Dirty-region surgical repair of the incumbent.
-    Surgical,
-    /// LP-guided re-solve warm-started from the engine's LP workspace.
-    LpRepair,
-    /// Full heuristic re-run from scratch.
-    Rerun,
-    /// A verified partial answer (some clients unserved).
-    Degraded,
-}
-
-impl ApplyRung {
-    /// Stable machine-readable tag.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            ApplyRung::Surgical => "surgical",
-            ApplyRung::LpRepair => "lp-repair",
-            ApplyRung::Rerun => "rerun",
-            ApplyRung::Degraded => "degraded",
-        }
-    }
-}
-
-impl fmt::Display for ApplyRung {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.as_str())
-    }
 }
 
 /// What one [`PlacementEngine::apply`] call did.
@@ -156,24 +121,18 @@ struct EngineState {
     /// Current *healthy* capacity per node (the `CapacityChanged`
     /// axis, independent of failures).
     healthy_capacities: Vec<u64>,
-    /// Outstanding `CapacityLoss` per node (`None` = no loss); cleared
-    /// by a server recovery. Effective capacity is
-    /// `min(healthy, loss)`, or 0 while the server is dead.
-    failure_capacities: Vec<Option<u64>>,
-    dead_servers: Vec<bool>,
-    dead_client_links: Vec<bool>,
-    dead_node_links: Vec<bool>,
+    /// The outstanding failures.
+    failures: FailureState,
     /// The last verified incumbent (copy-on-write).
     incumbent: Arc<DegradedPlacement>,
 }
 
 impl EngineState {
-    fn effective_capacity(&self, index: usize) -> u64 {
-        if self.dead_servers[index] {
-            0
-        } else {
-            self.healthy_capacities[index].min(self.failure_capacities[index].unwrap_or(u64::MAX))
-        }
+    /// The current platform: the failures applied to the current
+    /// demand and healthy capacities.
+    fn platform(&self, pristine: &ProblemInstance) -> DegradedPlatform {
+        self.failures
+            .platform(pristine, &self.requests, &self.healthy_capacities)
     }
 }
 
@@ -225,35 +184,23 @@ impl PlacementEngine {
         let tree = problem.tree();
         let requests: Vec<u64> = tree.client_ids().map(|c| problem.requests(c)).collect();
         let healthy_capacities: Vec<u64> = tree.node_ids().map(|n| problem.capacity(n)).collect();
-        let num_nodes = tree.num_nodes();
-        let num_clients = tree.num_clients();
-        let placeholder = Arc::new(DegradedPlacement {
-            placement: Placement::empty(num_clients),
-            unserved: Vec::new(),
-            served_requests: 0,
-            total_requests: 0,
-            cost: 0,
-        });
-        let state = EngineState {
-            requests,
-            healthy_capacities,
-            failure_capacities: vec![None; num_nodes],
-            dead_servers: vec![false; num_nodes],
-            dead_client_links: vec![false; num_clients],
-            dead_node_links: vec![false; num_nodes],
-            incumbent: placeholder,
-        };
-        let platform = build_platform(&problem, &state);
+        let failures = FailureState::healthy(tree);
+        let platform = failures.platform(&problem, &requests, &healthy_capacities);
         let incumbent = match heuristic_fallback(&platform, policy) {
-            Some(placement) => report_from(&platform, placement, Vec::new()),
+            Some(placement) => DegradedPlacement::new(&platform, placement, Vec::new()),
             None => degraded_best_effort(&platform, policy),
         };
-        let dirty = DirtyRegion::for_tree(platform.problem().tree());
-        let mut engine = PlacementEngine {
+        let dirty = DirtyRegion::for_tree(tree);
+        let engine = PlacementEngine {
             pristine: problem,
             policy,
             paranoia: Paranoia::default(),
-            state,
+            state: EngineState {
+                requests,
+                healthy_capacities,
+                failures,
+                incumbent: Arc::new(incumbent),
+            },
             platform,
             generation: 0,
             deferred: VecDeque::new(),
@@ -261,7 +208,6 @@ impl PlacementEngine {
             workspace: LpWorkspace::new(),
             rung_counts: RungCounts::default(),
         };
-        engine.state.incumbent = Arc::new(incumbent);
         debug_assert!(engine.verify_incumbent());
         engine
     }
@@ -342,7 +288,7 @@ impl PlacementEngine {
     pub fn restore(&mut self, checkpoint: &EngineCheckpoint) {
         self.state = checkpoint.state.clone();
         self.generation = checkpoint.generation;
-        self.platform = build_platform(&self.pristine, &self.state);
+        self.platform = self.state.platform(&self.pristine);
         self.deferred.clear();
         self.dirty.clear();
         rp_obs::gauge_set(rp_obs::Gauge::OnlineGeneration, self.generation);
@@ -362,9 +308,23 @@ impl PlacementEngine {
 
         self.dirty.clear();
         self.ingest(delta);
-        self.platform = build_platform(&self.pristine, &self.state);
+        self.platform = self.state.platform(&self.pristine);
 
-        match self.resolve(deadline, budget) {
+        // Clients the previous incumbent left unserved always rejoin the
+        // dirty set: any heal may make them servable again.
+        for &client in &self.state.incumbent.unserved {
+            self.dirty.mark_client(self.pristine.tree(), client);
+        }
+        let answer = repair_ladder(
+            &self.platform,
+            &self.state.incumbent.placement,
+            self.dirty.dirty_clients(),
+            self.policy,
+            deadline,
+            budget,
+            &mut self.workspace,
+        );
+        match answer {
             Some((report, rung)) => {
                 let unserved = report.unserved.len();
                 self.state.incumbent = Arc::new(report);
@@ -378,12 +338,7 @@ impl PlacementEngine {
                     return ApplyOutcome::Deferred;
                 }
                 rp_obs::gauge_set(rp_obs::Gauge::OnlineGeneration, self.generation);
-                rp_obs::incr(match rung {
-                    ApplyRung::Surgical => rp_obs::Counter::OnlineRungSurgical,
-                    ApplyRung::LpRepair => rp_obs::Counter::OnlineRungLpRepair,
-                    ApplyRung::Rerun => rp_obs::Counter::OnlineRungRerun,
-                    ApplyRung::Degraded => rp_obs::Counter::OnlineRungDegraded,
-                });
+                rung.record(unserved);
                 self.rung_counts.record(rung);
                 if unserved == 0 {
                     ApplyOutcome::Applied {
@@ -420,7 +375,7 @@ impl PlacementEngine {
     fn rollback(&mut self, snapshot: EngineState, generation: u64, delta: InstanceDelta) {
         self.state = snapshot;
         self.generation = generation;
-        self.platform = build_platform(&self.pristine, &self.state);
+        self.platform = self.state.platform(&self.pristine);
         self.deferred.push_back(delta);
         rp_obs::incr(rp_obs::Counter::OnlineRollbacks);
         rp_obs::incr(rp_obs::Counter::OnlineDeferred);
@@ -436,398 +391,14 @@ impl PlacementEngine {
             InstanceDelta::ClientArrived { client, requests }
             | InstanceDelta::DemandChanged { client, requests } => {
                 self.state.requests[client.index()] = requests;
-                self.dirty.mark_client(tree, client);
             }
-            InstanceDelta::ClientDeparted { client } => {
-                self.state.requests[client.index()] = 0;
-                self.dirty.mark_client(tree, client);
-            }
+            InstanceDelta::ClientDeparted { client } => self.state.requests[client.index()] = 0,
             InstanceDelta::CapacityChanged { node, capacity } => {
                 self.state.healthy_capacities[node.index()] = capacity;
-                self.dirty.mark_subtree(tree, node);
             }
-            InstanceDelta::Failure(event) => self.ingest_failure(event),
+            InstanceDelta::Failure(event) => self.state.failures.fold(tree, event),
         }
-    }
-
-    fn ingest_failure(&mut self, event: FailureEvent) {
-        let tree = self.pristine.tree();
-        let state = &mut self.state;
-        match event {
-            FailureEvent::ServerCrash(node) => {
-                state.dead_servers[node.index()] = true;
-                self.dirty.mark_subtree(tree, node);
-            }
-            FailureEvent::UplinkDown(LinkId::Client(client)) => {
-                state.dead_client_links[client.index()] = true;
-                self.dirty.mark_client(tree, client);
-            }
-            FailureEvent::UplinkDown(LinkId::Node(node)) => {
-                // The root has no uplink: nothing to sever.
-                if !tree.is_root(node) {
-                    state.dead_node_links[node.index()] = true;
-                }
-                self.dirty.mark_subtree(tree, node);
-            }
-            FailureEvent::CapacityLoss { node, remaining } => {
-                let slot = &mut state.failure_capacities[node.index()];
-                *slot = Some(slot.unwrap_or(u64::MAX).min(remaining));
-                self.dirty.mark_subtree(tree, node);
-            }
-            FailureEvent::SubtreeFailure(node) => {
-                for &member in tree.subtree_nodes(node) {
-                    state.dead_servers[member.index()] = true;
-                    if !tree.is_root(member) {
-                        state.dead_node_links[member.index()] = true;
-                    }
-                }
-                self.dirty.mark_subtree(tree, node);
-            }
-            FailureEvent::Recovered(scope) => match scope {
-                RecoveryScope::Server(node) => {
-                    state.dead_servers[node.index()] = false;
-                    state.failure_capacities[node.index()] = None;
-                    self.dirty.mark_subtree(tree, node);
-                }
-                RecoveryScope::Link(LinkId::Client(client)) => {
-                    state.dead_client_links[client.index()] = false;
-                    self.dirty.mark_client(tree, client);
-                }
-                RecoveryScope::Link(LinkId::Node(node)) => {
-                    state.dead_node_links[node.index()] = false;
-                    self.dirty.mark_subtree(tree, node);
-                }
-                RecoveryScope::Subtree(node) => {
-                    for &member in tree.subtree_nodes(node) {
-                        state.dead_servers[member.index()] = false;
-                        state.failure_capacities[member.index()] = None;
-                        state.dead_node_links[member.index()] = false;
-                    }
-                    for &client in tree.subtree_clients(node) {
-                        state.dead_client_links[client.index()] = false;
-                    }
-                    self.dirty.mark_subtree(tree, node);
-                }
-                RecoveryScope::All => {
-                    state.dead_servers.fill(false);
-                    state.failure_capacities.fill(None);
-                    state.dead_node_links.fill(false);
-                    state.dead_client_links.fill(false);
-                    self.dirty.mark_all(tree);
-                }
-            },
-        }
-    }
-
-    /// Climbs the ladder; `None` means the deadline expired before any
-    /// rung produced a verified answer (the caller rolls back).
-    fn resolve(
-        &mut self,
-        deadline: Option<Instant>,
-        budget: SolveBudget,
-    ) -> Option<(DegradedPlacement, ApplyRung)> {
-        // Clients the previous incumbent left unserved always rejoin
-        // the dirty set: any heal may make them servable again.
-        let pending: Vec<ClientId> = self.state.incumbent.unserved.clone();
-        for client in pending {
-            self.dirty.mark_client(self.pristine.tree(), client);
-        }
-
-        // Rung 1: surgical repair of the dirty region.
-        let mut partial: Option<(Placement, Vec<ClientId>)> = None;
-        if !expired(deadline) {
-            if let Some((placement, unserved)) = self.surgical() {
-                if unserved.is_empty() && placement.is_valid(self.platform.problem(), self.policy) {
-                    let report = report_from(&self.platform, placement, Vec::new());
-                    return Some((report, ApplyRung::Surgical));
-                }
-                partial = Some((placement, unserved));
-            }
-        }
-
-        // Rung 2: LP-guided re-solve. Multiple only — the fractional
-        // rounding splits clients across servers, which the
-        // single-server policies forbid.
-        if self.policy == Policy::Multiple && !expired(deadline) {
-            let options = lp_options(deadline, budget);
-            let problem = self.platform.problem();
-            if let Some(placement) = lp_guided_reusing(problem, &options, &mut self.workspace) {
-                if placement.is_valid(self.platform.problem(), self.policy) {
-                    let report = report_from(&self.platform, placement, Vec::new());
-                    return Some((report, ApplyRung::LpRepair));
-                }
-            }
-        }
-
-        // Rung 3: full heuristic re-run from scratch.
-        if !expired(deadline) {
-            if let Some(placement) = heuristic_fallback(&self.platform, self.policy) {
-                let report = report_from(&self.platform, placement, Vec::new());
-                return Some((report, ApplyRung::Rerun));
-            }
-        }
-
-        // Rung 4: a verified degraded answer. Prefer the surgical
-        // partial (it moved the fewest clients); fall back to the
-        // total grow-and-shrink construction.
-        if !expired(deadline) {
-            if let Some((placement, unserved)) = partial {
-                let report = report_from(&self.platform, placement, unserved);
-                if report.verify(&self.platform, self.policy) {
-                    return Some((report, ApplyRung::Degraded));
-                }
-            }
-            let report = degraded_best_effort(&self.platform, self.policy);
-            if report.verify(&self.platform, self.policy) {
-                return Some((report, ApplyRung::Degraded));
-            }
-        }
-        None
-    }
-
-    /// Rung 1: repair the incumbent touching only the dirty region.
-    /// Returns the repaired placement plus the clients it had to leave
-    /// unserved (empty = full service); `None` when overload shedding
-    /// cannot restore non-negative residuals.
-    fn surgical(&self) -> Option<(Placement, Vec<ClientId>)> {
-        let problem = self.platform.problem();
-        let tree = problem.tree();
-        let mut survivor = self.state.incumbent.placement.clone();
-
-        // Replicas on dead servers go first (all their clients are in
-        // the dead server's subtree, hence dirty).
-        let dead: Vec<NodeId> = survivor
-            .replicas()
-            .iter()
-            .copied()
-            .filter(|&n| self.platform.is_server_dead(n))
-            .collect();
-        for node in dead {
-            survivor.remove_replica(node);
-        }
-
-        // Tear down the dirty clients' broken routes and sync each to
-        // its current demand; deficits become orphans.
-        let mut orphans: Vec<(ClientId, u64)> = Vec::new();
-        for &client in self.dirty.dirty_clients() {
-            let broken: Vec<(NodeId, u64)> = survivor
-                .assignments(client)
-                .iter()
-                .filter(|a| !self.platform.path_is_alive(client, a.server))
-                .map(|a| (a.server, a.amount))
-                .collect();
-            for (server, amount) in broken {
-                survivor.unassign(client, server, amount);
-            }
-
-            let target = problem.requests(client);
-            let assigned = survivor.assigned_requests(client);
-            if assigned > target {
-                // Demand shrank: trim the excess in place (valid under
-                // every policy — the server set only shrinks).
-                let mut excess = assigned - target;
-                let current: Vec<(NodeId, u64)> = survivor
-                    .assignments(client)
-                    .iter()
-                    .map(|a| (a.server, a.amount))
-                    .collect();
-                for (server, amount) in current.into_iter().rev() {
-                    if excess == 0 {
-                        break;
-                    }
-                    excess -= survivor.unassign(client, server, amount.min(excess));
-                }
-            } else if assigned < target {
-                if self.policy.is_single_server() && assigned > 0 {
-                    // A single-server client cannot split its top-up:
-                    // re-home the whole client.
-                    let current: Vec<(NodeId, u64)> = survivor
-                        .assignments(client)
-                        .iter()
-                        .map(|a| (a.server, a.amount))
-                        .collect();
-                    for (server, amount) in current {
-                        survivor.unassign(client, server, amount);
-                    }
-                    orphans.push((client, target));
-                } else {
-                    orphans.push((client, target - assigned));
-                }
-            }
-        }
-
-        // Charge every surviving assignment into the exact accounting
-        // of the *current* instance.
-        let mut accounting = FeasAccounting::for_problem(problem);
-        for client in tree.client_ids() {
-            let current: Vec<(NodeId, u64)> = survivor
-                .assignments(client)
-                .iter()
-                .map(|a| (a.server, a.amount))
-                .collect();
-            for (server, amount) in current {
-                accounting.assign(tree, client, server, amount);
-            }
-        }
-
-        // Shed overload where the effective capacity dropped below the
-        // carried load (smallest assignments first; whole clients under
-        // the single-server policies).
-        for node in tree.node_ids() {
-            if accounting.node_residual(node) >= 0 {
-                continue;
-            }
-            let mut carried: Vec<(ClientId, u64)> = tree
-                .client_ids()
-                .flat_map(|c| {
-                    survivor
-                        .assignments(c)
-                        .iter()
-                        .filter(|a| a.server == node)
-                        .map(|a| (c, a.amount))
-                        .collect::<Vec<_>>()
-                })
-                .collect();
-            carried.sort_by_key(|&(c, amount)| (amount, c.index()));
-            for (client, amount) in carried {
-                let deficit = -accounting.node_residual(node);
-                if deficit <= 0 {
-                    break;
-                }
-                let shed = if self.policy.is_single_server() {
-                    amount
-                } else {
-                    amount.min(deficit as u64)
-                };
-                let removed = survivor.unassign(client, node, shed);
-                accounting.unassign(tree, client, node, removed);
-                if removed > 0 {
-                    match orphans.iter_mut().find(|(c, _)| *c == client) {
-                        Some(entry) => entry.1 += removed,
-                        None => orphans.push((client, removed)),
-                    }
-                }
-            }
-            if accounting.node_residual(node) < 0 {
-                return None;
-            }
-        }
-
-        // Re-home the orphans hardest-first; what cannot be re-homed
-        // is fully unassigned and reported unserved.
-        let mut unserved: Vec<ClientId> = Vec::new();
-        orphans.sort_by_key(|&(c, amount)| (std::cmp::Reverse(amount), c.index()));
-        for (client, amount) in orphans {
-            if !rehome(
-                problem,
-                &self.platform,
-                &mut survivor,
-                &mut accounting,
-                client,
-                amount,
-                self.policy,
-            ) {
-                let current: Vec<(NodeId, u64)> = survivor
-                    .assignments(client)
-                    .iter()
-                    .map(|a| (a.server, a.amount))
-                    .collect();
-                for (server, held) in current {
-                    let removed = survivor.unassign(client, server, held);
-                    accounting.unassign(tree, client, server, removed);
-                }
-                unserved.push(client);
-            }
-        }
-
-        prune_idle_replicas(&mut survivor, tree.num_nodes());
-        Some((survivor, unserved))
-    }
-}
-
-/// Whether `deadline` has passed.
-fn expired(deadline: Option<Instant>) -> bool {
-    deadline.is_some_and(|d| Instant::now() >= d)
-}
-
-/// The LP options for the guided rung: the remaining wall budget (and
-/// the caller's iteration cap) threaded into the warm simplex solve.
-fn lp_options(deadline: Option<Instant>, budget: SolveBudget) -> IlpOptions {
-    let mut options = IlpOptions::default();
-    options.branch_bound.simplex.budget = SolveBudget {
-        deadline: deadline.map(|d| d.saturating_duration_since(Instant::now())),
-        max_iterations: budget.max_iterations,
-    };
-    options
-}
-
-/// Rebuilds the current platform from the engine state: effective
-/// capacities (healthy ∧ loss ∧ alive), current requests, pristine
-/// costs/QoS, and zeroed bandwidth on dead links.
-fn build_platform(pristine: &ProblemInstance, state: &EngineState) -> DegradedPlatform {
-    let tree = pristine.tree();
-    let capacities: Vec<u64> = (0..tree.num_nodes())
-        .map(|i| state.effective_capacity(i))
-        .collect();
-    let storage_costs: Vec<u64> = tree.node_ids().map(|n| pristine.storage_cost(n)).collect();
-    let qos: Vec<Option<u32>> = tree.client_ids().map(|c| pristine.qos(c)).collect();
-    let client_bw: Vec<Option<u64>> = tree
-        .client_ids()
-        .map(|c| {
-            if state.dead_client_links[c.index()] {
-                Some(0)
-            } else {
-                pristine.bandwidth(LinkId::Client(c))
-            }
-        })
-        .collect();
-    let node_bw: Vec<Option<u64>> = tree
-        .node_ids()
-        .map(|n| {
-            if !tree.is_root(n) && state.dead_node_links[n.index()] {
-                Some(0)
-            } else {
-                pristine.bandwidth(LinkId::Node(n))
-            }
-        })
-        .collect();
-    let problem = ProblemInstance::builder(pristine.tree_arc())
-        .requests(state.requests.clone())
-        .capacities(capacities)
-        .storage_costs(storage_costs)
-        .qos(qos)
-        .client_link_bandwidths(client_bw)
-        .node_link_bandwidths(node_bw)
-        .kind(pristine.kind())
-        .build();
-    DegradedPlatform::from_parts(
-        problem,
-        state.dead_servers.clone(),
-        state.dead_client_links.clone(),
-        state.dead_node_links.clone(),
-    )
-}
-
-/// Wraps a placement plus its unserved list into a bookkept
-/// [`DegradedPlacement`] against the current platform.
-fn report_from(
-    platform: &DegradedPlatform,
-    placement: Placement,
-    mut unserved: Vec<ClientId>,
-) -> DegradedPlacement {
-    let problem = platform.problem();
-    let tree = problem.tree();
-    unserved.sort();
-    unserved.dedup();
-    let total_requests: u64 = tree.client_ids().map(|c| problem.requests(c)).sum();
-    let lost: u64 = unserved.iter().map(|&c| problem.requests(c)).sum();
-    let cost = placement.cost(problem);
-    DegradedPlacement {
-        placement,
-        unserved,
-        served_requests: total_requests - lost,
-        total_requests,
-        cost,
+        self.dirty.mark_delta(tree, delta);
     }
 }
 
@@ -836,7 +407,9 @@ mod tests {
     #![allow(clippy::disallowed_methods)]
 
     use super::*;
-    use rp_tree::TreeBuilder;
+    use rp_core::failures::{FailureEvent, RecoveryScope};
+    use rp_core::Placement;
+    use rp_tree::{ClientId, NodeId, TreeBuilder};
     use std::time::Duration;
 
     /// root(W=10) -> mid(W=5) -> {c0: 4, c1: 2}; root -> c2: 3.

@@ -23,28 +23,29 @@
 //!
 //! # The escalation ladder
 //!
-//! Each apply answers within a per-delta
-//! [`SolveBudget`](rp_lp::SolveBudget) by climbing four rungs, every
-//! rung deadline-checked before it starts and its result
-//! machine-verified before it is accepted:
+//! The ladder itself lives in `rp-core`
+//! ([`repair_ladder`](rp_core::failures::repair_ladder)), shared with
+//! the batch resilience path. The engine folds each delta into its
+//! [`FailureState`](rp_core::failures::FailureState) and demand, marks
+//! the [`DirtyRegion`](rp_core::DirtyRegion) the delta can affect plus
+//! the clients the previous incumbent left unserved, and climbs four
+//! rungs within a per-delta [`SolveBudget`](rp_lp::SolveBudget):
 //!
-//! 1. **Surgical** ([`ApplyRung::Surgical`]) — dirty-root-path repair.
-//!    Only the root path of a changed node can change (the tree
-//!    structure guarantees it), so the engine re-examines just the
-//!    clients marked by [`DirtyRegion`](rp_core::DirtyRegion): strip
-//!    what died, sync assignments to the new demand, shed overload,
-//!    re-home orphans through the exact accounting.
-//! 2. **LP-guided** ([`ApplyRung::LpRepair`]) — under the Multiple
-//!    policy, a warm LP re-solve (dual-simplex cleanup from the
-//!    incumbent basis; the remaining budget is threaded into
-//!    [`SolveBudget`](rp_lp::SolveBudget)) rounded back to an integral
-//!    placement. Skipped under Closest/Upwards, whose single-server
-//!    rule the fractional rounding cannot respect.
+//! 1. **Surgical** ([`ApplyRung::Surgical`]) — repair only the dirty
+//!    clients: strip what died, sync assignments to the new demand,
+//!    shed overload, re-home orphans through the exact accounting.
+//! 2. **LP-guided** ([`ApplyRung::LpRepair`]) — under Multiple, a warm
+//!    LP re-solve from the engine's workspace, rounded back to an
+//!    integral placement.
 //! 3. **Re-run** ([`ApplyRung::Rerun`]) — the policy's own heuristics
 //!    from scratch on the current platform.
 //! 4. **Degrade** ([`ApplyRung::Degraded`]) — a machine-checkable
 //!    [`DegradedPlacement`](rp_core::DegradedPlacement): serve what
-//!    fits, report the rest as unserved. This rung is *total*.
+//!    fits, report the rest as unserved.
+//!
+//! What the engine adds around the ladder is the budget and deadline,
+//! snapshot and rollback, the deferred queue, checkpoints, paranoia and
+//! per-engine [`RungCounts`].
 //!
 //! # Budget, rollback and backpressure
 //!
@@ -71,6 +72,5 @@
 
 mod engine;
 
-pub use engine::{
-    ApplyOutcome, ApplyRung, EngineCheckpoint, Paranoia, PlacementEngine, RungCounts,
-};
+pub use engine::{ApplyOutcome, EngineCheckpoint, Paranoia, PlacementEngine, RungCounts};
+pub use rp_core::failures::ApplyRung;

@@ -29,8 +29,7 @@
 //! * ancestor and path walks ([`TreeNetwork::ancestors_of_node`],
 //!   [`TreeNetwork::ancestors_of_client`],
 //!   [`TreeNetwork::self_and_ancestors`],
-//!   [`TreeNetwork::client_path_links`]) are lazy, exact-size iterators;
-//!   `*_vec` variants exist where a collected `Vec` is genuinely wanted.
+//!   [`TreeNetwork::client_path_links`]) are lazy, exact-size iterators.
 //!
 //! The extra build-time cost is three linear passes; the payoff is that
 //! the solver inner loops in `rp-core` run allocation-free (verified by

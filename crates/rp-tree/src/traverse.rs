@@ -11,8 +11,7 @@
 //! so none of them allocates:
 //!
 //! * ancestor walks return lazy iterators over the parent pointers
-//!   ([`Ancestors`], [`PathLinks`]); the `*_vec` variants exist as
-//!   collecting conveniences for call sites that genuinely need a `Vec`;
+//!   ([`Ancestors`], [`PathLinks`]);
 //! * subtree and whole-tree traversals return **slices** of orders that
 //!   were precomputed when the tree was built;
 //! * [`node_is_ancestor_or_self`](TreeNetwork::node_is_ancestor_or_self),
@@ -123,21 +122,6 @@ impl TreeNetwork {
         }
     }
 
-    /// Collecting variant of [`ancestors_of_node`](Self::ancestors_of_node).
-    pub fn ancestors_of_node_vec(&self, node: NodeId) -> Vec<NodeId> {
-        self.ancestors_of_node(node).collect()
-    }
-
-    /// Collecting variant of [`ancestors_of_client`](Self::ancestors_of_client).
-    pub fn ancestors_of_client_vec(&self, client: ClientId) -> Vec<NodeId> {
-        self.ancestors_of_client(client).collect()
-    }
-
-    /// Collecting variant of [`self_and_ancestors`](Self::self_and_ancestors).
-    pub fn self_and_ancestors_vec(&self, node: NodeId) -> Vec<NodeId> {
-        self.self_and_ancestors(node).collect()
-    }
-
     /// Returns `true` when `ancestor` lies on the path from `node` to the
     /// root (or is `node` itself). O(1): `subtree(ancestor)` occupies one
     /// contiguous preorder interval, so the test is an interval check on
@@ -201,12 +185,6 @@ impl TreeNetwork {
             server,
             remaining: length as usize,
         })
-    }
-
-    /// Collecting variant of [`client_path_links`](Self::client_path_links).
-    pub fn client_path_links_vec(&self, client: ClientId, server: NodeId) -> Option<Vec<LinkId>> {
-        self.client_path_links(client, server)
-            .map(Iterator::collect)
     }
 
     /// All links on the path from a client up to the root, as a lazy
@@ -336,9 +314,15 @@ mod tests {
     #[test]
     fn ancestors_exclude_self_and_end_at_root() {
         let (t, n, _) = figure6_like();
-        assert_eq!(t.ancestors_of_node_vec(n[0]), vec![]);
-        assert_eq!(t.ancestors_of_node_vec(n[4]), vec![n[2], n[0]]);
-        assert_eq!(t.self_and_ancestors_vec(n[4]), vec![n[4], n[2], n[0]]);
+        assert_eq!(t.ancestors_of_node(n[0]).collect::<Vec<_>>(), vec![]);
+        assert_eq!(
+            t.ancestors_of_node(n[4]).collect::<Vec<_>>(),
+            vec![n[2], n[0]]
+        );
+        assert_eq!(
+            t.self_and_ancestors(n[4]).collect::<Vec<_>>(),
+            vec![n[4], n[2], n[0]]
+        );
     }
 
     #[test]
@@ -361,8 +345,14 @@ mod tests {
     #[test]
     fn client_ancestors_are_candidate_servers() {
         let (t, n, c) = figure6_like();
-        assert_eq!(t.ancestors_of_client_vec(c[2]), vec![n[4], n[2], n[0]]);
-        assert_eq!(t.ancestors_of_client_vec(c[4]), vec![n[3], n[0]]);
+        assert_eq!(
+            t.ancestors_of_client(c[2]).collect::<Vec<_>>(),
+            vec![n[4], n[2], n[0]]
+        );
+        assert_eq!(
+            t.ancestors_of_client(c[4]).collect::<Vec<_>>(),
+            vec![n[3], n[0]]
+        );
         assert!(t.is_on_client_path(c[2], n[0]));
         assert!(t.is_on_client_path(c[2], n[4]));
         assert!(!t.is_on_client_path(c[2], n[1]));
@@ -412,7 +402,7 @@ mod tests {
         assert_eq!(t.client_distance(c[2], n[0]), Some(3));
         assert_eq!(t.client_distance(c[2], n[1]), None);
 
-        let path = t.client_path_links_vec(c[2], n[0]).unwrap();
+        let path: Vec<LinkId> = t.client_path_links(c[2], n[0]).unwrap().collect();
         assert_eq!(path.len(), 3);
         assert_eq!(path[0], LinkId::Client(c[2]));
         assert_eq!(path[1], LinkId::Node(n[4]));

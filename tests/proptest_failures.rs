@@ -2,15 +2,22 @@
 //! randomized instances, the repair pipeline must always return a
 //! machine-checkable outcome — a placement fully valid over the
 //! surviving platform, or a degraded report whose served set is
-//! genuinely servable. Never an invalid answer, never a panic.
+//! genuinely servable. Never an invalid answer, never a panic. The
+//! batch fold and the online engine's fold must agree event for event.
 
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 use replica_placement::core::{
-    apply_failures, inject_and_repair, repair_after_failure, FailureEvent, RepairOutcome,
+    apply_failures, inject_and_repair, repair_after_failure, FailureEvent, RecoveryScope,
+    RepairOutcome,
 };
+use replica_placement::lp::SolveBudget;
 use replica_placement::prelude::*;
+use replica_placement::tree::LinkId;
 use replica_placement::workloads::failures::failure_trace;
+use replica_placement::workloads::scenarios::attach_link_bandwidths;
 use replica_placement::workloads::{generate_problem, generate_tree};
 
 /// A random instance from one seed: tree shape, platform family and
@@ -38,8 +45,74 @@ fn instance_from_seed(seed: u64) -> ProblemInstance {
     generate_problem(tree, &WorkloadConfig::new(platform, lambda), seed ^ 0x5555)
 }
 
+/// A random failure sequence over every event kind, recoveries of
+/// every scope included (the root's uplink, which does not exist, too).
+fn failures_with_recoveries(tree: &TreeNetwork, len: usize, seed: u64) -> Vec<FailureEvent> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let link = |rng: &mut StdRng| {
+        if rng.gen_range(0..2u32) == 0 {
+            LinkId::Client(ClientId::from_index(rng.gen_range(0..tree.num_clients())))
+        } else {
+            LinkId::Node(NodeId::from_index(rng.gen_range(0..tree.num_nodes())))
+        }
+    };
+    (0..len)
+        .map(|_| {
+            let node = NodeId::from_index(rng.gen_range(0..tree.num_nodes()));
+            match rng.gen_range(0..8u32) {
+                0 => FailureEvent::ServerCrash(node),
+                1 => FailureEvent::UplinkDown(link(&mut rng)),
+                2 => FailureEvent::CapacityLoss {
+                    node,
+                    remaining: rng.gen_range(0..12u64),
+                },
+                3 => FailureEvent::SubtreeFailure(node),
+                4 => FailureEvent::Recovered(RecoveryScope::Server(node)),
+                5 => FailureEvent::Recovered(RecoveryScope::Link(link(&mut rng))),
+                6 => FailureEvent::Recovered(RecoveryScope::Subtree(node)),
+                _ => FailureEvent::Recovered(RecoveryScope::All),
+            }
+        })
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// One fold: `apply_failures` on a whole trace and an engine fed the
+    /// same events one delta at a time reach the same platform — every
+    /// node's capacity, every link's bandwidth and every dead flag.
+    #[test]
+    fn batch_and_engine_folds_agree(
+        instance_seed in 0u64..1_000_000,
+        trace_seed in 0u64..1_000_000,
+        trace_len in 1usize..=16,
+    ) {
+        let mut problem = instance_from_seed(instance_seed);
+        if instance_seed % 3 == 0 {
+            problem = attach_link_bandwidths(&problem, (0.5, 1.5), instance_seed);
+        }
+        let tree = problem.tree();
+        let events = failures_with_recoveries(tree, trace_len, trace_seed);
+        let mut engine = PlacementEngine::new(problem.clone(), Policy::Multiple);
+        for &event in &events {
+            engine.apply(event.into(), SolveBudget::UNLIMITED);
+        }
+        let batch = apply_failures(&problem, &events);
+        let live = engine.platform();
+        for node in tree.node_ids() {
+            let link = LinkId::Node(node);
+            prop_assert_eq!(batch.problem().capacity(node), live.problem().capacity(node));
+            prop_assert_eq!(batch.problem().bandwidth(link), live.problem().bandwidth(link));
+            prop_assert_eq!(batch.is_server_dead(node), live.is_server_dead(node));
+            prop_assert_eq!(batch.is_link_dead(link), live.is_link_dead(link));
+        }
+        for client in tree.client_ids() {
+            let link = LinkId::Client(client);
+            prop_assert_eq!(batch.problem().bandwidth(link), live.problem().bandwidth(link));
+            prop_assert_eq!(batch.is_link_dead(link), live.is_link_dead(link));
+        }
+    }
 
     /// The headline property: for every policy whose heuristics can
     /// place the healthy instance, injecting an arbitrary trace of up

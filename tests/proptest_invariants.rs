@@ -69,11 +69,10 @@ proptest! {
     fn ancestors_always_end_at_the_root(tree in tree_strategy(12, 12)) {
         let root = tree.root();
         for client in tree.client_ids() {
-            let ancestors = tree.ancestors_of_client_vec(client);
+            let ancestors: Vec<NodeId> = tree.ancestors_of_client(client).collect();
             prop_assert!(!ancestors.is_empty());
             prop_assert_eq!(*ancestors.last().unwrap(), root);
-            // The lazy iterator agrees with the collecting shim and
-            // reports its exact length.
+            // The lazy iterator reports its exact length.
             prop_assert_eq!(tree.ancestors_of_client(client).len(), ancestors.len());
             prop_assert!(tree.ancestors_of_client(client).eq(ancestors.iter().copied()));
             // Each consecutive pair is a parent link.

@@ -86,24 +86,27 @@ proptest! {
     fn ancestor_iterators_match_the_parent_walk(tree in tree_strategy(14, 10)) {
         for node in tree.node_ids() {
             let reference = naive_ancestors(&tree, node);
-            prop_assert_eq!(tree.ancestors_of_node_vec(node), reference.clone());
+            prop_assert_eq!(
+                tree.ancestors_of_node(node).collect::<Vec<_>>(),
+                reference.clone()
+            );
             prop_assert_eq!(tree.ancestors_of_node(node).len(), reference.len());
             let mut with_self = vec![node];
             with_self.extend(&reference);
-            prop_assert_eq!(tree.self_and_ancestors_vec(node), with_self);
+            prop_assert_eq!(tree.self_and_ancestors(node).collect::<Vec<_>>(), with_self);
         }
         for client in tree.client_ids() {
             let parent = tree.parent_of_client(client);
             let mut reference = vec![parent];
             reference.extend(naive_ancestors(&tree, parent));
-            prop_assert_eq!(tree.ancestors_of_client_vec(client), reference);
+            prop_assert_eq!(tree.ancestors_of_client(client).collect::<Vec<_>>(), reference);
         }
     }
 
     #[test]
     fn interval_stamps_match_walked_ancestry(tree in tree_strategy(14, 10)) {
         for a in tree.node_ids() {
-            let ancestry = tree.self_and_ancestors_vec(a);
+            let ancestry: Vec<NodeId> = tree.self_and_ancestors(a).collect();
             for b in tree.node_ids() {
                 prop_assert_eq!(
                     tree.node_is_ancestor_or_self(a, b),
@@ -151,7 +154,10 @@ proptest! {
                     tree.client_distance(client, server),
                     expected.get(&server).copied()
                 );
-                match tree.client_path_links_vec(client, server) {
+                match tree
+                    .client_path_links(client, server)
+                    .map(Iterator::collect::<Vec<_>>)
+                {
                     Some(links) => {
                         prop_assert_eq!(links.len() as u32, expected[&server]);
                         prop_assert_eq!(links[0], LinkId::Client(client));
@@ -217,7 +223,7 @@ proptest! {
             for client in tree.client_ids() {
                 for a in placement.assignments(client) {
                     let links = tree
-                        .client_path_links_vec(client, a.server)
+                        .client_path_links(client, a.server)
                         .expect("assignments lie on the client path");
                     for link in links {
                         *expected_flows.entry(link).or_insert(0) += a.amount;
