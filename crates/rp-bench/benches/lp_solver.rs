@@ -137,12 +137,21 @@ fn bench_sparse_lu(c: &mut Criterion) {
             },
         );
         // Sibling fast path: the matrix is unchanged, so the warm solve
-        // is a refactorisation plus a handful of cleanup pivots.
+        // is a refactorisation plus a handful of cleanup pivots. Two
+        // clones alternate so that no solve re-solves the model the
+        // workspace solved last, which would patch it in place instead.
         ws.solve_warm(&formulation.model, &options);
+        let siblings = [formulation.model.clone(), formulation.model.clone()];
+        let mut k = 0;
         group.bench_with_input(
             BenchmarkId::new("resolve_warm", size),
-            &formulation.model,
-            |b, model| b.iter(|| ws.solve_warm(model, &options)),
+            &siblings,
+            |b, siblings| {
+                b.iter(|| {
+                    k ^= 1;
+                    ws.solve_warm(&siblings[k], &options)
+                })
+            },
         );
     }
     {

@@ -113,7 +113,11 @@
 //!   shape): [`RevisedWorkspace::solve_warm`] and
 //!   [`solve_milp_reusing`] re-solve with a refactorisation plus a few
 //!   cleanup pivots, falling back to a cold solve on any structural
-//!   change (verified entry-for-entry in `O(nnz)`).
+//!   change (verified entry-for-entry in `O(nnz)`, or in `O(1)` for the
+//!   model the workspace last solved). A re-solve of that same model
+//!   after right-hand-side edits only patches the workspace in place
+//!   and keeps its factorisation: a sibling whose basis stays optimal
+//!   costs no refactorisation and no pivot.
 //!
 //! Pick [`LpEngine::Revised`] (the default) for anything but tiny
 //! models; pick [`LpEngine::DenseTableau`] when you want a second,

@@ -11,6 +11,7 @@
 //! minimisation objective.
 
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Identifier of a decision variable within a [`Model`].
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -184,12 +185,49 @@ pub struct Constraint {
     pub rhs: f64,
 }
 
+/// Source of [`Model`] identity tokens; 0 is never handed out. A token
+/// publishes no other data and only has to be unique, which
+/// `fetch_add` guarantees under `Relaxed`.
+static NEXT_MODEL_ID: AtomicU64 = AtomicU64::new(1);
+
+fn fresh_model_id() -> u64 {
+    NEXT_MODEL_ID.fetch_add(1, Ordering::Relaxed)
+}
+
 /// A linear / mixed-integer linear program.
-#[derive(Clone, Debug, Default)]
+///
+/// Every model carries an identity token, fresh on [`Model::new`],
+/// [`Default`] and [`Clone`]: a clone is a *different* model to the
+/// warm path of [`crate::RevisedWorkspace::solve_warm`]. No method
+/// edits a row's terms or comparison, and the sense has no setter, so
+/// the same identity with the same variable and row counts proves the
+/// constraint matrix unchanged.
+#[derive(Debug)]
 pub struct Model {
     pub(crate) variables: Vec<Variable>,
     pub(crate) constraints: Vec<Constraint>,
     pub(crate) sense: Sense,
+    id: u64,
+}
+
+impl Clone for Model {
+    /// A copy under a fresh identity: re-solving it on a workspace that
+    /// last solved the original takes the full warm path (which
+    /// compares the matrices entry by entry), never the in-place patch.
+    fn clone(&self) -> Self {
+        Model {
+            variables: self.variables.clone(),
+            constraints: self.constraints.clone(),
+            sense: self.sense,
+            id: fresh_model_id(),
+        }
+    }
+}
+
+impl Default for Model {
+    fn default() -> Self {
+        Model::new(Sense::default())
+    }
 }
 
 impl Model {
@@ -199,7 +237,13 @@ impl Model {
             variables: Vec::new(),
             constraints: Vec::new(),
             sense,
+            id: fresh_model_id(),
         }
+    }
+
+    /// The identity token (see the type docs).
+    pub(crate) fn identity(&self) -> u64 {
+        self.id
     }
 
     /// Creates an empty minimisation model (the common case here).
@@ -312,7 +356,10 @@ impl Model {
 
     /// Overrides the right-hand side of a constraint. Like objective
     /// edits, right-hand-side edits preserve the constraint matrix and
-    /// therefore warm-startability.
+    /// therefore warm-startability. When only right-hand sides changed
+    /// since this model's last optimal solve on a workspace, the
+    /// re-solve patches that workspace in place: no presolve
+    /// re-analysis and no refactorisation at entry.
     pub fn set_rhs(&mut self, c: ConstraintId, rhs: f64) {
         self.constraints[c.index()].rhs = rhs;
     }
@@ -529,6 +576,15 @@ mod tests {
     fn inverted_bounds_are_rejected() {
         let mut m = Model::minimize();
         m.add_var("bad", 2.0, Some(1.0), 0.0);
+    }
+
+    #[test]
+    fn new_default_and_cloned_models_get_fresh_identities() {
+        let a = Model::minimize();
+        let b = a.clone();
+        assert_ne!(a.identity(), b.identity());
+        assert_ne!(Model::default().identity(), Model::default().identity());
+        assert_ne!(a.identity(), 0);
     }
 
     #[test]

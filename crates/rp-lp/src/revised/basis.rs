@@ -26,8 +26,16 @@
 //! their optimal bound. [`StandardForm::build_reduced`] then assembles
 //! the equality form over the surviving rows and columns only, and the
 //! postsolve step in the driver restores every eliminated variable.
+//!
+//! Every build or refresh of a form also records the model data it
+//! read ([`Synced`]), so a re-solve of the same model can find its
+//! right-hand-side edits by diff and patch the form in place: an edited
+//! kept row gets its reduced right-hand side recomputed
+//! ([`Presolve::reduced_rhs`]), and an edited removed row that derived
+//! no reduction needs nothing while the final bounds still imply it
+//! ([`Presolve::still_implied`]).
 
-use crate::model::{Cmp, Model, Sense};
+use crate::model::{Cmp, Constraint, Model, Sense};
 
 /// Slack-variable bounds encoding a constraint's comparison direction.
 fn slack_bounds(cmp: Cmp) -> (f64, f64) {
@@ -69,6 +77,8 @@ pub(crate) struct StandardForm {
     /// Set when a variable's bounds are inverted (`ub < lb`): the LP is
     /// trivially infeasible.
     pub(crate) trivially_infeasible: bool,
+    /// The model data this form was last built or refreshed from.
+    pub(crate) synced: Synced,
 }
 
 impl StandardForm {
@@ -166,6 +176,7 @@ impl StandardForm {
             self.cost.push(0.0);
             self.rhs.push(c.rhs);
         }
+        self.synced.sync(model);
     }
 
     /// Refreshes the structural bounds, objective, right-hand sides
@@ -192,6 +203,7 @@ impl StandardForm {
             self.lower[self.n_struct + row] = slo;
             self.upper[self.n_struct + row] = shi;
         }
+        self.synced.sync(model);
     }
 
     /// `true` when `model` has the same shape as the standard form was
@@ -318,17 +330,12 @@ impl StandardForm {
         let n = pre.cols.len();
         for (ri, &i) in pre.rows.iter().enumerate() {
             let c = &model.constraints[i as usize];
-            let mut rhs = c.rhs;
-            for &(var, coeff) in &c.terms {
-                if !pre.col_kept[var.index()] {
-                    rhs -= coeff * pre.fixed[var.index()];
-                }
-            }
-            self.rhs[ri] = rhs;
+            self.rhs[ri] = pre.reduced_rhs(c);
             let (slo, shi) = slack_bounds(c.cmp);
             self.lower[n + ri] = slo;
             self.upper[n + ri] = shi;
         }
+        self.synced.sync(model);
     }
 
     /// `true` when `model`'s kept entries are entry-for-entry the ones
@@ -390,6 +397,67 @@ impl StandardForm {
     }
 }
 
+/// The model data a [`StandardForm`] was last built or refreshed from,
+/// indexed like the model. A re-solve of the same model diffs against
+/// it to find what was edited: `O(m + n)` scalar compares, and no edit
+/// log inside [`Model`].
+#[derive(Default)]
+pub(crate) struct Synced {
+    /// [`Model::identity`] of the model (0 before the first sync).
+    id: u64,
+    /// Right-hand side per model row.
+    pub(crate) rhs: Vec<f64>,
+    /// Bounds per model variable, `+∞` where it has no upper bound.
+    lower: Vec<f64>,
+    upper: Vec<f64>,
+    /// Objective coefficient per model variable.
+    objective: Vec<f64>,
+}
+
+impl Synced {
+    fn sync(&mut self, model: &Model) {
+        self.id = model.identity();
+        self.rhs.clear();
+        self.rhs.extend(model.constraints.iter().map(|c| c.rhs));
+        self.lower.clear();
+        self.upper.clear();
+        self.objective.clear();
+        for v in &model.variables {
+            self.lower.push(v.lower);
+            self.upper.push(v.upper.unwrap_or(f64::INFINITY));
+            self.objective.push(v.objective);
+        }
+    }
+
+    /// `true` when `model` is the synced model at the synced shape,
+    /// which proves its constraint matrix unchanged (see [`Model`]).
+    pub(crate) fn same_matrix(&self, model: &Model) -> bool {
+        self.id == model.identity()
+            && self.rhs.len() == model.num_constraints()
+            && self.lower.len() == model.num_vars()
+    }
+
+    /// `true` when every bound and objective coefficient of `model`
+    /// equals the synced one.
+    pub(crate) fn columns_match(&self, model: &Model) -> bool {
+        model.variables.iter().enumerate().all(|(j, v)| {
+            v.lower == self.lower[j]
+                && v.upper.unwrap_or(f64::INFINITY) == self.upper[j]
+                && v.objective == self.objective[j]
+        })
+    }
+
+    /// Appends the rows whose right-hand side differs from the synced
+    /// one to `out`.
+    pub(crate) fn edited_rows(&self, model: &Model, out: &mut Vec<u32>) {
+        for (i, (c, &rhs)) in model.constraints.iter().zip(&self.rhs).enumerate() {
+            if c.rhs != rhs {
+                out.push(i as u32);
+            }
+        }
+    }
+}
+
 /// Coefficient magnitude below which a term is treated as absent.
 const LIVE_TOL: f64 = 1e-12;
 /// Detection tolerance for forcing constraints and redundancy.
@@ -399,6 +467,29 @@ const FORCE_TOL: f64 = 1e-9;
 /// (`tolerance * 10`), so presolve and the full solve agree on
 /// borderline instances.
 const INFEAS_TOL: f64 = 1e-6;
+
+/// A row's activity range over the surviving columns' bounds, with the
+/// fixed columns folded into its right-hand side.
+struct RowActivity {
+    /// Right-hand side less the fixed columns' contribution.
+    rhs: f64,
+    /// Terms on surviving columns with a coefficient above [`LIVE_TOL`].
+    live: usize,
+    /// The last live term: `(column, coefficient)`.
+    single: (usize, f64),
+    min: f64,
+    max: f64,
+}
+
+/// The redundancy test: the column bounds alone imply the row. Never
+/// true of an equality.
+fn implied(cmp: Cmp, act: &RowActivity) -> bool {
+    match cmp {
+        Cmp::Le => act.max <= act.rhs + FORCE_TOL,
+        Cmp::Ge => act.min >= act.rhs - FORCE_TOL,
+        Cmp::Eq => false,
+    }
+}
 
 /// The presolve pass: bound tightenings, eliminated rows and fixed
 /// columns, plus the original↔reduced index maps. See the module docs.
@@ -412,14 +503,18 @@ pub(crate) struct Presolve {
     /// Surviving rows / columns of the current analysis.
     pub(crate) row_kept: Vec<bool>,
     pub(crate) col_kept: Vec<bool>,
+    /// Removed rows a reduction was derived from: a singleton row that
+    /// tightened a bound, or a forcing row.
+    row_derived: Vec<bool>,
     /// The masks the current reduced form was built from (the warm
     /// path re-analyses and only reuses the basis when they match).
     built_row_kept: Vec<bool>,
     built_col_kept: Vec<bool>,
-    /// Reduced→original index lists and the original→reduced column
-    /// map, frozen at build time.
+    /// Reduced→original index lists and the original→reduced maps
+    /// (`u32::MAX` for a removed row or column), frozen at build time.
     pub(crate) rows: Vec<u32>,
     pub(crate) cols: Vec<u32>,
+    pub(crate) row_map: Vec<u32>,
     pub(crate) col_map: Vec<u32>,
     // ---- analysis scratch ----
     occ: Vec<u32>,
@@ -442,6 +537,8 @@ impl Presolve {
         self.fixed.resize(n, 0.0);
         self.row_kept.clear();
         self.row_kept.resize(m, true);
+        self.row_derived.clear();
+        self.row_derived.resize(m, false);
         self.col_kept.clear();
         self.col_kept.resize(n, true);
         self.occ.clear();
@@ -491,32 +588,9 @@ impl Presolve {
                 if !self.row_kept[i] {
                     continue;
                 }
-                let mut rhs = c.rhs;
-                let mut live = 0usize;
-                let mut single = (0usize, 0.0f64);
-                let mut min_act = 0.0f64;
-                let mut max_act = 0.0f64;
-                for &(var, a) in &c.terms {
-                    let j = var.index();
-                    if !self.col_kept[j] {
-                        rhs -= a * self.fixed[j];
-                        continue;
-                    }
-                    if a.abs() <= LIVE_TOL {
-                        continue;
-                    }
-                    live += 1;
-                    single = (j, a);
-                    let (lo, hi) = (self.lower[j], self.upper[j]);
-                    if a > 0.0 {
-                        min_act += a * lo;
-                        max_act += a * hi;
-                    } else {
-                        min_act += a * hi;
-                        max_act += a * lo;
-                    }
-                }
-                match live {
+                let act = self.activity(c);
+                let rhs = act.rhs;
+                match act.live {
                     0 => {
                         let violated = match c.cmp {
                             Cmp::Le => rhs < -INFEAS_TOL,
@@ -531,7 +605,7 @@ impl Presolve {
                     }
                     1 => {
                         // Singleton row: a bound on its only variable.
-                        let (j, a) = single;
+                        let (j, a) = act.single;
                         let v = rhs / a;
                         let (tighten_upper, tighten_lower) = match c.cmp {
                             Cmp::Le => (a > 0.0, a < 0.0),
@@ -540,9 +614,11 @@ impl Presolve {
                         };
                         if tighten_upper && v < self.upper[j] {
                             self.upper[j] = v;
+                            self.row_derived[i] = true;
                         }
                         if tighten_lower && v > self.lower[j] {
                             self.lower[j] = v;
+                            self.row_derived[i] = true;
                         }
                         if self.lower[j] > self.upper[j] {
                             if self.lower[j] - self.upper[j] > INFEAS_TOL {
@@ -556,22 +632,20 @@ impl Presolve {
                         changed = true;
                     }
                     _ => {
-                        let (infeasible, redundant, force_min, force_max) = match c.cmp {
+                        let (min_act, max_act) = (act.min, act.max);
+                        let (infeasible, force_min, force_max) = match c.cmp {
                             Cmp::Le => (
                                 min_act > rhs + INFEAS_TOL,
-                                max_act <= rhs + FORCE_TOL,
                                 min_act >= rhs - FORCE_TOL,
                                 false,
                             ),
                             Cmp::Ge => (
                                 max_act < rhs - INFEAS_TOL,
-                                min_act >= rhs - FORCE_TOL,
                                 false,
                                 max_act <= rhs + FORCE_TOL,
                             ),
                             Cmp::Eq => (
                                 min_act > rhs + INFEAS_TOL || max_act < rhs - INFEAS_TOL,
-                                false,
                                 min_act >= rhs - FORCE_TOL,
                                 max_act <= rhs + FORCE_TOL,
                             ),
@@ -579,7 +653,7 @@ impl Presolve {
                         if infeasible {
                             return false;
                         }
-                        if redundant {
+                        if implied(c.cmp, &act) {
                             self.row_kept[i] = false;
                             changed = true;
                         } else if (force_min || force_max) && self.row_without_duplicates(c) {
@@ -602,6 +676,7 @@ impl Presolve {
                                 self.col_kept[j] = false;
                             }
                             self.row_kept[i] = false;
+                            self.row_derived[i] = true;
                             changed = true;
                         }
                     }
@@ -679,10 +754,65 @@ impl Presolve {
         true
     }
 
+    /// `c`'s activity range over the current bounds of the surviving
+    /// columns, with the fixed columns folded into its right-hand side.
+    fn activity(&self, c: &Constraint) -> RowActivity {
+        let mut act = RowActivity {
+            rhs: c.rhs,
+            live: 0,
+            single: (0, 0.0),
+            min: 0.0,
+            max: 0.0,
+        };
+        for &(var, a) in &c.terms {
+            let j = var.index();
+            if !self.col_kept[j] {
+                act.rhs -= a * self.fixed[j];
+                continue;
+            }
+            if a.abs() <= LIVE_TOL {
+                continue;
+            }
+            act.live += 1;
+            act.single = (j, a);
+            let (lo, hi) = (self.lower[j], self.upper[j]);
+            if a > 0.0 {
+                act.min += a * lo;
+                act.max += a * hi;
+            } else {
+                act.min += a * hi;
+                act.max += a * lo;
+            }
+        }
+        act
+    }
+
+    /// `c`'s right-hand side in the reduced form: the fixed columns'
+    /// contribution folded in.
+    pub(crate) fn reduced_rhs(&self, c: &Constraint) -> f64 {
+        let mut rhs = c.rhs;
+        for &(var, coeff) in &c.terms {
+            if !self.col_kept[var.index()] {
+                rhs -= coeff * self.fixed[var.index()];
+            }
+        }
+        rhs
+    }
+
+    /// `true` when removed row `i` (the model's row `c`, right-hand side
+    /// possibly edited since the analysis) needs nothing in the reduced
+    /// form: no reduction was derived from it, and the final bounds
+    /// still imply it by the redundancy test of [`Presolve::analyze`].
+    /// Such a row constrains no point of the reduced problem, so the
+    /// reductions derived from the other rows stay valid.
+    pub(crate) fn still_implied(&self, i: usize, c: &Constraint) -> bool {
+        !self.row_derived[i] && implied(c.cmp, &self.activity(c))
+    }
+
     /// `true` when no surviving variable appears twice in `c` — the
     /// precondition for the forcing-row fix (duplicated terms make the
     /// per-term activity bounds unattainable).
-    fn row_without_duplicates(&mut self, c: &crate::model::Constraint) -> bool {
+    fn row_without_duplicates(&mut self, c: &Constraint) -> bool {
         self.stamp_gen += 1;
         for &(var, a) in &c.terms {
             let j = var.index();
@@ -701,12 +831,14 @@ impl Presolve {
     /// is about to be built from.
     pub(crate) fn finalize_for_build(&mut self) {
         self.rows.clear();
-        self.rows.extend(
-            self.row_kept
-                .iter()
-                .enumerate()
-                .filter_map(|(i, &keep)| keep.then_some(i as u32)),
-        );
+        self.row_map.clear();
+        self.row_map.resize(self.row_kept.len(), u32::MAX);
+        for (i, &keep) in self.row_kept.iter().enumerate() {
+            if keep {
+                self.row_map[i] = self.rows.len() as u32;
+                self.rows.push(i as u32);
+            }
+        }
         self.cols.clear();
         self.col_map.clear();
         self.col_map.resize(self.col_kept.len(), u32::MAX);

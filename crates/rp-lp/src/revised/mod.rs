@@ -32,6 +32,17 @@
 //! test. The basis is refactorised every [`REFACTOR_EVERY`] updates —
 //! and the basic values recomputed from the right-hand side — to
 //! squash the drift the updates accumulate.
+//!
+//! A warm start enters one of two ways. The full entry re-runs the
+//! presolve analysis, refreshes the working form from the model and
+//! refactorises the stored basis. A re-solve of the *same* model whose
+//! only edits since its last optimal solve are right-hand sides instead
+//! patches the form in place: the edits are found by diffing against
+//! the data the form was synced from, the edited rows' reduced
+//! right-hand sides are recomputed, and the basic values move by one
+//! FTRAN of the change. The factorisation and the reduced costs of the
+//! last solve carry over, so a sibling whose basis stays optimal costs
+//! no refactorisation and no pivot.
 
 mod basis;
 mod factor;
@@ -82,6 +93,13 @@ pub struct RevisedWorkspace {
     /// changed presolve decision forces a cold rebuild on the next
     /// solve).
     presolved: bool,
+    /// Set when the last solve ended optimal: the basis, its
+    /// factorisation and the reduced costs `d` then describe the optimum
+    /// of the model `form` was synced from, which is what lets a
+    /// right-hand-side re-solve patch them in place.
+    optimal_basis: bool,
+    /// Model rows whose right-hand side the current re-solve edited.
+    edited: Vec<u32>,
     /// Incremental list of primal-infeasible rows (dual pricing).
     dual_cands: DualCandidates,
     /// Bound-flipping dual ratio test scratch: `(ratio, |alpha|, col)`
@@ -179,7 +197,9 @@ pub enum WarmStart {
     /// mid-solve fallback after the warm cleanup stalled.
     #[default]
     Cold,
-    /// The warm path answered with only the entry refactorisation.
+    /// The warm path answered with no refactorisation past its entry:
+    /// one at the full entry, none when a right-hand-side re-solve
+    /// patched the workspace in place.
     WarmHit,
     /// The warm path answered but needed further refactorisations along
     /// the way.
@@ -271,14 +291,22 @@ impl RevisedWorkspace {
     }
 
     /// Solves the continuous relaxation of `model`, reusing the previous
-    /// optimal basis when the constraint *matrix* is unchanged (verified
-    /// entry-for-entry in `O(nnz)`); bounds, objective and right-hand
-    /// sides may all differ — branch-and-bound only changes bounds,
-    /// which additionally keeps the basis dual feasible so the dual
-    /// cleanup is short. Falls back to a cold solve on any structural
-    /// change, or when the dual-simplex cleanup fails; a fresh workspace
-    /// (or one after [`RevisedWorkspace::invalidate`]) always solves
-    /// cold.
+    /// optimal basis when the constraint *matrix* is unchanged; bounds,
+    /// objective and right-hand sides may all differ — branch-and-bound
+    /// only changes bounds, which additionally keeps the basis dual
+    /// feasible so the dual cleanup is short. Re-solving the model the
+    /// workspace last solved (the same [`Model`] value, not a clone)
+    /// proves the matrix unchanged in `O(1)`; any other model is
+    /// compared entry for entry in `O(nnz)`. Falls back to a cold solve
+    /// on any structural change, or when the dual-simplex cleanup fails;
+    /// a fresh workspace (or one after [`RevisedWorkspace::invalidate`])
+    /// always solves cold.
+    ///
+    /// When only right-hand sides changed since the same model's last
+    /// optimal solve, and presolve can absorb each edited row, the
+    /// workspace is patched in place instead: no presolve re-analysis,
+    /// no refactorisation at entry, and the last solve's reduced costs
+    /// reused. Bound and objective edits take the full warm entry.
     ///
     /// Abnormal stops are typed: [`RevisedWorkspace::last_error`] names
     /// the reason. A budget stop after reaching primal feasibility still
@@ -296,6 +324,7 @@ impl RevisedWorkspace {
     /// budget reset or telemetry bookkeeping.
     fn solve_warm_inner(&mut self, model: &Model, options: &SimplexOptions) -> Solution {
         self.stats = SolveStats::default();
+        let was_optimal = std::mem::take(&mut self.optimal_basis);
         if !self.warm_ready || self.presolved != effective_presolve(model, options) {
             let was_warm = self.warm_ready;
             let solution = self.solve_cold_inner(model, options);
@@ -306,27 +335,133 @@ impl RevisedWorkspace {
             }
             return solution;
         }
+        let patched = was_optimal && self.patch_rhs(model);
+        if !patched {
+            match self.refresh_warm_form(model) {
+                WarmEntry::Refreshed => {}
+                WarmEntry::Infeasible => return Solution::status_only(Status::Infeasible),
+                WarmEntry::Rebuild => return self.solve_cold_inner(model, options),
+            }
+            let warm_refac_ok = {
+                let _t = rp_obs::phase_timer(rp_obs::Phase::Factorise);
+                self.refactor_and_recompute()
+            };
+            if !warm_refac_ok {
+                return self.solve_cold_inner(model, options);
+            }
+        }
+        // The stored basis is in play: a warm hit, unless the cleanup
+        // refactorises past the entry. Mid-solve cold fallbacks reset
+        // the stats, reverting the classification to cold.
+        let entry_refactorisations = self.stats.refactorisations;
+        self.stats.warm = WarmStart::WarmHit;
+        let solution = self.warm_cleanup(model, options, patched);
+        if self.stats.warm == WarmStart::WarmHit
+            && self.stats.refactorisations > entry_refactorisations
+        {
+            self.stats.warm = WarmStart::WarmRefactor;
+        }
+        solution
+    }
+
+    /// The in-place entry of a same-model re-solve whose only edits
+    /// since its last optimal solve are right-hand sides. Each edited
+    /// row is absorbed: a kept row gets its reduced right-hand side
+    /// recomputed, and a removed row must still be implied by the final
+    /// bounds ([`Presolve::still_implied`]). The basic values then move
+    /// by one hyper-sparse FTRAN of the reduced right-hand-side change,
+    /// `x_B += B⁻¹Δb`; the basis, its factorisation and the reduced
+    /// costs stay as the last solve left them. Returns `false`, having
+    /// changed nothing, when the model, its bounds or its objective
+    /// differ from the synced ones or some edit cannot be absorbed.
+    fn patch_rhs(&mut self, model: &Model) -> bool {
+        {
+            let _t = rp_obs::phase_timer(rp_obs::Phase::Presolve);
+            let synced = &self.form.synced;
+            if !synced.same_matrix(model) || !synced.columns_match(model) {
+                return false;
+            }
+            self.edited.clear();
+            synced.edited_rows(model, &mut self.edited);
+            let (presolved, presolve) = (self.presolved, &self.presolve);
+            // The working-form row of model row `i`, unless presolve
+            // removed it.
+            let form_row = |i: usize| {
+                if !presolved {
+                    return Some(i);
+                }
+                let row = presolve.row_map[i];
+                (row != u32::MAX).then_some(row as usize)
+            };
+            let absorbed = self.edited.iter().all(|&i| {
+                let i = i as usize;
+                form_row(i).is_some() || presolve.still_implied(i, &model.constraints[i])
+            });
+            if !absorbed {
+                return false;
+            }
+            self.residual.clear();
+            self.residual.resize(self.form.m, 0.0);
+            self.residual_nz.clear();
+            for &i in &self.edited {
+                let i = i as usize;
+                let c = &model.constraints[i];
+                self.form.synced.rhs[i] = c.rhs;
+                let Some(row) = form_row(i) else { continue };
+                let rhs = if presolved {
+                    presolve.reduced_rhs(c)
+                } else {
+                    c.rhs
+                };
+                let delta = rhs - self.form.rhs[row];
+                self.form.rhs[row] = rhs;
+                if delta != 0.0 {
+                    self.residual[row] = delta;
+                    self.residual_nz.push(row as u32);
+                }
+            }
+        }
+        if !self.residual_nz.is_empty() {
+            let _t = rp_obs::phase_timer(rp_obs::Phase::Ftran);
+            self.factor
+                .ftran_sparse(&mut self.residual, &mut self.residual_nz);
+            for &i in &self.residual_nz {
+                let i = i as usize;
+                self.basis.x_basic[i] += self.residual[i];
+            }
+        }
+        true
+    }
+
+    /// The full warm entry, timed as presolve: re-runs the presolve
+    /// analysis when the form is presolved, checks that the matrix and
+    /// the reductions match the stored form, refreshes bounds, costs and
+    /// right-hand sides from `model`, and re-anchors nonbasic columns
+    /// whose bound vanished.
+    fn refresh_warm_form(&mut self, model: &Model) -> WarmEntry {
+        let _t = rp_obs::phase_timer(rp_obs::Phase::Presolve);
+        let same_matrix = self.form.synced.same_matrix(model);
         if self.presolved {
             // Re-run the (cheap, O(nnz)) analysis: the stored reduced
             // basis is only reusable when the new model eliminates
             // exactly the same rows and columns.
             if !self.presolve.analyze(model) {
-                return Solution::status_only(Status::Infeasible);
+                return WarmEntry::Infeasible;
             }
             if !self.presolve.matches_built()
-                || !self.form.matrix_matches_reduced(model, &self.presolve)
+                || !(same_matrix || self.form.matrix_matches_reduced(model, &self.presolve))
             {
-                return self.solve_cold_inner(model, options);
+                return WarmEntry::Rebuild;
             }
             self.form.refresh_reduced(model, &self.presolve);
         } else {
-            if !self.form.shape_matches(model) || !self.form.matrix_matches(model) {
-                return self.solve_cold_inner(model, options);
+            if !(same_matrix || self.form.shape_matches(model) && self.form.matrix_matches(model)) {
+                return WarmEntry::Rebuild;
             }
             self.form.refresh_bounds(model);
         }
         if self.form.trivially_infeasible {
-            return Solution::status_only(Status::Infeasible);
+            return WarmEntry::Infeasible;
         }
         // Nonbasic columns whose bound vanished must be re-anchored.
         for col in 0..self.form.num_cols() {
@@ -340,19 +475,14 @@ impl RevisedWorkspace {
                 _ => {}
             }
         }
-        let warm_refac_ok = {
-            let _t = rp_obs::phase_timer(rp_obs::Phase::Factorise);
-            self.refactor_and_recompute()
-        };
-        if !warm_refac_ok {
-            return self.solve_cold_inner(model, options);
-        }
-        // The stored basis is in play: classify the solve as a warm hit
-        // (upgraded to `WarmRefactor` by `finish_solve` if further
-        // refactorisations prove necessary). Mid-solve cold fallbacks
-        // below reset the stats, reverting the classification to cold.
-        self.stats.warm = WarmStart::WarmHit;
-        match self.dual_loop(options) {
+        WarmEntry::Refreshed
+    }
+
+    /// The dual cleanup and primal polish of a warm start from the
+    /// stored basis. `patched` says the entry kept the last solve's
+    /// reduced costs, which are then exact.
+    fn warm_cleanup(&mut self, model: &Model, options: &SimplexOptions, patched: bool) -> Solution {
+        match self.dual_loop(options, patched) {
             DualOutcome::PrimalFeasible => {}
             DualOutcome::Infeasible => {
                 // Dual unbounded ⇒ primal infeasible. The basis stays
@@ -382,11 +512,14 @@ impl RevisedWorkspace {
 
     /// Primal phase-2 polish after a dual simplex run reached primal
     /// feasibility, followed by solution extraction. Exits immediately
-    /// when the dual pass already proved optimality.
+    /// when the dual pass already proved optimality. If the dual pass
+    /// made no pivot, its entry reduced costs are still exact, so the
+    /// polish keeps them.
     fn polish_and_extract(&mut self, model: &Model, options: &SimplexOptions) -> Solution {
         self.load_phase2_costs();
         let costs = std::mem::take(&mut self.phase_costs);
-        let outcome = self.primal_loop(&costs, options, false);
+        let d_exact = self.stats.dual_pivots == 0;
+        let outcome = self.primal_loop(&costs, options, false, d_exact);
         self.phase_costs = costs;
         match outcome {
             PhaseOutcome::Optimal => self.extract(model, options, Status::Optimal),
@@ -441,7 +574,7 @@ impl RevisedWorkspace {
             if !refac_ok {
                 return self.fail(LpError::SingularBasis);
             }
-            match self.dual_loop(options) {
+            match self.dual_loop(options, false) {
                 DualOutcome::PrimalFeasible => {
                     return self.polish_and_extract(model, options);
                 }
@@ -625,7 +758,7 @@ impl RevisedWorkspace {
             self.phase_costs
                 .extend((0..self.form.num_cols()).map(|c| f64::from(u8::from(c >= art_base))));
             let costs = std::mem::take(&mut self.phase_costs);
-            let outcome = self.primal_loop(&costs, options, true);
+            let outcome = self.primal_loop(&costs, options, true, false);
             self.phase_costs = costs;
             match outcome {
                 PhaseOutcome::Optimal => {}
@@ -664,7 +797,7 @@ impl RevisedWorkspace {
         // ---- Phase 2: minimise the true objective. ----
         self.load_phase2_costs();
         let costs = std::mem::take(&mut self.phase_costs);
-        let outcome = self.primal_loop(&costs, options, false);
+        let outcome = self.primal_loop(&costs, options, false, false);
         self.phase_costs = costs;
         match outcome {
             PhaseOutcome::Optimal => self.extract(model, options, Status::Optimal),
@@ -703,19 +836,15 @@ impl RevisedWorkspace {
         }
     }
 
-    /// Final per-solve bookkeeping: computes the FTRAN/BTRAN deltas,
-    /// settles the warm-start classification and the presolve reduction
-    /// counts on [`SolveStats`], then publishes everything into the
-    /// `rp-obs` registry (mode permitting). Pure observation — nothing
-    /// here feeds back into any solver decision.
+    /// Final per-solve bookkeeping: computes the FTRAN/BTRAN deltas and
+    /// the presolve reduction counts on [`SolveStats`], then publishes
+    /// everything into the `rp-obs` registry (mode permitting). Pure
+    /// observation — nothing here feeds back into any solver decision.
     fn finish_solve(&mut self, solution: &Solution) {
         let (ftran_now, btran_now) = self.factor.io_counters();
         self.stats.ftran = ftran_now.delta_since(self.io_entry.0);
         self.stats.btran = btran_now.delta_since(self.io_entry.1);
         self.stats.max_eta_chain = self.stats.max_eta_chain.max(self.factor.updates());
-        if self.stats.warm == WarmStart::WarmHit && self.stats.refactorisations > 1 {
-            self.stats.warm = WarmStart::WarmRefactor;
-        }
         if self.presolved {
             self.stats.presolve_rows_removed = self.presolve.rows_removed();
             self.stats.presolve_cols_removed = self.presolve.cols_removed();
@@ -823,6 +952,7 @@ impl RevisedWorkspace {
     }
 
     fn load_phase2_costs(&mut self) {
+        let _t = rp_obs::phase_timer(rp_obs::Phase::Pricing);
         self.phase_costs.clear();
         self.phase_costs.extend_from_slice(&self.form.cost);
     }
@@ -847,6 +977,7 @@ impl RevisedWorkspace {
             objective = 0.0;
         }
         self.warm_ready = true;
+        self.optimal_basis = status == Status::Optimal;
         Solution {
             status,
             objective,
@@ -1108,17 +1239,20 @@ impl RevisedWorkspace {
     }
 
     /// Runs primal pivots until the given cost vector is optimal.
+    /// `d_exact` says `d` already holds this basis's reduced costs under
+    /// `costs`, so the entry recompute is skipped.
     fn primal_loop(
         &mut self,
         costs: &[f64],
         options: &SimplexOptions,
         allow_artificial: bool,
+        d_exact: bool,
     ) -> PhaseOutcome {
         let tol = options.tolerance;
         let max_iter = options
             .max_iterations
             .unwrap_or_else(|| 200 + 50 * (self.form.m + self.form.num_cols()));
-        {
+        if !d_exact {
             let _t = rp_obs::phase_timer(rp_obs::Phase::Pricing);
             self.compute_reduced_costs(costs);
         }
@@ -1306,25 +1440,30 @@ impl RevisedWorkspace {
 
     /// Dual simplex: restores primal feasibility while keeping the
     /// reduced costs sign-feasible. Serves both the warm cleanup and
-    /// the cold dual start; assumes the factorisation is fresh. The most
-    /// violated row leaves; the entering column comes from the
-    /// bound-flipping dual ratio test.
-    fn dual_loop(&mut self, options: &SimplexOptions) -> DualOutcome {
+    /// the cold dual start; assumes the factorisation is current. The
+    /// most violated row leaves; the entering column comes from the
+    /// bound-flipping dual ratio test. `d_exact` says `d` already holds
+    /// the basis's phase-2 reduced costs, so the entry recompute is
+    /// skipped.
+    fn dual_loop(&mut self, options: &SimplexOptions, d_exact: bool) -> DualOutcome {
         let tol = options.tolerance;
         let max_iter = options
             .max_iterations
             .unwrap_or_else(|| 200 + 50 * (self.form.m + self.form.num_cols()));
         // Establish the sparse-`w` invariant the loop's hyper-sparse
         // FTRANs maintain: zero outside `w_nz`.
-        self.w.clear();
-        self.w.resize(self.form.m, 0.0);
-        self.w_nz.clear();
+        {
+            let _t = rp_obs::phase_timer(rp_obs::Phase::Ftran);
+            self.w.clear();
+            self.w.resize(self.form.m, 0.0);
+            self.w_nz.clear();
+        }
         // Dual pricing needs the phase-2 reduced costs; they are kept
         // current by the same rank-one pivot-row updates the primal
         // loop uses.
         self.load_phase2_costs();
         let costs = std::mem::take(&mut self.phase_costs);
-        {
+        if !d_exact {
             let _t = rp_obs::phase_timer(rp_obs::Phase::Pricing);
             self.compute_reduced_costs(&costs);
         }
@@ -1463,6 +1602,16 @@ enum PhaseOutcome {
     Optimal,
     Unbounded,
     Stopped(LpError),
+}
+
+/// What the full warm entry made of the stored form.
+enum WarmEntry {
+    /// Refreshed in place from the model; the stored basis applies.
+    Refreshed,
+    /// Presolve or inverted bounds prove the model infeasible.
+    Infeasible,
+    /// The matrix or the presolve reductions changed: solve cold.
+    Rebuild,
 }
 
 /// How the dual warm-start cleanup ended.

@@ -13,7 +13,12 @@
 //! answers: Dantzig and Bland pricing reach the same objective,
 //! presolve+postsolve round-trips against the unreduced solve, and warm
 //! sibling re-solves (same matrix, shifted objective/rhs) match cold
-//! solves.
+//! solves — including one model edited in place, whose right-hand-side
+//! re-solves patch the workspace instead of rebuilding it.
+//!
+//! Models below [`PRESOLVE_ROWS`] rows skip presolve, so the presolve
+//! properties stack copies of the drawn block on disjoint variables
+//! until the model is that large; the optimum scales by the copy count.
 //!
 //! (Values are generated as small unsigned integers and decoded into
 //! signed coefficients/bounds — the vendored proptest stand-in only
@@ -50,6 +55,13 @@ fn model_strategy(
     })
 }
 
+/// A generated model spec: variables, constraints, maximise flag.
+type Spec = (Vec<RawVar>, Vec<RawCon>, u32);
+
+/// Row count from which a solve runs presolve (the solver's micro-model
+/// threshold; the round-trip property asserts it is reached).
+const PRESOLVE_ROWS: usize = 50;
+
 /// A cold revised-simplex solve on a fresh workspace.
 fn solve_revised(model: &Model, options: &SimplexOptions) -> Solution {
     RevisedWorkspace::new().solve_warm(model, options)
@@ -58,17 +70,44 @@ fn solve_revised(model: &Model, options: &SimplexOptions) -> Solution {
 /// Decodes a generated spec into a [`Model`]. When `integers` is false
 /// every variable stays continuous (pure LP differential testing); when
 /// true the packed integer markers apply (MILP differential testing).
-fn build_model(spec: &(Vec<RawVar>, Vec<RawCon>, u32), integers: bool) -> Model {
+fn build_model(spec: &Spec, integers: bool) -> Model {
+    build_stacked(spec, integers, 1)
+}
+
+/// How many copies of the block `spec` decodes to reach
+/// [`PRESOLVE_ROWS`] rows (a block without rows never does).
+fn copies_to_presolve(spec: &Spec) -> usize {
+    let rows = spec
+        .1
+        .iter()
+        .filter(|(coeffs, _, _)| coeffs.iter().any(|&c| c != 3));
+    PRESOLVE_ROWS.div_ceil(rows.count().max(1))
+}
+
+/// `copies` copies of the block `spec` decodes to, each on its own
+/// variables: no row of one copy mentions another's, so the optimum is
+/// `copies` times the block's.
+fn build_stacked(spec: &Spec, integers: bool, copies: usize) -> Model {
     let (vars, cons, maximise) = spec;
     let mut model = Model::new(if *maximise == 1 {
         Sense::Maximize
     } else {
         Sense::Minimize
     });
+    for copy in 0..copies {
+        add_block(&mut model, vars, cons, integers, copy * vars.len());
+    }
+    model
+}
+
+/// Adds one copy of the block to `model`, naming its variables from
+/// `first`.
+fn add_block(model: &mut Model, vars: &[RawVar], cons: &[RawCon], integers: bool, first: usize) {
     let ids: Vec<_> = vars
         .iter()
         .enumerate()
         .map(|(i, &(bounded, lower, range, packed))| {
+            let i = first + i;
             let lower = f64::from(lower);
             let upper = if bounded == 0 {
                 None
@@ -106,7 +145,32 @@ fn build_model(spec: &(Vec<RawVar>, Vec<RawCon>, u32), integers: bool) -> Model 
         let rhs = f64::from(*rhs) - 6.0;
         model.add_constraint(format!("c{c}"), expr, cmp, rhs);
     }
-    model
+}
+
+/// `a` and `b` agree within 1e-6, relative to their magnitude past 1:
+/// the tolerance for an optimum that stacking scales by the copy count.
+fn close(a: f64, b: f64) -> bool {
+    (a - b).abs() <= 1e-6 * a.abs().max(b.abs()).max(1.0)
+}
+
+/// A warm re-solve of `model` matches a cold solve on a fresh
+/// workspace: the same status and, when optimal, an objective within
+/// 1e-6 and a point that satisfies the model.
+fn assert_matches_cold(model: &Model, warm: &Solution, options: &SimplexOptions, what: &str) {
+    let cold = solve_revised(model, options);
+    assert_eq!(warm.status, cold.status, "{what} on\n{model}");
+    if warm.status == Status::Optimal {
+        assert!(
+            (warm.objective - cold.objective).abs() < 1e-6,
+            "{what}: warm {} vs cold {} on\n{model}",
+            warm.objective,
+            cold.objective
+        );
+        assert!(
+            model.is_feasible(&warm.values, 1e-6),
+            "{what}: warm point infeasible for\n{model}"
+        );
+    }
 }
 
 proptest! {
@@ -175,20 +239,35 @@ proptest! {
     /// Presolve round-trip: solving the reduced problem and postsolving
     /// must give the same status and objective as solving the full
     /// problem, and the postsolved point must satisfy the *original*
-    /// model (eliminated rows and fixed columns included).
+    /// model (eliminated rows and fixed columns included). The drawn
+    /// block is stacked until the model presolves; its optimum is the
+    /// copy count times the dense oracle's optimum of one block.
     #[test]
     fn presolve_round_trips_against_the_unreduced_solve(spec in model_strategy(6, 5)) {
-        let model = build_model(&spec, false);
-        let with = solve_revised(&model, &SimplexOptions::default());
+        let copies = copies_to_presolve(&spec);
+        let model = build_stacked(&spec, false, copies);
+        let mut ws = RevisedWorkspace::new();
+        let with = ws.solve_warm(&model, &SimplexOptions::default());
+        prop_assert!(
+            ws.last_solve_used_presolve() || model.num_constraints() < PRESOLVE_ROWS,
+            "a {}-row model must presolve", model.num_constraints()
+        );
         let without = solve_revised(
             &model,
             &SimplexOptions { presolve: false, ..SimplexOptions::default() },
         );
+        let block = solve_lp(&build_model(&spec, false));
         prop_assert_eq!(with.status, without.status, "presolve changed the status on\n{}", model);
+        prop_assert_eq!(with.status, block.status, "stacking changed the status on\n{}", model);
         if with.status == Status::Optimal {
             prop_assert!(
                 (with.objective - without.objective).abs() < 1e-6,
                 "presolved {} vs unreduced {} on\n{}", with.objective, without.objective, model
+            );
+            prop_assert!(
+                close(with.objective, copies as f64 * block.objective),
+                "presolved {} vs {} copies of the block's {} on\n{}",
+                with.objective, copies, block.objective, model
             );
             prop_assert!(
                 model.is_feasible(&with.values, 1e-6),
@@ -200,8 +279,23 @@ proptest! {
     /// Sibling warm starts: re-solving models that share a constraint
     /// matrix but differ in objective, bounds and right-hand sides
     /// through one workspace must match fresh cold solves every time.
+    ///
+    /// The same holds in place: one model — the drawn block, or the
+    /// block stacked until it presolves — is edited through a sequence
+    /// of right-hand-side edits (relax, tighten, restore a random row)
+    /// and re-solved after each on one workspace, which patches the
+    /// workspace instead of rebuilding it wherever it can. Matching a
+    /// cold solve every time also bounds the drift of basic values that
+    /// are updated without a refactorisation. Last, a clone is edited
+    /// and solved on the same workspace: a different model to the warm
+    /// path.
     #[test]
-    fn warm_sibling_solves_match_cold_solves(spec in model_strategy(5, 4), shifts in collection::vec((0u32..=6, 0u32..=12), 3)) {
+    fn warm_sibling_solves_match_cold_solves(
+        spec in model_strategy(5, 4),
+        shifts in collection::vec((0u32..=6, 0u32..=12), 3),
+        edits in collection::vec((0u32..=999, 0u32..=2, 1u32..=8), 1..=50),
+        stacked in 0u32..=1,
+    ) {
         let base = build_model(&spec, false);
         let options = SimplexOptions::default();
         let mut ws = RevisedWorkspace::new();
@@ -224,16 +318,36 @@ proptest! {
                 sibling.set_rhs(id, rhs);
             }
             let warm = ws.solve_warm(&sibling, &options);
-            let cold = solve_revised(&sibling, &options);
-            prop_assert_eq!(warm.status, cold.status, "on\n{}", sibling);
-            if warm.status == Status::Optimal {
-                prop_assert!(
-                    (warm.objective - cold.objective).abs() < 1e-6,
-                    "warm {} vs cold {} on\n{}",
-                    warm.objective, cold.objective, sibling
-                );
-                prop_assert!(sibling.is_feasible(&warm.values, 1e-6));
+            assert_matches_cold(&sibling, &warm, &options, "sibling model");
+        }
+
+        let copies = if stacked == 1 { copies_to_presolve(&spec) } else { 1 };
+        let mut model = build_stacked(&spec, false, copies);
+        let rows: Vec<_> = model.constraint_ids().collect();
+        if !rows.is_empty() {
+            let original: Vec<f64> = rows.iter().map(|&id| model.constraint(id).rhs).collect();
+            let mut ws = RevisedWorkspace::new();
+            ws.solve_warm(&model, &options);
+            for &(pick, kind, amount) in &edits {
+                let k = pick as usize % rows.len();
+                let row = model.constraint(rows[k]);
+                // The direction that loosens the row (either, for `=`).
+                let loosen = if row.cmp == Cmp::Ge { -1.0 } else { 1.0 };
+                let step = 0.5 * f64::from(amount);
+                let rhs = match kind {
+                    0 => row.rhs + loosen * step,
+                    1 => row.rhs - loosen * step,
+                    _ => original[k],
+                };
+                model.set_rhs(rows[k], rhs);
+                let warm = ws.solve_warm(&model, &options);
+                assert_matches_cold(&model, &warm, &options, "in-place rhs edit");
             }
+            let mut clone = model.clone();
+            let row = rows[edits[0].0 as usize % rows.len()];
+            clone.set_rhs(row, clone.constraint(row).rhs + 1.0);
+            let warm = ws.solve_warm(&clone, &options);
+            assert_matches_cold(&clone, &warm, &options, "edited clone");
         }
     }
 
@@ -327,11 +441,15 @@ fn degenerate_boxed_cover_does_not_cycle() {
 /// re-solved on its own workspace after node 0's capacity row is
 /// relaxed by one unit. The optimal basis the cold solve ends on stays
 /// optimal for this sibling, so the re-solve must answer without a
-/// single pivot, at the objective a fresh cold solve of the sibling
-/// reaches. The LP is degenerate, and which optimal basis the cold
-/// solve ends on decides the sibling's work: from a basis where the
-/// relaxed row moves basic values out of their bounds, this sibling
-/// took 171 dual pivots — more work than the cold solve.
+/// single pivot or refactorisation — it patches the workspace in
+/// place — at the objective a fresh cold solve of the sibling reaches.
+/// The LP is degenerate, and which optimal basis the cold solve ends on
+/// decides the sibling's work: from a basis where the relaxed row moves
+/// basic values out of their bounds, this sibling took 171 dual pivots
+/// — more work than the cold solve.
+///
+/// A bound edit on the same model then takes the full warm entry, which
+/// refactorises, and still matches a cold solve.
 #[test]
 fn warm_sibling_of_the_s400_bandwidth_bound_needs_no_pivots() {
     use replica_placement::core::ilp::{self, Integrality};
@@ -368,5 +486,26 @@ fn warm_sibling_of_the_s400_bandwidth_bound_needs_no_pivots() {
         workspace.last_stats().iterations(),
         0,
         "the relaxed sibling must re-solve from the stored optimal basis without pivots"
+    );
+    assert_eq!(
+        workspace.last_stats().refactorisations,
+        0,
+        "an rhs-only sibling must keep the stored factorisation"
+    );
+
+    // Halve x_0's room: a bound edit, so the full entry runs.
+    model.set_bounds(x0, 0.0, Some(0.5 * warm.value(x0)));
+    let warm = workspace.solve_warm(&model, &options);
+    let cold = solve_revised(&model, &options);
+    assert!(
+        workspace.last_stats().refactorisations >= 1,
+        "a bound edit must take the full warm entry"
+    );
+    assert_eq!(warm.status, cold.status);
+    assert!(
+        close(warm.objective, cold.objective),
+        "warm {} vs cold {} after a bound edit",
+        warm.objective,
+        cold.objective
     );
 }
