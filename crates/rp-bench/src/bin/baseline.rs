@@ -1035,6 +1035,23 @@ fn check(budget_path: &str, section: Option<&str>) {
             checks.record("lp_guided_gap_pct_max", subject, gap, &[]);
             checks.record("lp_guided_ms", subject, measured.map(|m| m.1), &[]);
         }
+
+        // CTDLF on the s = 2000 churn instance (666 nodes, 1,334
+        // clients). Restarting the traversal from the root after every
+        // server, instead of re-examining the new server's ancestors,
+        // lands at ~7x the re-examining run.
+        let churn = rp_experiments::ChurnRunConfig::new();
+        let platform = PlatformKind::default_heterogeneous();
+        let problem = paper_scale_instance_sized(2000, platform, churn.lambda, churn.seed);
+        let mut ms: Vec<f64> = (0..5)
+            .map(|_| time_once(|| Heuristic::Ctdlf.run(black_box(&problem))).0 / 1e6)
+            .collect();
+        ms.sort_by(f64::total_cmp);
+        let tree = problem.tree();
+        let shape = tree.num_nodes() == 666 && tree.num_clients() == 1_334;
+        let invariants = [("666 nodes × 1,334 clients", shape)];
+        let subject = "[s=2000 churn instance, heterogeneous, median of 5 runs]";
+        checks.record("ctdlf_s2000_ms", subject, Some(ms[2]), &invariants);
     }
 
     if run("failures") {
@@ -1280,7 +1297,7 @@ mod tests {
         let obs = ("obs".to_string(), "obs_phase_coverage_min".to_string(), 0.8);
         assert_eq!(parse_budget(text), [lp, obs]);
         let shipped = parse_budget(SHIPPED_BUDGET);
-        assert!(shipped.len() <= 12, "at most twelve settable thresholds");
+        assert!(shipped.len() <= 13, "at most thirteen settable thresholds");
     }
 
     #[test]

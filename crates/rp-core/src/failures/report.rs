@@ -73,9 +73,15 @@ impl DegradedPlacement {
         {
             return false;
         }
+        // A mask, not a search of the list: `unserved` is a public field,
+        // so it may come unsorted or with repeats.
+        let mut is_unserved = vec![false; tree.num_clients()];
+        for &client in &self.unserved {
+            is_unserved[client.index()] = true;
+        }
         let served: u64 = tree
             .client_ids()
-            .filter(|c| !self.unserved.contains(c))
+            .filter(|c| !is_unserved[c.index()])
             .map(|c| problem.requests(c))
             .sum();
         let total: u64 = tree.client_ids().map(|c| problem.requests(c)).sum();
@@ -180,6 +186,49 @@ mod tests {
         assert!((outcome.served_fraction() - 0.4).abs() < 1e-12);
         assert!(outcome.verify(&platform, Policy::Closest));
         assert_eq!(outcome.placement().num_replicas(), 1);
+
+        // `unserved` is a public field: listed unsorted and with a
+        // repeat, it must verify exactly as the sorted list does.
+        // root -> {c0 (3), c1 (2), c2 (4)}; cut c0's and c2's uplinks.
+        let mut b = TreeBuilder::new();
+        let root = b.add_root();
+        let c0 = b.add_client(root);
+        let c1 = b.add_client(root);
+        let c2 = b.add_client(root);
+        let p = ProblemInstance::replica_cost(b.build().unwrap(), vec![3, 2, 4], vec![10]);
+        let cuts = [c0, c2].map(|c| FailureEvent::UplinkDown(LinkId::Client(c)));
+        let platform = apply_failures(&p, &cuts);
+        let root_id = platform.problem().tree().root();
+        let mut placement = Placement::empty(3);
+        placement.add_replica(root_id);
+        placement.assign(c1, root_id, 2);
+        let sorted = DegradedPlacement {
+            placement,
+            unserved: vec![c0, c2],
+            served_requests: 2,
+            total_requests: 9,
+            cost: 10,
+        };
+        let shuffled = DegradedPlacement {
+            unserved: vec![c2, c0, c2],
+            ..sorted.clone()
+        };
+        for report in [sorted, shuffled] {
+            assert!(report.verify(&platform, Policy::Closest));
+
+            let mut wrong = report.clone();
+            wrong.served_requests = 5;
+            assert!(!wrong.verify(&platform, Policy::Closest));
+
+            let mut sneaky = report.clone();
+            sneaky.placement.assign(c2, root_id, 1);
+            assert!(!sneaky.verify(&platform, Policy::Closest));
+
+            // Dropping c0 from the list counts its requests as served.
+            let mut short = report.clone();
+            short.unserved.retain(|&c| c != c0);
+            assert!(!short.verify(&platform, Policy::Closest));
+        }
     }
 
     #[test]

@@ -16,9 +16,10 @@
 //! # Scratch-buffer conventions
 //!
 //! The state also owns every scratch buffer the heuristics need (client
-//! work lists, per-node capacities, the top-down FIFO), so a heuristic
-//! run performs **no steady-state heap allocation**: buffers are taken
-//! with `std::mem::take`, refilled, and put back so their capacity is
+//! work lists, per-node capacities, CTDA's top-down FIFO, CTDLF's
+//! depth-bucketed candidate nodes), so a heuristic run performs **no
+//! steady-state heap allocation**: buffers are taken with
+//! `std::mem::take`, refilled, and put back so their capacity is
 //! reused by the next call. [`HeuristicState::reset`] rewinds the whole
 //! state to the freshly-initialised configuration without releasing any
 //! buffer, which lets *MixedBest* run all eight heuristics on a single
@@ -28,6 +29,7 @@ use std::collections::VecDeque;
 
 use rp_tree::{ClientId, NodeId};
 
+use crate::heuristics::closest::CandidateBuckets;
 use crate::problem::ProblemInstance;
 use crate::solution::Placement;
 
@@ -57,7 +59,7 @@ pub struct StateBuffers {
     scratch_clients: Vec<ClientId>,
     scratch_node_u64: Vec<u64>,
     scratch_fifo: VecDeque<NodeId>,
-    scratch_nodes: Vec<NodeId>,
+    scratch_candidates: CandidateBuckets,
 }
 
 impl StateBuffers {
@@ -70,6 +72,8 @@ impl StateBuffers {
 /// Mutable working state shared by all heuristics.
 pub struct HeuristicState<'a> {
     problem: &'a ProblemInstance,
+    /// [`ProblemInstance::has_qos`], which scans every client, read once.
+    has_qos: bool,
     remaining: Vec<u64>,
     inreq: Vec<u64>,
     placement: Placement,
@@ -77,10 +81,10 @@ pub struct HeuristicState<'a> {
     pub(crate) scratch_clients: Vec<ClientId>,
     /// Scratch per-node `u64` working set (UBCF's remaining capacities).
     pub(crate) scratch_node_u64: Vec<u64>,
-    /// Scratch FIFO for the Closest top-down traversals.
+    /// Scratch FIFO for CTDA's top-down traversals.
     pub(crate) scratch_fifo: VecDeque<NodeId>,
-    /// Scratch list of nodes (CTDLF's sorted child lists).
-    pub(crate) scratch_nodes: Vec<NodeId>,
+    /// CTDLF's candidate nodes, bucketed by depth.
+    pub(crate) scratch_candidates: CandidateBuckets,
 }
 
 impl<'a> HeuristicState<'a> {
@@ -102,18 +106,19 @@ impl<'a> HeuristicState<'a> {
             scratch_clients,
             scratch_node_u64,
             scratch_fifo,
-            scratch_nodes,
+            scratch_candidates,
         } = buffers;
         placement.reset_for(tree.num_clients());
         let mut state = HeuristicState {
             problem,
+            has_qos: problem.has_qos(),
             remaining,
             inreq,
             placement,
             scratch_clients,
             scratch_node_u64,
             scratch_fifo,
-            scratch_nodes,
+            scratch_candidates,
         };
         state.reset();
         state
@@ -129,7 +134,7 @@ impl<'a> HeuristicState<'a> {
             scratch_clients: self.scratch_clients,
             scratch_node_u64: self.scratch_node_u64,
             scratch_fifo: self.scratch_fifo,
-            scratch_nodes: self.scratch_nodes,
+            scratch_candidates: self.scratch_candidates,
         }
     }
 
@@ -281,10 +286,10 @@ impl<'a> HeuristicState<'a> {
     }
 
     /// Pending requests of `subtree(node)` that may be served at `node`
-    /// (the QoS-aware counterpart of [`inreq`](Self::inreq); equal to it
-    /// when no client carries a QoS bound).
+    /// (the QoS-aware counterpart of [`inreq`](Self::inreq); equal to it,
+    /// and O(1), when no client carries a QoS bound).
     pub fn eligible_inreq(&self, node: NodeId) -> u64 {
-        if !self.problem.has_qos() {
+        if !self.has_qos {
             return self.inreq(node);
         }
         self.problem
@@ -300,9 +305,10 @@ impl<'a> HeuristicState<'a> {
     /// pending requests of its subtree. Returns `None` when some pending
     /// client lies beyond its QoS bound from `node` — under Closest that
     /// client would be forced onto `node`, so the replica cannot be
-    /// placed there (yet).
+    /// placed there (yet). O(1) when no client carries a QoS bound, a
+    /// scan of the subtree's clients otherwise.
     pub fn closest_candidate_load(&self, node: NodeId) -> Option<u64> {
-        if !self.problem.has_qos() {
+        if !self.has_qos {
             return Some(self.inreq(node));
         }
         let mut total = 0u64;

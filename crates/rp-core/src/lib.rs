@@ -43,7 +43,8 @@
 //!   caller-provided buffer for zero-allocation aggregation.
 //! * **Reusable heuristic state** — [`heuristics::HeuristicState`] owns
 //!   every buffer a heuristic needs (`remaining`, `inreq`, scratch
-//!   client lists, the top-down FIFO) and exposes
+//!   client lists, CTDA's top-down FIFO, CTDLF's depth-bucketed
+//!   candidates) and exposes
 //!   [`reset`](heuristics::HeuristicState::reset);
 //!   [`Heuristic::run_with`] runs a base heuristic on such a state
 //!   without allocating, and [`mixed_best`] drives all eight heuristics
@@ -52,6 +53,11 @@
 //! * **Iterator traversal** — ancestor walks and path enumerations use
 //!   `rp-tree`'s lazy iterators and O(1) ancestor/distance checks; no
 //!   inner loop materialises a path `Vec`.
+//! * **No per-server restarts** — no top-down heuristic re-traverses
+//!   the tree once per placed server. CTDLF's rule restarts its
+//!   traversal from the root after every server; the code re-examines
+//!   only the new server's ancestors and places the same servers (see
+//!   [`heuristics::ctdlf`]).
 //!
 //! `rp-bench`'s `heuristics_micro` bench and the `baseline` binary
 //! measure both the speedups and the zero-allocation property

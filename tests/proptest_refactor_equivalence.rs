@@ -3,19 +3,24 @@
 //! ancestor/distance checks, the dense load/flow accounting and the
 //! reusable solver state must agree **exactly** with the straightforward
 //! `Vec` / `BTreeMap` / parent-walk implementations they replaced, on
-//! arbitrary random trees.
+//! arbitrary random trees. CTDLF, which no longer restarts its traversal
+//! after every server, must reproduce the literal restarts.
 
 #![allow(clippy::disallowed_methods)] // test/driver code may unwrap freely
 
-use std::collections::BTreeMap;
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, VecDeque};
 
 use proptest::prelude::*;
 
+use replica_placement::core::heuristics::HeuristicState;
+use replica_placement::experiments::ChurnRunConfig;
 use replica_placement::lp::{
     solve_lp, solve_lp_reusing, Cmp, LinExpr, Model, SimplexOptions, SimplexWorkspace, Status,
 };
 use replica_placement::prelude::*;
 use replica_placement::tree::{LinkId, NodeId, TreeBuilder};
+use replica_placement::workloads::platform::{paper_scale_instance, paper_scale_instance_sized};
 
 /// Strategy: a random tree described by parent pointers (same shape as
 /// in `proptest_invariants.rs`).
@@ -53,6 +58,102 @@ fn instance_strategy() -> impl Strategy<Value = ProblemInstance> {
         .prop_map(|(tree, capacity, requests)| {
             ProblemInstance::replica_counting(tree, requests, capacity)
         })
+}
+
+/// Strategy: CTDLF instances whose subtree loads often tie (a few small
+/// request values, one capacity for every node) and, for three draws in
+/// four, a uniform QoS bound of 1-3 hops, under which a node with a
+/// distant pending client cannot take a server at any load.
+fn ctdlf_instance_strategy() -> impl Strategy<Value = ProblemInstance> {
+    (tree_strategy(14, 12), 1u64..=8, 0u32..=3)
+        .prop_flat_map(|(tree, capacity, hops)| {
+            let clients = tree.num_clients();
+            (
+                Just(tree),
+                Just(capacity),
+                Just(hops),
+                proptest::collection::vec(0u64..=3, clients),
+            )
+        })
+        .prop_map(|(tree, capacity, hops, requests)| {
+            let nodes = tree.num_nodes();
+            let builder = ProblemInstance::builder(tree)
+                .requests(requests)
+                .capacities(vec![capacity; nodes]);
+            match hops {
+                0 => builder.build(),
+                hops => builder.uniform_qos(hops).build(),
+            }
+        })
+}
+
+/// CTDLF as Section 6.1 states it: a breadth-first traversal from the
+/// root that enqueues children most-loaded first (ties by id), stops at
+/// the first node able to absorb its whole pending subtree, places a
+/// server there and starts over from the root.
+fn ctdlf_by_restarts(state: &mut HeuristicState<'_>) -> bool {
+    let problem = state.problem();
+    let tree = problem.tree();
+    'restart: loop {
+        let mut fifo = VecDeque::from([tree.root()]);
+        while let Some(node) = fifo.pop_front() {
+            if state.has_replica(node) {
+                continue;
+            }
+            if let Some(load) = state.closest_candidate_load(node) {
+                if load > 0 && load <= problem.capacity(node) {
+                    state.serve_whole_subtree(node);
+                    continue 'restart;
+                }
+            }
+            let mut children = tree.child_nodes(node).to_vec();
+            children.sort_by_key(|&child| (Reverse(state.inreq(child)), child));
+            fifo.extend(children);
+        }
+        return state.all_served();
+    }
+}
+
+/// Runs CTDLF and the restart reference on `problem`; returns both
+/// success flags and both (possibly partial) placements.
+fn ctdlf_and_reference(problem: &ProblemInstance) -> [(bool, Placement); 2] {
+    let mut fast = HeuristicState::new(problem);
+    let mut reference = HeuristicState::new(problem);
+    let fast_served = Heuristic::Ctdlf.run_with(&mut fast);
+    let reference_served = ctdlf_by_restarts(&mut reference);
+    [
+        (fast_served, fast.into_placement_unchecked()),
+        (reference_served, reference.into_placement_unchecked()),
+    ]
+}
+
+/// CTDLF against the restart reference on instances where it places
+/// hundreds of servers: the s = 2000 churn instance of both platforms,
+/// as the benchmark builds it, and paper-scale s = 400 instances over
+/// the λ grid.
+#[test]
+fn ctdlf_matches_the_restart_reference_at_scale() {
+    let churn = ChurnRunConfig::new();
+    for platform in [
+        PlatformKind::default_homogeneous(),
+        PlatformKind::default_heterogeneous(),
+    ] {
+        let mut instances = vec![paper_scale_instance_sized(
+            2000,
+            platform,
+            churn.lambda,
+            churn.seed,
+        )];
+        for tenth in 1..=9 {
+            let lambda = f64::from(tenth) / 10.0;
+            instances.push(paper_scale_instance(platform, lambda, 31));
+        }
+        for problem in &instances {
+            let [fast, reference] = ctdlf_and_reference(problem);
+            assert_eq!(fast.0, reference.0, "success flags differ");
+            assert!(fast.1 == reference.1, "placements differ");
+        }
+    }
 }
 
 /// Reference ancestor walk over parent pointers.
@@ -242,7 +343,6 @@ proptest! {
 
     #[test]
     fn reused_state_matches_fresh_runs(instance in instance_strategy()) {
-        use replica_placement::core::heuristics::HeuristicState;
         // One shared state across all eight heuristics (the MixedBest
         // path) must reproduce every fresh run bit for bit.
         let mut state = HeuristicState::new(&instance);
@@ -292,5 +392,17 @@ proptest! {
         for (a, b) in fresh.values.iter().zip(&reused.values) {
             prop_assert!((a - b).abs() < 1e-9);
         }
+    }
+}
+
+proptest! {
+    // Tiny instances: many cases cost little.
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn ctdlf_matches_the_restart_from_root_reference(instance in ctdlf_instance_strategy()) {
+        let [fast, reference] = ctdlf_and_reference(&instance);
+        prop_assert_eq!(fast.0, reference.0);
+        prop_assert_eq!(fast.1, reference.1);
     }
 }
