@@ -9,10 +9,7 @@ use rp_core::ilp::{
     build_model, lower_bound, lower_bound_with, BoundKind, IlpOptions, Integrality,
 };
 use rp_core::Policy;
-use rp_lp::{
-    solve_lp, solve_lp_reusing, BranchBoundOptions, LpEngine, RevisedWorkspace, SimplexOptions,
-    SimplexWorkspace,
-};
+use rp_lp::{BranchBoundOptions, RevisedWorkspace, SimplexOptions};
 use rp_workloads::platform::PlatformKind;
 
 fn bench_lower_bounds(c: &mut Criterion) {
@@ -42,36 +39,8 @@ fn bench_lower_bounds(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_simplex_on_formulations(c: &mut Criterion) {
-    let mut group = c.benchmark_group("simplex_multiple_relaxation");
-    group.sample_size(10);
-    group.warm_up_time(std::time::Duration::from_millis(500));
-    group.measurement_time(std::time::Duration::from_secs(2));
-    for size in [20usize, 40, 80, 120] {
-        let problem = bench_instance(size, 0.5, PlatformKind::default_homogeneous(), 57);
-        let formulation = build_model(&problem, Policy::Multiple, Integrality::RationalBound);
-        group.bench_with_input(
-            BenchmarkId::new("solve_lp", size),
-            &formulation.model,
-            |b, model| b.iter(|| solve_lp(model)),
-        );
-        // The branch-and-bound inner loop path: tableau buffers reused
-        // across solves instead of reallocated per call.
-        let mut workspace = SimplexWorkspace::new();
-        let options = SimplexOptions::default();
-        group.bench_with_input(
-            BenchmarkId::new("solve_lp_reusing", size),
-            &formulation.model,
-            |b, model| b.iter(|| solve_lp_reusing(model, &options, &mut workspace)),
-        );
-    }
-    group.finish();
-}
-
-/// The headline comparison: dense tableau vs revised simplex on the
-/// same Multiple-relaxation models, plus the warm-started revised
-/// branch-and-bound for the mixed bound. The `baseline` binary's
-/// `BENCH_revised.json` tracks the same ratios outside criterion.
+/// The revised simplex on the Multiple-relaxation models of the bound,
+/// plus the warm-started branch-and-bound for the mixed bound.
 fn bench_lp_revised(c: &mut Criterion) {
     let mut group = c.benchmark_group("lp_revised");
     group.sample_size(10);
@@ -81,12 +50,6 @@ fn bench_lp_revised(c: &mut Criterion) {
         let problem = bench_instance(size, 0.6, PlatformKind::default_heterogeneous(), 31);
         let formulation = build_model(&problem, Policy::Multiple, Integrality::RationalBound);
         let options = SimplexOptions::default();
-        let mut dense_ws = SimplexWorkspace::new();
-        group.bench_with_input(
-            BenchmarkId::new("dense_tableau", size),
-            &formulation.model,
-            |b, model| b.iter(|| solve_lp_reusing(model, &options, &mut dense_ws)),
-        );
         let mut revised_ws = RevisedWorkspace::new();
         group.bench_with_input(
             BenchmarkId::new("revised", size),
@@ -94,13 +57,12 @@ fn bench_lp_revised(c: &mut Criterion) {
             |b, model| b.iter(|| revised_ws.solve_warm(model, &options)),
         );
     }
-    // Warm-started mixed bound (integral x_j) with the revised engine.
+    // Warm-started mixed bound (integral x_j).
     {
         let problem = bench_instance(40, 0.6, PlatformKind::default_heterogeneous(), 31);
         let capped = IlpOptions {
             branch_bound: BranchBoundOptions {
                 max_nodes: 100,
-                engine: LpEngine::Revised,
                 ..BranchBoundOptions::default()
             },
         };
@@ -180,7 +142,6 @@ fn bench_sparse_lu(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_lower_bounds,
-    bench_simplex_on_formulations,
     bench_lp_revised,
     bench_sparse_lu
 );

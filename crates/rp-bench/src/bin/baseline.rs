@@ -10,13 +10,13 @@
 //! writes it as `BENCH_<suite>.json` into `--out` (default `.`); naming
 //! no suite runs them all. `baseline` times the heuristics and counts
 //! their steady-state allocations (`allocs/heuristic_steady/*` and
-//! `allocs/ancestors_pass/*` must read 0); `revised` races the dense
-//! tableau against the revised engine; `sparse` records cold and warm
-//! revised solves and factor costs up to `s = 2000`; `scenarios` the
-//! bandwidth and multi-object bounds; `heuristics` the LP-guided rounding
-//! gaps; `failures` the resilience sweep (a candidate that never placed
-//! the healthy instance reports only `base_fail`); `online` the churn
-//! sweep; `obs` the metrics registry of an instrumented workload.
+//! `allocs/ancestors_pass/*` must read 0) and times the small LP bounds;
+//! `sparse` records cold and warm solves and factor costs up to
+//! `s = 2000`; `scenarios` the bandwidth and multi-object bounds;
+//! `heuristics` the LP-guided rounding gaps; `failures` the resilience
+//! sweep (a candidate that never placed the healthy instance reports
+//! only `base_fail`); `online` the churn sweep; `obs` the metrics
+//! registry of an instrumented workload.
 //!
 //! **Gate.** `--check` builds each gate instance once and compares every
 //! timing and quality figure with its `perf-budget.toml` entry (a key
@@ -43,16 +43,14 @@ use std::time::{Duration, Instant};
 
 use rp_bench::snapshot::{flatten_json_numbers, obs_diff_report, Report};
 use rp_bench::{bench_instance, MICRO_SIZES};
-use rp_core::heuristics::lp_guided::{lp_guided_multi_with, lp_guided_with};
+use rp_core::heuristics::lp_guided::{lp_guided, lp_guided_multi};
 use rp_core::heuristics::HeuristicState;
 use rp_core::ilp::{build_model, lower_bound, lower_bound_with};
 use rp_core::ilp::{BoundKind, IlpOptions, Integrality};
 use rp_core::multi::MultiObjectProblem;
 use rp_core::{Heuristic, MixedBest, Policy, ProblemInstance};
 use rp_experiments::runner::{run_sweep, ExperimentConfig};
-use rp_lp::{
-    Cmp, ConstraintId, LpEngine, Model, RevisedWorkspace, SimplexOptions, Solution, Status,
-};
+use rp_lp::{Cmp, ConstraintId, Model, RevisedWorkspace, SimplexOptions, Solution, Status};
 use rp_workloads::platform::{paper_scale_instance, paper_scale_instance_sized, PlatformKind};
 use rp_workloads::scenarios::{bandwidth_scale_instance, feasible_bandwidth_instance};
 use rp_workloads::scenarios::{ill_scaled_bandwidth_instance, multi_object_counting_instance};
@@ -151,7 +149,7 @@ fn timed_gap(yardstick: f64, place: impl FnOnce() -> Option<u64>) -> Option<(f64
 
 /// The cost of the LP-guided placement of `problem`, if it is valid.
 fn lp_guided_cost(problem: &ProblemInstance) -> Option<u64> {
-    let placement = lp_guided_with(problem, &IlpOptions::with_engine(LpEngine::Revised))?;
+    let placement = lp_guided(problem)?;
     placement
         .is_valid(problem, Policy::Multiple)
         .then(|| placement.cost(problem))
@@ -159,8 +157,7 @@ fn lp_guided_cost(problem: &ProblemInstance) -> Option<u64> {
 
 /// [`lp_guided_cost`] for a multi-object problem.
 fn lp_guided_multi_cost(problem: &MultiObjectProblem) -> Option<u64> {
-    let options = IlpOptions::with_engine(LpEngine::Revised);
-    let placement = lp_guided_multi_with(problem, &options)?;
+    let placement = lp_guided_multi(problem)?;
     placement
         .is_valid(problem, Policy::Multiple)
         .then(|| placement.cost(problem))
@@ -173,7 +170,7 @@ fn lp_guided_multi_cost(problem: &MultiObjectProblem) -> Option<u64> {
 /// the optimum sits far above it. `None` when either solve fails.
 fn two_object_exact_gap() -> Option<(f64, f64)> {
     let problem = multi_object_counting_instance(40, 2, 0.4, 11);
-    let mut exact_options = IlpOptions::with_engine(LpEngine::Revised);
+    let mut exact_options = IlpOptions::default();
     exact_options.branch_bound.max_nodes = 500_000;
     let exact = rp_core::multi::solve_multi_ilp_with(&problem, &exact_options)?;
     let yardstick = exact.cost(&problem) as f64;
@@ -184,9 +181,8 @@ fn two_object_exact_gap() -> Option<(f64, f64)> {
 type Suite = (&'static str, fn() -> String);
 
 /// Every snapshot suite, in run order; each writes `BENCH_<name>.json`.
-const SUITES: [Suite; 8] = [
+const SUITES: [Suite; 7] = [
     ("baseline", || baseline_suite().to_json()),
-    ("revised", || revised_suite().to_json()),
     ("sparse", || sparse_suite().to_json()),
     ("scenarios", || scenarios_suite().to_json()),
     ("heuristics", || heuristics_suite().to_json()),
@@ -283,17 +279,20 @@ fn baseline_suite() -> Report {
         report.push(format!("ancestor_check_pass/{size}"), ns);
     }
 
-    // LP lower bounds.
-    for size in [20usize, 40] {
+    // LP lower bounds (formulation build + solve): the Section 7.1
+    // rational bound, and the mixed bound capped at 100 nodes, where the
+    // warm-started branch-and-bound nodes pay off.
+    let mut capped = IlpOptions::default();
+    capped.branch_bound.max_nodes = 100;
+    for size in [20usize, 40, 80, 120] {
         let problem = bench_instance(size, 0.6, PlatformKind::default_heterogeneous(), 31);
         let ns = time_ns(|| lower_bound(black_box(&problem), BoundKind::Rational));
         report.push(format!("lp_rational_bound/{size}"), ns);
+        if size <= 40 {
+            let mixed = || lower_bound_with(black_box(&problem), BoundKind::Mixed, &capped);
+            report.push(format!("milp_mixed_bound/{size}"), time_ns(mixed));
+        }
     }
-    let problem = bench_instance(20, 0.6, PlatformKind::default_heterogeneous(), 31);
-    let mut capped = IlpOptions::default();
-    capped.branch_bound.max_nodes = 100;
-    let ns = time_ns(|| lower_bound_with(black_box(&problem), BoundKind::Mixed, &capped));
-    report.push("milp_mixed_bound/20", ns);
 
     // End-to-end sweep throughput.
     let mut config = ExperimentConfig::smoke_test();
@@ -303,52 +302,6 @@ fn baseline_suite() -> Report {
     let trees = config.lambdas.len() * config.trees_per_lambda;
     report.push("sweep_smoke_ms", ns / 1e6);
     report.push("sweep_trees_per_sec", trees as f64 / (ns / 1e9));
-    report
-}
-
-/// Dense tableau against the revised engine on the full bound path
-/// (formulation build + solve): the Section 7.1 rational bound, the
-/// capped mixed bound where warm-started branch-and-bound nodes pay
-/// off, and the paper-scale `s = 400` bound one shot per engine (the
-/// dense tableau needs hundreds of milliseconds there).
-fn revised_suite() -> Report {
-    let units = "ns per op unless the metric name says otherwise; speedup/* = dense over revised";
-    let mut report = Report::new(units, 1);
-    let (dense, revised) = (LpEngine::DenseTableau, LpEngine::Revised);
-    let capped = |engine| {
-        let mut options = IlpOptions::with_engine(engine);
-        options.branch_bound.max_nodes = 100;
-        options
-    };
-    for size in [20usize, 40, 80, 120] {
-        let problem = bench_instance(size, 0.6, PlatformKind::default_heterogeneous(), 31);
-        let time = |kind, options: IlpOptions| {
-            time_ns(|| lower_bound_with(black_box(&problem), kind, &options))
-        };
-        let rational = |engine| time(BoundKind::Rational, IlpOptions::with_engine(engine));
-        let mut pairs = vec![("lp_rational_bound", rational(dense), rational(revised))];
-        // The capped mixed bound, where the larger sizes explore enough
-        // nodes to show the warm-start win.
-        if size <= 40 {
-            let mixed = |engine| time(BoundKind::Mixed, capped(engine));
-            pairs.push(("milp_mixed_bound", mixed(dense), mixed(revised)));
-        }
-        for (what, dense_ns, revised_ns) in pairs {
-            report.push(format!("{what}/dense/{size}"), dense_ns);
-            report.push(format!("{what}/revised/{size}"), revised_ns);
-            report.push(format!("speedup/{what}/{size}"), dense_ns / revised_ns);
-        }
-    }
-    let problem = paper_scale_instance(PlatformKind::default_heterogeneous(), 0.4, 31);
-    let one_shot = |engine| {
-        let options = IlpOptions::with_engine(engine);
-        time_once(|| lower_bound_with(&problem, BoundKind::Rational, &options))
-    };
-    let ((revised_ns, bound), (dense_ns, _)) = (one_shot(revised), one_shot(dense));
-    report.push("lp_rational_bound/dense/400_ms", dense_ns / 1e6);
-    report.push("lp_rational_bound/revised/400_ms", revised_ns / 1e6);
-    report.push("speedup/lp_rational_bound/400", dense_ns / revised_ns);
-    report.push("lp_rational_bound/revised/400_value", bound);
     report
 }
 
@@ -407,24 +360,18 @@ fn rhs_sibling_ns(model: &Model) -> Option<f64> {
 }
 
 /// The sparse-LU / Forrest–Tomlin trajectory of the revised engine:
-/// cold dense-vs-revised solves on prebuilt relaxations, the warm
-/// sibling re-solve the λ-sharded sweep pays (same matrix, refreshed
-/// data), the rhs sibling of a model edited in place (`s` = 400 and
-/// 2000), iteration counts and factor metrics up to `s = 2000`, where
-/// only the revised engine runs.
+/// cold solves on prebuilt relaxations, the warm sibling re-solve the
+/// λ-sharded sweep pays (same matrix, refreshed data), the rhs sibling
+/// of a model edited in place (`s` = 400 and 2000), iteration counts
+/// and factor metrics up to `s = 2000`.
 fn sparse_suite() -> Report {
     let mut report = Report::new("ns per op unless the metric name says otherwise", 1);
-    let options = SimplexOptions::default();
     for size in [20usize, 40, 80, 120] {
         let problem = bench_instance(size, 0.6, PlatformKind::default_heterogeneous(), 31);
         let model = &rational_model(&problem);
-        let mut dense_ws = rp_lp::SimplexWorkspace::new();
-        let dense = time_ns(|| rp_lp::solve_lp_reusing(black_box(model), &options, &mut dense_ws));
         let mut ws = RevisedWorkspace::new();
         let revised = time_ns(|| cold_solve(&mut ws, black_box(model)));
-        report.push(format!("lp_solve/dense/{size}"), dense);
         report.push(format!("lp_solve/revised/{size}"), revised);
-        report.push(format!("speedup/lp_solve/{size}"), dense / revised);
         let warm = full_warm_entry_ns(&mut ws, model);
         report.push(format!("lp_resolve_warm/{size}"), warm);
         if size >= 80 {
@@ -436,23 +383,21 @@ fn sparse_suite() -> Report {
     }
 
     // Paper scale and a multi-thousand-row scenario. `_ms` is a one-shot
-    // `lower_bound` (formulation build + solve); `lp_solve_ms` is the
-    // warm-cache median of the cold solve alone.
-    let revised = IlpOptions::with_engine(LpEngine::Revised);
+    // `lower_bound` (formulation build + solve) and `_bound` its value;
+    // `lp_solve_ms` is the warm-cache median of the cold solve alone.
     for s in [400usize, 2000] {
         let problem = paper_scale_instance_sized(s, PlatformKind::default_heterogeneous(), 0.4, 31);
-        let (bound_ns, bound) =
-            time_once(|| lower_bound_with(&problem, BoundKind::Rational, &revised));
+        let (bound_ns, bound) = time_once(|| lower_bound(&problem, BoundKind::Rational));
         if bound.is_some() {
             report.push(format!("lp_rational_bound/revised/{s}_ms"), bound_ns / 1e6);
             report.push(format!("lp_rational_bound/revised/{s}_bound"), bound);
         }
         let model = &rational_model(&problem);
         let mut ws = RevisedWorkspace::new();
-        let Some((_, objective)) = cold_solve(&mut ws, model) else {
+        if cold_solve(&mut ws, model).is_none() {
             eprintln!("s={s} revised solve failed");
             continue;
-        };
+        }
         let iters = ws.last_stats().iterations() as f64;
         let cold_ns = time_ns(|| cold_solve(&mut ws, black_box(model)));
         report.push(format!("lp_solve_ms/revised/{s}"), cold_ns / 1e6);
@@ -464,7 +409,6 @@ fn sparse_suite() -> Report {
             report.push(format!("lp_resolve_rhs/{s}"), rhs_ns);
             report.push(format!("speedup/sibling_rhs/{s}"), cold_ns / rhs_ns);
         }
-        report.push(format!("lp_rational_bound/revised/{s}_value"), objective);
         report.push(format!("iters/{s}"), iters);
         push_factor_metrics(&mut report, &mut ws, model, s);
     }
@@ -815,7 +759,7 @@ impl<'a> Checks<'a> {
 /// [`ORACLE_TOLERANCE`].
 fn dense_agrees(model: &Model, objective: Option<f64>) -> Invariant {
     let agrees = objective.is_some_and(|objective| {
-        let dense = rp_lp::solve_lp(model);
+        let dense = rp_lp::oracle::solve_lp(model);
         let tolerance = ORACLE_TOLERANCE * objective.abs().max(1.0);
         dense.status == Status::Optimal && (dense.objective - objective).abs() <= tolerance
     });
@@ -878,7 +822,7 @@ fn rhs_sibling(model: &mut Model, row: ConstraintId, ws: &mut RevisedWorkspace) 
 /// the attribution artifacts. `perf-budget.toml` documents what each
 /// entry limits.
 fn check(budget_path: &str, section: Option<&str>) {
-    use rp_obs::{Counter, ObsMode};
+    use rp_obs::ObsMode;
 
     let budget = parse_budget(&read_or_exit(budget_path));
     if let Some(name) = section.filter(|name| budget.iter().all(|(s, _, _)| s != name)) {
@@ -950,6 +894,22 @@ fn check(budget_path: &str, section: Option<&str>) {
         checks.record("s2000_bound_ms", subject, s2000_full.map(|s| s.0), &[]);
         let iterations = s2000_full.map(|s| s.1);
         checks.record("s2000_iterations_max", subject, iterations, &[]);
+
+        // A healthy instance must be answered by the revised engine
+        // alone: a solve on a fresh workspace that ends optimal with no
+        // recorded error.
+        let ill_model = rational_model(&ill_scaled_bandwidth_instance(120, 0.4, 31));
+        for (subject, model) in [
+            ("[s=120 bandwidth bound]", &s120_model),
+            ("[s=120 ill-scaled bandwidth bound]", &ill_model),
+        ] {
+            let mut ws = RevisedWorkspace::new();
+            let solution = ws.solve_warm(model, &SimplexOptions::default());
+            let proven = solution.status == Status::Optimal && ws.last_error().is_none();
+            let agrees = [dense_agrees(model, proven.then_some(solution.objective))];
+            let failures = Some(f64::from(u8::from(!proven)));
+            checks.record("revised_failures_max", subject, failures, &agrees);
+        }
     }
     rp_obs::set_mode(ObsMode::Counters);
 
@@ -998,26 +958,6 @@ fn check(budget_path: &str, section: Option<&str>) {
             let (median, invariants) = warm_siblings(model);
             let subject = "[s=2000 bandwidth bound, median of 5 rhs siblings]";
             checks.record("s2000_warm_sibling_ms", subject, median, &invariants);
-        }
-    }
-
-    if run("hardened") {
-        let ill_model = rational_model(&ill_scaled_bandwidth_instance(120, 0.4, 31));
-        for (subject, model) in [
-            ("[s=120 bandwidth bound]", &s120_model),
-            ("[s=120 ill-scaled bandwidth bound]", &ill_model),
-        ] {
-            rp_obs::reset_all();
-            let mut ws = rp_lp::LpWorkspace::default();
-            let solved = rp_lp::solve_lp_hardened(model, &SimplexOptions::default(), &mut ws);
-            let solution = solved.as_ref().ok().map(|hardened| &hardened.solution);
-            let optimal = solution.filter(|solution| solution.status == Status::Optimal);
-            let agrees = [dense_agrees(model, optimal.map(|s| s.objective))];
-            let registry = rp_obs::global();
-            let fallbacks = registry.counter(Counter::LpHardenedDenseFallback)
-                + registry.counter(Counter::LpHardenedError);
-            let fallbacks = solved.is_ok().then_some(fallbacks as f64);
-            checks.record("hardened_dense_fallbacks_max", subject, fallbacks, &agrees);
         }
     }
 
@@ -1342,6 +1282,7 @@ mod tests {
             "s2000_build_ms",
             "s2000_bound_ms",
             "s2000_iterations_max",
+            "revised_failures_max",
         ] {
             checks.record(key, "[test]", Some(0.0), &[]);
         }
@@ -1375,7 +1316,7 @@ mod tests {
         );
         let diff = Command::ObsDiff("a.json".to_string(), "b.json".to_string());
         assert_eq!(parse("--obs-diff a.json b.json"), Ok(diff));
-        let typos = "--chek|onlin|BENCH_baseline.json|--out|--out --check|--check b.toml lp|\
+        let typos = "--chek|onlin|revised|BENCH_baseline.json|--out|--out --check|--check b.toml lp|\
                      --check --section|--obs-diff|--obs-diff a.json|--obs-diff a.json b.json c.json";
         let removed = "--smoke-revised|--smoke-bandwidth|--smoke-heuristics|--smoke-failures|\
                        --smoke-online|--smoke-obs|--smoke-pricing|--check-budget|--check-budget lp|\

@@ -57,8 +57,8 @@
 //!
 //! The flight recorder keeps a bounded ring of the most recent solves
 //! and snapshots it to JSONL whenever an anomaly fires: a budget miss,
-//! a solve slower than 8× the running median, a dense-oracle
-//! escalation, or an rp-online rollback. Set `RP_FLIGHT_DUMP` to a
+//! a solve slower than 8× the running median, or an rp-online
+//! rollback. Set `RP_FLIGHT_DUMP` to a
 //! path (with at least `RP_OBS=counters`) and the latest dump lands
 //! there; the perf-budget gate also writes one as
 //! `obs-breach.flight.jsonl` on any breach. Force one on demand with a
@@ -106,8 +106,8 @@
 //! whenever a check is breached, and saves it as `obs-breach.diff.txt`
 //! next to `obs-breach.metrics.json` and `obs-breach.flight.jsonl`.
 //! Re-measure just the breached section of the budget with a filter:
-//! `--check perf-budget.toml --section lp` (or `warm`, `hardened`,
-//! `obs`, `heuristics`, `failures`, `online`).
+//! `--check perf-budget.toml --section lp` (or `warm`, `obs`,
+//! `heuristics`, `failures`, `online`).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

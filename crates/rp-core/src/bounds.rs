@@ -6,28 +6,7 @@
 //! bound can be arbitrarily far from the optimal cost, which the tests
 //! of `rp-workloads::paper_examples` reproduce.
 
-use rp_lp::LpEngine;
-
-use crate::ilp::{lower_bound_with, BoundKind, IlpOptions};
 use crate::problem::ProblemInstance;
-
-/// The paper's LP-based lower bound (Section 7.1) on the chosen
-/// [`LpEngine`]: the fully rational relaxation of the Multiple
-/// formulation, valid for every policy.
-///
-/// This is the bound every heuristic of the experiment sweep is judged
-/// against. [`LpEngine::Revised`] is the engine of choice (it reaches
-/// paper-scale `s = 400` instances); [`LpEngine::DenseTableau`] computes
-/// the same value with the independent dense oracle and is retained for
-/// differential testing. Returns `None` when even the relaxation is
-/// infeasible.
-pub fn lp_rational_bound(problem: &ProblemInstance, engine: LpEngine) -> Option<f64> {
-    lower_bound_with(
-        problem,
-        BoundKind::Rational,
-        &IlpOptions::with_engine(engine),
-    )
-}
 
 /// The obvious lower bound on the number of replicas for the
 /// **Replica Counting** problem: `ceil(Σ r_i / W)` (Section 3.4).
@@ -94,6 +73,8 @@ pub fn passes_basic_feasibility(problem: &ProblemInstance) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ilp::{build_model, lower_bound, BoundKind, Integrality};
+    use crate::policy::Policy;
     use rp_tree::TreeBuilder;
 
     fn chain_with_clients(requests: Vec<u64>, capacities: Vec<u64>) -> ProblemInstance {
@@ -184,8 +165,11 @@ mod tests {
         b.add_client(root);
         let tree = b.build().unwrap();
         let p = ProblemInstance::replica_cost(tree, vec![4, 3, 5], vec![10, 6]);
-        let revised = lp_rational_bound(&p, LpEngine::Revised).expect("feasible");
-        let dense = lp_rational_bound(&p, LpEngine::DenseTableau).expect("feasible");
+        let revised = lower_bound(&p, BoundKind::Rational).expect("feasible");
+        let model = build_model(&p, Policy::Multiple, Integrality::RationalBound).model;
+        let dense = rp_lp::oracle::solve_lp(&model);
+        assert_eq!(dense.status, rp_lp::Status::Optimal);
+        let dense = dense.objective;
         assert!((revised - dense).abs() < 1e-6, "{revised} vs {dense}");
         assert!(revised + 1e-6 >= replica_cost_lower_bound(&p));
     }

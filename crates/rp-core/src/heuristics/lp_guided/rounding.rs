@@ -23,7 +23,7 @@
 //!    onto open replicas, closest first.
 //! 2. **Escalation** — still-unserved requests open the ancestor with
 //!    the best cost-per-absorbed-pending-request and fill it; a dead
-//!    end triggers the depth-1 augmenting [`rescue`] (relocate other
+//!    end triggers the depth-1 augmenting `rescue` (relocate other
 //!    clients' load off the stranded path) before the mode gives up.
 //! 3. **Push-down** — load drains towards the leaves among the open
 //!    replicas, freeing the top of the tree (which is on every path).
@@ -49,7 +49,7 @@ pub fn lp_guided(problem: &ProblemInstance) -> Option<Placement> {
     lp_guided_with(problem, &IlpOptions::default())
 }
 
-/// [`lp_guided`] with explicit LP options (engine selection included).
+/// [`lp_guided`] with explicit LP options.
 pub fn lp_guided_with(problem: &ProblemInstance, options: &IlpOptions) -> Option<Placement> {
     let mut workspace = LpWorkspace::new();
     lp_guided_reusing(problem, options, &mut workspace)

@@ -9,10 +9,7 @@ mod multi_formulation;
 pub use formulation::{build_model, IlpFormulation, Integrality};
 pub use multi_formulation::{build_multi_model, MultiIlpFormulation};
 
-use rp_lp::{
-    solve_lp_engine, solve_milp_reusing, solve_milp_with, BranchBoundOptions, LpEngine,
-    LpWorkspace, SimplexOptions, Status,
-};
+use rp_lp::{solve_milp, BranchBoundOptions, LpWorkspace, Status};
 
 use crate::multi::MultiObjectProblem;
 use crate::policy::Policy;
@@ -22,10 +19,8 @@ use crate::solution::Placement;
 /// Options for the ILP solver.
 #[derive(Clone, Copy, Debug)]
 pub struct IlpOptions {
-    /// Options of the underlying branch-and-bound / simplex, including
-    /// the [`LpEngine`] that solves the relaxations (revised simplex by
-    /// default; the dense tableau remains available as the
-    /// differential-testing oracle).
+    /// Options of the underlying branch-and-bound and of the revised
+    /// simplex that solves every relaxation.
     pub branch_bound: BranchBoundOptions,
 }
 
@@ -37,15 +32,6 @@ impl Default for IlpOptions {
                 ..BranchBoundOptions::default()
             },
         }
-    }
-}
-
-impl IlpOptions {
-    /// Default options running on the given LP engine.
-    pub fn with_engine(engine: LpEngine) -> Self {
-        let mut options = IlpOptions::default();
-        options.branch_bound.engine = engine;
-        options
     }
 }
 
@@ -85,7 +71,11 @@ pub fn solve_exact_ilp_with(
     options: &IlpOptions,
 ) -> IlpOutcome {
     let formulation = build_model(problem, policy, Integrality::Exact);
-    let outcome = solve_milp_with(&formulation.model, &options.branch_bound);
+    let outcome = solve_milp(
+        &formulation.model,
+        &options.branch_bound,
+        &mut LpWorkspace::new(),
+    );
     match outcome.status {
         Status::Infeasible => IlpOutcome::Infeasible,
         Status::Optimal => {
@@ -153,12 +143,9 @@ pub fn lower_bound_reusing(
     match kind {
         BoundKind::Rational => {
             let formulation = build_model(problem, Policy::Multiple, Integrality::RationalBound);
-            let solution = solve_lp_engine(
-                &formulation.model,
-                options.branch_bound.engine,
-                &options.branch_bound.simplex,
-                workspace,
-            );
+            let solution = workspace
+                .revised
+                .solve_warm(&formulation.model, &options.branch_bound.simplex);
             match solution.status {
                 Status::Optimal => Some(solution.objective),
                 Status::Infeasible => None,
@@ -169,7 +156,7 @@ pub fn lower_bound_reusing(
         }
         BoundKind::Mixed => {
             let formulation = build_model(problem, Policy::Multiple, Integrality::MixedBound);
-            let outcome = solve_milp_reusing(&formulation.model, &options.branch_bound, workspace);
+            let outcome = solve_milp(&formulation.model, &options.branch_bound, workspace);
             match outcome.status {
                 Status::Infeasible => None,
                 Status::Unbounded => Some(0.0),
@@ -203,33 +190,21 @@ pub struct FractionalLp {
 /// as structural zeros.
 const FRACTIONAL_TOLERANCE: f64 = 1e-7;
 
-/// Solves the rational Multiple relaxation and surfaces the full
-/// fractional optimum (bound, per-node `x`, per-client `y`). Returns
-/// `None` when the relaxation is infeasible **or** did not reach
-/// optimality — unlike [`lower_bound`], a truncated solve yields no
-/// usable fractional point, so no fallback bound is reported.
-pub fn lower_bound_fractional(
-    problem: &ProblemInstance,
-    options: &IlpOptions,
-) -> Option<FractionalLp> {
-    let mut workspace = LpWorkspace::new();
-    lower_bound_fractional_reusing(problem, options, &mut workspace)
-}
-
-/// [`lower_bound_fractional`] reusing the LP buffers of `workspace` —
-/// the path the scenario sweep drives, one workspace per worker.
+/// Solves the rational Multiple relaxation on `workspace` and surfaces
+/// the full fractional optimum (bound, per-node `x`, per-client `y`).
+/// Returns `None` when the relaxation is infeasible **or** did not
+/// reach optimality — unlike [`lower_bound`], a truncated solve yields
+/// no usable fractional point, so no fallback bound is reported. The
+/// scenario sweep drives it with one workspace per worker.
 pub fn lower_bound_fractional_reusing(
     problem: &ProblemInstance,
     options: &IlpOptions,
     workspace: &mut LpWorkspace,
 ) -> Option<FractionalLp> {
     let formulation = build_model(problem, Policy::Multiple, Integrality::RationalBound);
-    let solution = solve_lp_engine(
-        &formulation.model,
-        options.branch_bound.engine,
-        &options.branch_bound.simplex,
-        workspace,
-    );
+    let solution = workspace
+        .revised
+        .solve_warm(&formulation.model, &options.branch_bound.simplex);
     if solution.status != Status::Optimal {
         return None;
     }
@@ -267,30 +242,18 @@ pub struct MultiFractionalLp {
     pub assignment: Vec<Vec<Vec<(rp_tree::NodeId, f64)>>>,
 }
 
-/// Solves the rational multi-object relaxation and surfaces the full
-/// fractional optimum. Same contract as [`lower_bound_fractional`].
-pub fn multi_lower_bound_fractional(
-    problem: &MultiObjectProblem,
-    options: &IlpOptions,
-) -> Option<MultiFractionalLp> {
-    let mut workspace = LpWorkspace::new();
-    multi_lower_bound_fractional_reusing(problem, options, &mut workspace)
-}
-
-/// [`multi_lower_bound_fractional`] reusing the LP buffers of
-/// `workspace`.
+/// Solves the rational multi-object relaxation on `workspace` and
+/// surfaces the full fractional optimum. Same contract as
+/// [`lower_bound_fractional_reusing`].
 pub fn multi_lower_bound_fractional_reusing(
     problem: &MultiObjectProblem,
     options: &IlpOptions,
     workspace: &mut LpWorkspace,
 ) -> Option<MultiFractionalLp> {
     let formulation = build_multi_model(problem, Integrality::RationalBound);
-    let solution = solve_lp_engine(
-        &formulation.model,
-        options.branch_bound.engine,
-        &options.branch_bound.simplex,
-        workspace,
-    );
+    let solution = workspace
+        .revised
+        .solve_warm(&formulation.model, &options.branch_bound.simplex);
     if solution.status != Status::Optimal {
         return None;
     }
@@ -355,12 +318,9 @@ pub fn multi_lower_bound_reusing(
     match kind {
         BoundKind::Rational => {
             let formulation = build_multi_model(problem, Integrality::RationalBound);
-            let solution = solve_lp_engine(
-                &formulation.model,
-                options.branch_bound.engine,
-                &options.branch_bound.simplex,
-                workspace,
-            );
+            let solution = workspace
+                .revised
+                .solve_warm(&formulation.model, &options.branch_bound.simplex);
             match solution.status {
                 Status::Optimal => Some(solution.objective),
                 Status::Infeasible => None,
@@ -369,7 +329,7 @@ pub fn multi_lower_bound_reusing(
         }
         BoundKind::Mixed => {
             let formulation = build_multi_model(problem, Integrality::MixedBound);
-            let outcome = solve_milp_reusing(&formulation.model, &options.branch_bound, workspace);
+            let outcome = solve_milp(&formulation.model, &options.branch_bound, workspace);
             match outcome.status {
                 Status::Infeasible => None,
                 Status::Unbounded => Some(0.0),
@@ -434,22 +394,33 @@ pub fn exact_optimal_cost(problem: &ProblemInstance, policy: Policy) -> Option<u
     }
 }
 
-/// Simplex options tuned for the larger relaxations used in experiment
-/// sweeps (looser tolerance, higher iteration budget).
-pub fn sweep_simplex_options() -> SimplexOptions {
-    SimplexOptions {
-        tolerance: 1e-6,
-        max_iterations: Some(200_000),
-        bland_after: 20_000,
-        ..SimplexOptions::default()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::exact::{optimal_cost, solve_multiple_homogeneous};
+    use rp_lp::{oracle, Model};
     use rp_tree::TreeBuilder;
+
+    /// The integrality of the relaxation behind `kind`.
+    fn relaxation(kind: BoundKind) -> Integrality {
+        match kind {
+            BoundKind::Rational => Integrality::RationalBound,
+            BoundKind::Mixed => Integrality::MixedBound,
+        }
+    }
+
+    /// The bound `kind` of the relaxation `model`, computed by the oracle.
+    fn oracle_bound(model: &Model, kind: BoundKind) -> Option<f64> {
+        match kind {
+            BoundKind::Rational => {
+                let solution = oracle::solve_lp(model);
+                (solution.status == Status::Optimal).then_some(solution.objective)
+            }
+            BoundKind::Mixed => {
+                oracle::solve_milp(model, &IlpOptions::default().branch_bound).bound
+            }
+        }
+    }
 
     fn small_instance() -> ProblemInstance {
         let mut b = TreeBuilder::new();
@@ -527,9 +498,9 @@ mod tests {
     fn bounds_agree_between_the_revised_and_dense_engines() {
         let p = small_instance();
         for kind in [BoundKind::Rational, BoundKind::Mixed] {
-            let revised = lower_bound_with(&p, kind, &IlpOptions::with_engine(LpEngine::Revised));
-            let dense =
-                lower_bound_with(&p, kind, &IlpOptions::with_engine(LpEngine::DenseTableau));
+            let revised = lower_bound_with(&p, kind, &IlpOptions::default());
+            let model = build_model(&p, Policy::Multiple, relaxation(kind)).model;
+            let dense = oracle_bound(&model, kind);
             match (revised, dense) {
                 (Some(a), Some(b)) => assert!((a - b).abs() < 1e-6, "{kind:?}: {a} vs {b}"),
                 other => panic!("engine disagreement for {kind:?}: {other:?}"),
@@ -617,12 +588,11 @@ mod tests {
         assert!(rational <= optimum + 1e-6);
         assert!(mixed <= optimum + 1e-6);
         assert!(mixed + 1e-6 >= rational);
-        // Both engines agree on the multi-object relaxation.
+        // The engine agrees with the oracle on the multi-object
+        // relaxation.
         for kind in [BoundKind::Rational, BoundKind::Mixed] {
-            let revised =
-                multi_lower_bound_with(&p, kind, &IlpOptions::with_engine(LpEngine::Revised));
-            let dense =
-                multi_lower_bound_with(&p, kind, &IlpOptions::with_engine(LpEngine::DenseTableau));
+            let revised = multi_lower_bound_with(&p, kind, &IlpOptions::default());
+            let dense = oracle_bound(&build_multi_model(&p, relaxation(kind)).model, kind);
             match (revised, dense) {
                 (Some(a), Some(b)) => assert!((a - b).abs() < 1e-6, "{kind:?}: {a} vs {b}"),
                 other => panic!("engine disagreement for {kind:?}: {other:?}"),

@@ -365,8 +365,7 @@ pub fn solve_multi_ilp(problem: &MultiObjectProblem) -> Option<MultiPlacement> {
     solve_multi_ilp_with(problem, &crate::ilp::IlpOptions::default())
 }
 
-/// [`solve_multi_ilp`] with explicit branch-and-bound / simplex options
-/// (engine selection included).
+/// [`solve_multi_ilp`] with explicit branch-and-bound / simplex options.
 pub fn solve_multi_ilp_with(
     problem: &MultiObjectProblem,
     options: &crate::ilp::IlpOptions,
@@ -375,7 +374,8 @@ pub fn solve_multi_ilp_with(
 
     let tree = problem.tree();
     let formulation = build_multi_model(problem, Integrality::Exact);
-    let outcome = rp_lp::solve_milp_with(&formulation.model, &options.branch_bound);
+    let workspace = &mut rp_lp::LpWorkspace::new();
+    let outcome = rp_lp::solve_milp(&formulation.model, &options.branch_bound, workspace);
     let incumbent = outcome.incumbent?;
     if !matches!(
         outcome.status,

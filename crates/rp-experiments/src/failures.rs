@@ -7,7 +7,7 @@
 //! trials, a single link cut on odd ones, both drawn through the seeded
 //! generators of [`rp_workloads::failures`] — and pushes every
 //! pre-failure placement through
-//! [`inject_and_repair`](rp_core::inject_and_repair). Recorded per
+//! [`inject_and_repair`]. Recorded per
 //! (trial, heuristic):
 //!
 //! * whether the repair restored **full** service (survival) or had to

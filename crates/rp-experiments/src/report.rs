@@ -115,7 +115,7 @@ pub fn relative_cost_table(results: &SweepResults) -> SeriesTable {
     SeriesTable { headers, rows }
 }
 
-/// A per-λ summary of sizes and runtimes, handy for EXPERIMENTS.md.
+/// A per-λ summary of sizes and runtimes.
 pub fn runtime_table(results: &SweepResults) -> SeriesTable {
     let headers = vec![
         "lambda".to_string(),

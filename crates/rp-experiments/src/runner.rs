@@ -10,12 +10,11 @@
 //! The sweep is sharded across **all** (λ, tree) pairs at once — not
 //! per-λ batch — through one shared work queue, so slow λ values never
 //! leave workers idle. Every worker thread pins one [`WorkerScratch`]:
-//! the `HeuristicState` buffers, the LP workspace of the selected
-//! [`LpEngine`], and the previous trial's retired tree (recycled into
-//! the next tree's derived arrays). The allocation-free steady state of
-//! the solvers therefore holds under the parallel runner as well: after
-//! warm-up, a worker's trial allocates only the tree/problem value
-//! vectors themselves.
+//! the `HeuristicState` buffers, the LP workspace, and the previous
+//! trial's retired tree (recycled into the next tree's derived arrays).
+//! The allocation-free steady state of the solvers therefore holds
+//! under the parallel runner as well: after warm-up, a worker's trial
+//! allocates only the tree/problem value vectors themselves.
 //!
 //! # One heuristic pass per trial
 //!
@@ -30,7 +29,7 @@ use rand::{Rng, SeedableRng};
 use rp_core::heuristics::{HeuristicState, StateBuffers};
 use rp_core::ilp::{integral_lower_bound, lower_bound_reusing, BoundKind, IlpOptions};
 use rp_core::{Heuristic, ProblemInstance};
-use rp_lp::{LpEngine, LpWorkspace};
+use rp_lp::LpWorkspace;
 use rp_tree::TreeNetwork;
 use rp_workloads::platform::{generate_problem_split_rng, PlatformKind, WorkloadConfig};
 use rp_workloads::tree_gen::{generate_tree_into_with_rng, TreeGenConfig, TreeShape};
@@ -55,9 +54,6 @@ pub struct ExperimentConfig {
     pub qos_hops: Option<u32>,
     /// Which LP relaxation provides the lower bound.
     pub bound: BoundKind,
-    /// Which LP engine solves it (revised simplex by default; the dense
-    /// tableau remains available as the differential oracle).
-    pub engine: LpEngine,
     /// Base RNG seed; every (λ, tree) pair derives its own sub-seed.
     pub seed: u64,
     /// Worker threads (`None` = automatic).
@@ -72,9 +68,9 @@ impl ExperimentConfig {
         (1..=9).map(|i| i as f64 / 10.0).collect()
     }
 
-    /// The default homogeneous sweep (Figures 9 and 10), scaled to sizes
-    /// that the bundled LP solver handles comfortably. The paper uses
-    /// 15 ≤ s ≤ 400; see EXPERIMENTS.md for the size discussion.
+    /// The default homogeneous sweep (Figures 9 and 10), at
+    /// 15 ≤ s ≤ 150. The paper uses 15 ≤ s ≤ 400, which
+    /// [`ExperimentConfig::paper_scale`] reproduces.
     pub fn homogeneous() -> Self {
         ExperimentConfig {
             lambdas: Self::paper_lambdas(),
@@ -84,7 +80,6 @@ impl ExperimentConfig {
             platform: PlatformKind::default_homogeneous(),
             qos_hops: None,
             bound: BoundKind::Rational,
-            engine: LpEngine::default(),
             seed: 20070326, // IPPS 2007 kick-off date, for flavour
             threads: None,
             heuristics: Heuristic::ALL.to_vec(),
@@ -100,13 +95,10 @@ impl ExperimentConfig {
     }
 
     /// The full **paper-scale** sweep: problem sizes up to the paper's
-    /// `s = 400` (Section 7.2). Tractable only with the revised-simplex
-    /// engine — the dense tableau's bound rows make the `s = 400` LP
-    /// bound an order of magnitude slower.
+    /// `s = 400` (Section 7.2).
     pub fn paper_scale() -> Self {
         ExperimentConfig {
             size_range: (15, rp_workloads::PAPER_SCALE_S),
-            engine: LpEngine::Revised,
             ..Self::homogeneous()
         }
     }
@@ -121,7 +113,6 @@ impl ExperimentConfig {
             platform: PlatformKind::default_homogeneous(),
             qos_hops: None,
             bound: BoundKind::Rational,
-            engine: LpEngine::default(),
             seed: 7,
             threads: Some(2),
             heuristics: Heuristic::ALL.to_vec(),
@@ -147,7 +138,7 @@ pub struct WorkerScratch {
     /// The single heuristic buffer set every base heuristic runs on
     /// (MixedBest reuses their costs and runs nothing of its own).
     buffers: StateBuffers,
-    /// LP workspaces of both engines (factorisation, tableau, scratch).
+    /// The LP workspace (factorisation, basis, scratch).
     lp: LpWorkspace,
     /// The previous trial's tree, recycled into the next generation.
     recycled_tree: Option<TreeNetwork>,
@@ -239,12 +230,11 @@ pub fn run_single_trial_with(
     let heuristics_seconds = heuristics_span.finish_seconds();
 
     let lp_span = rp_obs::timed_span(rp_obs::SpanKind::LpBound);
-    let mut ilp_options = IlpOptions::default();
-    ilp_options.branch_bound.engine = config.engine;
+    let options = IlpOptions::default();
     // Storage costs are integral, so the bound can always be rounded up
     // to the next integer; this markedly tightens the fully rational
     // relaxation on Replica Counting instances.
-    let lp_bound = lower_bound_reusing(&problem, config.bound, &ilp_options, &mut scratch.lp)
+    let lp_bound = lower_bound_reusing(&problem, config.bound, &options, &mut scratch.lp)
         .map(|raw| integral_lower_bound(raw) as f64);
     let lp_seconds = lp_span.finish_seconds();
 
@@ -421,22 +411,33 @@ mod tests {
 
     #[test]
     fn dense_and_revised_engines_agree_on_the_smoke_sweep() {
-        let revised = run_sweep(&ExperimentConfig {
-            engine: LpEngine::Revised,
-            ..ExperimentConfig::smoke_test()
-        });
-        let dense = run_sweep(&ExperimentConfig {
-            engine: LpEngine::DenseTableau,
-            ..ExperimentConfig::smoke_test()
-        });
-        for (br, bd) in revised.batches.iter().zip(&dense.batches) {
-            for (tr, td) in br.trials.iter().zip(&bd.trials) {
+        use rp_core::ilp::{build_model, Integrality};
+        use rp_lp::{oracle, Status};
+
+        let config = ExperimentConfig::smoke_test();
+        let revised = run_sweep(&config);
+        for br in &revised.batches {
+            for tr in &br.trials {
+                // The regenerated instance is the trial's own: the same
+                // heuristic costs, and the oracle's bound of its
+                // relaxation, rounded as the sweep rounds.
+                let problem = generate_trial_problem(&config, br.lambda, tr.tree_index);
+                let model = build_model(&problem, Policy::Multiple, Integrality::RationalBound);
+                let dense = oracle::solve_lp(&model.model);
+                let dense_bound = match dense.status {
+                    Status::Optimal => Some(dense.objective),
+                    Status::Infeasible => None,
+                    _ => Some(0.0),
+                };
+                let dense_bound = dense_bound.map(|raw| integral_lower_bound(raw) as f64);
                 assert_eq!(
-                    tr.lp_bound, td.lp_bound,
+                    tr.lp_bound, dense_bound,
                     "λ={} tree {}",
                     br.lambda, tr.tree_index
                 );
-                assert_eq!(tr.heuristic_costs, td.heuristic_costs);
+                let buffers = &mut StateBuffers::default();
+                let dense_costs = heuristic_costs(&problem, &config.heuristics, buffers);
+                assert_eq!(tr.heuristic_costs, dense_costs);
             }
         }
     }
@@ -580,7 +581,6 @@ mod tests {
     fn paper_scale_config_reaches_s_400() {
         let config = ExperimentConfig::paper_scale();
         assert_eq!(config.size_range.1, 400);
-        assert_eq!(config.engine, LpEngine::Revised);
     }
 
     #[test]

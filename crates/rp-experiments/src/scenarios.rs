@@ -34,7 +34,7 @@ use rp_core::heuristics::lp_guided::{lp_guided_multi_reusing, lp_guided_reusing,
 use rp_core::ilp::{build_model, build_multi_model, IlpOptions, Integrality};
 use rp_core::multi::{solve_multi_greedy, MultiGreedyOptions, MultiObjectProblem};
 use rp_core::{Heuristic, Policy, ProblemInstance};
-use rp_lp::{solve_lp_engine, LpEngine, LpWorkspace, SimplexOptions, Status};
+use rp_lp::{LpWorkspace, SimplexOptions, Status};
 use rp_workloads::scenarios::{
     bandwidth_instance, ill_scaled_bandwidth_instance, multi_object_bandwidth_instance,
     multi_object_instance,
@@ -111,8 +111,6 @@ pub struct ScenarioConfig {
     pub problem_size: usize,
     /// Object types (multi-object families only).
     pub num_objects: usize,
-    /// The LP engine solving the relaxations.
-    pub engine: LpEngine,
     /// Base RNG seed.
     pub seed: u64,
     /// Worker threads (`None` = automatic).
@@ -129,7 +127,6 @@ impl ScenarioConfig {
             trees_per_lambda: 8,
             problem_size: 150,
             num_objects: 3,
-            engine: LpEngine::Revised,
             seed: 20070326,
             threads: None,
         }
@@ -163,8 +160,7 @@ pub struct ScenarioTrial {
     pub bound: Option<f64>,
     /// Wall-clock of the bound solve (model build excluded).
     pub solve_seconds: f64,
-    /// Simplex iterations of the solve (revised engine only; 0 on the
-    /// dense oracle).
+    /// Simplex iterations of the solve.
     pub iterations: usize,
     /// Rows (constraints) of the solved model.
     pub rows: usize,
@@ -379,16 +375,16 @@ pub fn run_scenario_trial(
     match config.family {
         ScenarioFamily::Bandwidth => {
             let problem = bandwidth_instance(config.problem_size, lambda, seed);
-            single_object_trial(config, &problem, tree_index, workspace)
+            single_object_trial(&problem, tree_index, workspace)
         }
         ScenarioFamily::BandwidthIllScaled => {
             let problem = ill_scaled_bandwidth_instance(config.problem_size, lambda, seed);
-            single_object_trial(config, &problem, tree_index, workspace)
+            single_object_trial(&problem, tree_index, workspace)
         }
         ScenarioFamily::MultiObject => {
             let problem =
                 multi_object_instance(config.problem_size, config.num_objects, lambda, seed);
-            multi_object_trial(config, &problem, tree_index, workspace)
+            multi_object_trial(&problem, tree_index, workspace)
         }
         ScenarioFamily::MultiObjectBandwidth => {
             let problem = multi_object_bandwidth_instance(
@@ -397,7 +393,7 @@ pub fn run_scenario_trial(
                 lambda,
                 seed,
             );
-            multi_object_trial(config, &problem, tree_index, workspace)
+            multi_object_trial(&problem, tree_index, workspace)
         }
     }
 }
@@ -405,18 +401,15 @@ pub fn run_scenario_trial(
 /// The bound solve shared by both trial shapes.
 fn solve_bound(
     model: &rp_lp::Model,
-    config: &ScenarioConfig,
     tree_index: usize,
     workspace: &mut LpWorkspace,
 ) -> ScenarioTrial {
-    let options = SimplexOptions::default();
     let span = rp_obs::timed_span(rp_obs::SpanKind::LpBound);
-    let solution = solve_lp_engine(model, config.engine, &options, workspace);
+    let solution = workspace
+        .revised
+        .solve_warm(model, &SimplexOptions::default());
     let solve_seconds = span.finish_seconds();
-    let iterations = match config.engine {
-        LpEngine::Revised => workspace.revised.last_stats().iterations(),
-        LpEngine::DenseTableau => 0,
-    };
+    let iterations = workspace.revised.last_stats().iterations();
     ScenarioTrial {
         tree_index,
         status: solution.status,
@@ -432,15 +425,14 @@ fn solve_bound(
 }
 
 fn single_object_trial(
-    config: &ScenarioConfig,
     problem: &ProblemInstance,
     tree_index: usize,
     workspace: &mut LpWorkspace,
 ) -> ScenarioTrial {
     let model = build_model(problem, Policy::Multiple, Integrality::RationalBound).model;
-    let mut trial = solve_bound(&model, config, tree_index, workspace);
+    let mut trial = solve_bound(&model, tree_index, workspace);
 
-    let ilp_options = IlpOptions::with_engine(config.engine);
+    let ilp_options = IlpOptions::default();
     let span = rp_obs::timed_span(rp_obs::SpanKind::HeuristicsPhase);
     // Classic ensemble: best of the eight, bandwidth-repaired.
     trial.classic_cost = Heuristic::BASE
@@ -455,15 +447,14 @@ fn single_object_trial(
 }
 
 fn multi_object_trial(
-    config: &ScenarioConfig,
     problem: &MultiObjectProblem,
     tree_index: usize,
     workspace: &mut LpWorkspace,
 ) -> ScenarioTrial {
     let model = build_multi_model(problem, Integrality::RationalBound).model;
-    let mut trial = solve_bound(&model, config, tree_index, workspace);
+    let mut trial = solve_bound(&model, tree_index, workspace);
 
-    let ilp_options = IlpOptions::with_engine(config.engine);
+    let ilp_options = IlpOptions::default();
     let span = rp_obs::timed_span(rp_obs::SpanKind::HeuristicsPhase);
     // Classic ensemble: the sequential greedy, kept only when its
     // placement also fits the shared links (the greedy itself is
@@ -624,19 +615,20 @@ mod tests {
         let config = ScenarioConfig::smoke_test(ScenarioFamily::Bandwidth);
         let a = run_scenario(&config);
         let b = run_scenario(&config);
-        let dense = run_scenario(&ScenarioConfig {
-            engine: LpEngine::DenseTableau,
-            ..config.clone()
-        });
-        for ((ba, bb), bd) in a.batches.iter().zip(&b.batches).zip(&dense.batches) {
-            for ((ta, tb), td) in ba.trials.iter().zip(&bb.trials).zip(&bd.trials) {
+        for (ba, bb) in a.batches.iter().zip(&b.batches) {
+            for (ta, tb) in ba.trials.iter().zip(&bb.trials) {
                 assert_eq!(ta.bound.is_some(), tb.bound.is_some());
                 if let (Some(x), Some(y)) = (ta.bound, tb.bound) {
                     assert!((x - y).abs() < 1e-9);
                 }
                 // The dense oracle agrees on feasibility and objective.
-                assert_eq!(ta.bound.is_some(), td.bound.is_some(), "λ={}", ba.lambda);
-                if let (Some(x), Some(y)) = (ta.bound, td.bound) {
+                let seed = trial_seed(config.seed, ta.tree_index);
+                let problem = bandwidth_instance(config.problem_size, ba.lambda, seed);
+                let model = build_model(&problem, Policy::Multiple, Integrality::RationalBound);
+                let dense = rp_lp::oracle::solve_lp(&model.model);
+                let dense = (dense.status == Status::Optimal).then_some(dense.objective);
+                assert_eq!(ta.bound.is_some(), dense.is_some(), "λ={}", ba.lambda);
+                if let (Some(x), Some(y)) = (ta.bound, dense) {
                     assert!((x - y).abs() < 1e-5 * x.abs().max(1.0), "{x} vs {y}");
                 }
             }

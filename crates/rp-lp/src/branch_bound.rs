@@ -7,26 +7,32 @@
 //! integer variable, and explore the resulting subtree depth-first
 //! while pruning with the incumbent.
 //!
-//! Two relaxation engines are available (see [`crate::engine`]):
-//!
-//! * with [`LpEngine::Revised`] (the default) every node after the root
-//!   **warm-starts from the previously solved node's basis**: a bound
-//!   change keeps the basis dual feasible, so a short dual-simplex
-//!   cleanup replaces the full two-phase solve — usually a handful of
-//!   pivots per node;
-//! * with [`LpEngine::DenseTableau`] every node re-runs the dense
-//!   two-phase simplex (the slower differential oracle).
+//! Every node after the root **warm-starts from the previously solved
+//! node's basis**: a bound change keeps the basis dual feasible, so a
+//! short dual-simplex cleanup replaces the full two-phase solve,
+//! usually a handful of pivots per node. The basis also survives from
+//! one search to the next on the same workspace, so the root of a
+//! **sibling search** (same constraint matrix; only the objective,
+//! right-hand sides or bounds changed, as when the λ-sharded sweep
+//! re-solves one tree under another load factor) is a refactorisation
+//! and a short dual cleanup instead of a cold solve. A structural
+//! change is detected (`O(nnz)`) and falls back to a cold root solve.
 //!
 //! The solver reports both the best incumbent and the best proven bound,
 //! which is exactly what the paper's "mixed" lower bound (Section 7.1)
 //! needs: even when the node limit stops the search early, the weakest
 //! open-node relaxation value is still a valid lower bound on the
 //! optimal integer objective.
+//!
+//! [`crate::oracle::solve_milp`] runs the same search over dense-tableau
+//! relaxations.
 
-use crate::engine::{solve_lp_engine, LpEngine, LpWorkspace};
+use crate::engine::{LpWorkspace, SimplexOptions};
 use crate::model::{Model, Sense, VarId};
-use crate::simplex::SimplexOptions;
 use crate::solution::{Solution, Status};
+
+/// A value within this distance of an integer counts as integral.
+const INTEGRALITY_TOLERANCE: f64 = 1e-6;
 
 /// Options for the branch-and-bound search.
 #[derive(Clone, Copy, Debug)]
@@ -35,32 +41,15 @@ pub struct BranchBoundOptions {
     /// relaxations (per-node bound changes would invalidate the
     /// reductions); the flag still applies to pure-LP pass-throughs.
     pub simplex: SimplexOptions,
-    /// Which LP engine solves the node relaxations.
-    pub engine: LpEngine,
     /// Maximum number of explored nodes before giving up.
     pub max_nodes: usize,
-    /// Integrality tolerance: a value within this distance of an integer
-    /// is considered integral.
-    pub integrality_tolerance: f64,
-    /// Keep the basis stored in the workspace across **sibling
-    /// searches** ([`solve_milp_reusing`] called repeatedly on models
-    /// of the same shape): when only the objective, right-hand sides or
-    /// bounds changed since the previous search — the λ-sharded sweep
-    /// re-solving one tree under a different load factor — the root
-    /// relaxation warm-starts with a refactorisation and a short dual
-    /// cleanup instead of a cold two-phase solve. Structural changes
-    /// are detected (`O(nnz)`) and fall back to a cold root solve.
-    pub warm_across_searches: bool,
 }
 
 impl Default for BranchBoundOptions {
     fn default() -> Self {
         BranchBoundOptions {
             simplex: SimplexOptions::default(),
-            engine: LpEngine::default(),
             max_nodes: 10_000,
-            integrality_tolerance: 1e-6,
-            warm_across_searches: true,
         }
     }
 }
@@ -88,29 +77,31 @@ impl MilpOutcome {
     }
 }
 
-/// Solves `model` as a mixed-integer program with default options.
-pub fn solve_milp(model: &Model) -> MilpOutcome {
-    solve_milp_with(model, &BranchBoundOptions::default())
-}
-
-/// Solves `model` as a mixed-integer program.
-pub fn solve_milp_with(model: &Model, options: &BranchBoundOptions) -> MilpOutcome {
-    let mut workspace = LpWorkspace::new();
-    solve_milp_reusing(model, options, &mut workspace)
-}
-
-/// [`solve_milp_with`] reusing the LP buffers of `workspace` (the warm
-/// branch-and-bound path holds its basis there, so reusing the
-/// workspace across many searches also reuses the factorisation
-/// buffers).
-pub fn solve_milp_reusing(
+/// Solves `model` as a mixed-integer program, every relaxation on the
+/// revised simplex of `workspace`. The workspace holds the warm basis,
+/// so reusing it across searches also reuses the factorisation buffers
+/// and warm-starts the next search's root.
+pub fn solve_milp(
     model: &Model,
     options: &BranchBoundOptions,
     workspace: &mut LpWorkspace,
 ) -> MilpOutcome {
+    branch_and_bound(model, options, |relaxation, simplex| {
+        workspace.revised.solve_warm(relaxation, simplex)
+    })
+}
+
+/// The search itself, with each relaxation solved by `relax`: the
+/// revised engine for [`solve_milp`], the dense tableau for
+/// [`crate::oracle::solve_milp`].
+pub(crate) fn branch_and_bound(
+    model: &Model,
+    options: &BranchBoundOptions,
+    mut relax: impl FnMut(&Model, &SimplexOptions) -> Solution,
+) -> MilpOutcome {
     let integer_vars = model.integer_vars();
     if integer_vars.is_empty() {
-        let sol = solve_lp_engine(model, options.engine, &options.simplex, workspace);
+        let sol = relax(model, &options.simplex);
         let bound = if sol.status == Status::Optimal {
             Some(sol.objective)
         } else {
@@ -139,18 +130,8 @@ pub fn solve_milp_reusing(
     let mut incumbent: Option<Solution> = None;
     let mut explored = 0usize;
     // One scratch model for the whole search: each node applies its
-    // bound overrides, solves, and restores — no per-node clone. The
-    // LP workspace is likewise shared; under the revised engine it
-    // carries the basis of the previously solved node, so each node's
-    // relaxation is a warm dual-simplex cleanup rather than a cold
-    // two-phase solve. With `warm_across_searches` the basis even
-    // survives from the *previous search* of the same shape, making the
-    // root relaxation of a sibling search (only objective/rhs/bounds
-    // changed) a refactorisation-only fast path.
+    // bound overrides, solves, and restores — no per-node clone.
     let mut scratch = model.clone();
-    if !options.warm_across_searches {
-        workspace.revised.invalidate();
-    }
     // Node relaxations must see the full constraint system: presolve
     // reductions derived from the root bounds would not survive the
     // per-node bound overrides.
@@ -187,15 +168,7 @@ pub fn solve_milp_reusing(
             scratch.set_bounds(var, lower, upper);
         }
 
-        let relaxation = match options.engine {
-            // Warm start: the bound overrides are the only difference
-            // from the previously solved node, so the stored basis is
-            // dual feasible and a dual-simplex cleanup suffices.
-            LpEngine::Revised => workspace.revised.solve_warm(&scratch, &node_simplex),
-            LpEngine::DenseTableau => {
-                solve_lp_engine(&scratch, options.engine, &node_simplex, workspace)
-            }
-        };
+        let relaxation = relax(&scratch, &node_simplex);
 
         // Restore in reverse, so repeated overrides of one variable
         // unwind correctly.
@@ -231,7 +204,7 @@ pub fn solve_milp_reusing(
         }
 
         // Find the most fractional integer variable.
-        let tol = options.integrality_tolerance;
+        let tol = INTEGRALITY_TOLERANCE;
         let mut branch_var: Option<(VarId, f64, f64)> = None; // (var, value, fractionality)
         for &var in &integer_vars {
             let value = relaxation.value(var);
@@ -353,23 +326,24 @@ fn current_bounds(
 mod tests {
     use super::*;
     use crate::model::{lin_sum, Cmp, LinExpr, Model, Sense};
+    use crate::oracle;
 
     fn assert_close(a: f64, b: f64) {
         assert!((a - b).abs() < 1e-6, "expected {b}, got {a}");
     }
 
-    /// Every MILP test runs under both engines; the revised path also
-    /// exercises the warm-started dual-simplex node solves.
+    /// Every MILP test runs on the oracle and on the revised engine; the
+    /// revised path also exercises the warm-started dual-simplex node
+    /// solves.
     fn solve_both(m: &Model) -> [MilpOutcome; 2] {
-        [LpEngine::DenseTableau, LpEngine::Revised].map(|engine| {
-            solve_milp_with(
-                m,
-                &BranchBoundOptions {
-                    engine,
-                    ..BranchBoundOptions::default()
-                },
-            )
-        })
+        solve_both_with(m, &BranchBoundOptions::default())
+    }
+
+    fn solve_both_with(m: &Model, options: &BranchBoundOptions) -> [MilpOutcome; 2] {
+        [
+            oracle::solve_milp(m, options),
+            solve_milp(m, options, &mut LpWorkspace::new()),
+        ]
     }
 
     #[test]
@@ -475,25 +449,14 @@ mod tests {
                 1.0,
             );
         }
-        for engine in [LpEngine::DenseTableau, LpEngine::Revised] {
-            let exact = solve_milp_with(
-                &m,
-                &BranchBoundOptions {
-                    engine,
-                    ..BranchBoundOptions::default()
-                },
-            );
+        let capped = BranchBoundOptions {
+            max_nodes: 1,
+            ..BranchBoundOptions::default()
+        };
+        for (exact, limited) in solve_both(&m).into_iter().zip(solve_both_with(&m, &capped)) {
             assert_eq!(exact.status, Status::Optimal);
             assert_close(exact.objective().unwrap(), 2.0);
 
-            let limited = solve_milp_with(
-                &m,
-                &BranchBoundOptions {
-                    engine,
-                    max_nodes: 1,
-                    ..BranchBoundOptions::default()
-                },
-            );
             assert_eq!(limited.status, Status::NodeLimit);
             let bound = limited.bound.expect("root relaxation bound");
             assert!(
@@ -525,15 +488,16 @@ mod tests {
         let mut m = Model::minimize();
         let x = m.add_int_var("x", 0.0, None, 1.0);
         m.add_constraint("c", lin_sum([(2.0, x)]), Cmp::Ge, 7.0);
-        let out = solve_milp(&m);
+        let out = solve_milp(&m, &BranchBoundOptions::default(), &mut LpWorkspace::new());
         assert!(out.explored_nodes >= 1);
     }
 
     #[test]
     fn sibling_searches_reuse_the_basis_and_agree_with_cold_runs() {
         // The same constraint matrix under shifting objective/rhs: the
-        // warm-across-searches fast path must agree with fresh cold
-        // searches, and disabling it must change nothing but the work.
+        // searches sharing one workspace (each root warm-starts from the
+        // previous search's basis) must agree with searches on fresh
+        // workspaces, which start cold.
         let build = |profit: f64, budget: f64| {
             let mut m = Model::new(Sense::Maximize);
             let a = m.add_binary_var("a", profit);
@@ -548,14 +512,11 @@ mod tests {
             m
         };
         let mut warm_ws = LpWorkspace::new();
-        let cold_opts = BranchBoundOptions {
-            warm_across_searches: false,
-            ..BranchBoundOptions::default()
-        };
+        let options = BranchBoundOptions::default();
         for (profit, budget) in [(10.0, 6.0), (2.0, 6.0), (10.0, 9.0), (1.0, 4.0)] {
             let m = build(profit, budget);
-            let warm = solve_milp_reusing(&m, &BranchBoundOptions::default(), &mut warm_ws);
-            let cold = solve_milp_with(&m, &cold_opts);
+            let warm = solve_milp(&m, &options, &mut warm_ws);
+            let cold = solve_milp(&m, &options, &mut LpWorkspace::new());
             assert_eq!(warm.status, cold.status, "profit={profit} budget={budget}");
             match (warm.objective(), cold.objective()) {
                 (Some(a), Some(b)) => assert_close(a, b),
@@ -567,8 +528,9 @@ mod tests {
 
     #[test]
     fn warm_and_cold_searches_agree_on_a_batch_of_milps() {
-        // A family of knapsack-ish MILPs solved with both engines and
-        // one shared workspace (warm basis carried across searches).
+        // A family of knapsack-ish MILPs solved on the oracle and on
+        // one shared revised workspace (warm basis carried across
+        // searches).
         let mut ws = LpWorkspace::new();
         for trial in 0..6u32 {
             let mut m = Model::new(Sense::Maximize);
@@ -579,21 +541,9 @@ mod tests {
                 .collect();
             let expr = lin_sum(vars.iter().zip(weights).map(|(&v, w)| (w, v)));
             m.add_constraint("w", expr, Cmp::Le, 8.0 + f64::from(trial));
-            let dense = solve_milp_with(
-                &m,
-                &BranchBoundOptions {
-                    engine: LpEngine::DenseTableau,
-                    ..BranchBoundOptions::default()
-                },
-            );
-            let revised = solve_milp_reusing(
-                &m,
-                &BranchBoundOptions {
-                    engine: LpEngine::Revised,
-                    ..BranchBoundOptions::default()
-                },
-                &mut ws,
-            );
+            let options = BranchBoundOptions::default();
+            let dense = oracle::solve_milp(&m, &options);
+            let revised = solve_milp(&m, &options, &mut ws);
             assert_eq!(dense.status, revised.status, "trial {trial}");
             match (dense.objective(), revised.objective()) {
                 (Some(a), Some(b)) => assert_close(a, b),

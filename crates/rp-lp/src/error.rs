@@ -11,30 +11,26 @@
 //! * [`LpError::SingularBasis`] — the sparse LU refactorisation of the
 //!   current basis failed. The basis matrix is (numerically) rank
 //!   deficient, so no further pivots are possible on this
-//!   factorisation. The hardened entry point
-//!   ([`crate::solve_lp_hardened`]) reacts by re-solving on the dense
-//!   tableau oracle, whose independent elimination usually survives.
+//!   factorisation.
 //! * [`LpError::IterationLimit`] — the per-phase pivot cap
 //!   ([`crate::SimplexOptions::max_iterations`]) or the whole-solve cap
 //!   ([`SolveBudget::max_iterations`]) ran out before convergence.
 //! * [`LpError::DeadlineExceeded`] — the wall-clock deadline of
 //!   [`SolveBudget::deadline`] passed. Deadline stops are *intentional*
-//!   — the caller asked for an anytime answer — so they are never
-//!   retried on the oracle; the best primal point found so far is
-//!   returned instead (see below).
+//!   — the caller asked for an anytime answer — so the best primal
+//!   point found so far is returned instead (see below).
 //! * [`LpError::NumericalLoss`] — internal cross-checks disagreed: the
 //!   phase-1 objective (bounded below by zero) priced as unbounded, the
 //!   dual ratio test's BTRAN row contradicted the FTRAN column, or the
 //!   pricing state desynchronised from the basis. The factorisation is
-//!   not trustworthy; the hardened entry point falls back to the dense
-//!   oracle.
+//!   not trustworthy.
 //!
 //! Whatever the reason, the typed value is recorded on the workspace
 //! ([`crate::RevisedWorkspace::last_error`]) *in addition to* the
-//! conservative [`Status`] carried by the returned [`Solution`] — the
-//! status-based API stays unchanged for existing callers, and
-//! [`crate::solve_lp_hardened`] surfaces the error as a `Result` for
-//! callers that want to handle it.
+//! conservative [`Status`] carried by the returned [`Solution`]. A solve
+//! that ends [`Status::Optimal`] with no recorded error is a proven
+//! answer; the perf gate's `revised_failures_max` entry counts the
+//! solves of its healthy instances that are not.
 //!
 //! # Budgets return the best bound so far
 //!
@@ -63,6 +59,7 @@
 //!
 //! [`Status`]: crate::Status
 //! [`Status::IterationLimit`]: crate::Status::IterationLimit
+//! [`Status::Optimal`]: crate::Status::Optimal
 //! [`Solution`]: crate::Solution
 
 use std::fmt;
@@ -120,8 +117,7 @@ impl std::error::Error for LpError {}
 /// Unlike [`crate::SimplexOptions::max_iterations`] — a *per-phase*
 /// pivot cap — the budget is charged across the entire solve, and a
 /// budget stop returns the best primal point found so far (see the
-/// [module docs](self)). Honoured by the revised engine; the dense
-/// tableau oracle ignores it, like the other revised-only options.
+/// [module docs](self)). The oracle ([`crate::oracle`]) ignores it.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct SolveBudget {
     /// Wall-clock allowance for the whole solve, measured from entry.

@@ -7,32 +7,31 @@
 //!
 //! * [`Model`] — variables (continuous or integer, bounded), linear
 //!   constraints, linear objective.
-//! * [`solve_lp`] — dense two-phase primal simplex for the continuous
-//!   relaxation (the original engine, kept as a differential oracle).
-//! * [`RevisedWorkspace::solve_warm`] — bounded-variable **revised
-//!   simplex** with a factorised basis: the default engine, an order of
-//!   magnitude faster on the replica formulations (see below).
-//! * [`LpEngine`] / [`solve_lp_engine`] — explicit engine selection with
-//!   shared, reusable workspaces; [`solve_lp_hardened`] adds the
-//!   dense-oracle fallback and a typed `Result`.
-//! * [`solve_milp`] — LP-based branch-and-bound over the declared
-//!   integer variables, reporting both the best incumbent and a proven
-//!   bound; under the revised engine every node warm-starts from the
-//!   previous node's basis.
+//! * [`RevisedWorkspace::solve_warm`] — the one LP entry point: a
+//!   bounded-variable **revised simplex** with a factorised basis that
+//!   carries its last optimal basis into the next solve (see below).
+//!   [`LpWorkspace`] wraps it for callers that also run MILPs.
+//! * [`solve_milp`] — the one MILP entry point: LP-based
+//!   branch-and-bound over the declared integer variables, reporting
+//!   both the best incumbent and a proven bound; every node warm-starts
+//!   from the previous node's basis.
+//! * [`oracle`] — the reference the tests and the perf gate compare
+//!   both entry points with: a dense two-phase tableau simplex and the
+//!   same branch-and-bound over it. No library solve path reaches it.
 //!
 //! The paper used off-the-shelf solvers (GLPK / Maple); this crate is a
 //! from-scratch replacement sized for the formulations at hand, so the
-//! whole reproduction remains self-contained (see DESIGN.md).
+//! whole reproduction remains self-contained.
 //!
-//! # The revised simplex, and when to pick each engine
+//! # The revised simplex
 //!
-//! The dense tableau ([`solve_lp`]) keeps the whole `m × n` eliminated
-//! matrix and rewrites it on every pivot (`O(m·n)` work and memory),
-//! with every finite variable upper bound materialised as an extra
-//! `x_j ≤ u_j` row. The replica-placement relaxations bound *every*
-//! variable (`x_j ≤ 1`, `y_{i,j} ≤ r_i`), so those rows **double** `m`
-//! and the per-pivot cost — which is what kept paper-scale (`s = 400`)
-//! instances out of reach.
+//! A dense tableau keeps the whole `m × n` eliminated matrix and
+//! rewrites it on every pivot (`O(m·n)` work and memory), with every
+//! finite variable upper bound materialised as an extra `x_j ≤ u_j`
+//! row. The replica-placement relaxations bound *every* variable
+//! (`x_j ≤ 1`, `y_{i,j} ≤ r_i`), so those rows **double** `m` and the
+//! per-pivot cost, which keeps paper-scale (`s = 400`) instances out of
+//! a tableau's reach.
 //!
 //! The revised engine ([`RevisedWorkspace`]) removes both costs:
 //!
@@ -110,25 +109,23 @@
 //!   basis across **sibling solves** (same constraint matrix, different
 //!   objective/rhs/bounds — one tree under several load factors in the
 //!   λ-sharded sweep, or consecutive branch-and-bound searches of one
-//!   shape): [`RevisedWorkspace::solve_warm`] and
-//!   [`solve_milp_reusing`] re-solve with a refactorisation plus a few
-//!   cleanup pivots, falling back to a cold solve on any structural
-//!   change (verified entry-for-entry in `O(nnz)`, or in `O(1)` for the
-//!   model the workspace last solved). A re-solve of that same model
-//!   after right-hand-side edits only patches the workspace in place
-//!   and keeps its factorisation: a sibling whose basis stays optimal
-//!   costs no refactorisation and no pivot.
+//!   shape): [`RevisedWorkspace::solve_warm`] and [`solve_milp`]
+//!   re-solve with a refactorisation plus a few cleanup pivots, falling
+//!   back to a cold solve on any structural change (verified
+//!   entry-for-entry in `O(nnz)`, or in `O(1)` for the model the
+//!   workspace last solved). A re-solve of that same model after
+//!   right-hand-side edits only patches the workspace in place and keeps
+//!   its factorisation: a sibling whose basis stays optimal costs no
+//!   refactorisation and no pivot.
 //!
-//! Pick [`LpEngine::Revised`] (the default) for anything but tiny
-//! models; pick [`LpEngine::DenseTableau`] when you want a second,
-//! independently implemented opinion — the property tests in
-//! `tests/proptest_revised_equivalence.rs` pin the two engines (and
-//! Dantzig vs Bland pricing, presolve on/off, and warm vs cold paths)
-//! to each other on random bounded LPs, and `rp-bench`'s
-//! `BENCH_revised.json` / `BENCH_sparse.json` track the speedups.
+//! The property tests in `tests/proptest_revised_equivalence.rs` pin
+//! the engine (Dantzig vs Bland pricing, presolve on/off, warm vs cold
+//! paths, and branch-and-bound) to the [`oracle`] on random bounded
+//! LPs, and `rp-bench`'s `BENCH_sparse.json` tracks its solve times,
+//! iteration counts and factor sizes.
 //!
 //! ```
-//! use rp_lp::{Model, LinExpr, Cmp, Sense, solve_milp};
+//! use rp_lp::{solve_milp, BranchBoundOptions, Cmp, LinExpr, LpWorkspace, Model, Sense};
 //!
 //! // Minimise the number of bins of capacity 10 needed for items 6, 5, 4.
 //! let mut m = Model::minimize();
@@ -151,7 +148,7 @@
 //!     expr.add_term(-10.0, bins[b]);
 //!     m.add_constraint(format!("cap{b}"), expr, Cmp::Le, 0.0);
 //! }
-//! let out = solve_milp(&m);
+//! let out = solve_milp(&m, &BranchBoundOptions::default(), &mut LpWorkspace::new());
 //! assert_eq!(out.objective().unwrap().round() as i64, 2);
 //! let _ = Sense::Minimize;
 //! ```
@@ -166,18 +163,14 @@ mod branch_bound;
 mod engine;
 pub mod error;
 mod model;
+pub mod oracle;
 mod revised;
 mod simplex;
 mod solution;
 
-pub use branch_bound::{
-    solve_milp, solve_milp_reusing, solve_milp_with, BranchBoundOptions, MilpOutcome,
-};
-pub use engine::{
-    solve_lp_engine, solve_lp_hardened, EscalationRung, HardenedSolve, LpEngine, LpWorkspace,
-};
+pub use branch_bound::{solve_milp, BranchBoundOptions, MilpOutcome};
+pub use engine::{solve_lp_engine, LpEngine, LpWorkspace, SimplexOptions};
 pub use error::{LpError, SolveBudget};
 pub use model::{lin_sum, Cmp, Constraint, ConstraintId, LinExpr, Model, Sense, VarId, Variable};
 pub use revised::{RevisedWorkspace, SolveStats, TranCounters, WarmStart};
-pub use simplex::{solve_lp, solve_lp_reusing, solve_lp_with, SimplexOptions, SimplexWorkspace};
 pub use solution::{Solution, Status};

@@ -1,14 +1,15 @@
 //! Bounded-variable revised simplex with a factorised basis.
 //!
-//! This is the scalable counterpart of the dense tableau in
-//! [`crate::simplex`]. The method keeps the constraint matrix fixed and
-//! sparse (see [`basis::StandardForm`]) and represents the basis inverse
-//! as a sparse LU factorisation kept current by Forrest–Tomlin updates
-//! ([`factor::Factorization`]), so one iteration costs close to the
-//! nonzeros it touches instead of the tableau's `O(m·n)` full-matrix
-//! elimination — with `m` equal to the *constraint* count only, because
-//! variable bounds are handled implicitly by the ratio test
-//! ([`ratio`]) rather than materialised as rows.
+//! This is the scalable counterpart of the dense tableau the oracle
+//! runs ([`crate::oracle`]). The method keeps the constraint matrix
+//! fixed and sparse (see [`basis::StandardForm`]) and represents the
+//! basis inverse as a sparse LU factorisation kept current by
+//! Forrest–Tomlin updates ([`factor::Factorization`]), so one iteration
+//! costs close to the nonzeros it touches instead of the tableau's
+//! `O(m·n)` full-matrix elimination — with `m` equal to the
+//! *constraint* count only, because variable bounds are handled
+//! implicitly by the ratio test ([`ratio`]) rather than materialised as
+//! rows.
 //!
 //! Cold solves pick between two routes. When the phase-2 costs are
 //! already **dual feasible at the bound point** — every structural
@@ -51,9 +52,9 @@ mod ratio;
 
 use std::time::Instant;
 
+use crate::engine::{SimplexOptions, TOLERANCE};
 use crate::error::LpError;
 use crate::model::Model;
-use crate::simplex::SimplexOptions;
 use crate::solution::{Solution, Status};
 
 use basis::{BasisState, ColStatus, Presolve, StandardForm};
@@ -243,8 +244,8 @@ pub struct SolveStats {
     pub degenerate_pivots: usize,
     /// Refactorisations performed, the initial one included.
     pub refactorisations: usize,
-    /// Refactorisations triggered by the eta-file budget
-    /// ([`REFACTOR_EVERY`]).
+    /// Refactorisations triggered by the eta-file budget (every 256
+    /// Forrest–Tomlin updates).
     pub refactor_scheduled: usize,
     /// Refactorisations forced by a refused (numerically unsafe)
     /// Forrest–Tomlin update.
@@ -522,14 +523,14 @@ impl RevisedWorkspace {
         let outcome = self.primal_loop(&costs, options, false, d_exact);
         self.phase_costs = costs;
         match outcome {
-            PhaseOutcome::Optimal => self.extract(model, options, Status::Optimal),
+            PhaseOutcome::Optimal => self.extract(model, Status::Optimal),
             PhaseOutcome::Unbounded => Solution::status_only(Status::Unbounded),
             PhaseOutcome::Stopped(err) => {
                 // The dual pass reached primal feasibility and the
                 // primal polish preserves it: extract the best point
                 // found so far instead of discarding the work.
                 self.last_error = Some(err);
-                self.extract(model, options, err.status())
+                self.extract(model, err.status())
             }
         }
     }
@@ -566,7 +567,7 @@ impl RevisedWorkspace {
         // the boxed columns. The min-cost replica relaxations (c ≥ 0,
         // everything boxed at lower bound 0) always qualify. Any
         // abnormal stop falls through to the classic two-phase path.
-        if self.try_dual_start_basis(options.tolerance) {
+        if self.try_dual_start_basis(TOLERANCE) {
             let refac_ok = {
                 let _t = rp_obs::phase_timer(rp_obs::Phase::Factorise);
                 self.refactor_and_recompute()
@@ -592,8 +593,8 @@ impl RevisedWorkspace {
                     return Solution::bound_only(Status::DeadlineExceeded, bound);
                 }
                 // Iteration cap or numerical trouble: rebuild from
-                // scratch on the historically hardened two-phase path
-                // (which carries the Bland anti-cycling fallback).
+                // scratch on the two-phase path (which carries the
+                // Bland anti-cycling fallback).
                 DualOutcome::Stopped(_) => {}
             }
         }
@@ -779,7 +780,7 @@ impl RevisedWorkspace {
                 .filter(|&(_, &col)| col >= art_base)
                 .map(|(row, _)| self.basis.x_basic[row].abs())
                 .sum();
-            if infeasibility > options.tolerance * 10.0 {
+            if infeasibility > TOLERANCE * 10.0 {
                 return Solution::status_only(Status::Infeasible);
             }
             // Pin the artificials to zero for phase 2: basic ones stay
@@ -800,14 +801,14 @@ impl RevisedWorkspace {
         let outcome = self.primal_loop(&costs, options, false, false);
         self.phase_costs = costs;
         match outcome {
-            PhaseOutcome::Optimal => self.extract(model, options, Status::Optimal),
+            PhaseOutcome::Optimal => self.extract(model, Status::Optimal),
             PhaseOutcome::Unbounded => Solution::status_only(Status::Unbounded),
             PhaseOutcome::Stopped(err) => {
                 // Phase 2 iterates over primal-feasible bases only, so
                 // the current point is feasible — return it as the best
                 // bound so far rather than discarding the work.
                 self.last_error = Some(err);
-                self.extract(model, options, err.status())
+                self.extract(model, err.status())
             }
         }
     }
@@ -962,7 +963,7 @@ impl RevisedWorkspace {
     /// Besides `Status::Optimal`, this also serves budget stops at a
     /// primal-feasible basis, where the point is feasible but not
     /// proven optimal.
-    fn extract(&mut self, model: &Model, options: &SimplexOptions, status: Status) -> Solution {
+    fn extract(&mut self, model: &Model, status: Status) -> Solution {
         let _t = rp_obs::phase_timer(rp_obs::Phase::Extract);
         let mut values = Vec::new();
         self.basis.extract_values(&self.form, &mut values);
@@ -973,7 +974,7 @@ impl RevisedWorkspace {
         }
         self.postsolve(model, &mut values);
         let mut objective = model.objective_value(&values);
-        if objective.abs() < options.tolerance {
+        if objective.abs() < TOLERANCE {
             objective = 0.0;
         }
         self.warm_ready = true;
@@ -1248,7 +1249,7 @@ impl RevisedWorkspace {
         allow_artificial: bool,
         d_exact: bool,
     ) -> PhaseOutcome {
-        let tol = options.tolerance;
+        let tol = TOLERANCE;
         let max_iter = options
             .max_iterations
             .unwrap_or_else(|| 200 + 50 * (self.form.m + self.form.num_cols()));
@@ -1446,7 +1447,7 @@ impl RevisedWorkspace {
     /// the basis's phase-2 reduced costs, so the entry recompute is
     /// skipped.
     fn dual_loop(&mut self, options: &SimplexOptions, d_exact: bool) -> DualOutcome {
-        let tol = options.tolerance;
+        let tol = TOLERANCE;
         let max_iter = options
             .max_iterations
             .unwrap_or_else(|| 200 + 50 * (self.form.m + self.form.num_cols()));
@@ -1625,7 +1626,7 @@ enum DualOutcome {
 mod tests {
     use super::*;
     use crate::model::{lin_sum, Cmp, LinExpr, Model, Sense};
-    use crate::simplex::solve_lp;
+    use crate::oracle::solve_lp;
 
     fn assert_close(a: f64, b: f64) {
         assert!((a - b).abs() < 1e-6, "expected {b}, got {a}");

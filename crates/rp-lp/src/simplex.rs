@@ -1,8 +1,13 @@
-//! Dense two-phase primal simplex.
+//! Dense two-phase primal simplex: the reference oracle.
+//!
+//! No solve path of the workspace runs this code. It is the
+//! independently implemented second opinion that the tests, the
+//! property tests and the perf gate compare the revised engine with,
+//! reached through [`crate::oracle`].
 //!
 //! The solver works on the continuous relaxation of a [`Model`]: integer
-//! markers are ignored here (branch-and-bound, in
-//! [`crate::branch_bound`], layers integrality on top).
+//! markers are ignored here ([`crate::oracle::solve_milp`] layers
+//! integrality on top).
 //!
 //! The implementation is a textbook full-tableau simplex:
 //!
@@ -15,72 +20,31 @@
 //! 4. phase 2 minimises the true objective, with Dantzig pricing and an
 //!    automatic switch to Bland's rule to guarantee termination.
 //!
-//! This is `O(m·n)` memory and `O(m·n)` work per pivot — ample for the
-//! replica-placement formulations used by the experiment harness, and
-//! entirely dependency-free.
+//! This is `O(m·n)` memory and `O(m·n)` work per pivot: ample up to the
+//! paper-scale `s = 400` bound, out of reach for the `s = 2000`
+//! bandwidth bound.
 //!
 //! # Buffer reuse
 //!
 //! The tableau is stored row-major in one flat `Vec<f64>` inside a
 //! [`SimplexWorkspace`]. A workspace can be handed to
-//! [`solve_lp_reusing`] across many solves (branch-and-bound does this
-//! for every node), in which case the matrix and all per-phase vectors
-//! keep their capacity: after the first solve of a given shape, building
-//! and solving a tableau performs no heap allocation beyond the returned
-//! [`Solution`]'s value vector.
+//! [`solve_lp_reusing`] across many solves (the oracle's
+//! branch-and-bound does this for every node), in which case the matrix
+//! and all per-phase vectors keep their capacity: after the first solve
+//! of a given shape, building and solving a tableau performs no heap
+//! allocation beyond the returned [`Solution`]'s value vector.
 
-use crate::error::SolveBudget;
+use crate::engine::{SimplexOptions, TOLERANCE};
 use crate::model::{Cmp, Model, Sense};
 use crate::solution::{Solution, Status};
 
-/// Tunable solver parameters.
-#[derive(Clone, Copy, Debug)]
-pub struct SimplexOptions {
-    /// Feasibility / optimality tolerance.
-    pub tolerance: f64,
-    /// Hard cap on pivot iterations per phase. `None` picks a bound that
-    /// scales with the problem size.
-    pub max_iterations: Option<usize>,
-    /// Number of Dantzig pricing iterations per phase before switching
-    /// to Bland's rule (anti-cycling); `0` prices with Bland from the
-    /// first pivot. Both engines price their primal phases this way.
-    pub bland_after: usize,
-    /// Run the presolve pass (singleton rows/columns, forcing and
-    /// redundant constraints) before a cold solve. **Revised engine
-    /// only**; branch-and-bound disables it for its node solves, where
-    /// per-node bound changes would invalidate the reductions. Models
-    /// below the micro-size threshold skip the pass regardless (the
-    /// analysis there costs more than it saves).
-    pub presolve: bool,
-    /// Whole-solve resource budget: wall-clock deadline and/or a total
-    /// iteration cap, both unlimited by default. A budget stop returns
-    /// the best primal-feasible point found so far (see
-    /// [`crate::error`]). **Revised engine only**; the dense tableau
-    /// ignores it.
-    pub budget: SolveBudget,
-}
-
-impl Default for SimplexOptions {
-    fn default() -> Self {
-        SimplexOptions {
-            tolerance: 1e-7,
-            max_iterations: None,
-            bland_after: 10_000,
-            presolve: true,
-            budget: SolveBudget::UNLIMITED,
-        }
-    }
-}
-
 /// Solves the continuous relaxation of `model` with default options.
 pub fn solve_lp(model: &Model) -> Solution {
-    solve_lp_with(model, &SimplexOptions::default())
-}
-
-/// Solves the continuous relaxation of `model`.
-pub fn solve_lp_with(model: &Model, options: &SimplexOptions) -> Solution {
-    let mut workspace = SimplexWorkspace::default();
-    solve_lp_reusing(model, options, &mut workspace)
+    solve_lp_reusing(
+        model,
+        &SimplexOptions::default(),
+        &mut SimplexWorkspace::new(),
+    )
 }
 
 /// Solves the continuous relaxation of `model`, reusing the buffers of
@@ -284,7 +248,7 @@ impl<'w> Tableau<'w> {
         if self.trivially_infeasible {
             return Solution::status_only(Status::Infeasible);
         }
-        let tol = self.options.tolerance;
+        let tol = TOLERANCE;
 
         // ---- Phase 1: minimise the sum of artificial variables. ----
         let has_artificials = self.ws.kinds.contains(&ColKind::Artificial);
@@ -364,7 +328,7 @@ impl<'w> Tableau<'w> {
 
     /// Runs pivots until optimality for the given cost vector.
     fn run_phase(&mut self, costs: &[f64], allow_artificial_entering: bool) -> PhaseOutcome {
-        let tol = self.options.tolerance;
+        let tol = TOLERANCE;
         let m = self.m;
         let n = self.cols;
         let stride = self.stride();
@@ -496,7 +460,7 @@ impl<'w> Tableau<'w> {
     /// structural or slack columns wherever possible, so phase 2 never
     /// pivots on them.
     fn drive_out_artificials(&mut self) {
-        let tol = self.options.tolerance;
+        let tol = TOLERANCE;
         for row in 0..self.m {
             if self.ws.kinds[self.ws.basis[row]] != ColKind::Artificial {
                 continue;
@@ -712,7 +676,7 @@ mod tests {
             bland_after: 20,
             ..SimplexOptions::default()
         };
-        let sol = solve_lp_with(&m, &options);
+        let sol = solve_lp_reusing(&m, &options, &mut SimplexWorkspace::new());
         assert_eq!(sol.status, Status::Optimal);
         assert_close(sol.objective, 0.05);
     }
@@ -815,7 +779,7 @@ mod tests {
             max_iterations: Some(1),
             ..SimplexOptions::default()
         };
-        let sol = solve_lp_with(&m, &options);
+        let sol = solve_lp_reusing(&m, &options, &mut SimplexWorkspace::new());
         assert_eq!(sol.status, Status::IterationLimit);
     }
 

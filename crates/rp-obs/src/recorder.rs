@@ -7,8 +7,8 @@
 //! class, iteration and phase breakdown, budget state) in memory so
 //! the moment one goes wrong the *context* — the solves leading up to
 //! it — is captured too. Triggers ([`AnomalyKind`]): a solve slower
-//! than k× the running median, a dense-oracle escalation, a
-//! `SolveBudget` miss, an rp-online rollback.
+//! than k× the running median, a `SolveBudget` miss, an rp-online
+//! rollback.
 //!
 //! Everything is mode-gated like the rest of the crate: with
 //! observation off nothing records, and recording never feeds back
@@ -39,8 +39,6 @@ pub enum AnomalyKind {
     Slow,
     /// A `SolveBudget` (deadline or iteration cap) was missed.
     BudgetMiss,
-    /// `solve_lp_hardened` escalated all the way to the dense oracle.
-    DenseOracle,
     /// An rp-online apply was rolled back.
     Rollback,
 }
@@ -51,7 +49,6 @@ impl AnomalyKind {
         match self {
             AnomalyKind::Slow => "slow",
             AnomalyKind::BudgetMiss => "budget_miss",
-            AnomalyKind::DenseOracle => "dense_oracle",
             AnomalyKind::Rollback => "rollback",
         }
     }
@@ -60,7 +57,6 @@ impl AnomalyKind {
         match self {
             AnomalyKind::Slow => Counter::RecAnomalySlow,
             AnomalyKind::BudgetMiss => Counter::RecAnomalyBudgetMiss,
-            AnomalyKind::DenseOracle => Counter::RecAnomalyDenseOracle,
             AnomalyKind::Rollback => Counter::RecAnomalyRollback,
         }
     }

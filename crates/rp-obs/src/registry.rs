@@ -76,10 +76,6 @@ metric_enum! {
     LpBtranCalls => ("lp.btran.calls", "1", "rp-lp"),
     LpBtranInNnz => ("lp.btran.in_nnz", "1", "rp-lp"),
     LpBtranDim => ("lp.btran.dim", "1", "rp-lp"),
-    LpHardenedCheckedRevised => ("lp.hardened.checked_revised", "1", "rp-lp"),
-    LpHardenedRefactorRetry => ("lp.hardened.refactor_retry", "1", "rp-lp"),
-    LpHardenedDenseFallback => ("lp.hardened.dense_fallback", "1", "rp-lp"),
-    LpHardenedError => ("lp.hardened.error", "1", "rp-lp"),
     LpPhasePricingNs => ("lp.phase.pricing_ns", "ns", "rp-lp"),
     LpPhaseFtranNs => ("lp.phase.ftran_ns", "ns", "rp-lp"),
     LpPhaseBtranNs => ("lp.phase.btran_ns", "ns", "rp-lp"),
@@ -123,7 +119,6 @@ metric_enum! {
     RecDumps => ("rec.dumps", "1", "rp-obs"),
     RecAnomalySlow => ("rec.anomaly.slow", "1", "rp-obs"),
     RecAnomalyBudgetMiss => ("rec.anomaly.budget_miss", "1", "rp-obs"),
-    RecAnomalyDenseOracle => ("rec.anomaly.dense_oracle", "1", "rp-obs"),
     RecAnomalyRollback => ("rec.anomaly.rollback", "1", "rp-obs"),
 }
 

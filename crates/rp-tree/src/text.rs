@@ -14,7 +14,7 @@
 //! ```
 //!
 //! Node and client indices must be dense and in increasing order, which
-//! matches how [`TreeBuilder`](crate::TreeBuilder) assigns them; the
+//! matches how [`TreeBuilder`] assigns them; the
 //! writer always produces such files, and the parser enforces it.
 
 use crate::error::TreeError;

@@ -75,8 +75,8 @@ pub const PAPER_SCALE_S: usize = 400;
 /// Generates a full **paper-scale** instance: a random-attachment tree
 /// of problem size [`PAPER_SCALE_S`] decorated with the given platform
 /// at load factor `lambda`, deterministically in `seed`. This is the
-/// instance family the `s = 400` sweep scenario and the
-/// `BENCH_revised.json` timings use.
+/// instance family of the `s = 400` sweep scenario and of the perf
+/// gate's `s400_bound_ms` entry.
 pub fn paper_scale_instance(platform: PlatformKind, lambda: f64, seed: u64) -> ProblemInstance {
     paper_scale_instance_sized(PAPER_SCALE_S, platform, lambda, seed)
 }

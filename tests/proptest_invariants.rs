@@ -9,7 +9,8 @@ use proptest::prelude::*;
 
 use replica_placement::core::exact::solve_multiple_homogeneous;
 use replica_placement::core::ilp::{lower_bound, BoundKind};
-use replica_placement::lp::{solve_lp, Cmp, LinExpr, Model, Status};
+use replica_placement::lp::oracle::solve_lp;
+use replica_placement::lp::{Cmp, LinExpr, Model, Status};
 use replica_placement::prelude::*;
 use replica_placement::tree::text::{parse_tree, write_tree};
 use replica_placement::tree::TreeBuilder;

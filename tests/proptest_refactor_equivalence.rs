@@ -15,9 +15,8 @@ use proptest::prelude::*;
 
 use replica_placement::core::heuristics::HeuristicState;
 use replica_placement::experiments::ChurnRunConfig;
-use replica_placement::lp::{
-    solve_lp, solve_lp_reusing, Cmp, LinExpr, Model, SimplexOptions, SimplexWorkspace, Status,
-};
+use replica_placement::lp::oracle::{solve_lp, solve_lp_reusing, SimplexWorkspace};
+use replica_placement::lp::{Cmp, LinExpr, Model, SimplexOptions, Status};
 use replica_placement::prelude::*;
 use replica_placement::tree::{LinkId, NodeId, TreeBuilder};
 use replica_placement::workloads::platform::{paper_scale_instance, paper_scale_instance_sized};

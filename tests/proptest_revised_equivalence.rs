@@ -1,7 +1,7 @@
 //! Differential property tests pinning the **revised simplex** to the
-//! **dense tableau** oracle.
+//! **dense tableau** oracle (`rp_lp::oracle`).
 //!
-//! The two LP engines are independent implementations of the same
+//! The engine and the oracle are independent implementations of the same
 //! mathematics: the dense tableau materialises upper bounds as rows and
 //! eliminates the full matrix per pivot, while the revised engine keeps
 //! a sparse Markowitz-LU-factorised basis with Forrest–Tomlin updates
@@ -28,9 +28,10 @@
 
 use proptest::prelude::*;
 
+use replica_placement::lp::oracle::{self, solve_lp};
 use replica_placement::lp::{
-    solve_lp, solve_milp_with, BranchBoundOptions, Cmp, LinExpr, LpEngine, Model, RevisedWorkspace,
-    Sense, SimplexOptions, Solution, Status,
+    solve_milp, BranchBoundOptions, Cmp, LinExpr, LpWorkspace, Model, RevisedWorkspace, Sense,
+    SimplexOptions, Solution, Status,
 };
 
 /// One encoded variable: (bounded?, lower, range-above-lower, packed).
@@ -356,14 +357,9 @@ proptest! {
     #[test]
     fn warm_revised_bb_matches_cold_dense_bb(spec in model_strategy(5, 4)) {
         let model = build_model(&spec, true);
-        let dense = solve_milp_with(&model, &BranchBoundOptions {
-            engine: LpEngine::DenseTableau,
-            ..BranchBoundOptions::default()
-        });
-        let revised = solve_milp_with(&model, &BranchBoundOptions {
-            engine: LpEngine::Revised,
-            ..BranchBoundOptions::default()
-        });
+        let options = BranchBoundOptions::default();
+        let dense = oracle::solve_milp(&model, &options);
+        let revised = solve_milp(&model, &options, &mut LpWorkspace::new());
         // Skip the rare instance either search could not finish.
         if dense.status != Status::NodeLimit && revised.status != Status::NodeLimit {
             prop_assert_eq!(dense.status, revised.status);

@@ -24,8 +24,9 @@ use replica_placement::core::ilp::{
 };
 use replica_placement::core::multi::{solve_multi_ilp, MultiObjectProblem};
 use replica_placement::core::{Policy, ProblemInstance};
+use replica_placement::lp::oracle::solve_lp;
 use replica_placement::lp::{
-    solve_lp, Cmp, ConstraintId, Model, RevisedWorkspace, SimplexOptions, Solution, Status, VarId,
+    Cmp, ConstraintId, Model, RevisedWorkspace, SimplexOptions, Solution, Status, VarId,
 };
 use replica_placement::tree::{TreeBuilder, TreeNetwork};
 
