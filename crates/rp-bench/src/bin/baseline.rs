@@ -618,7 +618,9 @@ fn online_suite() -> Report {
 /// Runs the representative instrumented workload (the smoke sweep plus
 /// the bandwidth scenario sweep) and returns the metrics-registry
 /// snapshot as JSON — the payload of `BENCH_obs.json` and the fresh side
-/// of a breach's obs-diff attribution.
+/// of a breach's obs-diff attribution. Both sweeps run on one worker:
+/// with two, which λ-siblings share a warm LP workspace depends on how
+/// the workers interleave, and the LP counters would vary run to run.
 fn obs_metrics_snapshot() -> String {
     use rp_experiments::scenarios::{run_scenario, ScenarioConfig, ScenarioFamily};
 
@@ -626,9 +628,14 @@ fn obs_metrics_snapshot() -> String {
     rp_obs::set_mode(rp_obs::ObsMode::Full);
     rp_obs::reset_all();
     rp_obs::clear_trace();
-    black_box(run_sweep(&ExperimentConfig::smoke_test()));
-    let bandwidth = ScenarioConfig::smoke_test(ScenarioFamily::Bandwidth);
-    black_box(run_scenario(&bandwidth));
+    black_box(run_sweep(&ExperimentConfig {
+        threads: Some(1),
+        ..ExperimentConfig::smoke_test()
+    }));
+    black_box(run_scenario(&ScenarioConfig {
+        threads: Some(1),
+        ..ScenarioConfig::smoke_test(ScenarioFamily::Bandwidth)
+    }));
     let json = rp_obs::metrics_json();
     rp_obs::set_mode(previous);
     json

@@ -24,6 +24,7 @@ const UNBOUNDED: i64 = i64::MAX / 4;
 
 /// Residual node capacities and link bandwidths, updated exactly as
 /// requests are assigned and un-assigned.
+#[derive(Clone)]
 pub struct FeasAccounting {
     node_residual: Vec<i64>,
     link_residual: LinkMap<i64>,

@@ -18,16 +18,19 @@
 //!
 //! 1. **Extract** ([`crate::ilp::lower_bound_fractional_reusing`],
 //!    [`crate::ilp::multi_lower_bound_fractional_reusing`]) — solve the
-//!    rational relaxation and keep the full fractional point instead of
-//!    just its objective.
-//! 2. **Round** ([`lp_guided`], [`lp_guided_multi`]) — a two-strategy
-//!    portfolio (commit to the LP's replica set and fill it bottom-up
-//!    within the LP's load budgets, or copy the ceilinged fractional
-//!    splits; see [`rounding`]) guided by the mass ordering of
-//!    [`guide`], with every single assignment metered by the exact
-//!    feasibility accounting of [`accounting`]: residual node
-//!    capacities *and* residual link bandwidths (shared across objects
-//!    in the multi-object case), down to the unit.
+//!    rational relaxation and keep the full fractional point, object by
+//!    object ([`crate::ilp::FractionalLp`]), instead of just its
+//!    objective.
+//! 2. **Round** ([`rounding`]) — one pipeline over objects serves both
+//!    entry points: [`lp_guided`] rounds a single-object instance as one
+//!    object that carries its clients' QoS bounds, [`lp_guided_multi`]
+//!    rounds its K objects together. A two-strategy portfolio (commit
+//!    to the LP's replica set and fill it bottom-up within the LP's load
+//!    budgets, or copy the ceilinged fractional splits) is guided by the
+//!    mass ordering of [`guide`], with every single assignment metered
+//!    by the exact feasibility accounting of [`accounting`]: residual
+//!    node capacities *and* residual link bandwidths, shared across the
+//!    objects, down to the unit.
 //! 3. **Repair** — requests the rounding left unserved are re-homed
 //!    along their ancestor paths (open replicas first, then the
 //!    best-cost-per-absorbed new ancestor, then a depth-1 augmenting
@@ -68,6 +71,6 @@ pub mod multi;
 pub mod repair;
 pub mod rounding;
 
-pub use multi::{lp_guided_multi, lp_guided_multi_reusing, lp_guided_multi_with};
-pub use repair::{repair_bandwidth, BandwidthRepair, RunnableHeuristic};
-pub use rounding::{lp_guided, lp_guided_reusing, lp_guided_with};
+pub use multi::{lp_guided_multi, lp_guided_multi_reusing};
+pub use repair::{repair_bandwidth, BandwidthRepair};
+pub use rounding::{lp_guided, lp_guided_reusing};

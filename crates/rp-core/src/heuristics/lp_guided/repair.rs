@@ -13,8 +13,8 @@
 //! on the client's path. Under the single-server policies whole clients
 //! move to a single new server; under Multiple the flow may split.
 //! [`BandwidthRepair`] packages this as a drop-in wrapper around any
-//! heuristic, re-validating the repaired placement under the wrapped
-//! heuristic's own policy (a Closest repair that breaks the
+//! classic [`Heuristic`], re-validating the repaired placement under
+//! the wrapped heuristic's own policy (a Closest repair that breaks the
 //! closest-replica rule is reported as a failure, not silently
 //! downgraded).
 
@@ -26,26 +26,6 @@ use crate::policy::Policy;
 use crate::problem::ProblemInstance;
 use crate::solution::Placement;
 
-/// Anything that can be run as a placement heuristic — the hook that
-/// lets [`BandwidthRepair`] wrap the classic enum as well as custom
-/// strategies.
-pub trait RunnableHeuristic {
-    /// The access policy the produced placements obey.
-    fn policy(&self) -> Policy;
-    /// Runs the heuristic on `problem`.
-    fn run(&self, problem: &ProblemInstance) -> Option<Placement>;
-}
-
-impl RunnableHeuristic for Heuristic {
-    fn policy(&self) -> Policy {
-        Heuristic::policy(*self)
-    }
-
-    fn run(&self, problem: &ProblemInstance) -> Option<Placement> {
-        Heuristic::run(*self, problem)
-    }
-}
-
 /// Retrofit adapter: runs the wrapped heuristic, then repairs any link
 /// bandwidth violations by re-homing flow below the saturated links.
 ///
@@ -54,9 +34,9 @@ impl RunnableHeuristic for Heuristic {
 /// is fully valid under the wrapped heuristic's policy — so the classic
 /// Figure success/cost experiments can run unchanged on the
 /// bandwidth-constrained families.
-pub struct BandwidthRepair<H = Heuristic>(pub H);
+pub struct BandwidthRepair(pub Heuristic);
 
-impl<H: RunnableHeuristic> BandwidthRepair<H> {
+impl BandwidthRepair {
     /// The wrapped heuristic's policy.
     pub fn policy(&self) -> Policy {
         self.0.policy()

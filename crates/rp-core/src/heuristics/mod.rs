@@ -32,9 +32,7 @@ mod state;
 mod upwards;
 
 pub use closest::{cbu, ctda, ctdlf};
-pub use lp_guided::{
-    lp_guided as lp_guided_round, lp_guided_multi, repair_bandwidth, BandwidthRepair,
-};
+pub use lp_guided::{lp_guided_multi, repair_bandwidth, BandwidthRepair};
 pub use multiple::{mbu, mg, mtd};
 pub use state::{DeleteOrder, HeuristicState, StateBuffers};
 pub use upwards::{ubcf, utd};

@@ -9,7 +9,7 @@ mod multi_formulation;
 pub use formulation::{build_model, IlpFormulation, Integrality};
 pub use multi_formulation::{build_multi_model, MultiIlpFormulation};
 
-use rp_lp::{solve_milp, BranchBoundOptions, LpWorkspace, Status};
+use rp_lp::{solve_milp, BranchBoundOptions, LpWorkspace, Model, Status, VarId};
 
 use crate::multi::MultiObjectProblem;
 use crate::policy::Policy;
@@ -169,21 +169,24 @@ pub fn lower_bound_reusing(
 /// The fractional optimum of the rational Multiple relaxation — the
 /// part of an LP solve that [`lower_bound`] used to discard.
 ///
-/// This is the raw material of the LP-guided rounding heuristics
+/// This is the raw material of the LP-guided rounding
 /// ([`crate::heuristics::lp_guided`]): besides the bound itself it
-/// carries the per-node replica mass `x_j ∈ [0, 1]` and, per client,
-/// the fractional request split `y_{i,j}` over its eligible servers
-/// (entries below the extraction tolerance are dropped — on the
-/// near-degenerate replica LPs most `y` values are exactly zero).
+/// carries, object by object, the per-node replica mass `x_j ∈ [0, 1]`
+/// and, per client, the fractional request split `y_{i,j}` over its
+/// eligible servers (entries below the extraction tolerance are dropped
+/// — on the near-degenerate replica LPs most `y` values are exactly
+/// zero). A single-object relaxation has one object; a multi-object one
+/// has one per object type, mirroring [`MultiIlpFormulation`].
 #[derive(Clone, Debug)]
 pub struct FractionalLp {
     /// The rational LP bound (the objective of the relaxation).
     pub bound: f64,
-    /// `replica_mass[j]` = the fractional `x_j`, indexed by node index.
-    pub replica_mass: Vec<f64>,
-    /// `assignment[i]` = the servers with positive fractional
-    /// `y_{i,j}`, in path order (closest ancestor first).
-    pub assignment: Vec<Vec<(rp_tree::NodeId, f64)>>,
+    /// `replica_mass[k][j]` = the fractional `x_{k,j}` of object `k`,
+    /// indexed by node index.
+    pub replica_mass: Vec<Vec<f64>>,
+    /// `assignment[k][i]` = the servers with positive fractional
+    /// `y_{k,i,j}`, in path order (closest ancestor first).
+    pub assignment: Vec<Vec<Vec<(rp_tree::NodeId, f64)>>>,
 }
 
 /// Extraction tolerance: fractional values at or below this are treated
@@ -191,74 +194,60 @@ pub struct FractionalLp {
 const FRACTIONAL_TOLERANCE: f64 = 1e-7;
 
 /// Solves the rational Multiple relaxation on `workspace` and surfaces
-/// the full fractional optimum (bound, per-node `x`, per-client `y`).
-/// Returns `None` when the relaxation is infeasible **or** did not
-/// reach optimality — unlike [`lower_bound`], a truncated solve yields
-/// no usable fractional point, so no fallback bound is reported. The
-/// scenario sweep drives it with one workspace per worker.
+/// the full fractional optimum (bound, per-node `x`, per-client `y`) as
+/// one object. Returns `None` when the relaxation is infeasible **or**
+/// did not reach optimality — unlike [`lower_bound`], a truncated solve
+/// yields no usable fractional point, so no fallback bound is reported.
+/// The scenario sweep drives it with one workspace per worker.
 pub fn lower_bound_fractional_reusing(
     problem: &ProblemInstance,
     options: &IlpOptions,
     workspace: &mut LpWorkspace,
 ) -> Option<FractionalLp> {
     let formulation = build_model(problem, Policy::Multiple, Integrality::RationalBound);
-    let solution = workspace
-        .revised
-        .solve_warm(&formulation.model, &options.branch_bound.simplex);
-    if solution.status != Status::Optimal {
-        return None;
-    }
-    let replica_mass = formulation
-        .x
-        .iter()
-        .map(|&var| solution.value(var).clamp(0.0, 1.0))
-        .collect();
-    let assignment = formulation
-        .y
-        .iter()
-        .map(|row| {
-            solution
-                .fractional_assignment(row, FRACTIONAL_TOLERANCE)
-                .collect()
-        })
-        .collect();
-    Some(FractionalLp {
-        bound: solution.objective,
-        replica_mass,
-        assignment,
-    })
-}
-
-/// The multi-object counterpart of [`FractionalLp`]: everything is
-/// object-major, mirroring [`MultiIlpFormulation`].
-#[derive(Clone, Debug)]
-pub struct MultiFractionalLp {
-    /// The rational LP bound of the shared relaxation.
-    pub bound: f64,
-    /// `replica_mass[k][j]` = the fractional `x_{k,j}`.
-    pub replica_mass: Vec<Vec<f64>>,
-    /// `assignment[k][i]` = servers with positive fractional
-    /// `y_{k,i,j}`, in path order.
-    pub assignment: Vec<Vec<Vec<(rp_tree::NodeId, f64)>>>,
+    fractional_optimum(
+        &formulation.model,
+        std::slice::from_ref(&formulation.x),
+        std::slice::from_ref(&formulation.y),
+        options,
+        workspace,
+    )
 }
 
 /// Solves the rational multi-object relaxation on `workspace` and
-/// surfaces the full fractional optimum. Same contract as
-/// [`lower_bound_fractional_reusing`].
+/// surfaces the full fractional optimum, one object per object type.
+/// Same contract as [`lower_bound_fractional_reusing`].
 pub fn multi_lower_bound_fractional_reusing(
     problem: &MultiObjectProblem,
     options: &IlpOptions,
     workspace: &mut LpWorkspace,
-) -> Option<MultiFractionalLp> {
+) -> Option<FractionalLp> {
     let formulation = build_multi_model(problem, Integrality::RationalBound);
+    fractional_optimum(
+        &formulation.model,
+        &formulation.x,
+        &formulation.y,
+        options,
+        workspace,
+    )
+}
+
+/// Solves `model` and reads the object-major fractional point off its
+/// `x[k][j]` and `y[k][i]` variables; `None` unless optimal.
+fn fractional_optimum(
+    model: &Model,
+    x: &[Vec<VarId>],
+    y: &[Vec<Vec<(rp_tree::NodeId, VarId)>>],
+    options: &IlpOptions,
+    workspace: &mut LpWorkspace,
+) -> Option<FractionalLp> {
     let solution = workspace
         .revised
-        .solve_warm(&formulation.model, &options.branch_bound.simplex);
+        .solve_warm(model, &options.branch_bound.simplex);
     if solution.status != Status::Optimal {
         return None;
     }
-    let replica_mass = formulation
-        .x
+    let replica_mass = x
         .iter()
         .map(|row| {
             row.iter()
@@ -266,8 +255,7 @@ pub fn multi_lower_bound_fractional_reusing(
                 .collect()
         })
         .collect();
-    let assignment = formulation
-        .y
+    let assignment = y
         .iter()
         .map(|object_rows| {
             object_rows
@@ -280,7 +268,7 @@ pub fn multi_lower_bound_fractional_reusing(
                 .collect()
         })
         .collect();
-    Some(MultiFractionalLp {
+    Some(FractionalLp {
         bound: solution.objective,
         replica_mass,
         assignment,

@@ -91,7 +91,7 @@ metric_enum! {
     CoreLpgRounds => ("core.lpg.rounds", "1", "rp-core"),
     CoreLpgWinCommitSaturate => ("core.lpg.win.commit_saturate", "1", "rp-core"),
     CoreLpgWinThinGuided => ("core.lpg.win.thin_guided", "1", "rp-core"),
-    CoreLpgInfeasible => ("core.lpg.infeasible", "1", "rp-core"),
+    CoreLpgMiss => ("core.lpg.miss", "1", "rp-core"),
     CoreLpgMovesRehome => ("core.lpg.moves.rehome", "1", "rp-core"),
     CoreLpgMovesEscalateOpen => ("core.lpg.moves.escalate_open", "1", "rp-core"),
     CoreLpgMovesRescue => ("core.lpg.moves.rescue", "1", "rp-core"),

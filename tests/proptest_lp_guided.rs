@@ -2,7 +2,9 @@
 //!
 //! Three contracts, on random bandwidth-constrained and multi-object
 //! instances (the same generator family as
-//! `proptest_scenario_equivalence.rs`):
+//! `proptest_scenario_equivalence.rs`; the single-object instances
+//! also give each client an optional QoS bound of 1 to 3 hops, so the
+//! rounding's QoS filters are exercised too):
 //!
 //! * **Feasibility by construction** — every placement the rounding
 //!   returns validates end to end: capacity, per-link bandwidth and (in
@@ -30,22 +32,23 @@ use replica_placement::core::{Heuristic, Policy, ProblemInstance};
 use replica_placement::tree::{TreeBuilder, TreeNetwork};
 
 /// Encoded tree + platform: node parent choices, per-client
-/// (parent choice, requests), per-node capacities, per-node uplink
-/// bandwidth code (`>= 10` → unbounded).
-type ScenarioSpec = (Vec<u32>, Vec<(u32, u32)>, Vec<u32>, Vec<u32>);
+/// (parent choice, requests, QoS code: `0` → no bound, else the bound
+/// in hops), per-node capacities, per-node uplink bandwidth code
+/// (`>= 10` → unbounded).
+type ScenarioSpec = (Vec<u32>, Vec<(u32, u32, u32)>, Vec<u32>, Vec<u32>);
 
 fn scenario_strategy() -> impl Strategy<Value = ScenarioSpec> {
     (2usize..=5, 1usize..=6).prop_flat_map(|(nodes, clients)| {
         (
             collection::vec(0u32..=10, nodes - 1),
-            collection::vec((0u32..=10, 0u32..=5), clients),
+            collection::vec((0u32..=10, 0u32..=5, 0u32..=3), clients),
             collection::vec(1u32..=8, nodes),
             collection::vec(0u32..=15, nodes),
         )
     })
 }
 
-fn build_tree(parents: &[u32], clients: &[(u32, u32)]) -> TreeNetwork {
+fn build_tree(parents: &[u32], clients: &[(u32, u32, u32)]) -> TreeNetwork {
     let mut b = TreeBuilder::new();
     let root = b.add_root();
     let mut nodes = vec![root];
@@ -53,7 +56,7 @@ fn build_tree(parents: &[u32], clients: &[(u32, u32)]) -> TreeNetwork {
         let parent = nodes[(choice as usize) % (i + 1)];
         nodes.push(b.add_node(parent));
     }
-    for &(choice, _) in clients {
+    for &(choice, _, _) in clients {
         b.add_client(nodes[(choice as usize) % nodes.len()]);
     }
     b.build().expect("generated trees are well-formed")
@@ -62,7 +65,11 @@ fn build_tree(parents: &[u32], clients: &[(u32, u32)]) -> TreeNetwork {
 fn build_bandwidth_problem(spec: &ScenarioSpec) -> ProblemInstance {
     let (parents, clients, platform, bw_codes) = spec;
     let tree = build_tree(parents, clients);
-    let requests: Vec<u64> = clients.iter().map(|&(_, r)| u64::from(r)).collect();
+    let requests: Vec<u64> = clients.iter().map(|&(_, r, _)| u64::from(r)).collect();
+    let qos: Vec<Option<u32>> = clients
+        .iter()
+        .map(|&(_, _, hops)| (hops > 0).then_some(hops))
+        .collect();
     let capacities: Vec<u64> = platform.iter().map(|&cap| u64::from(cap)).collect();
     let node_links: Vec<Option<u64>> = bw_codes
         .iter()
@@ -73,6 +80,7 @@ fn build_bandwidth_problem(spec: &ScenarioSpec) -> ProblemInstance {
         .requests(requests)
         .capacities(capacities.clone())
         .storage_costs(capacities)
+        .qos(qos)
         .node_link_bandwidths(node_links)
         .build()
 }

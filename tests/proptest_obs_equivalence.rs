@@ -19,14 +19,13 @@ use std::sync::Mutex;
 
 use proptest::prelude::*;
 
-use replica_placement::core::heuristics::lp_guided::lp_guided_with;
-use replica_placement::core::ilp::IlpOptions;
+use replica_placement::core::heuristics::lp_guided::{lp_guided, lp_guided_multi};
 use replica_placement::core::{inject_and_repair, Heuristic, Policy};
 use replica_placement::experiments::runner::{run_single_trial, ExperimentConfig};
 use replica_placement::lp::{Cmp, LinExpr, Model, RevisedWorkspace, Sense, SimplexOptions, Status};
 use replica_placement::obs::{self, ObsMode};
 use replica_placement::workloads::failures::sample_node_failure;
-use replica_placement::workloads::scenarios::feasible_bandwidth_instance;
+use replica_placement::workloads::scenarios::{feasible_bandwidth_instance, multi_object_instance};
 
 /// Serialises mode flips across the test binary's threads.
 static MODE_LOCK: Mutex<()> = Mutex::new(());
@@ -207,15 +206,17 @@ proptest! {
 
     /// LP-guided rounding — the LP solve plus the full move/repair
     /// pipeline — picks the same strategy and produces the identical
-    /// placement under both modes.
+    /// placement under both modes, for one object and for two.
     #[test]
     fn instrumented_lp_guided_rounding_is_identical(seed in 0u64..500) {
         let problem = feasible_bandwidth_instance(40, 0.4, seed);
         let (off, full) = under_both_modes(|| {
-            lp_guided_with(&problem, &IlpOptions::default())
-                .map(|p| (p.cost(&problem), p.replicas().to_vec()))
+            lp_guided(&problem).map(|p| (p.cost(&problem), p.replicas().to_vec()))
         });
         prop_assert_eq!(off, full, "mode changed the rounding on seed {}", seed);
+        let multi = multi_object_instance(40, 2, 0.4, seed);
+        let (off, full) = under_both_modes(|| lp_guided_multi(&multi));
+        prop_assert_eq!(off, full, "mode changed the multi-object rounding on seed {}", seed);
     }
 
     /// Failure injection and repair — the escalation ladder, re-homing,
