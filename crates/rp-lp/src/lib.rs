@@ -39,15 +39,17 @@
 //!   bounded ratio test lets a nonbasic variable *flip* from one bound
 //!   to the other without any basis change, so `m` equals the
 //!   constraint count alone (half the dense row count on these LPs).
-//! * **Sparse Markowitz LU** — the basis is factorised `P·B·Q = L·U`
-//!   with Markowitz pivoting (threshold partial pivoting with `u=0.1`,
-//!   Suhl-style shortest-column search, singleton fast paths), so both
-//!   the factorisation work and the factor storage scale with the
-//!   nonzeros rather than `m³`/`m²`. The tree-structured replica bases
-//!   triangularise almost perfectly: at `s = 2000` (m = 2000 rows) `L`
-//!   holds **zero** off-diagonal entries and `U` under `2 nnz/row`, and
-//!   one refactorisation costs ~140 µs where a dense LU would pay
-//!   seconds.
+//! * **Sparse Markowitz LU** — the basis is factorised `P·B·Q = L·U`:
+//!   a singleton stage peels column and row singletons straight into
+//!   the factors, and Markowitz pivoting (threshold partial pivoting
+//!   with `u=0.1`, Suhl-style shortest-column search) factors whatever
+//!   nucleus is left, so both the factorisation work and the factor
+//!   storage scale with the nonzeros rather than `m³`/`m²`. The
+//!   tree-structured replica bases triangularise almost perfectly: at
+//!   `s = 2000` (m = 2000 rows) `L` holds **zero** off-diagonal
+//!   entries and `U` under `2 nnz/row`, and the s = 2000 bandwidth
+//!   bound's 11,519-row presolved basis refactorises in ~0.7 ms
+//!   (2-core Xeon VM) where a dense LU would pay seconds.
 //! * **Forrest–Tomlin updates** — a basis change replaces a column of
 //!   `U` with the FTRAN's intermediate spike, eliminates the spiked row
 //!   with a short **row eta**, and cycles that step to the back of the
@@ -69,11 +71,13 @@
 //!   `d ← d − (d_q/α_q)·α` per pivot, with the pivot row
 //!   `α = Aᵀ B⁻ᵀ e_r` computed row-wise over the nonzeros of `B⁻ᵀe_r`
 //!   only, so a pricing pass is a flat `O(n)` scan. The dual simplex
-//!   takes the most violated row from an incrementally maintained list
-//!   of violated rows (no `O(m)` rescan per iteration). The replica
-//!   relaxations are near-unimodular — every tableau entry is ±1 — so
-//!   weighted rules (devex, steepest edge) have nothing to rank by:
-//!   on every shipped family they pivot exactly like these two.
+//!   takes the most violated row from a lazy max-heap of violated rows:
+//!   each pivot pushes the rows it moved, and a pick pops only the
+//!   entries those moves made stale, so no list of violated rows is
+//!   rescanned per pivot. The replica relaxations are near-unimodular
+//!   — every tableau entry is ±1 — so weighted rules (devex, steepest
+//!   edge) have nothing to rank by: on every shipped family they pivot
+//!   exactly like these two.
 //! * **Dual cold start and the bound-flipping ratio test** — when the
 //!   phase-2 costs are already dual feasible at the bound point (true
 //!   of all the min-cost replica relaxations), the solve skips both

@@ -3,15 +3,29 @@
 //!
 //! The revised simplex never forms `B⁻¹` explicitly. This module keeps
 //!
-//! * a sparse LU factorisation `P·B·Q = L·U` of the basis, computed by
-//!   **Markowitz pivoting**: at every elimination step the pivot is the
-//!   entry minimising the fill bound `(r_i − 1)(c_j − 1)` among entries
-//!   passing **threshold partial pivoting** (`|a_ij| ≥ u·max_i |a_ij|`),
-//!   found Suhl-style by scanning a handful of the shortest active
-//!   columns (with cost-0 singleton-row/column fast paths). On the
-//!   tree-structured replica bases this produces factors with `O(nnz)`
-//!   entries instead of the `O(m³)` work and `O(m²)` memory a dense LU
-//!   pays, and
+//! * a sparse LU factorisation `P·B·Q = L·U` of the basis, computed in
+//!   two stages. The **singleton stage** pivots on column singletons
+//!   (an empty `L` column) and, when none is left, on row singletons
+//!   that pass the threshold test (an empty `U` row), taking them from
+//!   two last-in-first-out stacks over flat column- and row-wise copies
+//!   of the basis. Neither kind changes the remaining entries, so the
+//!   stage writes `L` and `U` straight from the basis with no Schur
+//!   update. What it cannot peel is the **nucleus**, which
+//!   **Markowitz pivoting** factors: at every elimination step the
+//!   pivot is the entry minimising the fill bound `(r_i − 1)(c_j − 1)`
+//!   among entries passing **threshold partial pivoting**
+//!   (`|a_ij| ≥ u·max_i |a_ij|`), found Suhl-style by scanning a
+//!   handful of the shortest active columns (with the same singleton
+//!   fast paths first). The search's active-submatrix state is built
+//!   only for a nonempty nucleus, exactly as the search would have
+//!   left it had it run from the first step, so the elimination order
+//!   and the factors do not depend on where the stages meet. The
+//!   tree-structured replica bases are almost triangular: on the
+//!   s = 2000 bandwidth bound the singleton stage factors every basis
+//!   (`L` stays empty), and the search only meets nuclei of a few rows
+//!   on a small share of the smaller formulations' bases. Either way
+//!   the factors hold `O(nnz)` entries instead of the `O(m³)` work and
+//!   `O(m²)` memory a dense LU pays, and
 //! * a **Forrest–Tomlin update** per basis change: instead of appending
 //!   a product-form eta, the spiked column of `U` is eliminated with row
 //!   operations whose multipliers form a short *row eta*, the spike
@@ -51,6 +65,10 @@ const MARKOWITZ_THRESHOLD: f64 = 0.1;
 /// Suhl's search bound: stop the Markowitz scan after this many columns
 /// yielded at least one threshold-eligible candidate.
 const SEARCH_COLUMNS: usize = 4;
+
+/// Step marker of a row or basis slot the refactorisation has not
+/// pivoted yet.
+const UNPIVOTED: u32 = u32::MAX;
 
 /// Hole marker in `uorder`: a Forrest–Tomlin update re-appends the
 /// updated step at the back and leaves this sentinel at its old
@@ -157,26 +175,47 @@ pub(crate) struct Factorization {
     /// Current pattern of `work` during a sparse solve.
     nzbuf: Vec<u32>,
     // ---- refactorisation working state ----
+    /// Inverse of `p`: the step that pivoted each constraint row,
+    /// [`UNPIVOTED`] while a refactorisation has not reached it (as
+    /// `step_of_slot` is for the basis slots).
+    row_step: Vec<u32>,
+    /// The loaded basis, column-wise with duplicates merged. Column
+    /// `j`'s entries in rows not yet pivoted are the first
+    /// `col_len[j]` of its range, in the order the Markowitz state
+    /// would hold them (a pivoted row's entry is swap-removed).
+    bcol_ptr: Vec<usize>,
+    bcol_row: Vec<u32>,
+    bcol_val: Vec<f64>,
+    col_len: Vec<u32>,
+    /// Row-wise pattern of the loaded basis: each row's columns in
+    /// increasing order (entries in pivoted columns are skipped, never
+    /// removed).
+    brow_ptr: Vec<usize>,
+    brow_col: Vec<u32>,
+    /// Entries of each row in columns not yet pivoted.
+    row_len: Vec<u32>,
+    /// Stacks of the columns and rows that became singletons (stale
+    /// entries are skipped when they surface).
+    sing_cols: Vec<u32>,
+    sing_rows: Vec<u32>,
+    /// Pivot-row entries `(basis slot, U value)` of every step, flat,
+    /// step `k` at `uptr[k]..uptr[k + 1]`; converted to step space once
+    /// the last step is known.
+    uptr: Vec<usize>,
+    uslot: Vec<u32>,
+    uval: Vec<f64>,
+    // ---- nucleus (Markowitz) state, built only when the peel stops
+    // short of `m` ----
     /// Active-submatrix columns: `(constraint row, value)` pairs.
     acols: Vec<Vec<(u32, f64)>>,
-    /// Active rows → column ids (stale entries tolerated, verified
-    /// lazily against `acols`).
+    /// Active rows → column ids (entries in pivoted columns are
+    /// skipped when met).
     arows: Vec<Vec<u32>>,
-    row_len: Vec<u32>,
-    row_pivoted: Vec<bool>,
-    col_pivoted: Vec<bool>,
-    row_step: Vec<u32>,
-    /// Columns bucketed by active length (stale-tolerant).
+    /// Columns bucketed by active length (stale-tolerant); bucket 1 is
+    /// the singleton-column stack.
     col_bucket: Vec<Vec<u32>>,
-    /// Stack of rows that became singletons (cost-0 pivot hints).
-    sing_rows: Vec<u32>,
     /// Position-in-column stamps (`-1` = absent).
     pos_stamp: Vec<i32>,
-    /// Per-step multipliers `(constraint row, L value)` collected during
-    /// elimination, converted to step space afterwards.
-    lbuild: Vec<Vec<(u32, f64)>>,
-    /// Per-step pivot-row entries `(basis slot, U value)`.
-    ubuild: Vec<Vec<(u32, f64)>>,
     load_rows: Vec<u32>,
     load_vals: Vec<f64>,
     counts: Vec<usize>,
@@ -223,6 +262,10 @@ impl Factorization {
     /// append the `(row, value)` pairs of the `k`-th basis column
     /// (duplicates are merged here). Returns `false` when the basis is
     /// numerically singular.
+    ///
+    /// The singleton stage ([`Self::next_singleton`], [`Self::peel`])
+    /// pivots first; the Markowitz search factors whatever nucleus it
+    /// leaves, from the state it would have reached on its own.
     pub(crate) fn refactor(
         &mut self,
         m: usize,
@@ -239,30 +282,35 @@ impl Factorization {
         self.q.clear();
         self.udiag.clear();
         self.step_of_slot.clear();
-        self.step_of_slot.resize(m, 0);
+        self.step_of_slot.resize(m, UNPIVOTED);
         self.row_step.clear();
-        self.row_step.resize(m, 0);
+        self.row_step.resize(m, UNPIVOTED);
         self.row_len.clear();
         self.row_len.resize(m, 0);
-        self.row_pivoted.clear();
-        self.row_pivoted.resize(m, false);
-        self.col_pivoted.clear();
-        self.col_pivoted.resize(m, false);
         self.pos_stamp.clear();
         self.pos_stamp.resize(m, -1);
+        self.sing_cols.clear();
         self.sing_rows.clear();
-        reset_nested(&mut self.acols, m);
-        reset_nested(&mut self.arows, m);
-        reset_nested(&mut self.col_bucket, m + 1);
-        reset_nested(&mut self.lbuild, m);
-        reset_nested(&mut self.ubuild, m);
+        self.lcol_ptr.clear();
+        self.lcol_ptr.push(0);
+        self.lcol_idx.clear();
+        self.lcol_val.clear();
+        self.uptr.clear();
+        self.uptr.push(0);
+        self.uslot.clear();
+        self.uval.clear();
 
         // Load the basis columns, merging duplicate rows via stamps.
+        self.bcol_ptr.clear();
+        self.bcol_ptr.push(0);
+        self.bcol_row.clear();
+        self.bcol_val.clear();
+        self.col_len.clear();
         for j in 0..m {
             self.load_rows.clear();
             self.load_vals.clear();
             load_column(j, &mut self.load_rows, &mut self.load_vals);
-            let col = &mut self.acols[j];
+            let start = self.bcol_row.len();
             for (&r, &v) in self.load_rows.iter().zip(&self.load_vals) {
                 if v == 0.0 {
                     continue;
@@ -270,44 +318,248 @@ impl Factorization {
                 let r_us = r as usize;
                 let pos = self.pos_stamp[r_us];
                 if pos >= 0 {
-                    col[pos as usize].1 += v;
+                    self.bcol_val[start + pos as usize] += v;
                 } else {
-                    self.pos_stamp[r_us] = col.len() as i32;
-                    col.push((r, v));
+                    self.pos_stamp[r_us] = (self.bcol_row.len() - start) as i32;
+                    self.bcol_row.push(r);
+                    self.bcol_val.push(v);
                 }
             }
-            for &(r, _) in col.iter() {
+            for &r in &self.bcol_row[start..] {
                 self.pos_stamp[r as usize] = -1;
-            }
-            for &(r, _) in col.iter() {
-                self.arows[r as usize].push(j as u32);
                 self.row_len[r as usize] += 1;
             }
-            self.col_bucket[col.len()].push(j as u32);
+            let len = self.bcol_row.len() - start;
+            self.bcol_ptr.push(self.bcol_row.len());
+            self.col_len.push(len as u32);
+            if len == 1 {
+                self.sing_cols.push(j as u32);
+            }
         }
+        // The row-wise pattern, by counting sort (columns ascending).
+        self.brow_ptr.clear();
+        self.brow_ptr.push(0);
         for r in 0..m {
+            let end = self.brow_ptr[r] + self.row_len[r] as usize;
+            self.brow_ptr.push(end);
             if self.row_len[r] == 1 {
                 self.sing_rows.push(r as u32);
             }
         }
+        self.brow_col.clear();
+        self.brow_col.resize(self.bcol_row.len(), 0);
+        self.counts.clear();
+        self.counts.extend_from_slice(&self.brow_ptr[..m]);
+        for j in 0..m {
+            for &r in &self.bcol_row[self.bcol_ptr[j]..self.bcol_ptr[j + 1]] {
+                let cursor = self.counts[r as usize];
+                self.brow_col[cursor] = j as u32;
+                self.counts[r as usize] = cursor + 1;
+            }
+        }
 
-        for step in 0..m {
-            let Some((pr, pc)) = self.find_pivot() else {
-                return false;
-            };
-            self.eliminate(step, pr, pc);
+        let mut step = 0;
+        while let Some((pr, pc)) = self.next_singleton() {
+            self.peel(step, pr, pc);
+            step += 1;
+        }
+        if step < m {
+            self.build_nucleus(step);
+            for step in step..m {
+                let Some((pr, pc)) = self.find_pivot() else {
+                    return false;
+                };
+                self.eliminate(step, pr, pc);
+            }
         }
         self.finalize();
         true
     }
 
-    /// Markowitz pivot search with singleton fast paths; `None` means no
-    /// entry anywhere passes the absolute tolerance — a singular basis.
+    /// Entries of column `j` in rows not yet pivoted (positions into
+    /// `bcol_row` / `bcol_val`).
+    fn active(&self, j: usize) -> std::ops::Range<usize> {
+        let start = self.bcol_ptr[j];
+        start..start + self.col_len[j] as usize
+    }
+
+    /// The next pivot of the singleton stage, taken from the singleton
+    /// stacks exactly as [`Self::find_pivot`]'s fast paths would take
+    /// it: a column singleton first (empty `L` column), else a row
+    /// singleton (empty `U` row) that passes the threshold test. `None`
+    /// once neither stack offers an acceptable pivot: the rest is the
+    /// nucleus.
+    fn next_singleton(&mut self) -> Option<(usize, usize)> {
+        while let Some(&j) = self.sing_cols.last() {
+            let j_us = j as usize;
+            if self.step_of_slot[j_us] != UNPIVOTED || self.col_len[j_us] != 1 {
+                self.sing_cols.pop();
+                continue;
+            }
+            let at = self.bcol_ptr[j_us];
+            if self.bcol_val[at].abs() >= SINGULAR_TOL {
+                self.sing_cols.pop();
+                return Some((self.bcol_row[at] as usize, j_us));
+            }
+            break; // tiny entry: leave the column to the nucleus
+        }
+        while let Some(&r) = self.sing_rows.last() {
+            let r_us = r as usize;
+            if self.row_step[r_us] != UNPIVOTED || self.row_len[r_us] != 1 {
+                self.sing_rows.pop();
+                continue;
+            }
+            let row = &self.brow_col[self.brow_ptr[r_us]..self.brow_ptr[r_us + 1]];
+            let Some(j) = row
+                .iter()
+                .map(|&j| j as usize)
+                .find(|&j| self.step_of_slot[j] == UNPIVOTED)
+            else {
+                self.sing_rows.pop();
+                continue;
+            };
+            let mut v = 0.0f64;
+            let mut colmax = 0.0f64;
+            for at in self.active(j) {
+                let x = self.bcol_val[at];
+                if self.bcol_row[at] == r {
+                    v = x;
+                }
+                colmax = colmax.max(x.abs());
+            }
+            if v.abs() >= MARKOWITZ_THRESHOLD * colmax && v.abs() >= SINGULAR_TOL {
+                self.sing_rows.pop();
+                return Some((r_us, j));
+            }
+            break; // fails the threshold: the nucleus decides
+        }
+        None
+    }
+
+    /// Records step `step`'s pivot in the permutations.
+    fn record_pivot(&mut self, step: usize, pr: usize, pc: usize) {
+        self.p.push(pr as u32);
+        self.q.push(pc as u32);
+        self.row_step[pr] = step as u32;
+        self.step_of_slot[pc] = step as u32;
+    }
+
+    /// One singleton-stage step: a column singleton's `L` column or a
+    /// row singleton's `U` row is empty, so the step writes its factor
+    /// entries and updates the counts, with no Schur update.
+    fn peel(&mut self, step: usize, pr: usize, pc: usize) {
+        self.record_pivot(step, pr, pc);
+        let active = self.active(pc);
+        let pv = self.bcol_val[active.clone()]
+            .iter()
+            .zip(&self.bcol_row[active.clone()])
+            .find_map(|(&v, &r)| (r as usize == pr).then_some(v))
+            .unwrap_or(0.0);
+        debug_assert!(pv != 0.0, "singleton pivot on a structural zero");
+        let inv = 1.0 / pv;
+        for at in active {
+            let r = self.bcol_row[at];
+            if r as usize == pr {
+                continue;
+            }
+            self.lcol_idx.push(r);
+            self.lcol_val.push(self.bcol_val[at] * inv);
+            self.row_len[r as usize] -= 1;
+            if self.row_len[r as usize] == 1 {
+                self.sing_rows.push(r);
+            }
+        }
+        self.lcol_ptr.push(self.lcol_idx.len());
+        self.udiag.push(pv);
+        // U row = the pivot row's entries in unpivoted columns, each
+        // swap-removed from its column.
+        for idx in self.brow_ptr[pr]..self.brow_ptr[pr + 1] {
+            let j = self.brow_col[idx] as usize;
+            if self.step_of_slot[j] != UNPIVOTED {
+                continue;
+            }
+            let mut active = self.active(j);
+            let last = active.end - 1;
+            let Some(at) = active.find(|&at| self.bcol_row[at] as usize == pr) else {
+                continue;
+            };
+            self.uslot.push(j as u32);
+            self.uval.push(self.bcol_val[at]);
+            self.bcol_row[at] = self.bcol_row[last];
+            self.bcol_val[at] = self.bcol_val[last];
+            self.col_len[j] -= 1;
+            if self.col_len[j] == 1 {
+                self.sing_cols.push(j as u32);
+            }
+        }
+        self.uptr.push(self.uslot.len());
+        self.row_len[pr] = 0;
+    }
+
+    /// Builds the Markowitz state of the nucleus the singleton stage
+    /// left after `peeled` steps, identical to the state the search
+    /// would hold had it run from the first step: the unpivoted
+    /// entries in their swap-removed order, and length buckets that
+    /// replay every push the peeled steps made (stale entries
+    /// included, since they decide the order the search visits
+    /// columns in).
+    fn build_nucleus(&mut self, peeled: usize) {
+        let m = self.m;
+        reset_nested(&mut self.acols, m);
+        reset_nested(&mut self.arows, m);
+        reset_nested(&mut self.col_bucket, m + 1);
+        for j in 0..m {
+            if self.step_of_slot[j] == UNPIVOTED {
+                let active = self.active(j);
+                let rows = &self.bcol_row[active.clone()];
+                let vals = &self.bcol_val[active];
+                self.acols[j].extend(rows.iter().copied().zip(vals.iter().copied()));
+            }
+        }
+        for r in 0..m {
+            if self.row_step[r] == UNPIVOTED {
+                let row = &self.brow_col[self.brow_ptr[r]..self.brow_ptr[r + 1]];
+                let step_of_slot = &self.step_of_slot;
+                self.arows[r].extend(
+                    row.iter()
+                        .filter(|&&j| step_of_slot[j as usize] == UNPIVOTED),
+                );
+            }
+        }
+        // Bucket 1 is the singleton-column stack as the peel left it.
+        // Longer buckets: the load pushed every column at its loaded
+        // length, then each peeled step pushed the columns its pivot
+        // row shortened (`col_len` is free for the replay now).
+        self.col_bucket[1] = std::mem::take(&mut self.sing_cols);
+        for j in 0..m {
+            let len = self.bcol_ptr[j + 1] - self.bcol_ptr[j];
+            self.col_len[j] = len as u32;
+            if len >= 2 {
+                self.col_bucket[len].push(j as u32);
+            }
+        }
+        for k in 0..peeled {
+            let pr = self.p[k] as usize;
+            for idx in self.brow_ptr[pr]..self.brow_ptr[pr + 1] {
+                let j = self.brow_col[idx] as usize;
+                if self.step_of_slot[j] as usize > k {
+                    self.col_len[j] -= 1;
+                    if self.col_len[j] >= 2 {
+                        self.col_bucket[self.col_len[j] as usize].push(j as u32);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Markowitz pivot search over the nucleus, with singleton fast
+    /// paths; `None` means no entry anywhere passes the absolute
+    /// tolerance — a singular basis.
     fn find_pivot(&mut self) -> Option<(usize, usize)> {
         // Singleton columns first: cost 0 and an empty L column.
         while let Some(&j) = self.col_bucket[1].last() {
             let j_us = j as usize;
-            if self.col_pivoted[j_us] || self.acols[j_us].len() != 1 {
+            if self.step_of_slot[j_us] != UNPIVOTED || self.acols[j_us].len() != 1 {
                 self.col_bucket[1].pop();
                 continue;
             }
@@ -321,14 +573,14 @@ impl Factorization {
         // Singleton rows: cost 0 and no Schur update at all.
         while let Some(&r) = self.sing_rows.last() {
             let r_us = r as usize;
-            if self.row_pivoted[r_us] || self.row_len[r_us] != 1 {
+            if self.row_step[r_us] != UNPIVOTED || self.row_len[r_us] != 1 {
                 self.sing_rows.pop();
                 continue;
             }
             let mut found = None;
             for &j in &self.arows[r_us] {
                 let j_us = j as usize;
-                if self.col_pivoted[j_us] {
+                if self.step_of_slot[j_us] != UNPIVOTED {
                     continue;
                 }
                 if let Some(&(_, v)) = self.acols[j_us].iter().find(|&&(rr, _)| rr == r) {
@@ -359,7 +611,7 @@ impl Factorization {
             while i < bucket.len() {
                 let j = bucket[i];
                 let j_us = j as usize;
-                if self.col_pivoted[j_us] || self.acols[j_us].len() != len {
+                if self.step_of_slot[j_us] != UNPIVOTED || self.acols[j_us].len() != len {
                     bucket.swap_remove(i);
                     continue;
                 }
@@ -402,14 +654,10 @@ impl Factorization {
         best.map(|(r, j, _, _)| (r, j))
     }
 
-    /// One right-looking elimination step with pivot (`pr`, `pc`).
+    /// One right-looking elimination step of the nucleus with pivot
+    /// (`pr`, `pc`).
     fn eliminate(&mut self, step: usize, pr: usize, pc: usize) {
-        self.row_pivoted[pr] = true;
-        self.col_pivoted[pc] = true;
-        self.p.push(pr as u32);
-        self.q.push(pc as u32);
-        self.row_step[pr] = step as u32;
-        self.step_of_slot[pc] = step as u32;
+        self.record_pivot(step, pr, pc);
 
         // L column = pivot column scaled by the pivot.
         let mut pcol = std::mem::take(&mut self.acols[pc]);
@@ -421,58 +669,61 @@ impl Factorization {
         }
         debug_assert!(pv != 0.0, "pivot search returned a structural zero");
         let inv = 1.0 / pv;
-        let lcol = &mut self.lbuild[step];
-        lcol.clear();
+        let l_start = self.lcol_idx.len();
         for &(r, v) in &pcol {
             let r_us = r as usize;
             if r_us == pr {
                 continue;
             }
-            lcol.push((r, v * inv));
+            self.lcol_idx.push(r);
+            self.lcol_val.push(v * inv);
             self.row_len[r_us] -= 1;
             if self.row_len[r_us] == 1 {
                 self.sing_rows.push(r);
             }
         }
+        self.lcol_ptr.push(self.lcol_idx.len());
         pcol.clear();
         self.acols[pc] = pcol;
         self.udiag.push(pv);
 
         // U row = the pivot row's remaining active entries, removed from
         // their columns.
+        let u_start = self.uslot.len();
         let mut prow_cols = std::mem::take(&mut self.arows[pr]);
-        let urow = &mut self.ubuild[step];
-        urow.clear();
         for &j in &prow_cols {
             let j_us = j as usize;
-            if self.col_pivoted[j_us] {
+            if self.step_of_slot[j_us] != UNPIVOTED {
                 continue;
             }
             let col = &mut self.acols[j_us];
             if let Some(pos) = col.iter().position(|&(r, _)| r as usize == pr) {
                 let (_, v) = col.swap_remove(pos);
-                urow.push((j, v));
+                self.uslot.push(j);
+                self.uval.push(v);
                 self.col_bucket[col.len()].push(j);
             }
         }
+        self.uptr.push(self.uslot.len());
         prow_cols.clear();
         self.arows[pr] = prow_cols;
         self.row_len[pr] = 0;
 
         // Schur update: column by column, stamps locate existing
-        // entries, misses become fill.
-        for u_idx in 0..self.ubuild[step].len() {
-            let (j, u) = self.ubuild[step][u_idx];
+        // entries, misses become fill. An empty L column updates
+        // nothing.
+        if self.lcol_idx.len() == l_start {
+            return;
+        }
+        for u_idx in u_start..self.uslot.len() {
+            let (j, u) = (self.uslot[u_idx], self.uval[u_idx]);
             let j_us = j as usize;
             let before = self.acols[j_us].len();
-            {
-                let col = &self.acols[j_us];
-                for (idx, &(r, _)) in col.iter().enumerate() {
-                    self.pos_stamp[r as usize] = idx as i32;
-                }
+            for (idx, &(r, _)) in self.acols[j_us].iter().enumerate() {
+                self.pos_stamp[r as usize] = idx as i32;
             }
-            for l_idx in 0..self.lbuild[step].len() {
-                let (r, l) = self.lbuild[step][l_idx];
+            for l_idx in l_start..self.lcol_idx.len() {
+                let (r, l) = (self.lcol_idx[l_idx], self.lcol_val[l_idx]);
                 let r_us = r as usize;
                 let delta = -(l * u);
                 let pos = self.pos_stamp[r_us];
@@ -484,8 +735,7 @@ impl Factorization {
                     self.row_len[r_us] += 1;
                 }
             }
-            for idx in 0..self.acols[j_us].len() {
-                let (r, _) = self.acols[j_us][idx];
+            for &(r, _) in &self.acols[j_us] {
                 self.pos_stamp[r as usize] = -1;
             }
             if self.acols[j_us].len() != before {
@@ -497,17 +747,10 @@ impl Factorization {
     /// Converts the elimination output into the final solve structures.
     fn finalize(&mut self) {
         let m = self.m;
-        // L in CSC, step space.
-        self.lcol_ptr.clear();
-        self.lcol_idx.clear();
-        self.lcol_val.clear();
-        self.lcol_ptr.push(0);
-        for k in 0..m {
-            for &(r, v) in &self.lbuild[k] {
-                self.lcol_idx.push(self.row_step[r as usize]);
-                self.lcol_val.push(v);
-            }
-            self.lcol_ptr.push(self.lcol_idx.len());
+        // L in CSC, step space: the rows were recorded as constraint
+        // rows, whose steps are all known now.
+        for r in self.lcol_idx.iter_mut() {
+            *r = self.row_step[*r as usize];
         }
         // L in CSR via counting sort.
         let lnnz = self.lcol_idx.len();
@@ -538,8 +781,8 @@ impl Factorization {
         reset_nested(&mut self.ucols, m);
         reset_nested(&mut self.urows, m);
         for k in 0..m {
-            for idx in 0..self.ubuild[k].len() {
-                let (j, v) = self.ubuild[k][idx];
+            for idx in self.uptr[k]..self.uptr[k + 1] {
+                let (j, v) = (self.uslot[idx], self.uval[idx]);
                 let jj = self.step_of_slot[j as usize];
                 self.urows[k].push((jj, v));
                 self.ucols[jj as usize].push((k as u32, v));
@@ -1390,28 +1633,110 @@ mod tests {
         }
     }
 
+    /// A loader that delivers every entry of `cols` as two halves, the
+    /// second half of each column's entries after all the first halves,
+    /// so the factorisation has to merge duplicate rows.
+    fn halves_loader(cols: &[Vec<f64>]) -> impl FnMut(usize, &mut Vec<u32>, &mut Vec<f64>) + '_ {
+        move |k, rows, vals| {
+            for _ in 0..2 {
+                for (i, &v) in cols[k].iter().enumerate().rev() {
+                    if v != 0.0 {
+                        rows.push(i as u32);
+                        vals.push(0.5 * v);
+                    }
+                }
+            }
+        }
+    }
+
+    /// A random permutation of `0..m`.
+    fn shuffled(m: usize, rng: &mut XorShift) -> Vec<usize> {
+        let mut perm: Vec<usize> = (0..m).collect();
+        for i in (1..m).rev() {
+            perm.swap(i, rng.next_usize(i + 1));
+        }
+        perm
+    }
+
+    /// An upper-triangular matrix with a solid diagonal, `extra` random
+    /// entries above it and, when `nucleus > 0`, a dense leading
+    /// `nucleus`-by-`nucleus` block; rows and columns are shuffled.
+    /// Without the block the singleton stage factors all of it; with
+    /// it, the block is left to the Markowitz search.
+    fn permuted_triangular(
+        m: usize,
+        extra: usize,
+        nucleus: usize,
+        rng: &mut XorShift,
+    ) -> Vec<Vec<f64>> {
+        let mut upper = vec![vec![0.0; m]; m];
+        for (k, col) in upper.iter_mut().enumerate() {
+            let d = rng.next_f64();
+            col[k] = if d.abs() < 1.0 { d + 3.0 } else { d };
+        }
+        for _ in 0..extra {
+            let k = rng.next_usize(m);
+            let i = rng.next_usize(k + 1);
+            if i < k {
+                upper[k][i] += rng.next_f64() * 0.3;
+            }
+        }
+        for (k, col) in upper.iter_mut().enumerate().take(nucleus) {
+            for (i, entry) in col.iter_mut().enumerate().take(nucleus) {
+                *entry = rng.next_f64() * 0.3 + if i == k { 20.0 } else { 1.0 };
+            }
+        }
+        let (rows, order) = (shuffled(m, rng), shuffled(m, rng));
+        let mut cols = vec![vec![0.0; m]; m];
+        for (k, col) in upper.iter().enumerate() {
+            for (i, &v) in col.iter().enumerate() {
+                cols[order[k]][rows[i]] = v;
+            }
+        }
+        cols
+    }
+
+    /// Whether the last refactorisation of a *fresh* factorisation left
+    /// a nucleus: the Markowitz state is only ever built for one.
+    fn built_a_nucleus(f: &Factorization) -> bool {
+        !f.col_bucket.is_empty()
+    }
+
     #[test]
     fn random_matrix_roundtrip_matches_a_dense_lu() {
         let mut rng = XorShift(0x12345678);
         for m in [5usize, 13, 20, 37, 64] {
-            let cols = random_sparse(m, 3 * m, &mut rng);
-            let mut f = Factorization::default();
-            assert!(f.refactor(m, sparse_loader(&cols)), "m={m}");
-            let dense = DenseLu::factor(&cols).expect("dense oracle factors");
-            let v0: Vec<f64> = (0..m).map(|_| rng.next_f64()).collect();
-            assert_roundtrip(&mut f, &cols, &v0, 1e-6);
-            // Differential: sparse ftran == dense solve.
-            let mut xs = v0.clone();
-            f.ftran(&mut xs);
-            let mut xd = v0.clone();
-            dense.solve(&mut xd);
-            for i in 0..m {
-                assert!(
-                    (xs[i] - xd[i]).abs() < 1e-6,
-                    "m={m} pos {i}: sparse {} vs dense {}",
-                    xs[i],
-                    xd[i]
-                );
+            // (basis, deliver each entry as two halves)
+            let cases = [
+                (random_sparse(m, 3 * m, &mut rng), false),
+                (permuted_triangular(m, 2 * m, 0, &mut rng), false),
+                (permuted_triangular(m, 2 * m, 0, &mut rng), true),
+                (permuted_triangular(m, 2 * m, 3, &mut rng), false),
+            ];
+            for (case, (cols, halves)) in cases.iter().enumerate() {
+                let mut f = Factorization::default();
+                let factored = if *halves {
+                    f.refactor(m, halves_loader(cols))
+                } else {
+                    f.refactor(m, sparse_loader(cols))
+                };
+                assert!(factored, "m={m} case {case}");
+                let dense = DenseLu::factor(cols).expect("dense oracle factors");
+                let v0: Vec<f64> = (0..m).map(|_| rng.next_f64()).collect();
+                assert_roundtrip(&mut f, cols, &v0, 1e-6);
+                // Differential: sparse ftran == dense solve.
+                let mut xs = v0.clone();
+                f.ftran(&mut xs);
+                let mut xd = v0.clone();
+                dense.solve(&mut xd);
+                for i in 0..m {
+                    assert!(
+                        (xs[i] - xd[i]).abs() < 1e-6,
+                        "m={m} case {case} pos {i}: sparse {} vs dense {}",
+                        xs[i],
+                        xd[i]
+                    );
+                }
             }
         }
     }
@@ -1489,6 +1814,36 @@ mod tests {
         assert!(lnnz <= m, "L filled in: {lnnz}");
         assert!(unnz <= 2 * m, "U filled in: {unnz}");
         let v0: Vec<f64> = (0..m).map(|i| (i % 7) as f64 - 3.0).collect();
+        assert_roundtrip(&mut f, &cols, &v0, 1e-8);
+
+        // Permuted triangular bases, one loaded with duplicate row
+        // entries: the singleton stage factors all of each, so `L` is
+        // empty, `U` holds exactly the basis and no nucleus is left.
+        let mut rng = XorShift(0xC0FFEE);
+        for halves in [false, true] {
+            let cols = permuted_triangular(m, 3 * m, 0, &mut rng);
+            let nnz = cols.iter().flatten().filter(|&&v| v != 0.0).count();
+            let mut f = Factorization::default();
+            let factored = if halves {
+                f.refactor(m, halves_loader(&cols))
+            } else {
+                f.refactor(m, sparse_loader(&cols))
+            };
+            assert!(factored);
+            assert_eq!(f.nnz(), (0, nnz), "halves = {halves}");
+            assert!(!built_a_nucleus(&f), "halves = {halves}");
+            assert_roundtrip(&mut f, &cols, &v0, 1e-8);
+        }
+        // A small dense block in a triangular basis is the nucleus; the
+        // fill stays inside it.
+        let k = 4;
+        let cols = permuted_triangular(m, 3 * m, k, &mut rng);
+        let nnz = cols.iter().flatten().filter(|&&v| v != 0.0).count();
+        let mut f = Factorization::default();
+        assert!(f.refactor(m, sparse_loader(&cols)));
+        assert!(built_a_nucleus(&f));
+        let (lnnz, unnz) = f.nnz();
+        assert!(lnnz + unnz <= nnz + k * k, "filled in: {lnnz} + {unnz}");
         assert_roundtrip(&mut f, &cols, &v0, 1e-8);
     }
 

@@ -101,7 +101,7 @@ pub struct RevisedWorkspace {
     optimal_basis: bool,
     /// Model rows whose right-hand side the current re-solve edited.
     edited: Vec<u32>,
-    /// Incremental list of primal-infeasible rows (dual pricing).
+    /// Lazy heap of primal-infeasible rows (dual pricing).
     dual_cands: DualCandidates,
     /// Bound-flipping dual ratio test scratch: `(ratio, |alpha|, col)`
     /// breakpoints and the columns chosen to flip.
@@ -343,11 +343,7 @@ impl RevisedWorkspace {
                 WarmEntry::Infeasible => return Solution::status_only(Status::Infeasible),
                 WarmEntry::Rebuild => return self.solve_cold_inner(model, options),
             }
-            let warm_refac_ok = {
-                let _t = rp_obs::phase_timer(rp_obs::Phase::Factorise);
-                self.refactor_and_recompute()
-            };
-            if !warm_refac_ok {
+            if !self.refactor_and_recompute() {
                 return self.solve_cold_inner(model, options);
             }
         }
@@ -568,11 +564,7 @@ impl RevisedWorkspace {
         // everything boxed at lower bound 0) always qualify. Any
         // abnormal stop falls through to the classic two-phase path.
         if self.try_dual_start_basis(TOLERANCE) {
-            let refac_ok = {
-                let _t = rp_obs::phase_timer(rp_obs::Phase::Factorise);
-                self.refactor_and_recompute()
-            };
-            if !refac_ok {
+            if !self.refactor_and_recompute() {
                 return self.fail(LpError::SingularBasis);
             }
             match self.dual_loop(options, false) {
@@ -744,11 +736,7 @@ impl RevisedWorkspace {
         // recomputing `x_B = B⁻¹(b − N·x_N)` makes the start exact.
         // The crash basis is block triangular by construction, so a
         // failure here means genuinely degenerate input data.
-        let crash_refac_ok = {
-            let _t = rp_obs::phase_timer(rp_obs::Phase::Factorise);
-            self.refactor_and_recompute()
-        };
-        if !crash_refac_ok {
+        if !self.refactor_and_recompute() {
             return self.fail(LpError::SingularBasis);
         }
 
@@ -1131,10 +1119,16 @@ impl RevisedWorkspace {
 
     /// Refactorises and recomputes the basic values from the residual
     /// right-hand side (squashing the drift the updates accumulated).
+    /// The LU is timed as `Factorise`, the recompute as `Ftran`.
     fn refactor_and_recompute(&mut self) -> bool {
-        if !self.refactor() {
+        let factored = {
+            let _t = rp_obs::phase_timer(rp_obs::Phase::Factorise);
+            self.refactor()
+        };
+        if !factored {
             return false;
         }
+        let _t = rp_obs::phase_timer(rp_obs::Phase::Ftran);
         self.basis.residual_rhs(&self.form, &mut self.residual);
         self.factor.ftran(&mut self.residual);
         self.basis.x_basic.clear();
@@ -1374,10 +1368,10 @@ impl RevisedWorkspace {
         } else {
             self.stats.refactor_ft_refused += 1;
         }
-        let _t = rp_obs::phase_timer(rp_obs::Phase::Factorise);
         if !self.refactor_and_recompute() {
             return Err(LpError::SingularBasis);
         }
+        let _t = rp_obs::phase_timer(rp_obs::Phase::Pricing);
         self.compute_reduced_costs(costs);
         Ok(true)
     }
@@ -1471,14 +1465,14 @@ impl RevisedWorkspace {
         self.dual_cands.rebuild(&self.form, &self.basis, tol);
         let outcome = 'search: {
             for _ in 0..max_iter {
-                let leaving = match self.dual_cands.pick(&self.form, &self.basis, tol) {
+                let leaving = match self.dual_cands.pick(&self.form, &self.basis) {
                     Some(l) => Some(l),
                     None => {
-                        // The incremental list only tracks rows the
-                        // pivots touched — confirm primal feasibility
-                        // with a full rescan before declaring it.
+                        // No live entry is left; confirm primal
+                        // feasibility with a full rescan before
+                        // declaring it.
                         self.dual_cands.rebuild(&self.form, &self.basis, tol);
-                        self.dual_cands.pick(&self.form, &self.basis, tol)
+                        self.dual_cands.pick(&self.form, &self.basis)
                     }
                 };
                 let leaving = match leaving {
@@ -1523,7 +1517,7 @@ impl RevisedWorkspace {
                     self.stats.dual_bound_flips += flips.len();
                     self.apply_dual_flips(&flips);
                     // The flip FTRAN moved the basic values in its
-                    // residual pattern; admit any newly violated rows.
+                    // residual pattern; push the rows that violate.
                     let _t = rp_obs::phase_timer(rp_obs::Phase::Pricing);
                     for &i in &self.residual_nz {
                         self.dual_cands
@@ -1568,8 +1562,8 @@ impl RevisedWorkspace {
                 self.basis.status[entering] = ColStatus::Basic(row as u32);
                 self.basis.basic[row] = entering;
                 self.basis.x_basic[row] = entering_value;
-                // Patch the candidate list with the rows this pivot
-                // moved: the entering column's pattern + the pivot row.
+                // Push the rows this pivot moved: the entering
+                // column's pattern + the pivot row.
                 {
                     let _t = rp_obs::phase_timer(rp_obs::Phase::Pricing);
                     if dxq != 0.0 {

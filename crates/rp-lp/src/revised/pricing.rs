@@ -16,16 +16,20 @@
 //!
 //! Dual side: the **most-violated row** leaves — the primal-infeasible
 //! basic variable with the largest bound violation, ties broken towards
-//! the smallest row. The violated-row set itself is kept
-//! **incrementally** in [`DualCandidates`]: a dual pivot only moves the
-//! basic values in the entering column's FTRAN pattern plus the
-//! bound-flip deltas, so the loop patches the list from those sparse
-//! updates and pays a full `O(m)` rebuild only at (re)factorisations
-//! and before declaring primal feasibility.
+//! the smallest row. The candidates live in a **lazy max-heap**
+//! ([`DualCandidates`]): a dual pivot only moves the basic values in the
+//! entering column's FTRAN pattern plus the bound-flip deltas, so the
+//! loop pushes those rows with their new violations, a pick discards
+//! the entries whose row has moved on since, and a full `O(m)` rebuild
+//! runs only at (re)factorisations and before declaring primal
+//! feasibility.
 //!
 //! The dual *entering* column comes out of the bound-flipping dual
 //! ratio test in [`super::ratio`], which walks the sparse pivot row's
 //! breakpoints and flips boxed columns for longer dual steps.
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use super::basis::{BasisState, ColStatus, StandardForm};
 
@@ -169,89 +173,175 @@ pub(crate) struct Leaving {
     pub(crate) violation: f64,
 }
 
-/// Incremental leaving-row candidate list for the dual simplex.
+/// Leaving-row candidates for the dual simplex: a lazy max-heap of
+/// `(violation, row)` entries, stored as `(violation bits, Reverse(row))`.
+/// A stored violation is always positive, and positive `f64`s order
+/// like their bit patterns, so the maximum is the largest violation,
+/// ties to the smallest row.
 ///
 /// A dual pivot only moves the basic values in the entering column's
-/// FTRAN pattern (plus the rows a bound-flip pass touches), so instead
-/// of rescanning all `m` rows per iteration the loop keeps the set of
-/// currently violated rows and patches it from those sparse deltas:
-/// [`Self::note`] admits rows whose value just moved, [`Self::pick`]
-/// evicts rows that pivoted back inside their bounds while selecting
-/// the most violated one. The list is only a superset heuristic —
-/// before the loop may declare primal feasibility it must
-/// [`Self::rebuild`] from a full scan and pick again, and a
-/// refactorisation recomputes every basic value so it rebuilds too.
+/// FTRAN pattern (plus the rows a bound-flip pass touches), and the
+/// loop reports each of those rows to [`Self::note`], which pushes the
+/// row with its new violation whenever it violates a bound. An entry is
+/// *live* while its stored violation still equals the row's current
+/// one; [`Self::pick`] drops dead entries off the top until a live one
+/// surfaces and returns it without popping. Because every change of a
+/// basic value reaches `note`, or a full [`Self::rebuild`] after a
+/// refactorisation recomputes them all, every violated row has a live
+/// entry, so the top live entry is exactly the row a full scan picks:
+/// the largest violation, ties to the smallest row. A pick costs the
+/// dead entries it pops, not a pass over the violated set. The loop
+/// still confirms an empty heap with a rebuild before it declares
+/// primal feasibility.
 #[derive(Default)]
 pub(crate) struct DualCandidates {
-    rows: Vec<u32>,
-    in_list: Vec<bool>,
+    heap: BinaryHeap<(u64, Reverse<u32>)>,
 }
 
 impl DualCandidates {
-    /// Full O(m) rescan: repopulates the list with every violated row.
+    /// Full `O(m)` scan: the heap becomes one live entry per violated
+    /// row, heapified in place.
     pub(crate) fn rebuild(&mut self, form: &StandardForm, basis: &BasisState, tol: f64) {
         let _t = rp_obs::phase_timer(rp_obs::Phase::Pricing);
-        self.rows.clear();
-        self.in_list.clear();
-        self.in_list.resize(basis.basic.len(), false);
+        let mut entries = std::mem::take(&mut self.heap).into_vec();
+        entries.clear();
         for row in 0..basis.basic.len() {
             let (violation, _) = row_violation(form, basis, row);
             if violation > tol {
-                self.rows.push(row as u32);
-                self.in_list[row] = true;
+                entries.push((violation.to_bits(), Reverse(row as u32)));
             }
         }
+        self.heap = BinaryHeap::from(entries);
     }
 
-    /// Re-checks a row whose basic value just changed and admits it if
-    /// it now violates a bound.
+    /// Records a row whose basic value just changed: pushes it with its
+    /// new violation if it violates a bound. Any older entry of the row
+    /// is dead from now on unless the row returns to that violation.
     pub(crate) fn note(&mut self, form: &StandardForm, basis: &BasisState, tol: f64, row: usize) {
-        if self.in_list[row] {
-            return;
-        }
         let (violation, _) = row_violation(form, basis, row);
         if violation > tol {
-            self.rows.push(row as u32);
-            self.in_list[row] = true;
+            self.heap.push((violation.to_bits(), Reverse(row as u32)));
         }
     }
 
-    /// The most violated candidate, compacting away rows that no longer
-    /// violate. `None` means the *list* drained — the caller must
-    /// `rebuild` and pick once more before trusting it as primal
-    /// feasibility.
-    pub(crate) fn pick(
-        &mut self,
-        form: &StandardForm,
-        basis: &BasisState,
-        tol: f64,
-    ) -> Option<Leaving> {
+    /// The most violated row, ties to the smallest row, after dropping
+    /// the dead entries above it. `None` means no live entry is left —
+    /// the caller confirms it with [`Self::rebuild`] before trusting it
+    /// as primal feasibility.
+    pub(crate) fn pick(&mut self, form: &StandardForm, basis: &BasisState) -> Option<Leaving> {
         let _t = rp_obs::phase_timer(rp_obs::Phase::Pricing);
-        let mut best: Option<Leaving> = None;
-        let mut i = 0;
-        while i < self.rows.len() {
-            let row = self.rows[i] as usize;
+        while let Some(&(bits, Reverse(row))) = self.heap.peek() {
+            let row = row as usize;
             let (violation, above) = row_violation(form, basis, row);
-            if violation <= tol {
-                self.in_list[row] = false;
-                self.rows.swap_remove(i);
-                continue;
-            }
-            // Ties break towards the smallest row so the selection is
-            // independent of the list's (compaction-dependent) order.
-            let better = match &best {
-                Some(b) => violation > b.violation || (violation == b.violation && row < b.row),
-                None => true,
-            };
-            if better {
-                best = Some(Leaving {
+            if violation.to_bits() == bits {
+                return Some(Leaving {
                     row,
                     above,
                     violation,
                 });
             }
-            i += 1;
+            self.heap.pop();
+        }
+        None
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Deterministic xorshift stream (no RNG dependency inside rp-lp).
+    struct XorShift(u64);
+    impl XorShift {
+        fn next_usize(&mut self, bound: usize) -> usize {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            (self.0 % bound as u64) as usize
+        }
+        /// A value from a small grid, so that violations tie often.
+        fn grid_value(&mut self) -> f64 {
+            [-3.0, -2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0][self.next_usize(10)]
+        }
+    }
+
+    /// The row a full scan picks: the largest violation, ties to the
+    /// smallest row.
+    fn scan(form: &StandardForm, basis: &BasisState, tol: f64) -> Option<(usize, bool, f64)> {
+        let mut best: Option<(usize, bool, f64)> = None;
+        for row in 0..basis.basic.len() {
+            let (violation, above) = row_violation(form, basis, row);
+            if violation > tol && best.is_none_or(|(_, _, v)| violation > v) {
+                best = Some((row, above, violation));
+            }
         }
         best
+    }
+
+    #[test]
+    fn heap_pick_matches_a_full_scan() {
+        let tol = 1e-9;
+        let mut rng = XorShift(0x5EED_1234);
+        for m in [1usize, 7, 40] {
+            // Two columns per row, with different boxes, so a basis
+            // change moves a row's violation without moving its value.
+            let mut form = StandardForm::default();
+            for col in 0..2 * m {
+                form.lower.push([0.0, -1.0, f64::NEG_INFINITY][col % 3]);
+                form.upper.push([1.0, 2.0, f64::INFINITY, 0.0][col % 4]);
+            }
+            let mut basis = BasisState {
+                status: Vec::new(),
+                basic: (0..m).collect(),
+                x_basic: (0..m).map(|_| rng.grid_value()).collect(),
+            };
+            let mut cands = DualCandidates::default();
+            cands.rebuild(&form, &basis, tol);
+            let mut picks = 0;
+            for step in 0..400 {
+                let row = rng.next_usize(m);
+                match rng.next_usize(6) {
+                    // A pivot-like sparse move of a few rows.
+                    0..=2 => {
+                        for _ in 0..=rng.next_usize(3) {
+                            let row = rng.next_usize(m);
+                            basis.x_basic[row] = rng.grid_value();
+                            cands.note(&form, &basis, tol, row);
+                        }
+                    }
+                    // A row that moves away and back to the same value,
+                    // noted both times.
+                    3 => {
+                        let old = basis.x_basic[row];
+                        basis.x_basic[row] = rng.grid_value();
+                        cands.note(&form, &basis, tol, row);
+                        basis.x_basic[row] = old;
+                        cands.note(&form, &basis, tol, row);
+                    }
+                    // A basis change in the row: another column, another box.
+                    4 => {
+                        basis.basic[row] = (basis.basic[row] + m) % (2 * m);
+                        basis.x_basic[row] = rng.grid_value();
+                        cands.note(&form, &basis, tol, row);
+                    }
+                    // A recompute of every basic value, then a rebuild.
+                    _ => {
+                        if step % 7 == 0 {
+                            for x in basis.x_basic.iter_mut() {
+                                *x = rng.grid_value();
+                            }
+                            cands.rebuild(&form, &basis, tol);
+                        }
+                    }
+                }
+                let expected = scan(&form, &basis, tol);
+                let got = cands
+                    .pick(&form, &basis)
+                    .map(|l| (l.row, l.above, l.violation));
+                assert_eq!(got, expected, "m = {m}, step {step}");
+                picks += usize::from(got.is_some());
+            }
+            assert!(picks > 0, "m = {m}: no row ever violated");
+        }
     }
 }

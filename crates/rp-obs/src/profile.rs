@@ -37,7 +37,9 @@ pub enum Phase {
     Btran,
     /// Primal and dual ratio tests (incl. bound-flipping passes).
     RatioTest,
-    /// Sparse LU refactorisation and the post-refactor recompute.
+    /// Sparse LU refactorisation alone: the basic values recomputed
+    /// after it count as [`Phase::Ftran`], the reduced costs as
+    /// [`Phase::Pricing`].
     Factorise,
     /// Forrest–Tomlin basis updates.
     FtUpdate,
