@@ -325,10 +325,12 @@ fn push_factor_metrics(report: &mut Report, ws: &mut RevisedWorkspace, model: &M
     report.push(format!("btran_ns/{s}"), btran_ns);
 }
 
-/// Times the warm sibling re-solve the λ-sharded sweep pays: a new
+/// Times the warm re-solve of a sibling that arrives as a new model: a
 /// model with the matrix of the one `ws` holds (two clones, alternated,
 /// so neither is the model `ws` solved last), which takes the full warm
-/// entry — presolve re-analysis, matrix compare, refactorisation.
+/// entry — presolve re-analysis, matrix compare, refactorisation. (The
+/// sweep's own siblings re-target the model their worker solved last,
+/// so they skip the compare.)
 fn full_warm_entry_ns(ws: &mut RevisedWorkspace, model: &Model) -> f64 {
     let siblings = [model.clone(), model.clone()];
     let mut k = 0;
@@ -360,8 +362,8 @@ fn rhs_sibling_ns(model: &Model) -> Option<f64> {
 }
 
 /// The sparse-LU / Forrest–Tomlin trajectory of the revised engine:
-/// cold solves on prebuilt relaxations, the warm sibling re-solve the
-/// λ-sharded sweep pays (same matrix, refreshed data), the rhs sibling
+/// cold solves on prebuilt relaxations, the warm re-solve of a sibling
+/// that arrives as a new model (same matrix, refreshed data), the rhs sibling
 /// of a model edited in place (`s` = 400 and 2000), iteration counts
 /// and factor metrics up to `s = 2000`.
 fn sparse_suite() -> Report {
@@ -619,8 +621,10 @@ fn online_suite() -> Report {
 /// the bandwidth scenario sweep) and returns the metrics-registry
 /// snapshot as JSON — the payload of `BENCH_obs.json` and the fresh side
 /// of a breach's obs-diff attribution. Both sweeps run on one worker:
-/// with two, which λ-siblings share a warm LP workspace depends on how
-/// the workers interleave, and the LP counters would vary run to run.
+/// with two, which tree a worker solved before each tree's first trial
+/// depends on how the workers interleave, and so would the LP's
+/// warm-entry counters (`lp.warm.mode_change_cold` against
+/// `lp.warm.cold`, for one).
 fn obs_metrics_snapshot() -> String {
     use rp_experiments::scenarios::{run_scenario, ScenarioConfig, ScenarioFamily};
 

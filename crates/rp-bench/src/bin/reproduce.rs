@@ -159,7 +159,7 @@ fn parse_args() -> Result<CliOptions, String> {
 }
 
 /// Writes the trace/metrics exports requested on the command line.
-/// Called once, after every sweep has completed and the λ-sharded
+/// Called once, after every sweep has completed and the tree-sharded
 /// worker pools have joined (their thread-local trace buffers flush on
 /// join; the exporter flushes the main thread itself).
 fn export_observability(options: &CliOptions) {

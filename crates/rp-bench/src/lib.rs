@@ -29,7 +29,7 @@
 //! Open `out.trace.json` in `chrome://tracing` (or <https://ui.perfetto.dev>).
 //! The file is the Chrome trace-event JSON array format; what you see:
 //!
-//! * **One row per worker thread** of the λ-sharded pool (`tid 0` is
+//! * **One row per worker thread** of the tree-sharded pool (`tid 0` is
 //!   the main thread; workers flush their buffered events when the
 //!   pool joins).
 //! * **`exp.trial` blocks** — one per (λ, tree) pair. Inside each

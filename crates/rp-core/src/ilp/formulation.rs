@@ -22,11 +22,13 @@
 //! indices of [`IlpFormulation`]. Rows come in a fixed order — the
 //! coverage rows, one capacity row per node in node order, then the
 //! link flows, bandwidths and Closest exclusions — and sibling
-//! re-solves that patch a row pick it by position. The capacity rows
+//! re-solves that patch a row pick it by position, as
+//! [`IlpFormulation::retarget_requests`] does with the coverage rows
+//! when a λ-sibling keeps its tree's model. The capacity rows
 //! are filled from per-node buckets in one pass over the `y` lists, as
 //! the bandwidth rows are from per-link buckets over the `z` lists.
 
-use rp_lp::{Cmp, LinExpr, Model, VarId};
+use rp_lp::{Cmp, ConstraintId, LinExpr, Model, VarId};
 use rp_tree::{ClientId, LinkId, NodeId};
 
 use crate::policy::Policy;
@@ -71,6 +73,45 @@ impl IlpFormulation {
             .iter()
             .find(|(node, _)| *node == server)
             .map(|(_, var)| *var)
+    }
+
+    /// Re-targets a Multiple formulation to the requests of `problem`,
+    /// in place: each client's coverage row gets the right-hand side
+    /// `r_i`, and each of its `y_{i,j}` the upper bound `r_i`. These are
+    /// the only entries of a Multiple model without `z` variables that
+    /// depend on the requests; the matrix, the other bounds and the
+    /// objective stay, and so does the model's identity.
+    ///
+    /// **Precondition:** `self` was built by `build_model(p,
+    /// Policy::Multiple, _)` for an instance `p` that differs from
+    /// `problem` in its requests alone: the same tree, capacities,
+    /// storage costs and QoS bounds, and no bandwidth limit on either.
+    /// The model then equals the one `build_model(problem,
+    /// Policy::Multiple, _)` would build, row for row and bound for
+    /// bound, and re-solving it on the workspace that solved it last
+    /// proves its matrix unchanged without comparing it.
+    pub fn retarget_requests(&mut self, problem: &ProblemInstance) {
+        assert_eq!(self.policy, Policy::Multiple, "only Multiple re-targets");
+        // With `z` variables the `z` bounds and the first-link rows also
+        // carry `r_i`; a tree with other clients misaligns the rows.
+        assert!(
+            !problem.has_bandwidth_limits() && self.z.iter().all(Vec::is_empty),
+            "only a model without bandwidth rows re-targets"
+        );
+        assert_eq!(
+            self.y.len(),
+            problem.tree().num_clients(),
+            "the model was built for another tree"
+        );
+        // The coverage rows come first, one per client in client order.
+        let covers: Vec<ConstraintId> = self.model.constraint_ids().take(self.y.len()).collect();
+        for ((client, cover), servers) in problem.tree().client_ids().zip(covers).zip(&self.y) {
+            let requests = problem.requests(client) as f64;
+            self.model.set_rhs(cover, requests);
+            for &(_, var) in servers {
+                self.model.set_bounds(var, 0.0, Some(requests));
+            }
+        }
     }
 }
 
@@ -387,6 +428,80 @@ mod tests {
         assert!(f.y_var(client, p.tree().root()).is_some());
     }
 
+    /// Every variable (bounds, integrality, objective) and every row
+    /// (terms, comparison, right-hand side) of `a` equals `b`'s.
+    fn assert_same_model(a: &Model, b: &Model) {
+        assert_eq!(a.sense(), b.sense());
+        assert_eq!(a.num_vars(), b.num_vars());
+        assert_eq!(a.num_constraints(), b.num_constraints());
+        for var in a.var_ids() {
+            assert_eq!(a.variable(var), b.variable(var), "{var}");
+        }
+        for row in a.constraint_ids() {
+            assert_eq!(a.constraint(row), b.constraint(row), "row {}", row.index());
+        }
+    }
+
+    #[test]
+    fn retargeted_formulation_equals_a_fresh_build_of_the_sibling() {
+        // Three levels with clients at every depth, so QoS bounds of one
+        // and two hops cut different servers from different clients.
+        let mut b = TreeBuilder::new();
+        let root = b.add_root();
+        let left = b.add_node(root);
+        let right = b.add_node(root);
+        let deep = b.add_node(left);
+        for parent in [deep, deep, left, right, right, root, deep] {
+            b.add_client(parent);
+        }
+        let tree = std::sync::Arc::new(b.build().unwrap());
+        let instance = |requests: &[u64], qos: Option<u32>| {
+            let builder = ProblemInstance::builder(std::sync::Arc::clone(&tree))
+                .requests(requests.to_vec())
+                .capacities(vec![9, 6, 7, 5])
+                .storage_costs(vec![4, 3, 3, 2]);
+            match qos {
+                Some(hops) => builder.uniform_qos(hops).build(),
+                None => builder.build(),
+            }
+        };
+        let loads: [&[u64]; 3] = [
+            &[1, 2, 3, 4, 5, 6, 7],
+            &[7, 1, 1, 9, 2, 3, 1],
+            &[0, 4, 2, 2, 8, 1, 3],
+        ];
+        for qos in [None, Some(1), Some(2)] {
+            for integrality in [
+                Integrality::RationalBound,
+                Integrality::MixedBound,
+                Integrality::Exact,
+            ] {
+                let mut kept = build_model(&instance(loads[0], qos), Policy::Multiple, integrality);
+                for requests in loads[1..].iter().chain(&loads[..1]) {
+                    let sibling = instance(requests, qos);
+                    let fresh = build_model(&sibling, Policy::Multiple, integrality);
+                    kept.retarget_requests(&sibling);
+                    assert_same_model(&kept.model, &fresh.model);
+                    assert_eq!((&kept.x, &kept.y, &kept.z), (&fresh.x, &fresh.y, &fresh.z));
+                }
+            }
+        }
+        // The siblings' models do differ, so the re-target did the work.
+        let model = |requests| {
+            build_model(
+                &instance(requests, None),
+                Policy::Multiple,
+                Integrality::Exact,
+            )
+            .model
+        };
+        let (a, b) = (model(loads[0]), model(loads[1]));
+        assert!(a
+            .constraint_ids()
+            .any(|row| a.constraint(row) != b.constraint(row)));
+        assert!(a.var_ids().any(|var| a.variable(var) != b.variable(var)));
+    }
+
     #[test]
     fn bandwidth_limits_generate_constraints() {
         let mut b = TreeBuilder::new();
@@ -408,5 +523,33 @@ mod tests {
         let text = f.model.to_string();
         assert!(text.contains(&format!(": +1 {uplink} <= 2\n")), "{text}");
         assert!(text.contains(&format!(": +1 {first} == 4\n")), "{text}");
+    }
+
+    #[test]
+    #[should_panic(expected = "without bandwidth rows")]
+    fn retarget_refuses_a_model_with_bandwidth_rows() {
+        let mut b = TreeBuilder::new();
+        let root = b.add_root();
+        b.add_client(root);
+        let p = ProblemInstance::builder(b.build().unwrap())
+            .requests(vec![4])
+            .capacities(vec![10])
+            .client_link_bandwidths(vec![Some(5)])
+            .build();
+        build_model(&p, Policy::Multiple, Integrality::Exact).retarget_requests(&p);
+    }
+
+    #[test]
+    #[should_panic(expected = "another tree")]
+    fn retarget_refuses_another_tree() {
+        let mut f = build_model(&sample(), Policy::Multiple, Integrality::Exact);
+        let mut b = TreeBuilder::new();
+        let root = b.add_root();
+        b.add_client(root);
+        f.retarget_requests(&ProblemInstance::replica_cost(
+            b.build().unwrap(),
+            vec![1],
+            vec![10],
+        ));
     }
 }

@@ -110,6 +110,16 @@ pub enum BoundKind {
     Mixed,
 }
 
+impl BoundKind {
+    /// The integrality of the relaxation this bound solves.
+    pub fn integrality(self) -> Integrality {
+        match self {
+            BoundKind::Rational => Integrality::RationalBound,
+            BoundKind::Mixed => Integrality::MixedBound,
+        }
+    }
+}
+
 /// An LP-based lower bound on the optimal replica cost.
 ///
 /// The bound is computed on the **Multiple** formulation: since any
@@ -127,36 +137,39 @@ pub fn lower_bound_with(
     kind: BoundKind,
     options: &IlpOptions,
 ) -> Option<f64> {
-    let mut workspace = LpWorkspace::new();
-    lower_bound_reusing(problem, kind, options, &mut workspace)
+    let formulation = build_model(problem, Policy::Multiple, kind.integrality());
+    relaxation_bound(&formulation.model, kind, options, &mut LpWorkspace::new())
 }
 
-/// [`lower_bound`] reusing the LP buffers of `workspace` across calls —
-/// the path the sweep harness drives, with one workspace pinned per
-/// worker thread.
-pub fn lower_bound_reusing(
-    problem: &ProblemInstance,
+/// The bound `kind` of the relaxation `model` (built with
+/// [`BoundKind::integrality`]), solved on `workspace`: the optimum of
+/// the LP, or the branch-and-bound bound of the mixed relaxation.
+/// `None` when the relaxation is infeasible; a solve that ends without
+/// a usable bound yields 0, which is always valid.
+///
+/// The sweep runner calls it on a formulation it keeps per tree and
+/// re-targets per load factor ([`IlpFormulation::retarget_requests`]):
+/// re-solving the model the workspace solved last lets the rational
+/// bound's warm start prove the matrix unchanged in `O(1)`.
+pub fn relaxation_bound(
+    model: &Model,
     kind: BoundKind,
     options: &IlpOptions,
     workspace: &mut LpWorkspace,
 ) -> Option<f64> {
     match kind {
         BoundKind::Rational => {
-            let formulation = build_model(problem, Policy::Multiple, Integrality::RationalBound);
             let solution = workspace
                 .revised
-                .solve_warm(&formulation.model, &options.branch_bound.simplex);
+                .solve_warm(model, &options.branch_bound.simplex);
             match solution.status {
                 Status::Optimal => Some(solution.objective),
                 Status::Infeasible => None,
-                // A failed solve yields no usable bound; fall back to 0,
-                // which is always valid.
                 _ => Some(0.0),
             }
         }
         BoundKind::Mixed => {
-            let formulation = build_model(problem, Policy::Multiple, Integrality::MixedBound);
-            let outcome = solve_milp(&formulation.model, &options.branch_bound, workspace);
+            let outcome = solve_milp(model, &options.branch_bound, workspace);
             match outcome.status {
                 Status::Infeasible => None,
                 Status::Unbounded => Some(0.0),
@@ -303,28 +316,8 @@ pub fn multi_lower_bound_reusing(
     options: &IlpOptions,
     workspace: &mut LpWorkspace,
 ) -> Option<f64> {
-    match kind {
-        BoundKind::Rational => {
-            let formulation = build_multi_model(problem, Integrality::RationalBound);
-            let solution = workspace
-                .revised
-                .solve_warm(&formulation.model, &options.branch_bound.simplex);
-            match solution.status {
-                Status::Optimal => Some(solution.objective),
-                Status::Infeasible => None,
-                _ => Some(0.0),
-            }
-        }
-        BoundKind::Mixed => {
-            let formulation = build_multi_model(problem, Integrality::MixedBound);
-            let outcome = solve_milp(&formulation.model, &options.branch_bound, workspace);
-            match outcome.status {
-                Status::Infeasible => None,
-                Status::Unbounded => Some(0.0),
-                _ => outcome.bound.or(Some(0.0)),
-            }
-        }
-    }
+    let formulation = build_multi_model(problem, kind.integrality());
+    relaxation_bound(&formulation.model, kind, options, workspace)
 }
 
 /// Rounds an LP lower bound up to the next integer (all storage costs
@@ -388,14 +381,6 @@ mod tests {
     use crate::exact::{optimal_cost, solve_multiple_homogeneous};
     use rp_lp::{oracle, Model};
     use rp_tree::TreeBuilder;
-
-    /// The integrality of the relaxation behind `kind`.
-    fn relaxation(kind: BoundKind) -> Integrality {
-        match kind {
-            BoundKind::Rational => Integrality::RationalBound,
-            BoundKind::Mixed => Integrality::MixedBound,
-        }
-    }
 
     /// The bound `kind` of the relaxation `model`, computed by the oracle.
     fn oracle_bound(model: &Model, kind: BoundKind) -> Option<f64> {
@@ -487,7 +472,7 @@ mod tests {
         let p = small_instance();
         for kind in [BoundKind::Rational, BoundKind::Mixed] {
             let revised = lower_bound_with(&p, kind, &IlpOptions::default());
-            let model = build_model(&p, Policy::Multiple, relaxation(kind)).model;
+            let model = build_model(&p, Policy::Multiple, kind.integrality()).model;
             let dense = oracle_bound(&model, kind);
             match (revised, dense) {
                 (Some(a), Some(b)) => assert!((a - b).abs() < 1e-6, "{kind:?}: {a} vs {b}"),
@@ -502,7 +487,8 @@ mod tests {
         let options = IlpOptions::default();
         let mut workspace = LpWorkspace::new();
         for kind in [BoundKind::Rational, BoundKind::Mixed, BoundKind::Rational] {
-            let reused = lower_bound_reusing(&p, kind, &options, &mut workspace);
+            let model = build_model(&p, Policy::Multiple, kind.integrality()).model;
+            let reused = relaxation_bound(&model, kind, &options, &mut workspace);
             let fresh = lower_bound_with(&p, kind, &options);
             match (reused, fresh) {
                 (Some(a), Some(b)) => assert!((a - b).abs() < 1e-6, "{kind:?}: {a} vs {b}"),
@@ -580,7 +566,7 @@ mod tests {
         // relaxation.
         for kind in [BoundKind::Rational, BoundKind::Mixed] {
             let revised = multi_lower_bound_with(&p, kind, &IlpOptions::default());
-            let dense = oracle_bound(&build_multi_model(&p, relaxation(kind)).model, kind);
+            let dense = oracle_bound(&build_multi_model(&p, kind.integrality()).model, kind);
             match (revised, dense) {
                 (Some(a), Some(b)) => assert!((a - b).abs() < 1e-6, "{kind:?}: {a} vs {b}"),
                 other => panic!("engine disagreement for {kind:?}: {other:?}"),

@@ -8,10 +8,10 @@
 //! [`parallel_map_with`] additionally pins **one worker-local state**
 //! per thread (created by a caller factory when the worker starts and
 //! dropped when the queue drains). The sweep harness uses it to give
-//! every worker its own `HeuristicState` buffers, LP workspace and
-//! recycled tree, so the allocation-free steady state of the solvers
-//! also holds under the parallel runner — λ shards and trees mix freely
-//! in one queue without any shared mutable solver state.
+//! every worker its own `HeuristicState` buffers, LP workspace and kept
+//! tree, so the allocation-free steady state of the heuristics also
+//! holds under the parallel runner — trees mix freely in one queue
+//! without any shared mutable solver state.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;

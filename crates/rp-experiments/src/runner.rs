@@ -7,14 +7,36 @@
 //!
 //! # Parallel execution model
 //!
-//! The sweep is sharded across **all** (λ, tree) pairs at once — not
-//! per-λ batch — through one shared work queue, so slow λ values never
-//! leave workers idle. Every worker thread pins one [`WorkerScratch`]:
-//! the `HeuristicState` buffers, the LP workspace, and the previous
-//! trial's retired tree (recycled into the next tree's derived arrays).
-//! The allocation-free steady state of the solvers therefore holds
-//! under the parallel runner as well: after warm-up, a worker's trial
-//! allocates only the tree/problem value vectors themselves.
+//! [`run_sweep`] hands out one **tree** per work item, with all its λ
+//! values in λ order, through one shared work queue, so a worker runs
+//! the λ-siblings of a tree back to back and slow trees never leave
+//! other workers idle. With fewer trees than workers, each tree is cut
+//! into as few runs of adjacent λ values as give every worker an item;
+//! each run's first trial then draws its tree afresh. Results are
+//! regrouped per λ afterwards. Which worker runs an item never changes
+//! a result, and every sibling after the first of a run finds its
+//! tree's state on the worker that runs it.
+//!
+//! Every worker thread pins one [`WorkerScratch`]: the `HeuristicState`
+//! buffers, the LP workspace, and what the last trial drew for its
+//! tree. The allocation-free steady state of the heuristics therefore
+//! holds under the parallel runner as well.
+//!
+//! # What a worker keeps per tree
+//!
+//! A trial's tree, its capacities and its bound formulation depend on
+//! the configuration's seed, size range, shape, platform, QoS bound and
+//! bound kind and on the tree index, never on λ
+//! ([`generate_trial_problem_reusing`]). The scratch keeps all three
+//! for the tree it ran last, keyed by exactly those fields. A trial
+//! with the same key, a **λ-sibling**, draws only its requests (the
+//! same instance, bit for bit, as a fresh generation) and re-targets
+//! the kept formulation to them
+//! ([`rp_core::ilp::IlpFormulation::retarget_requests`]), so the LP
+//! warm start re-solves the very model it solved last. A trial with
+//! any other key lets the kept state go and recycles the old tree's
+//! arrays into the new tree. The `exp.sibling_trials` counter counts
+//! the trials that reused the kept state.
 //!
 //! # One heuristic pass per trial
 //!
@@ -23,15 +45,20 @@
 //! run and its cost is their minimum: no second pass, and no pooled
 //! MixedBest incumbent.
 
+use std::ops::Range;
+use std::sync::Arc;
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use rp_core::heuristics::{HeuristicState, StateBuffers};
-use rp_core::ilp::{integral_lower_bound, lower_bound_reusing, BoundKind, IlpOptions};
-use rp_core::{Heuristic, ProblemInstance};
+use rp_core::ilp::{
+    build_model, integral_lower_bound, relaxation_bound, BoundKind, IlpFormulation, IlpOptions,
+};
+use rp_core::{Heuristic, Policy, ProblemInstance};
 use rp_lp::LpWorkspace;
 use rp_tree::TreeNetwork;
-use rp_workloads::platform::{generate_problem_split_rng, PlatformKind, WorkloadConfig};
+use rp_workloads::platform::{draw_capacities, draw_demand, PlatformKind, WorkloadConfig};
 use rp_workloads::tree_gen::{generate_tree_into_with_rng, TreeGenConfig, TreeShape};
 
 use crate::metrics::{LambdaBatch, TrialResult};
@@ -130,7 +157,8 @@ pub struct SweepResults {
 }
 
 /// The per-worker pinned state of the sweep: one allocation set per
-/// thread, reused across every trial the worker claims (see the module
+/// thread, reused across every trial the worker claims, plus the tree,
+/// capacities and bound formulation of the last trial (see the module
 /// docs). Create one with [`WorkerScratch::new`] for sequential use, or
 /// let [`run_sweep`] pin one per worker.
 #[derive(Default)]
@@ -140,8 +168,8 @@ pub struct WorkerScratch {
     buffers: StateBuffers,
     /// The LP workspace (factorisation, basis, scratch).
     lp: LpWorkspace,
-    /// The previous trial's tree, recycled into the next generation.
-    recycled_tree: Option<TreeNetwork>,
+    /// What the last trial drew for its tree, for its λ-siblings.
+    kept: Option<KeptTree>,
 }
 
 impl WorkerScratch {
@@ -151,46 +179,100 @@ impl WorkerScratch {
     }
 }
 
-/// Runs the full sweep described by `config`, sharding all (λ, tree)
-/// pairs across one worker pool.
+/// Every configuration field that decides a trial's tree, capacities
+/// and bound formulation, plus the tree index: two trials with equal
+/// keys differ in λ alone.
+#[derive(Clone, Copy, PartialEq, Debug)]
+struct TreeKey {
+    seed: u64,
+    tree_index: usize,
+    size_range: (usize, usize),
+    shape: TreeShape,
+    platform: PlatformKind,
+    qos_hops: Option<u32>,
+    bound: BoundKind,
+}
+
+impl TreeKey {
+    fn new(config: &ExperimentConfig, tree_index: usize) -> Self {
+        TreeKey {
+            seed: config.seed,
+            tree_index,
+            size_range: config.size_range,
+            shape: config.shape,
+            platform: config.platform,
+            qos_hops: config.qos_hops,
+            bound: config.bound,
+        }
+    }
+}
+
+/// The tree a worker ran last, with its drawn capacities and its bound
+/// formulation (`None` until the tree's first trial builds it).
+struct KeptTree {
+    key: TreeKey,
+    tree: Arc<TreeNetwork>,
+    capacities: Vec<u64>,
+    formulation: Option<IlpFormulation>,
+}
+
+/// Runs the full sweep described by `config`, sharding the trees across
+/// one worker pool. A work item is a run of adjacent λ values of one
+/// tree, run in λ order on the claiming worker's scratch, so every λ
+/// of a run after the first is a sibling of the trial before it (see
+/// the module docs). A run holds all of its tree's λ values unless
+/// there are fewer trees than workers.
 pub fn run_sweep(config: &ExperimentConfig) -> SweepResults {
-    // Flatten every (λ index, tree index) pair into one work list so
-    // the λ shards interleave; results are regrouped afterwards (the
-    // queue preserves input order in its output). The list is
-    // tree-major: all λ values of one tree are adjacent, so a worker
-    // claiming consecutive items re-solves the same constraint matrix
-    // under different load factors — exactly the sibling pattern the LP
-    // workspace warm-starts across (see `generate_trial_problem`).
-    let pairs: Vec<(usize, usize)> = (0..config.trees_per_lambda)
-        .flat_map(|ti| (0..config.lambdas.len()).map(move |li| (li, ti)))
-        .collect();
+    let (trees, lambdas) = (config.trees_per_lambda, config.lambdas.len());
     let threads = config
         .threads
-        .unwrap_or_else(|| default_threads(pairs.len()));
-    let trials = parallel_map_with(
-        &pairs,
+        .unwrap_or_else(|| default_threads(trees * lambdas));
+    let runs = sweep_runs(trees, lambdas, threads);
+    let per_run: Vec<Vec<TrialResult>> = parallel_map_with(
+        &runs,
         threads,
         WorkerScratch::new,
-        |&(lambda_index, tree_index), scratch| {
-            run_single_trial_with(config, config.lambdas[lambda_index], tree_index, scratch)
+        |(tree_index, run), scratch| {
+            config.lambdas[run.clone()]
+                .iter()
+                .map(|&lambda| run_single_trial_with(config, lambda, *tree_index, scratch))
+                .collect()
         },
     );
 
+    // The runs are tree-major, so every batch receives its trials in
+    // tree order.
     let mut batches: Vec<LambdaBatch> = config
         .lambdas
         .iter()
         .map(|&lambda| LambdaBatch {
             lambda,
-            trials: Vec::with_capacity(config.trees_per_lambda),
+            trials: Vec::with_capacity(trees),
         })
         .collect();
-    for (&(lambda_index, _), trial) in pairs.iter().zip(trials) {
-        batches[lambda_index].trials.push(trial);
+    for ((_, run), trials) in runs.iter().zip(per_run) {
+        for (lambda_index, trial) in run.clone().zip(trials) {
+            batches[lambda_index].trials.push(trial);
+        }
     }
     SweepResults {
         config: config.clone(),
         batches,
     }
+}
+
+/// The work items of a sweep: runs of adjacent λ indices of one tree,
+/// tree-major. Each tree is cut into as few runs as still give each of
+/// the `threads` workers an item, so a tree is one run unless there are
+/// fewer trees than workers.
+fn sweep_runs(trees: usize, lambdas: usize, threads: usize) -> Vec<(usize, Range<usize>)> {
+    let per_tree = threads.div_ceil(trees.max(1)).clamp(1, lambdas.max(1));
+    let bound = move |k: usize| k * lambdas / per_tree;
+    (0..trees)
+        .flat_map(|tree_index| (0..per_tree).map(move |k| (tree_index, bound(k)..bound(k + 1))))
+        // Without λ values the one run per tree is empty.
+        .filter(|(_, run)| !run.is_empty())
+        .collect()
 }
 
 /// Runs all the trees of a single load factor, in parallel.
@@ -214,6 +296,9 @@ pub fn run_single_trial(config: &ExperimentConfig, lambda: f64, tree_index: usiz
 }
 
 /// Generates and evaluates one tree on a worker's pinned scratch state.
+/// A λ-sibling of the scratch's last trial reuses its tree, capacities
+/// and formulation; any other trial draws them afresh (see the module
+/// docs). Either way the result equals [`run_single_trial`]'s.
 pub fn run_single_trial_with(
     config: &ExperimentConfig,
     lambda: f64,
@@ -222,19 +307,54 @@ pub fn run_single_trial_with(
 ) -> TrialResult {
     let _trial_span = rp_obs::span(rp_obs::SpanKind::Trial);
     rp_obs::incr(rp_obs::Counter::ExpTrials);
-    let problem =
-        generate_trial_problem_reusing(config, lambda, tree_index, scratch.recycled_tree.take());
+    let key = TreeKey::new(config, tree_index);
+    let mut kept = match scratch.kept.take() {
+        Some(kept) if kept.key == key => {
+            rp_obs::incr(rp_obs::Counter::ExpSiblingTrials);
+            kept
+        }
+        evicted => {
+            // The problem that shared the old tree is gone, so the kept
+            // handle is the last one and its arrays can be recycled.
+            let recycled = evicted.and_then(|kept| Arc::try_unwrap(kept.tree).ok());
+            let (tree, capacities) = draw_trial_platform(config, tree_index, recycled);
+            KeptTree {
+                key,
+                tree: Arc::new(tree),
+                capacities,
+                formulation: None,
+            }
+        }
+    };
+    let problem = draw_trial_demand(
+        config,
+        lambda,
+        tree_index,
+        Arc::clone(&kept.tree),
+        kept.capacities.clone(),
+    );
 
     let heuristics_span = rp_obs::timed_span(rp_obs::SpanKind::HeuristicsPhase);
     let heuristic_costs = heuristic_costs(&problem, &config.heuristics, &mut scratch.buffers);
     let heuristics_seconds = heuristics_span.finish_seconds();
 
     let lp_span = rp_obs::timed_span(rp_obs::SpanKind::LpBound);
+    let formulation = match &mut kept.formulation {
+        Some(formulation) => {
+            formulation.retarget_requests(&problem);
+            formulation
+        }
+        slot => slot.insert(build_model(
+            &problem,
+            Policy::Multiple,
+            config.bound.integrality(),
+        )),
+    };
     let options = IlpOptions::default();
     // Storage costs are integral, so the bound can always be rounded up
     // to the next integer; this markedly tightens the fully rational
     // relaxation on Replica Counting instances.
-    let lp_bound = lower_bound_reusing(&problem, config.bound, &options, &mut scratch.lp)
+    let lp_bound = relaxation_bound(&formulation.model, config.bound, &options, &mut scratch.lp)
         .map(|raw| integral_lower_bound(raw) as f64);
     let lp_seconds = lp_span.finish_seconds();
 
@@ -247,13 +367,7 @@ pub fn run_single_trial_with(
         lp_seconds,
         heuristics_seconds,
     };
-
-    // Retire the tree into the scratch so the next trial's generation
-    // reuses its derived arrays (only possible once the problem — the
-    // other Arc holder — is dropped).
-    let tree = problem.tree_arc();
-    drop(problem);
-    scratch.recycled_tree = std::sync::Arc::try_unwrap(tree).ok();
+    scratch.kept = Some(kept);
     result
 }
 
@@ -310,19 +424,33 @@ pub fn generate_trial_problem(
 /// arrays into the generated tree.
 ///
 /// The generation is **λ-independent in structure**: the tree, its
-/// size and the platform capacities are drawn from a stream keyed to
-/// `tree_index` alone, while the request distribution comes from a
-/// stream keyed to the (λ, `tree_index`) pair. Sibling trials — one
-/// tree under several load factors — therefore share their entire ILP
-/// constraint matrix (only right-hand sides, variable bounds and the
-/// load-dependent data differ), which is what lets the pinned worker's
-/// LP workspace warm-start across them instead of re-solving cold.
+/// size and the platform capacities (the platform draw,
+/// [`draw_capacities`]) come from a stream keyed to `tree_index`
+/// alone, while the requests (the demand draw, [`draw_demand`]) come
+/// from a stream keyed to the (λ, `tree_index`) pair. Sibling trials —
+/// one tree under several load factors — therefore share their tree,
+/// their capacities and their entire ILP constraint matrix (only the
+/// coverage right-hand sides and the `y` upper bounds differ). A sweep
+/// worker draws the first two once per tree and re-targets the third
+/// (see the module docs); this function draws everything, and gives
+/// the same instance.
 pub fn generate_trial_problem_reusing(
     config: &ExperimentConfig,
     lambda: f64,
     tree_index: usize,
     recycled: Option<TreeNetwork>,
 ) -> ProblemInstance {
+    let (tree, capacities) = draw_trial_platform(config, tree_index, recycled);
+    draw_trial_demand(config, lambda, tree_index, tree, capacities)
+}
+
+/// The λ-independent half of a trial: its tree and the platform
+/// capacities, from the stream keyed to `tree_index`.
+fn draw_trial_platform(
+    config: &ExperimentConfig,
+    tree_index: usize,
+    recycled: Option<TreeNetwork>,
+) -> (TreeNetwork, Vec<u64>) {
     let mut structure_rng = StdRng::seed_from_u64(trial_seed(config.seed, 0.0, tree_index));
     let size = structure_rng.gen_range(config.size_range.0..=config.size_range.1);
     let tree = generate_tree_into_with_rng(
@@ -330,13 +458,26 @@ pub fn generate_trial_problem_reusing(
         &mut structure_rng,
         recycled,
     );
+    let capacities = draw_capacities(&tree, config.platform, &mut structure_rng);
+    (tree, capacities)
+}
+
+/// The λ-dependent half of a trial: the requests over `tree` and its
+/// `capacities`, from the stream keyed to the (λ, `tree_index`) pair.
+fn draw_trial_demand(
+    config: &ExperimentConfig,
+    lambda: f64,
+    tree_index: usize,
+    tree: impl Into<Arc<TreeNetwork>>,
+    capacities: Vec<u64>,
+) -> ProblemInstance {
     let workload = WorkloadConfig {
         platform: config.platform,
         lambda,
         qos_hops: config.qos_hops,
     };
     let mut demand_rng = StdRng::seed_from_u64(trial_seed(config.seed, lambda, tree_index));
-    generate_problem_split_rng(tree, &workload, &mut structure_rng, &mut demand_rng)
+    draw_demand(tree, &workload, capacities, &mut demand_rng)
 }
 
 /// Derives a deterministic sub-seed for one trial.
@@ -390,21 +531,55 @@ mod tests {
 
     #[test]
     fn sharded_sweep_matches_per_batch_and_per_trial_runs() {
-        // The λ-sharded pool with pinned worker state must agree with
-        // the one-λ-at-a-time path and with isolated per-trial runs.
-        let config = ExperimentConfig {
-            threads: Some(3),
-            ..ExperimentConfig::smoke_test()
-        };
-        let sharded = run_sweep(&config);
-        for (batch, &lambda) in sharded.batches.iter().zip(&config.lambdas) {
-            let solo_batch = run_lambda_batch(&config, lambda);
-            for (trial, solo) in batch.trials.iter().zip(&solo_batch.trials) {
-                assert_eq!(trial.heuristic_costs, solo.heuristic_costs);
-                assert_eq!(trial.lp_bound, solo.lp_bound);
-                let isolated = run_single_trial(&config, lambda, trial.tree_index);
-                assert_eq!(trial.heuristic_costs, isolated.heuristic_costs);
-                assert_eq!(trial.lp_bound, isolated.lp_bound);
+        // The tree-sharded pool with pinned worker state must agree with
+        // the one-λ-at-a-time path and with isolated per-trial runs,
+        // whatever the number of workers, also with fewer trees than
+        // workers (trees cut into runs), and regroup every batch in tree
+        // order. The sizes straddle the 50-row presolve threshold.
+        for (trees, threads) in [(5, 2), (5, 3), (5, 5), (3, 5), (1, 4)] {
+            let config = ExperimentConfig {
+                lambdas: vec![0.3, 0.6, 0.9],
+                trees_per_lambda: trees,
+                size_range: (20, 80),
+                threads: Some(threads),
+                ..ExperimentConfig::smoke_test()
+            };
+            let sharded = run_sweep(&config);
+            for (batch, &lambda) in sharded.batches.iter().zip(&config.lambdas) {
+                let trees: Vec<usize> = batch.trials.iter().map(|t| t.tree_index).collect();
+                assert_eq!(trees, (0..config.trees_per_lambda).collect::<Vec<_>>());
+                let solo_batch = run_lambda_batch(&config, lambda);
+                for (trial, solo) in batch.trials.iter().zip(&solo_batch.trials) {
+                    assert_eq!(answers(trial), answers(solo));
+                    let isolated = run_single_trial(&config, lambda, trial.tree_index);
+                    assert_eq!(answers(trial), answers(&isolated));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn sweep_runs_cover_every_trial_once_and_feed_every_worker() {
+        for trees in 0..7 {
+            for lambdas in 0..10 {
+                for threads in 1..12 {
+                    let runs = sweep_runs(trees, lambdas, threads);
+                    let pairs: Vec<(usize, usize)> = runs
+                        .iter()
+                        .flat_map(|(tree, run)| run.clone().map(move |li| (*tree, li)))
+                        .collect();
+                    let expected: Vec<(usize, usize)> = (0..trees)
+                        .flat_map(|tree| (0..lambdas).map(move |li| (tree, li)))
+                        .collect();
+                    assert_eq!(pairs, expected, "{trees} trees, {lambdas} λ, {threads}");
+                    assert!(runs.iter().all(|(_, run)| !run.is_empty()));
+                    // Every worker gets an item, and a tree is cut only
+                    // when there are fewer trees than workers.
+                    assert!(runs.len() >= threads.min(trees * lambdas));
+                    if trees >= threads && lambdas > 0 {
+                        assert_eq!(runs.len(), trees);
+                    }
+                }
             }
         }
     }
@@ -575,6 +750,133 @@ mod tests {
             high_total > low_total,
             "λ=0.6 should demand more than λ=0.2 ({high_total} vs {low_total})"
         );
+    }
+
+    /// Size, achieved λ, heuristic costs and LP bound of a trial.
+    type Answers<'a> = (usize, f64, &'a [(Heuristic, Option<u64>)], Option<f64>);
+
+    /// The fields of a trial result that the scratch must not change.
+    fn answers(trial: &TrialResult) -> Answers<'_> {
+        (
+            trial.problem_size,
+            trial.achieved_lambda,
+            &trial.heuristic_costs,
+            trial.lp_bound,
+        )
+    }
+
+    #[test]
+    fn a_sibling_draw_is_the_fresh_instance_bit_for_bit() {
+        let config = ExperimentConfig {
+            platform: PlatformKind::default_heterogeneous(),
+            qos_hops: Some(3),
+            ..ExperimentConfig::smoke_test()
+        };
+        let (tree, capacities) = draw_trial_platform(&config, 2, None);
+        let tree = Arc::new(tree);
+        for lambda in [0.9, 0.1, 0.4, 0.9] {
+            let sibling =
+                draw_trial_demand(&config, lambda, 2, Arc::clone(&tree), capacities.clone());
+            let fresh = generate_trial_problem(&config, lambda, 2);
+            assert_eq!(format!("{sibling:?}"), format!("{fresh:?}"), "λ={lambda}");
+        }
+    }
+
+    #[test]
+    fn one_scratch_in_any_order_matches_fresh_trials() {
+        // Trees on both sides of the 50-row presolve threshold (a trial's
+        // LP has s rows), and configurations that share tree indices but
+        // differ in exactly one field of the kept-tree key.
+        let base = ExperimentConfig {
+            size_range: (20, 80),
+            platform: PlatformKind::default_heterogeneous(),
+            ..ExperimentConfig::smoke_test()
+        };
+        let sizes: Vec<usize> = (0..4)
+            .map(|t| generate_trial_problem(&base, 0.5, t).tree().problem_size())
+            .collect();
+        assert!(
+            sizes.iter().any(|&s| s < 50) && sizes.iter().any(|&s| s >= 50),
+            "{sizes:?}"
+        );
+        let reseeded = ExperimentConfig {
+            seed: base.seed + 1,
+            ..base.clone()
+        };
+        let homogeneous = ExperimentConfig {
+            platform: PlatformKind::default_homogeneous(),
+            ..base.clone()
+        };
+        let qos = ExperimentConfig {
+            qos_hops: Some(2),
+            ..base.clone()
+        };
+        let mixed = ExperimentConfig {
+            bound: BoundKind::Mixed,
+            ..base.clone()
+        };
+        let mut order: Vec<(&ExperimentConfig, f64, usize)> = Vec::new();
+        // Tree-major siblings, then a repeated λ, a descending λ run and
+        // a tree revisited after eviction.
+        for tree in 0..4 {
+            for lambda in [0.2, 0.5, 0.8] {
+                order.push((&base, lambda, tree));
+            }
+        }
+        order.extend([
+            (&base, 0.8, 3),
+            (&base, 0.5, 3),
+            (&base, 0.5, 3),
+            (&base, 0.2, 1),
+            (&base, 0.8, 0),
+            (&base, 0.2, 1),
+        ]);
+        // A change of one key field at a shared tree index, back and
+        // forth, with siblings on each side.
+        for &tree in &[0, 2] {
+            for other in [&reseeded, &homogeneous, &qos, &mixed] {
+                order.extend([
+                    (&base, 0.4, tree),
+                    (other, 0.4, tree),
+                    (other, 0.7, tree),
+                    (&base, 0.7, tree),
+                ]);
+            }
+        }
+        let mut scratch = WorkerScratch::new();
+        for &(config, lambda, tree) in &order {
+            let kept = run_single_trial_with(config, lambda, tree, &mut scratch);
+            let fresh = run_single_trial(config, lambda, tree);
+            assert_eq!(
+                answers(&kept),
+                answers(&fresh),
+                "λ={lambda} tree {tree} {:?} {:?} {:?}",
+                config.platform,
+                config.qos_hops,
+                config.bound
+            );
+        }
+    }
+
+    #[test]
+    fn siblings_reuse_the_kept_tree_and_a_new_key_lets_it_go() {
+        let config = ExperimentConfig::smoke_test();
+        let mut scratch = WorkerScratch::new();
+        let kept_tree = |scratch: &WorkerScratch| Arc::clone(&scratch.kept.as_ref().unwrap().tree);
+        run_single_trial_with(&config, 0.2, 1, &mut scratch);
+        let first = kept_tree(&scratch);
+        // Between trials the kept handle is the tree's only other one.
+        assert_eq!(Arc::strong_count(&first), 2);
+        run_single_trial_with(&config, 0.6, 1, &mut scratch);
+        assert!(Arc::ptr_eq(&first, &kept_tree(&scratch)));
+        assert_eq!(
+            scratch.lp.revised.last_stats().warm,
+            rp_lp::WarmStart::WarmHit
+        );
+        run_single_trial_with(&config, 0.6, 2, &mut scratch);
+        assert!(!Arc::ptr_eq(&first, &kept_tree(&scratch)));
+        let key = scratch.kept.as_ref().unwrap().key;
+        assert_eq!(key, TreeKey::new(&config, 2));
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! usually a handful of pivots per node. The basis also survives from
 //! one search to the next on the same workspace, so the root of a
 //! **sibling search** (same constraint matrix; only the objective,
-//! right-hand sides or bounds changed, as when the λ-sharded sweep
+//! right-hand sides or bounds changed, as when the tree-sharded sweep
 //! re-solves one tree under another load factor) is a refactorisation
 //! and a short dual cleanup instead of a cold solve. A structural
 //! change is detected (`O(nnz)`) and falls back to a cold root solve.

@@ -112,15 +112,16 @@
 //!   [`RevisedWorkspace::solve_warm`]. The same machinery carries the
 //!   basis across **sibling solves** (same constraint matrix, different
 //!   objective/rhs/bounds — one tree under several load factors in the
-//!   λ-sharded sweep, or consecutive branch-and-bound searches of one
+//!   tree-sharded sweep, or consecutive branch-and-bound searches of one
 //!   shape): [`RevisedWorkspace::solve_warm`] and [`solve_milp`]
 //!   re-solve with a refactorisation plus a few cleanup pivots, falling
 //!   back to a cold solve on any structural change (verified
 //!   entry-for-entry in `O(nnz)`, or in `O(1)` for the model the
-//!   workspace last solved). A re-solve of that same model after
-//!   right-hand-side edits only patches the workspace in place and keeps
-//!   its factorisation: a sibling whose basis stays optimal costs no
-//!   refactorisation and no pivot.
+//!   workspace last solved, which is how the sweep's λ-siblings arrive).
+//!   A re-solve of that same model after right-hand-side edits only
+//!   patches the workspace in place and keeps its factorisation: a
+//!   sibling whose basis stays optimal costs no refactorisation and no
+//!   pivot.
 //!
 //! The property tests in `tests/proptest_revised_equivalence.rs` pin
 //! the engine (Dantzig vs Bland pricing, presolve on/off, warm vs cold

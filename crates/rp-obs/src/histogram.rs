@@ -4,7 +4,7 @@
 //! Buckets follow a 1–2–5 logarithmic series in microseconds from 1 µs
 //! to 100 s, plus one overflow bucket. Recording is lock-free (one
 //! relaxed `fetch_add` per sample plus min/max maintenance) so worker
-//! threads of the λ-sharded pool can share a histogram, and two
+//! threads of the tree-sharded pool can share a histogram, and two
 //! histograms merge bucket-wise — the per-worker → global aggregation
 //! path.
 //!

@@ -7,7 +7,7 @@
 //!   fixed-bucket latency **histograms** with exact nearest-rank
 //!   p50/p99 extraction ([`Histogram`]);
 //! * RAII [`Span`] scoped timers with thread-local span stacks that
-//!   aggregate per worker and merge across the λ-sharded pool
+//!   aggregate per worker and merge across the tree-sharded pool
 //!   ([`span`], [`timed_span`]);
 //! * a **chrome://tracing** exporter ([`write_chrome_trace`]) — load
 //!   the emitted `.trace.json` straight into chrome://tracing or

@@ -109,6 +109,7 @@ metric_enum! {
     OnlineDeferred => ("online.deferred", "1", "rp-online"),
     // --- rp-experiments: sweep drivers. ---
     ExpTrials => ("exp.trials", "1", "rp-experiments"),
+    ExpSiblingTrials => ("exp.sibling_trials", "1", "rp-experiments"),
     ExpScenarioTrials => ("exp.scenario_trials", "1", "rp-experiments"),
     ExpResilienceTrials => ("exp.resilience_trials", "1", "rp-experiments"),
     ExpChurnTrials => ("exp.churn_trials", "1", "rp-experiments"),

@@ -5,7 +5,7 @@
 //! span-kind's histogram in the global registry, and in `Full` mode a
 //! chrome-trace complete event is buffered on the recording thread —
 //! per-worker aggregation with a single merge when the thread exits
-//! (the λ-sharded pool joins its scoped workers) or on an explicit
+//! (the tree-sharded pool joins its scoped workers) or on an explicit
 //! [`flush_thread_trace`].
 //!
 //! Three constructors with different mode behaviour:

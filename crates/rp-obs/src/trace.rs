@@ -3,7 +3,7 @@
 //! Perfetto and speedscope all load directly.
 //!
 //! Worker threads buffer events locally (see [`crate::span`]) and push
-//! them here in batches — either when the thread exits (the λ-sharded
+//! them here in batches — either when the thread exits (the tree-sharded
 //! pool's scoped workers) or on an explicit flush before export.
 
 use std::path::Path;

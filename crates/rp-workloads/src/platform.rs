@@ -108,39 +108,36 @@ pub fn generate_problem(
     generate_problem_with_rng(tree, config, &mut rng)
 }
 
-/// [`generate_problem`] with an externally managed RNG.
+/// [`generate_problem`] with an externally managed RNG: the platform
+/// draw ([`draw_capacities`]) and then the demand draw
+/// ([`draw_demand`]), both from `rng`.
 pub fn generate_problem_with_rng<R: Rng>(
     tree: impl Into<Arc<TreeNetwork>>,
     config: &WorkloadConfig,
     rng: &mut R,
 ) -> ProblemInstance {
     let tree: Arc<TreeNetwork> = tree.into();
-    let capacities = draw_capacities(&tree, config, rng);
-    finish_problem(tree, config, capacities, rng)
+    let capacities = draw_capacities(&tree, config.platform, rng);
+    draw_demand(tree, config, capacities, rng)
 }
 
-/// [`generate_problem_with_rng`] with **split RNG streams**: the
-/// platform capacities (and therefore the storage costs) come from
-/// `platform_rng` while the λ-dependent request distribution comes from
-/// `demand_rng`. The sweep runner keys the first stream to the tree and
-/// the second to the (tree, λ) pair, so sibling trials of one tree
-/// under different load factors share their **entire constraint
-/// matrix** — only right-hand sides and bounds differ — which is what
-/// lets the LP workspace warm-start across them.
-pub fn generate_problem_split_rng<R1: Rng, R2: Rng>(
-    tree: impl Into<Arc<TreeNetwork>>,
-    config: &WorkloadConfig,
-    platform_rng: &mut R1,
-    demand_rng: &mut R2,
-) -> ProblemInstance {
-    let tree: Arc<TreeNetwork> = tree.into();
-    let capacities = draw_capacities(&tree, config, platform_rng);
-    finish_problem(tree, config, capacities, demand_rng)
-}
-
-/// Draws the per-node capacities of the platform.
-fn draw_capacities<R: Rng>(tree: &TreeNetwork, config: &WorkloadConfig, rng: &mut R) -> Vec<u64> {
-    match config.platform {
+/// The **platform draw**, the λ-independent half of a generated
+/// instance: one capacity per node of `tree` under `platform` (which
+/// also decides the storage costs, see [`draw_demand`]). A homogeneous
+/// platform consumes nothing from `rng`.
+///
+/// The sweep runner draws it from a stream keyed to the tree alone and
+/// the demand from one keyed to the (tree, λ) pair, so sibling trials
+/// of one tree under different load factors share their platform and
+/// their **entire constraint matrix** (only right-hand sides and bounds
+/// differ). A worker therefore draws the platform once per tree and
+/// re-draws only the demand for each further λ.
+pub fn draw_capacities<R: Rng>(
+    tree: &TreeNetwork,
+    platform: PlatformKind,
+    rng: &mut R,
+) -> Vec<u64> {
+    match platform {
         PlatformKind::Homogeneous { capacity } => vec![capacity; tree.num_nodes()],
         PlatformKind::HeterogeneousUniform { min, max } => {
             assert!(min <= max, "capacity range must be ordered");
@@ -151,13 +148,20 @@ fn draw_capacities<R: Rng>(tree: &TreeNetwork, config: &WorkloadConfig, rng: &mu
     }
 }
 
-/// Draws the request distribution and assembles the instance.
-fn finish_problem<R: Rng>(
-    tree: Arc<TreeNetwork>,
+/// The **demand draw**, the λ-dependent half of a generated instance:
+/// client requests totalling `config.lambda` times the platform's
+/// capacity, drawn from `rng`, assembled with `capacities` (as drawn by
+/// [`draw_capacities`] for `config.platform`) into the instance. The
+/// storage costs follow the platform: unit costs on a homogeneous one
+/// (Replica Counting), `s_j = W_j` on a heterogeneous one (Replica
+/// Cost); `config.qos_hops` applies to every client.
+pub fn draw_demand<R: Rng>(
+    tree: impl Into<Arc<TreeNetwork>>,
     config: &WorkloadConfig,
     capacities: Vec<u64>,
     rng: &mut R,
 ) -> ProblemInstance {
+    let tree: Arc<TreeNetwork> = tree.into();
     assert!(config.lambda > 0.0, "the load factor must be positive");
     let total_capacity: u64 = capacities.iter().sum();
 
