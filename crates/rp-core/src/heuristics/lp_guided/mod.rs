@@ -71,6 +71,6 @@ pub mod multi;
 pub mod repair;
 pub mod rounding;
 
-pub use multi::{lp_guided_multi, lp_guided_multi_reusing};
+pub use multi::{lp_guided_multi, lp_guided_multi_from, lp_guided_multi_reusing};
 pub use repair::{repair_bandwidth, BandwidthRepair};
-pub use rounding::{lp_guided, lp_guided_reusing};
+pub use rounding::{lp_guided, lp_guided_from, lp_guided_reusing};

@@ -17,7 +17,7 @@ use rp_lp::LpWorkspace;
 
 use crate::heuristics::lp_guided::accounting::FeasAccounting;
 use crate::heuristics::lp_guided::rounding::round;
-use crate::ilp::{multi_lower_bound_fractional_reusing, IlpOptions};
+use crate::ilp::{multi_lower_bound_fractional_reusing, FractionalLp, IlpOptions};
 use crate::multi::{MultiObjectProblem, MultiPlacement};
 use crate::problem::ProblemInstance;
 
@@ -36,6 +36,17 @@ pub fn lp_guided_multi_reusing(
     workspace: &mut LpWorkspace,
 ) -> Option<MultiPlacement> {
     let fractional = multi_lower_bound_fractional_reusing(problem, options, workspace)?;
+    lp_guided_multi_from(problem, &fractional)
+}
+
+/// The multi-object LP-guided rounding of a fractional optimum of
+/// `problem`'s shared rational relaxation that the caller already
+/// solved ([`FractionalLp::read`]). Returns `None` when the rounding
+/// cannot serve every request of every object.
+pub fn lp_guided_multi_from(
+    problem: &MultiObjectProblem,
+    fractional: &FractionalLp,
+) -> Option<MultiPlacement> {
     // The rounding reads each object's requests and costs only; the
     // shared capacities and links live in the one accounting.
     let capacities: Vec<u64> = problem
@@ -47,7 +58,7 @@ pub fn lp_guided_multi_reusing(
         .object_ids()
         .map(|k| problem.project(k, capacities.clone()))
         .collect();
-    let per_object = round(&objects, &FeasAccounting::for_multi(problem), &fractional)?;
+    let per_object = round(&objects, &FeasAccounting::for_multi(problem), fractional)?;
     let placement = MultiPlacement { per_object };
     debug_assert!(
         placement.is_valid(problem, crate::policy::Policy::Multiple),

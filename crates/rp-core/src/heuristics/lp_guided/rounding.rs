@@ -78,8 +78,16 @@ pub fn lp_guided_reusing(
     workspace: &mut LpWorkspace,
 ) -> Option<Placement> {
     let fractional = lower_bound_fractional_reusing(problem, options, workspace)?;
+    lp_guided_from(problem, &fractional)
+}
+
+/// The LP-guided rounding of a fractional optimum of `problem`'s
+/// rational Multiple relaxation that the caller already solved
+/// ([`FractionalLp::read`]). Returns `None` when the rounding cannot
+/// serve every request.
+pub fn lp_guided_from(problem: &ProblemInstance, fractional: &FractionalLp) -> Option<Placement> {
     let accounting = FeasAccounting::for_problem(problem);
-    let placement = round(std::slice::from_ref(problem), &accounting, &fractional)?.pop()?;
+    let placement = round(std::slice::from_ref(problem), &accounting, fractional)?.pop()?;
     debug_assert!(
         placement.is_valid(problem, crate::policy::Policy::Multiple),
         "rounded placement failed validation: {:?}",

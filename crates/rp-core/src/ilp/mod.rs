@@ -9,7 +9,7 @@ mod multi_formulation;
 pub use formulation::{build_model, IlpFormulation, Integrality};
 pub use multi_formulation::{build_multi_model, MultiIlpFormulation};
 
-use rp_lp::{solve_milp, BranchBoundOptions, LpWorkspace, Model, Status, VarId};
+use rp_lp::{solve_milp, BranchBoundOptions, LpWorkspace, Model, Solution, Status, VarId};
 
 use crate::multi::MultiObjectProblem;
 use crate::policy::Policy;
@@ -150,7 +150,8 @@ pub fn lower_bound_with(
 /// The sweep runner calls it on a formulation it keeps per tree and
 /// re-targets per load factor ([`IlpFormulation::retarget_requests`]):
 /// re-solving the model the workspace solved last lets the rational
-/// bound's warm start prove the matrix unchanged in `O(1)`.
+/// bound's warm start prove the matrix unchanged in `O(1)` and patch the
+/// re-targeted right-hand sides and bounds into the workspace in place.
 pub fn relaxation_bound(
     model: &Model,
     kind: BoundKind,
@@ -257,35 +258,50 @@ fn fractional_optimum(
     let solution = workspace
         .revised
         .solve_warm(model, &options.branch_bound.simplex);
-    if solution.status != Status::Optimal {
-        return None;
+    FractionalLp::read(&solution, x, y)
+}
+
+impl FractionalLp {
+    /// The object-major fractional point of an already solved rational
+    /// relaxation, read off its `x[k][j]` and `y[k][i]` variables (the
+    /// formulation's `x` and `y`, one object for a single-object one);
+    /// `None` unless the solution is optimal. A caller that solved the
+    /// relaxation for its bound rounds this point without solving again.
+    pub fn read(
+        solution: &Solution,
+        x: &[Vec<VarId>],
+        y: &[Vec<Vec<(rp_tree::NodeId, VarId)>>],
+    ) -> Option<FractionalLp> {
+        if solution.status != Status::Optimal {
+            return None;
+        }
+        let replica_mass = x
+            .iter()
+            .map(|row| {
+                row.iter()
+                    .map(|&var| solution.value(var).clamp(0.0, 1.0))
+                    .collect()
+            })
+            .collect();
+        let assignment = y
+            .iter()
+            .map(|object_rows| {
+                object_rows
+                    .iter()
+                    .map(|row| {
+                        solution
+                            .fractional_assignment(row, FRACTIONAL_TOLERANCE)
+                            .collect()
+                    })
+                    .collect()
+            })
+            .collect();
+        Some(FractionalLp {
+            bound: solution.objective,
+            replica_mass,
+            assignment,
+        })
     }
-    let replica_mass = x
-        .iter()
-        .map(|row| {
-            row.iter()
-                .map(|&var| solution.value(var).clamp(0.0, 1.0))
-                .collect()
-        })
-        .collect();
-    let assignment = y
-        .iter()
-        .map(|object_rows| {
-            object_rows
-                .iter()
-                .map(|row| {
-                    solution
-                        .fractional_assignment(row, FRACTIONAL_TOLERANCE)
-                        .collect()
-                })
-                .collect()
-        })
-        .collect();
-    Some(FractionalLp {
-        bound: solution.objective,
-        replica_mass,
-        assignment,
-    })
 }
 
 /// An LP-based lower bound on the optimal **multi-object** replica cost

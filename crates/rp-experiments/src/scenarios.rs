@@ -30,8 +30,8 @@
 //! markdown tables; the baseline binary records the same numbers in
 //! `BENCH_scenarios.json` / `BENCH_heuristics.json`.
 
-use rp_core::heuristics::lp_guided::{lp_guided_multi_reusing, lp_guided_reusing, BandwidthRepair};
-use rp_core::ilp::{build_model, build_multi_model, IlpOptions, Integrality};
+use rp_core::heuristics::lp_guided::{lp_guided_from, lp_guided_multi_from, BandwidthRepair};
+use rp_core::ilp::{build_model, build_multi_model, FractionalLp, Integrality};
 use rp_core::multi::{solve_multi_greedy, MultiGreedyOptions, MultiObjectProblem};
 use rp_core::{Heuristic, Policy, ProblemInstance};
 use rp_lp::{LpWorkspace, SimplexOptions, Status};
@@ -398,22 +398,28 @@ pub fn run_scenario_trial(
     }
 }
 
-/// The bound solve shared by both trial shapes.
+/// The bound solve shared by both trial shapes: one solve of the
+/// rational relaxation `model`, whose fractional optimum (read off the
+/// formulation's `x` and `y`) gives both the trial's bound and the
+/// point the LP-guided rounding starts from.
 fn solve_bound(
     model: &rp_lp::Model,
+    x: &[Vec<rp_lp::VarId>],
+    y: &[Vec<Vec<(rp_tree::NodeId, rp_lp::VarId)>>],
     tree_index: usize,
     workspace: &mut LpWorkspace,
-) -> ScenarioTrial {
+) -> (ScenarioTrial, Option<FractionalLp>) {
     let span = rp_obs::timed_span(rp_obs::SpanKind::LpBound);
     let solution = workspace
         .revised
         .solve_warm(model, &SimplexOptions::default());
     let solve_seconds = span.finish_seconds();
     let iterations = workspace.revised.last_stats().iterations();
-    ScenarioTrial {
+    let fractional = FractionalLp::read(&solution, x, y);
+    let trial = ScenarioTrial {
         tree_index,
         status: solution.status,
-        bound: (solution.status == Status::Optimal).then_some(solution.objective),
+        bound: fractional.as_ref().map(|fractional| fractional.bound),
         solve_seconds,
         iterations,
         rows: model.num_constraints(),
@@ -421,7 +427,8 @@ fn solve_bound(
         lp_guided_cost: None,
         classic_cost: None,
         heuristics_seconds: 0.0,
-    }
+    };
+    (trial, fractional)
 }
 
 fn single_object_trial(
@@ -429,19 +436,25 @@ fn single_object_trial(
     tree_index: usize,
     workspace: &mut LpWorkspace,
 ) -> ScenarioTrial {
-    let model = build_model(problem, Policy::Multiple, Integrality::RationalBound).model;
-    let mut trial = solve_bound(&model, tree_index, workspace);
+    let formulation = build_model(problem, Policy::Multiple, Integrality::RationalBound);
+    let (mut trial, fractional) = solve_bound(
+        &formulation.model,
+        std::slice::from_ref(&formulation.x),
+        std::slice::from_ref(&formulation.y),
+        tree_index,
+        workspace,
+    );
 
-    let ilp_options = IlpOptions::default();
     let span = rp_obs::timed_span(rp_obs::SpanKind::HeuristicsPhase);
     // Classic ensemble: best of the eight, bandwidth-repaired.
     trial.classic_cost = Heuristic::BASE
         .iter()
         .filter_map(|&h| BandwidthRepair(h).run(problem).map(|p| p.cost(problem)))
         .min();
-    // LP-guided rounding (re-solves the same matrix on the warm path).
-    trial.lp_guided_cost =
-        lp_guided_reusing(problem, &ilp_options, workspace).map(|p| p.cost(problem));
+    // LP-guided rounding of the optimum the bound solve found.
+    trial.lp_guided_cost = fractional
+        .and_then(|fractional| lp_guided_from(problem, &fractional))
+        .map(|p| p.cost(problem));
     trial.heuristics_seconds = span.finish_seconds();
     trial
 }
@@ -451,10 +464,15 @@ fn multi_object_trial(
     tree_index: usize,
     workspace: &mut LpWorkspace,
 ) -> ScenarioTrial {
-    let model = build_multi_model(problem, Integrality::RationalBound).model;
-    let mut trial = solve_bound(&model, tree_index, workspace);
+    let formulation = build_multi_model(problem, Integrality::RationalBound);
+    let (mut trial, fractional) = solve_bound(
+        &formulation.model,
+        &formulation.x,
+        &formulation.y,
+        tree_index,
+        workspace,
+    );
 
-    let ilp_options = IlpOptions::default();
     let span = rp_obs::timed_span(rp_obs::SpanKind::HeuristicsPhase);
     // Classic ensemble: the sequential greedy, kept only when its
     // placement also fits the shared links (the greedy itself is
@@ -462,8 +480,9 @@ fn multi_object_trial(
     trial.classic_cost = solve_multi_greedy(problem, &MultiGreedyOptions::default())
         .filter(|p| p.is_valid(problem, Policy::Multiple))
         .map(|p| p.cost(problem));
-    trial.lp_guided_cost =
-        lp_guided_multi_reusing(problem, &ilp_options, workspace).map(|p| p.cost(problem));
+    trial.lp_guided_cost = fractional
+        .and_then(|fractional| lp_guided_multi_from(problem, &fractional))
+        .map(|p| p.cost(problem));
     trial.heuristics_seconds = span.finish_seconds();
     trial
 }

@@ -10,7 +10,10 @@
 //! Every node after the root **warm-starts from the previously solved
 //! node's basis**: a bound change keeps the basis dual feasible, so a
 //! short dual-simplex cleanup replaces the full two-phase solve,
-//! usually a handful of pivots per node. The basis also survives from
+//! usually a handful of pivots per node. The nodes edit the bounds of
+//! one scratch model in place, so a node after an optimal or a
+//! dual-infeasible one patches the workspace instead of refreshing and
+//! refactorising it. The basis also survives from
 //! one search to the next on the same workspace, so the root of a
 //! **sibling search** (same constraint matrix; only the objective,
 //! right-hand sides or bounds changed, as when the tree-sharded sweep

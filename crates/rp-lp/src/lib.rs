@@ -118,10 +118,17 @@
 //!   back to a cold solve on any structural change (verified
 //!   entry-for-entry in `O(nnz)`, or in `O(1)` for the model the
 //!   workspace last solved, which is how the sweep's λ-siblings arrive).
-//!   A re-solve of that same model after right-hand-side edits only
-//!   patches the workspace in place and keeps its factorisation: a
-//!   sibling whose basis stays optimal costs no refactorisation and no
-//!   pivot.
+//!   A re-solve of that same model after right-hand-side and bound
+//!   edits — the sweep's λ-siblings, branch-and-bound's nodes — patches
+//!   the workspace in place: the presolve reductions carry over (a
+//!   removed singleton equality re-derives its column's fixed value),
+//!   the reduced costs of an optimal last solve and, unless its eta file
+//!   has grown long, the factorisation too, so a sibling whose basis
+//!   stays optimal costs no pivot and usually no refactorisation. A
+//!   dual simplex proof of infeasibility leaves the workspace patchable,
+//!   and the next re-solve first tries the row that proved it. Objective
+//!   edits, inverted bounds and edits that undo a reduction (a forcing
+//!   row, a tightened bound) take the full entry.
 //!
 //! The property tests in `tests/proptest_revised_equivalence.rs` pin
 //! the engine (Dantzig vs Bland pricing, presolve on/off, warm vs cold

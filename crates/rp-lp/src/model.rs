@@ -341,6 +341,9 @@ impl Model {
     }
 
     /// Overrides the bounds of a variable (used by branch-and-bound).
+    /// Like right-hand-side edits, bound edits keep the constraint matrix
+    /// and can be patched into a workspace in place (see
+    /// [`Model::set_rhs`]).
     pub fn set_bounds(&mut self, var: VarId, lower: f64, upper: Option<f64>) {
         assert!(lower.is_finite() && lower >= 0.0);
         self.variables[var.index()].lower = lower;
@@ -356,10 +359,12 @@ impl Model {
 
     /// Overrides the right-hand side of a constraint. Like objective
     /// edits, right-hand-side edits preserve the constraint matrix and
-    /// therefore warm-startability. When only right-hand sides changed
-    /// since this model's last optimal solve on a workspace, the
-    /// re-solve patches that workspace in place: no presolve
-    /// re-analysis and no refactorisation at entry.
+    /// therefore warm-startability. When only right-hand sides and
+    /// bounds changed since this model's last optimal solve on a
+    /// workspace (or a dual simplex proof of its infeasibility), and the
+    /// presolve reductions carry over, the re-solve patches that
+    /// workspace in place: no presolve re-analysis, and no
+    /// refactorisation at entry unless the eta file has grown long.
     pub fn set_rhs(&mut self, c: ConstraintId, rhs: f64) {
         self.constraints[c.index()].rhs = rhs;
     }

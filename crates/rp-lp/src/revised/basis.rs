@@ -29,11 +29,14 @@
 //!
 //! Every build or refresh of a form also records the model data it
 //! read ([`Synced`]), so a re-solve of the same model can find its
-//! right-hand-side edits by diff and patch the form in place: an edited
-//! kept row gets its reduced right-hand side recomputed
-//! ([`Presolve::reduced_rhs`]), and an edited removed row that derived
-//! no reduction needs nothing while the final bounds still imply it
-//! ([`Presolve::still_implied`]).
+//! right-hand-side and bound edits by diff and patch the form in place.
+//! On a presolved form [`Presolve::absorb`] decides whether the
+//! reductions survive the edits: an edited kept column takes its new
+//! bound unless presolve tightened that side, a removed row an edit
+//! touches must still be implied ([`Presolve::still_implied`]), and a
+//! singleton equality that fixed its column re-derives the fixed value.
+//! Edited kept rows then get their reduced right-hand sides recomputed
+//! ([`Presolve::reduced_rhs`]).
 
 use crate::model::{Cmp, Constraint, Model, Sense};
 
@@ -406,7 +409,7 @@ pub(crate) struct Synced {
     /// [`Model::identity`] of the model (0 before the first sync).
     id: u64,
     /// Right-hand side per model row.
-    pub(crate) rhs: Vec<f64>,
+    rhs: Vec<f64>,
     /// Bounds per model variable, `+∞` where it has no upper bound.
     lower: Vec<f64>,
     upper: Vec<f64>,
@@ -424,7 +427,7 @@ impl Synced {
         self.objective.clear();
         for v in &model.variables {
             self.lower.push(v.lower);
-            self.upper.push(v.upper.unwrap_or(f64::INFINITY));
+            self.upper.push(upper_bound(v.upper));
             self.objective.push(v.objective);
         }
     }
@@ -437,25 +440,45 @@ impl Synced {
             && self.lower.len() == model.num_vars()
     }
 
-    /// `true` when every bound and objective coefficient of `model`
-    /// equals the synced one.
-    pub(crate) fn columns_match(&self, model: &Model) -> bool {
-        model.variables.iter().enumerate().all(|(j, v)| {
-            v.lower == self.lower[j]
-                && v.upper.unwrap_or(f64::INFINITY) == self.upper[j]
-                && v.objective == self.objective[j]
-        })
-    }
-
-    /// Appends the rows whose right-hand side differs from the synced
-    /// one to `out`.
-    pub(crate) fn edited_rows(&self, model: &Model, out: &mut Vec<u32>) {
-        for (i, (c, &rhs)) in model.constraints.iter().zip(&self.rhs).enumerate() {
-            if c.rhs != rhs {
-                out.push(i as u32);
+    /// Fills `rows` with the rows whose right-hand side, and `cols` with
+    /// the columns whose bounds, differ from the synced ones. Returns
+    /// `false` when an objective coefficient differs: objective edits
+    /// take the full warm entry.
+    pub(crate) fn edits(&self, model: &Model, rows: &mut Vec<u32>, cols: &mut Vec<u32>) -> bool {
+        rows.clear();
+        cols.clear();
+        for (j, v) in model.variables.iter().enumerate() {
+            if v.objective != self.objective[j] {
+                return false;
+            }
+            if (v.lower, upper_bound(v.upper)) != (self.lower[j], self.upper[j]) {
+                cols.push(j as u32);
             }
         }
+        for (i, (c, &rhs)) in model.constraints.iter().zip(&self.rhs).enumerate() {
+            if c.rhs != rhs {
+                rows.push(i as u32);
+            }
+        }
+        true
     }
+
+    /// Records the edits [`Synced::edits`] found as synced.
+    pub(crate) fn record(&mut self, model: &Model, rows: &[u32], cols: &[u32]) {
+        for &i in rows {
+            self.rhs[i as usize] = model.constraints[i as usize].rhs;
+        }
+        for &j in cols {
+            let v = &model.variables[j as usize];
+            self.lower[j as usize] = v.lower;
+            self.upper[j as usize] = upper_bound(v.upper);
+        }
+    }
+}
+
+/// A model upper bound as a number: `+∞` when there is none.
+pub(crate) fn upper_bound(upper: Option<f64>) -> f64 {
+    upper.unwrap_or(f64::INFINITY)
 }
 
 /// Coefficient magnitude below which a term is treated as absent.
@@ -491,6 +514,17 @@ fn implied(cmp: Cmp, act: &RowActivity) -> bool {
     }
 }
 
+/// What an in-place patch changed about a column.
+#[derive(Clone, Copy, Default, PartialEq)]
+enum Moved {
+    #[default]
+    No,
+    /// A kept column's bounds.
+    Bounds,
+    /// A removed column's fixed value.
+    Fixed,
+}
+
 /// The presolve pass: bound tightenings, eliminated rows and fixed
 /// columns, plus the original↔reduced index maps. See the module docs.
 #[derive(Default)]
@@ -505,7 +539,7 @@ pub(crate) struct Presolve {
     pub(crate) col_kept: Vec<bool>,
     /// Removed rows a reduction was derived from: a singleton row that
     /// tightened a bound, or a forcing row.
-    row_derived: Vec<bool>,
+    pub(crate) row_derived: Vec<bool>,
     /// The masks the current reduced form was built from (the warm
     /// path re-analyses and only reuses the basis when they match).
     built_row_kept: Vec<bool>,
@@ -516,6 +550,19 @@ pub(crate) struct Presolve {
     pub(crate) cols: Vec<u32>,
     pub(crate) row_map: Vec<u32>,
     pub(crate) col_map: Vec<u32>,
+    /// The removed rows, frozen at build time, and `(column, row)` for
+    /// every term of a kept row on a removed column, sorted, built by the
+    /// first re-derivation after a build (`folds_built`): the rows an
+    /// in-place patch may have to re-check or re-fold.
+    removed_rows: Vec<u32>,
+    folds: Vec<(u32, u32)>,
+    folds_built: bool,
+    // ---- patch scratch ----
+    /// What an in-place patch moved, per column (all `Moved::No`
+    /// between patches).
+    moved: Vec<Moved>,
+    /// `(column, row)` per fixed value a singleton equality re-derived.
+    rederived: Vec<(u32, u32)>,
     // ---- analysis scratch ----
     occ: Vec<u32>,
     occ_row: Vec<u32>,
@@ -809,6 +856,148 @@ impl Presolve {
         !self.row_derived[i] && implied(c.cmp, &self.activity(c))
     }
 
+    /// Carries the reductions across in-place edits of the synced model:
+    /// `rows` are the model rows whose right-hand side and `cols` the
+    /// model columns whose bounds differ from `synced`. Updates the
+    /// tightened bounds and fixed values to the edited model and fills
+    /// `refold` with the kept rows whose reduced right-hand side must be
+    /// recomputed. Returns `false` when some reduction may no longer
+    /// hold; the caller then re-runs the analysis, which rebuilds every
+    /// array this touched.
+    ///
+    /// * A kept column takes its new model bound on each edited side,
+    ///   unless presolve had tightened that side.
+    /// * An edited removed row that is a singleton equality, and fixed
+    ///   its column, re-derives the fixed value (`rhs / a`) when it lies
+    ///   within the column's new bounds; any other removed column with
+    ///   edited bounds fails.
+    /// * A removed row whose right-hand side was edited, or that has a
+    ///   term on a re-derived column, must pass
+    ///   [`Presolve::still_implied`]; one with a term on a kept column
+    ///   whose bounds moved must still be implied unless it derived a
+    ///   reduction (then a singleton that tightened a side the edit left
+    ///   alone: forcing rows keep no live column).
+    pub(crate) fn absorb(
+        &mut self,
+        model: &Model,
+        synced: &Synced,
+        rows: &[u32],
+        cols: &[u32],
+        refold: &mut Vec<u32>,
+    ) -> bool {
+        self.moved.resize(model.num_vars(), Moved::No);
+        self.rederived.clear();
+        refold.clear();
+        let absorbed = self.absorb_edits(model, synced, rows, cols, refold);
+        for &j in cols {
+            self.moved[j as usize] = Moved::No;
+        }
+        for &(j, _) in &self.rederived {
+            self.moved[j as usize] = Moved::No;
+        }
+        absorbed
+    }
+
+    /// The body of [`Presolve::absorb`], leaving `moved` marked.
+    fn absorb_edits(
+        &mut self,
+        model: &Model,
+        synced: &Synced,
+        rows: &[u32],
+        cols: &[u32],
+        refold: &mut Vec<u32>,
+    ) -> bool {
+        for &j in cols {
+            let j = j as usize;
+            if !self.col_kept[j] {
+                continue; // must be re-derived below
+            }
+            let v = &model.variables[j];
+            let (lower, upper) = (v.lower, upper_bound(v.upper));
+            if lower != synced.lower[j] {
+                if self.lower[j] != synced.lower[j] {
+                    return false;
+                }
+                self.lower[j] = lower;
+            }
+            if upper != synced.upper[j] {
+                if self.upper[j] != synced.upper[j] {
+                    return false;
+                }
+                self.upper[j] = upper;
+            }
+            if self.lower[j] > self.upper[j] {
+                return false;
+            }
+            self.moved[j] = Moved::Bounds;
+        }
+        for &i in rows {
+            let i = i as usize;
+            if self.row_kept[i] {
+                refold.push(i as u32);
+                continue;
+            }
+            let c = &model.constraints[i];
+            let [(var, a)] = c.terms[..] else { continue };
+            let j = var.index();
+            if c.cmp != Cmp::Eq || !self.row_derived[i] || self.col_kept[j] || a.abs() <= LIVE_TOL {
+                continue;
+            }
+            let v = &model.variables[j];
+            let value = c.rhs / a;
+            // A second equality re-deriving the same column fails.
+            if self.moved[j] == Moved::Fixed || value < v.lower || value > upper_bound(v.upper) {
+                return false;
+            }
+            self.fixed[j] = value;
+            self.moved[j] = Moved::Fixed;
+            self.rederived.push((j as u32, i as u32));
+        }
+        if cols
+            .iter()
+            .any(|&j| !self.col_kept[j as usize] && self.moved[j as usize] != Moved::Fixed)
+        {
+            return false;
+        }
+        // Only edited removed rows can be touched while no column moved.
+        let candidates = if cols.is_empty() && self.rederived.is_empty() {
+            rows
+        } else {
+            &self.removed_rows
+        };
+        for &i in candidates {
+            let i = i as usize;
+            if self.row_kept[i] || self.rederived.iter().any(|&(_, row)| row as usize == i) {
+                continue;
+            }
+            let c = &model.constraints[i];
+            let moved = |kind| {
+                c.terms
+                    .iter()
+                    .any(|&(var, _)| self.moved[var.index()] == kind)
+            };
+            let holds = if c.rhs != synced.rhs[i] || moved(Moved::Fixed) {
+                self.still_implied(i, c)
+            } else if moved(Moved::Bounds) {
+                self.row_derived[i] || implied(c.cmp, &self.activity(c))
+            } else {
+                true
+            };
+            if !holds {
+                return false;
+            }
+        }
+        if !self.rederived.is_empty() && !self.folds_built {
+            self.build_folds(model);
+        }
+        for &(j, _) in &self.rederived {
+            let start = self.folds.partition_point(|&(col, _)| col < j);
+            let on_j = self.folds[start..].iter().take_while(|&&(col, _)| col == j);
+            refold.extend(on_j.map(|&(_, row)| row));
+        }
+        true
+    }
+
     /// `true` when no surviving variable appears twice in `c` — the
     /// precondition for the forcing-row fix (duplicated terms make the
     /// per-term activity bounds unattainable).
@@ -827,18 +1016,37 @@ impl Presolve {
         true
     }
 
-    /// Freezes the reduced index maps and remembers the masks the form
-    /// is about to be built from.
+    /// Sorts `(column, row)` for every term of a kept row of `model` on
+    /// a removed column into `folds`.
+    fn build_folds(&mut self, model: &Model) {
+        self.folds.clear();
+        for &i in &self.rows {
+            for &(var, _) in &model.constraints[i as usize].terms {
+                if !self.col_kept[var.index()] {
+                    self.folds.push((var.index() as u32, i));
+                }
+            }
+        }
+        self.folds.sort_unstable();
+        self.folds_built = true;
+    }
+
+    /// Freezes the reduced index maps and the removed rows, and remembers
+    /// the masks the form is about to be built from.
     pub(crate) fn finalize_for_build(&mut self) {
         self.rows.clear();
+        self.removed_rows.clear();
         self.row_map.clear();
         self.row_map.resize(self.row_kept.len(), u32::MAX);
         for (i, &keep) in self.row_kept.iter().enumerate() {
             if keep {
                 self.row_map[i] = self.rows.len() as u32;
                 self.rows.push(i as u32);
+            } else {
+                self.removed_rows.push(i as u32);
             }
         }
+        self.folds_built = false;
         self.cols.clear();
         self.col_map.clear();
         self.col_map.resize(self.col_kept.len(), u32::MAX);

@@ -36,14 +36,22 @@
 //!
 //! A warm start enters one of two ways. The full entry re-runs the
 //! presolve analysis, refreshes the working form from the model and
-//! refactorises the stored basis. A re-solve of the *same* model whose
-//! only edits since its last optimal solve are right-hand sides instead
-//! patches the form in place: the edits are found by diffing against
-//! the data the form was synced from, the edited rows' reduced
-//! right-hand sides are recomputed, and the basic values move by one
-//! FTRAN of the change. The factorisation and the reduced costs of the
-//! last solve carry over, so a sibling whose basis stays optimal costs
-//! no refactorisation and no pivot.
+//! refactorises the stored basis. A re-solve of the *same* model after
+//! right-hand-side and bound edits instead patches the form in place
+//! (`patch`), when its last solve ended optimal or the dual simplex
+//! proved it infeasible: the edits are found by diffing against the
+//! data the form was synced from, the presolve reductions must carry
+//! over ([`basis::Presolve::absorb`]), edited rows get their reduced
+//! right-hand sides and edited columns their bounds, and the basic
+//! values move by one FTRAN of the change. The reduced costs of an
+//! optimal last solve carry over, and so does the factorisation unless
+//! its eta file is long ([`PATCH_ETA_DIV`]), so a sibling whose basis
+//! stays optimal costs no pivot and usually no refactorisation. After
+//! an infeasibility proof the dual simplex first tries the row that
+//! proved it, which settles an infeasible sibling with no pivot when
+//! the same rows still overload. Objective edits, another model value,
+//! a reduction that does not carry over, inverted bounds and a last
+//! solve that stopped otherwise take the full entry.
 
 mod basis;
 mod factor;
@@ -57,14 +65,22 @@ use crate::error::LpError;
 use crate::model::Model;
 use crate::solution::{Solution, Status};
 
-use basis::{BasisState, ColStatus, Presolve, StandardForm};
+use basis::{upper_bound, BasisState, ColStatus, Presolve, StandardForm};
 use factor::Factorization;
-use pricing::{choose_entering, pivot_row_alphas, DualCandidates, Entering};
+use pricing::{choose_entering, pivot_row_alphas, DualCandidates, Entering, Leaving};
 use ratio::{dual_ratio_test, primal_ratio_test, DualRatio, Ratio};
 
 /// Forrest–Tomlin updates tolerated before the basis is refactorised
 /// and the basic values recomputed from scratch.
 const REFACTOR_EVERY: usize = 256;
+
+/// A patched warm entry refactorises when the eta file it inherits
+/// holds more than `rows / PATCH_ETA_DIV` Forrest–Tomlin updates: every
+/// FTRAN and BTRAN of the cleanup pays for each update, which on the
+/// sweep's ~200-row trees (whose cold solves leave ~220 updates) costs
+/// more than a fresh LU, while the s = 2000 bound's 11,519-row basis
+/// keeps its factorisation.
+const PATCH_ETA_DIV: usize = 8;
 
 /// Pivot-magnitude tolerance of the ratio tests.
 const PIVOT_TOL: f64 = 1e-9;
@@ -94,13 +110,18 @@ pub struct RevisedWorkspace {
     /// changed presolve decision forces a cold rebuild on the next
     /// solve).
     presolved: bool,
-    /// Set when the last solve ended optimal: the basis, its
-    /// factorisation and the reduced costs `d` then describe the optimum
-    /// of the model `form` was synced from, which is what lets a
-    /// right-hand-side re-solve patch them in place.
-    optimal_basis: bool,
-    /// Model rows whose right-hand side the current re-solve edited.
+    /// How the last solve left the basis for an in-place patch: the
+    /// basis, its factorisation and the presolve arrays describe the
+    /// model `form` was synced from after an optimal solve or a dual
+    /// simplex proof of infeasibility, and the reduced costs `d` are
+    /// exact after an optimal one.
+    resumable: Resumable,
+    /// Model rows whose right-hand side, and model columns whose bounds,
+    /// the current re-solve edited, and the kept rows whose reduced
+    /// right-hand side the patch recomputes.
     edited: Vec<u32>,
+    edited_cols: Vec<u32>,
+    refold: Vec<u32>,
     /// Lazy heap of primal-infeasible rows (dual pricing).
     dual_cands: DualCandidates,
     /// Bound-flipping dual ratio test scratch: `(ratio, |alpha|, col)`
@@ -199,8 +220,8 @@ pub enum WarmStart {
     #[default]
     Cold,
     /// The warm path answered with no refactorisation past its entry:
-    /// one at the full entry, none when a right-hand-side re-solve
-    /// patched the workspace in place.
+    /// one at the full entry, none when the entry patched the workspace
+    /// in place ([`SolveStats::patched`]).
     WarmHit,
     /// The warm path answered but needed further refactorisations along
     /// the way.
@@ -263,6 +284,11 @@ pub struct SolveStats {
     pub btran: TranCounters,
     /// Which warm-start outcome this solve took.
     pub warm: WarmStart,
+    /// Whether the warm entry patched the workspace in place: no
+    /// presolve re-analysis and no refactorisation at entry (unless the
+    /// inherited eta file was long), with the reduced costs of an optimal
+    /// last solve kept (see [`RevisedWorkspace::solve_warm`]).
+    pub patched: bool,
     /// Per-phase wall-time breakdown of this solve (all-zero under
     /// `ObsMode::Off`, where no clock is read).
     pub phases: rp_obs::PhaseTimes,
@@ -303,11 +329,16 @@ impl RevisedWorkspace {
     /// a fresh workspace (or one after [`RevisedWorkspace::invalidate`])
     /// always solves cold.
     ///
-    /// When only right-hand sides changed since the same model's last
-    /// optimal solve, and presolve can absorb each edited row, the
-    /// workspace is patched in place instead: no presolve re-analysis,
-    /// no refactorisation at entry, and the last solve's reduced costs
-    /// reused. Bound and objective edits take the full warm entry.
+    /// When only right-hand sides and variable bounds changed since the
+    /// same model's last solve, that solve ended optimal or the dual
+    /// simplex proved it infeasible, and the presolve reductions carry
+    /// over the edits, the workspace is patched in place instead: no
+    /// presolve re-analysis, no refactorisation at entry unless the eta
+    /// file has grown long, and the reduced costs of an optimal last
+    /// solve reused ([`SolveStats::patched`]). Objective edits take the
+    /// full warm entry, and so do inverted bounds and edits that undo a
+    /// presolve reduction (a forcing row, a tightened bound, a fixed
+    /// column no singleton equality re-derives).
     ///
     /// Abnormal stops are typed: [`RevisedWorkspace::last_error`] names
     /// the reason. A budget stop after reaching primal feasibility still
@@ -325,7 +356,7 @@ impl RevisedWorkspace {
     /// budget reset or telemetry bookkeeping.
     fn solve_warm_inner(&mut self, model: &Model, options: &SimplexOptions) -> Solution {
         self.stats = SolveStats::default();
-        let was_optimal = std::mem::take(&mut self.optimal_basis);
+        let resumable = std::mem::take(&mut self.resumable);
         if !self.warm_ready || self.presolved != effective_presolve(model, options) {
             let was_warm = self.warm_ready;
             let solution = self.solve_cold_inner(model, options);
@@ -336,7 +367,7 @@ impl RevisedWorkspace {
             }
             return solution;
         }
-        let patched = was_optimal && self.patch_rhs(model);
+        let patched = resumable != Resumable::No && self.patch(model);
         if !patched {
             match self.refresh_warm_form(model) {
                 WarmEntry::Refreshed => {}
@@ -352,7 +383,13 @@ impl RevisedWorkspace {
         // the stats, reverting the classification to cold.
         let entry_refactorisations = self.stats.refactorisations;
         self.stats.warm = WarmStart::WarmHit;
-        let solution = self.warm_cleanup(model, options, patched);
+        self.stats.patched = patched;
+        let (d_exact, first_row) = match resumable {
+            Resumable::Optimal => (patched, None),
+            Resumable::Infeasible { row } => (false, patched.then_some(row)),
+            Resumable::No => (false, None),
+        };
+        let solution = self.warm_cleanup(model, options, d_exact, first_row);
         if self.stats.warm == WarmStart::WarmHit
             && self.stats.refactorisations > entry_refactorisations
         {
@@ -361,62 +398,107 @@ impl RevisedWorkspace {
         solution
     }
 
-    /// The in-place entry of a same-model re-solve whose only edits
-    /// since its last optimal solve are right-hand sides. Each edited
-    /// row is absorbed: a kept row gets its reduced right-hand side
-    /// recomputed, and a removed row must still be implied by the final
-    /// bounds ([`Presolve::still_implied`]). The basic values then move
-    /// by one hyper-sparse FTRAN of the reduced right-hand-side change,
-    /// `x_B += B⁻¹Δb`; the basis, its factorisation and the reduced
-    /// costs stay as the last solve left them. Returns `false`, having
-    /// changed nothing, when the model, its bounds or its objective
-    /// differ from the synced ones or some edit cannot be absorbed.
-    fn patch_rhs(&mut self, model: &Model) -> bool {
+    /// The in-place entry of a same-model re-solve after an optimal
+    /// solve or a dual simplex proof of infeasibility: the
+    /// right-hand-side and bound edits since that solve are found by
+    /// diffing against the synced data. On a presolved form the
+    /// reductions must survive them ([`Presolve::absorb`]); an unreduced
+    /// form absorbs any edit that leaves every column's bounds in order.
+    /// Edited kept rows get their reduced right-hand sides recomputed,
+    /// edited kept columns their bounds, and a nonbasic column whose
+    /// bound vanished is re-anchored at the other one. The basic values
+    /// then move by one hyper-sparse FTRAN of the change,
+    /// `x_B += B⁻¹(Δb − N·Δx_N)`; the basis and the reduced costs stay as
+    /// the last solve left them (bounds do not enter `d`), and so does
+    /// the factorisation unless its eta file is long ([`PATCH_ETA_DIV`]),
+    /// when a fresh LU recomputes the basic values instead. Returns
+    /// `false`, with the form, the basis and the synced data unchanged,
+    /// when the model, an objective coefficient or some reduction does
+    /// not carry over, or some bounds are inverted — and also when that
+    /// LU fails, after which the full entry starts over.
+    fn patch(&mut self, model: &Model) -> bool {
         {
             let _t = rp_obs::phase_timer(rp_obs::Phase::Presolve);
             let synced = &self.form.synced;
-            if !synced.same_matrix(model) || !synced.columns_match(model) {
+            if !synced.same_matrix(model)
+                || !synced.edits(model, &mut self.edited, &mut self.edited_cols)
+            {
                 return false;
             }
-            self.edited.clear();
-            synced.edited_rows(model, &mut self.edited);
-            let (presolved, presolve) = (self.presolved, &self.presolve);
-            // The working-form row of model row `i`, unless presolve
-            // removed it.
-            let form_row = |i: usize| {
-                if !presolved {
-                    return Some(i);
-                }
-                let row = presolve.row_map[i];
-                (row != u32::MAX).then_some(row as usize)
+            let absorbed = if self.presolved {
+                let (rows, cols) = (&self.edited, &self.edited_cols);
+                self.presolve
+                    .absorb(model, synced, rows, cols, &mut self.refold)
+            } else {
+                self.refold.clone_from(&self.edited);
+                self.edited_cols.iter().all(|&j| {
+                    let v = &model.variables[j as usize];
+                    v.lower <= upper_bound(v.upper)
+                })
             };
-            let absorbed = self.edited.iter().all(|&i| {
-                let i = i as usize;
-                form_row(i).is_some() || presolve.still_implied(i, &model.constraints[i])
-            });
             if !absorbed {
                 return false;
             }
             self.residual.clear();
             self.residual.resize(self.form.m, 0.0);
             self.residual_nz.clear();
-            for &i in &self.edited {
-                let i = i as usize;
-                let c = &model.constraints[i];
-                self.form.synced.rhs[i] = c.rhs;
-                let Some(row) = form_row(i) else { continue };
-                let rhs = if presolved {
-                    presolve.reduced_rhs(c)
+            let (presolved, presolve) = (self.presolved, &self.presolve);
+            let (form, basis) = (&mut self.form, &mut self.basis);
+            let (residual, residual_nz) = (&mut self.residual, &mut self.residual_nz);
+            let mut shift = |row: usize, delta: f64| {
+                if residual[row] == 0.0 {
+                    residual_nz.push(row as u32);
+                }
+                residual[row] += delta;
+            };
+            for &i in &self.refold {
+                let c = &model.constraints[i as usize];
+                let (row, rhs) = if presolved {
+                    let row = presolve.row_map[i as usize] as usize;
+                    (row, presolve.reduced_rhs(c))
                 } else {
-                    c.rhs
+                    (i as usize, c.rhs)
                 };
-                let delta = rhs - self.form.rhs[row];
-                self.form.rhs[row] = rhs;
+                let delta = rhs - form.rhs[row];
+                form.rhs[row] = rhs;
                 if delta != 0.0 {
-                    self.residual[row] = delta;
-                    self.residual_nz.push(row as u32);
+                    shift(row, delta);
                 }
             }
+            for &j in &self.edited_cols {
+                let j = j as usize;
+                let (col, lower, upper) = if presolved {
+                    match presolve.col_map[j] {
+                        u32::MAX => continue,
+                        col => (col as usize, presolve.lower[j], presolve.upper[j]),
+                    }
+                } else {
+                    let v = &model.variables[j];
+                    (j, v.lower, upper_bound(v.upper))
+                };
+                let before = basis.nonbasic_value(form, col);
+                form.lower[col] = lower;
+                form.upper[col] = upper;
+                let status = &mut basis.status[col];
+                match *status {
+                    ColStatus::Basic(_) => continue,
+                    ColStatus::Upper if upper == f64::INFINITY => *status = ColStatus::Lower,
+                    ColStatus::Lower if lower == f64::NEG_INFINITY => *status = ColStatus::Upper,
+                    _ => {}
+                }
+                let dx = basis.nonbasic_value(form, col) - before;
+                if dx != 0.0 {
+                    form.for_each_entry(col, |row, a| shift(row, -a * dx));
+                }
+            }
+            self.form
+                .synced
+                .record(model, &self.edited, &self.edited_cols);
+        }
+        // A long inherited eta file costs every FTRAN and BTRAN of the
+        // cleanup more than a fresh LU does.
+        if self.factor.updates() > self.form.m / PATCH_ETA_DIV {
+            return self.refactor_and_recompute();
         }
         if !self.residual_nz.is_empty() {
             let _t = rp_obs::phase_timer(rp_obs::Phase::Ftran);
@@ -476,14 +558,23 @@ impl RevisedWorkspace {
     }
 
     /// The dual cleanup and primal polish of a warm start from the
-    /// stored basis. `patched` says the entry kept the last solve's
-    /// reduced costs, which are then exact.
-    fn warm_cleanup(&mut self, model: &Model, options: &SimplexOptions, patched: bool) -> Solution {
-        match self.dual_loop(options, patched) {
+    /// stored basis. `d_exact` says the entry kept the reduced costs of
+    /// an optimal last solve, which are then exact; `first_row` is the
+    /// row the dual simplex tries first when it violates a bound.
+    fn warm_cleanup(
+        &mut self,
+        model: &Model,
+        options: &SimplexOptions,
+        d_exact: bool,
+        first_row: Option<usize>,
+    ) -> Solution {
+        match self.dual_loop(options, d_exact, first_row) {
             DualOutcome::PrimalFeasible => {}
-            DualOutcome::Infeasible => {
+            DualOutcome::Infeasible { row } => {
                 // Dual unbounded ⇒ primal infeasible. The basis stays
-                // warm for the next sibling node.
+                // warm, and patchable, for the next sibling, which tries
+                // the row that proved it first.
+                self.resumable = Resumable::Infeasible { row };
                 return Solution::status_only(Status::Infeasible);
             }
             // A deadline stop must not restart from scratch — that
@@ -567,13 +658,13 @@ impl RevisedWorkspace {
             if !self.refactor_and_recompute() {
                 return self.fail(LpError::SingularBasis);
             }
-            match self.dual_loop(options, false) {
+            match self.dual_loop(options, false, None) {
                 DualOutcome::PrimalFeasible => {
                     return self.polish_and_extract(model, options);
                 }
                 // The start was dual feasible, so an unbounded dual
                 // step proves primal infeasibility.
-                DualOutcome::Infeasible => {
+                DualOutcome::Infeasible { .. } => {
                     return Solution::status_only(Status::Infeasible);
                 }
                 // Same weak-duality argument as the warm cleanup: the
@@ -966,7 +1057,9 @@ impl RevisedWorkspace {
             objective = 0.0;
         }
         self.warm_ready = true;
-        self.optimal_basis = status == Status::Optimal;
+        if status == Status::Optimal {
+            self.resumable = Resumable::Optimal;
+        }
         Solution {
             status,
             objective,
@@ -1439,8 +1532,13 @@ impl RevisedWorkspace {
     /// most violated row leaves; the entering column comes from the
     /// bound-flipping dual ratio test. `d_exact` says `d` already holds
     /// the basis's phase-2 reduced costs, so the entry recompute is
-    /// skipped.
-    fn dual_loop(&mut self, options: &SimplexOptions, d_exact: bool) -> DualOutcome {
+    /// skipped; `first_row`, while it violates a bound, leaves first.
+    fn dual_loop(
+        &mut self,
+        options: &SimplexOptions,
+        d_exact: bool,
+        mut first_row: Option<usize>,
+    ) -> DualOutcome {
         let tol = TOLERANCE;
         let max_iter = options
             .max_iterations
@@ -1465,7 +1563,11 @@ impl RevisedWorkspace {
         self.dual_cands.rebuild(&self.form, &self.basis, tol);
         let outcome = 'search: {
             for _ in 0..max_iter {
-                let leaving = match self.dual_cands.pick(&self.form, &self.basis) {
+                let first = first_row
+                    .take()
+                    .and_then(|row| Leaving::violated(&self.form, &self.basis, tol, row));
+                let leaving = match first.or_else(|| self.dual_cands.pick(&self.form, &self.basis))
+                {
                     Some(l) => Some(l),
                     None => {
                         // No live entry is left; confirm primal
@@ -1504,7 +1606,7 @@ impl RevisedWorkspace {
                 let entering = match ratio {
                     DualRatio::Infeasible => {
                         self.flips = flips;
-                        break 'search DualOutcome::Infeasible;
+                        break 'search DualOutcome::Infeasible { row: leaving.row };
                     }
                     DualRatio::Step { entering } => entering,
                 };
@@ -1609,12 +1711,31 @@ enum WarmEntry {
     Rebuild,
 }
 
-/// How the dual warm-start cleanup ended.
+/// Whether the next solve may patch the workspace in place, and with
+/// which reduced costs.
+#[derive(Clone, Copy, Default, PartialEq)]
+enum Resumable {
+    /// The full entry: no solve yet, or the last one stopped early or
+    /// found infeasibility outside the dual simplex.
+    #[default]
+    No,
+    /// The last solve ended optimal: `d` is exact.
+    Optimal,
+    /// The warm dual simplex proved the last model infeasible on `row`:
+    /// the basis is dual feasible, and `d` is recomputed at entry.
+    Infeasible { row: usize },
+}
+
+/// How the dual simplex ended: primal feasible, infeasible (no
+/// entering column for the leaving `row`), or stopped.
 enum DualOutcome {
     PrimalFeasible,
-    Infeasible,
+    Infeasible { row: usize },
     Stopped(LpError),
 }
+
+#[cfg(test)]
+mod patch_tests;
 
 #[cfg(test)]
 mod tests {

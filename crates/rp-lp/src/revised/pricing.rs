@@ -173,6 +173,24 @@ pub(crate) struct Leaving {
     pub(crate) violation: f64,
 }
 
+impl Leaving {
+    /// `row` as a leaving candidate, if its basic variable violates a
+    /// bound by more than `tol`.
+    pub(crate) fn violated(
+        form: &StandardForm,
+        basis: &BasisState,
+        tol: f64,
+        row: usize,
+    ) -> Option<Leaving> {
+        let (violation, above) = row_violation(form, basis, row);
+        (violation > tol).then_some(Leaving {
+            row,
+            above,
+            violation,
+        })
+    }
+}
+
 /// Leaving-row candidates for the dual simplex: a lazy max-heap of
 /// `(violation, row)` entries, stored as `(violation bits, Reverse(row))`.
 /// A stored violation is always positive, and positive `f64`s order

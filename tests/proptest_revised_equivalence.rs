@@ -444,8 +444,8 @@ fn degenerate_boxed_cover_does_not_cycle() {
 /// basic values out of their bounds, this sibling took 171 dual pivots
 /// — more work than the cold solve.
 ///
-/// A bound edit on the same model then takes the full warm entry, which
-/// refactorises, and still matches a cold solve.
+/// A bound edit of a column presolve kept then patches the workspace in
+/// place too, and still matches a cold solve.
 #[test]
 fn warm_sibling_of_the_s400_bandwidth_bound_needs_no_pivots() {
     use replica_placement::core::ilp::{self, Integrality};
@@ -489,13 +489,13 @@ fn warm_sibling_of_the_s400_bandwidth_bound_needs_no_pivots() {
         "an rhs-only sibling must keep the stored factorisation"
     );
 
-    // Halve x_0's room: a bound edit, so the full entry runs.
+    // Halve x_0's room: a bound edit of a kept column, absorbed in place.
     model.set_bounds(x0, 0.0, Some(0.5 * warm.value(x0)));
     let warm = workspace.solve_warm(&model, &options);
     let cold = solve_revised(&model, &options);
     assert!(
-        workspace.last_stats().refactorisations >= 1,
-        "a bound edit must take the full warm entry"
+        workspace.last_stats().patched,
+        "a bound edit of a kept column must patch the workspace"
     );
     assert_eq!(warm.status, cold.status);
     assert!(
@@ -503,5 +503,80 @@ fn warm_sibling_of_the_s400_bandwidth_bound_needs_no_pivots() {
         "warm {} vs cold {} after a bound edit",
         warm.objective,
         cold.objective
+    );
+}
+
+/// The λ-siblings of one paper-scale (`s = 400`) heterogeneous tree with
+/// a client attached to the root, as the sweep solves them: one model
+/// built at λ = 0.1 and re-targeted in place to each further λ, every
+/// re-solve on the workspace of the last. Each sibling must patch the
+/// workspace — no presolve re-analysis, although every re-target edits
+/// the root-attached client's singleton cover row, which presolve
+/// removed and whose fixed value it re-derives — and reach the bound of
+/// a fresh build solved cold. The tree's siblings past λ = 0.6 are
+/// infeasible, which the patched dual simplex proves with no pivot.
+#[test]
+fn lambda_siblings_of_a_paper_scale_tree_patch_and_match_fresh_builds() {
+    use replica_placement::core::ilp::{self, integral_lower_bound, Integrality};
+    use replica_placement::core::Policy;
+    use replica_placement::workloads::platform::{paper_scale_instance, PlatformKind};
+
+    let instance =
+        |lambda: f64| paper_scale_instance(PlatformKind::default_heterogeneous(), lambda, 14);
+    let first = instance(0.1);
+    let tree = first.tree();
+    assert!(
+        tree.client_ids()
+            .any(|c| tree.parent_of_client(c) == tree.root()),
+        "the tree must have a root-attached client"
+    );
+    let mut kept = ilp::build_model(&first, Policy::Multiple, Integrality::RationalBound);
+    let options = SimplexOptions::default();
+    let mut workspace = RevisedWorkspace::new();
+    assert_eq!(
+        workspace.solve_warm(&kept.model, &options).status,
+        Status::Optimal
+    );
+    assert!(workspace.last_solve_used_presolve());
+    let mut infeasible = 0;
+    for k in 2..=9 {
+        let sibling = instance(f64::from(k) / 10.0);
+        kept.retarget_requests(&sibling);
+        let warm = workspace.solve_warm(&kept.model, &options);
+        let stats = workspace.last_stats();
+        let fresh = ilp::build_model(&sibling, Policy::Multiple, Integrality::RationalBound).model;
+        let cold = solve_revised(&fresh, &options);
+        assert!(
+            stats.patched,
+            "λ = 0.{k}: the sibling must patch the workspace"
+        );
+        assert!(stats.presolve_rows_removed > 0);
+        assert_eq!(warm.status, cold.status, "λ = 0.{k}");
+        if warm.status == Status::Optimal {
+            assert!(
+                close(warm.objective, cold.objective),
+                "λ = 0.{k}: warm {} vs cold {}",
+                warm.objective,
+                cold.objective
+            );
+            assert_eq!(
+                integral_lower_bound(warm.objective),
+                integral_lower_bound(cold.objective)
+            );
+            assert!(kept.model.is_feasible(&warm.values, 1e-6), "λ = 0.{k}");
+        } else {
+            infeasible += 1;
+            if infeasible > 1 {
+                assert_eq!(
+                    stats.iterations(),
+                    0,
+                    "λ = 0.{k}: the proving row is tried first"
+                );
+            }
+        }
+    }
+    assert!(
+        infeasible >= 2,
+        "the sweep's infeasible siblings must be covered"
     );
 }
