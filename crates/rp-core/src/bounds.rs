@@ -1,10 +1,13 @@
-//! Combinatorial lower bounds on the replica cost.
+//! Combinatorial lower bounds on the replica cost, and the exact
+//! feasibility check of the Multiple policy.
 //!
-//! These are the cheap, closed-form bounds discussed in Section 3.4 of
-//! the paper. The stronger LP-based bound (Section 7.1) lives in
+//! The bounds are the cheap, closed-form ones discussed in Section 3.4
+//! of the paper. The stronger LP-based bound (Section 7.1) lives in
 //! [`crate::ilp`]. Section 3.4 also shows (Figure 5) that the trivial
 //! bound can be arbitrarily far from the optimal cost, which the tests
 //! of `rp-workloads::paper_examples` reproduce.
+
+use rp_tree::LinkId;
 
 use crate::problem::ProblemInstance;
 
@@ -49,24 +52,72 @@ pub fn replica_cost_lower_bound(problem: &ProblemInstance) -> f64 {
     total_requests * min_cost_per_capacity
 }
 
-/// A quick infeasibility check that is valid for every policy: the
-/// requests of each client must fit within the total capacity of its
-/// eligible servers, and the overall load cannot exceed the overall
-/// capacity. Returns `false` only when the instance is *certainly*
-/// infeasible (the converse does not hold).
-pub fn passes_basic_feasibility(problem: &ProblemInstance) -> bool {
-    if problem.total_requests() > problem.total_capacity() {
-        return false;
-    }
-    for client in problem.tree().client_ids() {
-        let reachable: u64 = problem
-            .eligible_servers(client)
-            .map(|n| problem.capacity(n))
-            .sum();
-        if problem.requests(client) > reachable {
+/// Whether some **Multiple** placement serves every request of
+/// `problem` within its capacities, QoS bounds and link bandwidths.
+/// Exact, and valid for every policy in one direction: a Closest or
+/// Upwards placement is also a Multiple one, so `false` proves that no
+/// policy has a valid placement.
+///
+/// One bottom-up pass, O(s log s): each node serves the pending demand
+/// of its subtree up to its capacity, the demand whose QoS bound allows
+/// the fewest servers above first (earliest deadline first), and sends
+/// the rest up its link. Serving as low as possible minimises every
+/// link's flow, and the deadline order can only free servers for the
+/// demand that may still climb, so the pass fails only when no
+/// placement exists: a client's uplink or a node's link carries too
+/// much, or demand is left over at the last server its QoS allows.
+pub fn multiple_is_feasible(problem: &ProblemInstance) -> bool {
+    let tree = problem.tree();
+    let order = tree.postorder_nodes();
+    // Demand not served yet, as (depth of the highest server that may
+    // take it, amount). The post-order visits each subtree as one run of
+    // nodes ending at its root, so a subtree's pending demand is the
+    // tail of `pending` pushed since its first node was visited.
+    let mut pending: Vec<(u32, u64)> = Vec::new();
+    let mut marks: Vec<usize> = Vec::with_capacity(order.len());
+    for (at, &node) in order.iter().enumerate() {
+        marks.push(pending.len());
+        for &client in tree.child_clients(node) {
+            let requests = problem.requests(client);
+            if requests == 0 {
+                continue;
+            }
+            let uplink = problem.bandwidth(LinkId::Client(client));
+            let Some(top) = problem.eligible_servers(client).last() else {
+                return false;
+            };
+            if uplink.is_some_and(|bw| bw < requests) {
+                return false;
+            }
+            pending.push((tree.node_depth(top), requests));
+        }
+
+        let start = marks[at + 1 - tree.subtree_nodes(node).len()];
+        pending[start..].sort_unstable_by_key(|&(top, _)| std::cmp::Reverse(top));
+        let depth = tree.node_depth(node);
+        let mut capacity = problem.capacity(node);
+        let (mut kept, mut climbing) = (start, 0u64);
+        for i in start..pending.len() {
+            let (top, amount) = pending[i];
+            let left = amount - amount.min(capacity);
+            capacity -= amount - left;
+            if left == 0 {
+                continue;
+            }
+            if top >= depth {
+                return false;
+            }
+            pending[kept] = (top, left);
+            kept += 1;
+            climbing += left;
+        }
+        pending.truncate(kept);
+        let link = problem.bandwidth(LinkId::Node(node));
+        if climbing > 0 && link.is_some_and(|bw| bw < climbing) {
             return false;
         }
     }
+    // The root's QoS check left nothing pending.
     true
 }
 
@@ -75,6 +126,7 @@ mod tests {
     use super::*;
     use crate::ilp::{build_model, lower_bound, BoundKind, Integrality};
     use crate::policy::Policy;
+    use crate::problem::ProblemBuilder;
     use rp_tree::TreeBuilder;
 
     fn chain_with_clients(requests: Vec<u64>, capacities: Vec<u64>) -> ProblemInstance {
@@ -133,9 +185,9 @@ mod tests {
     #[test]
     fn basic_feasibility_detects_overload() {
         let feasible = chain_with_clients(vec![3, 3], vec![5, 5]);
-        assert!(passes_basic_feasibility(&feasible));
+        assert!(multiple_is_feasible(&feasible));
         let overloaded = chain_with_clients(vec![30, 3], vec![5, 5]);
-        assert!(!passes_basic_feasibility(&overloaded));
+        assert!(!multiple_is_feasible(&overloaded));
     }
 
     #[test]
@@ -152,7 +204,104 @@ mod tests {
             .capacities(vec![100, 5])
             .qos(vec![Some(1)])
             .build();
-        assert!(!passes_basic_feasibility(&p));
+        assert!(!multiple_is_feasible(&p));
+    }
+
+    /// root(W = `caps[0]`) -> mid(W = `caps[1]`) -> {c0, c1}; root -> c2.
+    fn two_level(requests: [u64; 3], caps: [u64; 2]) -> ProblemBuilder {
+        let mut b = TreeBuilder::new();
+        let root = b.add_root();
+        let mid = b.add_node(root);
+        b.add_client(mid);
+        b.add_client(mid);
+        b.add_client(root);
+        ProblemInstance::builder(b.build().unwrap())
+            .requests(requests.to_vec())
+            .capacities(caps.to_vec())
+    }
+
+    #[test]
+    fn multiple_feasibility_serves_the_tightest_qos_bound_first() {
+        // c0 may only use `mid`, c1 may climb to the root: `mid` must
+        // spend its 5 on c0, whatever order the clients come in.
+        let p = two_level([5, 5, 0], [5, 5])
+            .qos(vec![Some(1), None, None])
+            .build();
+        assert!(multiple_is_feasible(&p));
+        let p = two_level([5, 5, 0], [5, 5])
+            .qos(vec![None, Some(1), None])
+            .build();
+        assert!(multiple_is_feasible(&p));
+        // Both pinned to `mid`: 10 requests, 5 capacity.
+        let p = two_level([5, 5, 0], [5, 5]).uniform_qos(1).build();
+        assert!(!multiple_is_feasible(&p));
+        // No demand needs no capacity.
+        assert!(multiple_is_feasible(&two_level([0, 0, 0], [0, 0]).build()));
+    }
+
+    #[test]
+    fn multiple_feasibility_respects_link_bandwidths() {
+        // `mid` serves 5 of c0 + c1 = 8; the other 3 climb its link.
+        let fits = two_level([4, 4, 2], [5, 5]).node_link_bandwidths(vec![None, Some(3)]);
+        assert!(multiple_is_feasible(&fits.build()));
+        let narrow = two_level([4, 4, 2], [5, 5]).node_link_bandwidths(vec![None, Some(2)]);
+        assert!(!multiple_is_feasible(&narrow.build()));
+        // A client's own uplink carries all of its requests.
+        let uplinks = vec![Some(4), Some(4), Some(1)];
+        let cut = two_level([4, 4, 2], [5, 5]).client_link_bandwidths(uplinks);
+        assert!(!multiple_is_feasible(&cut.build()));
+    }
+
+    #[test]
+    fn multiple_feasibility_matches_the_lp_relaxation() {
+        // Random small instances with QoS bounds and link bandwidths:
+        // the pass says feasible exactly when the rational Multiple LP
+        // has an optimum.
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let mut draw = |n: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % n
+        };
+        let (mut feasible, mut infeasible) = (0, 0);
+        for _ in 0..300 {
+            let mut b = TreeBuilder::new();
+            let mut nodes = vec![b.add_root()];
+            for _ in 0..1 + draw(5) {
+                let parent = nodes[draw(nodes.len() as u64) as usize];
+                nodes.push(b.add_node(parent));
+            }
+            let clients = 1 + draw(6) as usize;
+            for _ in 0..clients {
+                b.add_client(nodes[draw(nodes.len() as u64) as usize]);
+            }
+            let tree = b.build().unwrap();
+            let mut limit = |cap: u64| (draw(3) == 0).then(|| draw(cap));
+            let client_bw = (0..clients).map(|_| limit(12)).collect();
+            let node_bw = (0..nodes.len()).map(|_| limit(16)).collect();
+            let qos: Vec<Option<u32>> = (0..clients)
+                .map(|_| (draw(3) == 0).then(|| 1 + draw(3) as u32))
+                .collect();
+            let p = ProblemInstance::builder(tree)
+                .requests((0..clients).map(|_| draw(9)).collect())
+                .capacities((0..nodes.len()).map(|_| draw(12)).collect())
+                .qos(qos)
+                .client_link_bandwidths(client_bw)
+                .node_link_bandwidths(node_bw)
+                .build();
+            let lp = lower_bound(&p, BoundKind::Rational).is_some();
+            assert_eq!(multiple_is_feasible(&p), lp, "{p:?}");
+            if lp {
+                feasible += 1;
+            } else {
+                infeasible += 1;
+            }
+        }
+        assert!(
+            feasible > 50 && infeasible > 50,
+            "{feasible} / {infeasible}"
+        );
     }
 
     #[test]
@@ -179,6 +328,6 @@ mod tests {
         let p = chain_with_clients(vec![1], vec![0, 0]);
         assert_eq!(replica_counting_lower_bound(&p), Some(u64::MAX));
         assert!(replica_cost_lower_bound(&p).is_infinite());
-        assert!(!passes_basic_feasibility(&p));
+        assert!(!multiple_is_feasible(&p));
     }
 }

@@ -232,6 +232,32 @@ impl DegradedPlatform {
         true
     }
 
+    /// Whether some placement could serve `client` at all: it has
+    /// demand, its uplink is alive, and a live eligible server (on its
+    /// path, within its QoS bound) with nonzero capacity sits on a live
+    /// path from it. O(depth): the walk up stops at the first dead link.
+    ///
+    /// `false` proves that no placement valid on
+    /// [`problem`](Self::problem) exists while `client` has demand, since
+    /// its requests would need a server with capacity over links with
+    /// bandwidth. `true` proves nothing: bandwidth and capacity amounts
+    /// are not checked.
+    pub fn is_servable(&self, client: ClientId) -> bool {
+        let problem = &self.problem;
+        if problem.requests(client) == 0 || self.is_link_dead(LinkId::Client(client)) {
+            return false;
+        }
+        for server in problem.eligible_servers(client) {
+            if !self.is_server_dead(server) && problem.capacity(server) > 0 {
+                return true;
+            }
+            if self.is_link_dead(LinkId::Node(server)) {
+                return false;
+            }
+        }
+        false
+    }
+
     /// Number of crashed servers.
     pub fn num_dead_servers(&self) -> usize {
         self.failures.dead_servers.iter().filter(|&&d| d).count()
@@ -474,6 +500,113 @@ mod tests {
         assert_eq!(rebuilt.storage_cost(n[1]), p.storage_cost(n[1]));
         assert_eq!(platform.num_dead_servers(), 1);
         assert_eq!(platform.num_dead_links(), 1);
+    }
+
+    /// Folds `events` into the healthy state of `p` and reports whether
+    /// `client` is servable on the result.
+    fn servable_after(p: &ProblemInstance, events: &[FailureEvent], client: ClientId) -> bool {
+        apply_failures(p, events).is_servable(client)
+    }
+
+    #[test]
+    fn every_client_is_servable_on_the_healthy_platform() {
+        let (p, _, c) = sample();
+        for &client in &c {
+            assert!(servable_after(&p, &[], client));
+        }
+    }
+
+    #[test]
+    fn a_dead_client_uplink_makes_the_client_unservable() {
+        let (p, _, c) = sample();
+        let cut = FailureEvent::UplinkDown(LinkId::Client(c[0]));
+        assert!(!servable_after(&p, &[cut], c[0]));
+        assert!(servable_after(&p, &[cut], c[1]));
+        let heal = FailureEvent::Recovered(RecoveryScope::Link(LinkId::Client(c[0])));
+        assert!(servable_after(&p, &[cut, heal], c[0]));
+    }
+
+    #[test]
+    fn crashing_the_only_eligible_server_makes_the_client_unservable() {
+        let (p, n, c) = sample();
+        // c2 hangs off the root: the root is its only candidate.
+        let crash = FailureEvent::ServerCrash(n[0]);
+        assert!(!servable_after(&p, &[crash], c[2]));
+        // c0 still has low and mid below the crashed root.
+        assert!(servable_after(&p, &[crash], c[0]));
+        let heal = FailureEvent::Recovered(RecoveryScope::Server(n[0]));
+        assert!(servable_after(&p, &[crash, heal], c[2]));
+    }
+
+    #[test]
+    fn zero_capacity_on_every_eligible_server_makes_the_client_unservable() {
+        let (p, n, c) = sample();
+        let drained: Vec<FailureEvent> = n
+            .iter()
+            .map(|&node| FailureEvent::CapacityLoss { node, remaining: 0 })
+            .collect();
+        assert!(!servable_after(&p, &drained, c[0]));
+        // Restoring any one server's capacity restores the client.
+        for &node in &n {
+            let mut trace = drained.clone();
+            trace.push(FailureEvent::Recovered(RecoveryScope::Server(node)));
+            assert!(servable_after(&p, &trace, c[0]), "{node:?}");
+        }
+        // A zero healthy capacity (a re-provisioned node) counts alike.
+        let platform = FailureState::healthy(p.tree()).platform(&p, &[3, 5, 2], &[0, 8, 0]);
+        assert!(!platform.is_servable(c[2]));
+        assert!(platform.is_servable(c[0]));
+    }
+
+    #[test]
+    fn a_qos_bound_that_excludes_every_live_server_makes_the_client_unservable() {
+        let (healthy, n, c) = sample();
+        // c0 may use `low` only; mid and the root stay alive.
+        let p = ProblemInstance::builder(healthy.tree_arc())
+            .requests(vec![3, 5, 2])
+            .capacities(vec![10, 8, 6])
+            .qos(vec![Some(1), None, None])
+            .build();
+        let crash = FailureEvent::ServerCrash(n[2]);
+        assert!(!servable_after(&p, &[crash], c[0]));
+        assert!(servable_after(&healthy, &[crash], c[0]));
+        let heal = FailureEvent::Recovered(RecoveryScope::Server(n[2]));
+        assert!(servable_after(&p, &[crash, heal], c[0]));
+    }
+
+    #[test]
+    fn a_dead_link_below_the_only_live_server_makes_the_client_unservable() {
+        let (p, n, c) = sample();
+        // low and mid crash, so only the root can take c0, and the link
+        // from mid up to the root dies: the root is out of reach.
+        let trace = [
+            FailureEvent::ServerCrash(n[2]),
+            FailureEvent::ServerCrash(n[1]),
+            FailureEvent::UplinkDown(LinkId::Node(n[1])),
+        ];
+        assert!(!servable_after(&p, &trace, c[0]));
+        assert!(!servable_after(&p, &trace, c[1]));
+        // c2 reaches the root directly.
+        assert!(servable_after(&p, &trace, c[2]));
+        let mut healed = trace.to_vec();
+        healed.push(FailureEvent::Recovered(RecoveryScope::Link(LinkId::Node(
+            n[1],
+        ))));
+        assert!(servable_after(&p, &healed, c[0]));
+        // The same cut above a live server does not matter.
+        let above = [FailureEvent::UplinkDown(LinkId::Node(n[1]))];
+        assert!(servable_after(&p, &above, c[0]));
+    }
+
+    #[test]
+    fn a_client_without_demand_is_not_servable() {
+        let (p, _, c) = sample();
+        let state = FailureState::healthy(p.tree());
+        let idle = state.platform(&p, &[0, 5, 2], &[10, 8, 6]);
+        assert!(!idle.is_servable(c[0]));
+        assert!(idle.is_servable(c[1]));
+        let back = state.platform(&p, &[1, 5, 2], &[10, 8, 6]);
+        assert!(back.is_servable(c[0]));
     }
 
     #[test]

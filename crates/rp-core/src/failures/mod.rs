@@ -22,11 +22,18 @@
 //!   surgical repair of the dirty clients, an LP-guided re-solve under
 //!   Multiple, a heuristic re-run, and — when full service is not found
 //!   — a verified [`DegradedPlacement`] that keeps the surgical partial
-//!   when it verifies. [`repair_after_failure`] is that ladder over
-//!   every client with no deadline. There is no panicking path: every
-//!   failure has a well-defined [`RepairOutcome`], machine-checkable
-//!   via [`RepairOutcome::verify`], and every accepted answer is
-//!   counted once per [`ApplyRung`].
+//!   when it verifies. The two full-service rungs are skipped when the
+//!   surgical partial leaves a client that is not
+//!   [servable](DegradedPlatform::is_servable), or leaves clients on an
+//!   instance that fails
+//!   [`multiple_is_feasible`](crate::bounds::multiple_is_feasible),
+//!   and every answer passes [`DegradedPlacement::verify`] exactly once
+//!   before it is accepted.
+//!   [`repair_after_failure`] is that ladder over every client with no
+//!   deadline. There is no panicking path: every failure has a
+//!   well-defined [`RepairOutcome`], machine-checkable via
+//!   [`RepairOutcome::verify`], and every accepted answer is counted
+//!   once per [`ApplyRung`].
 //!
 //! ```
 //! use rp_core::{inject_and_repair, FailureEvent, Heuristic, Policy, ProblemInstance};

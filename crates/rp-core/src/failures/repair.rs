@@ -3,8 +3,7 @@
 //! One ladder serves both the batch resilience path
 //! ([`repair_after_failure`], every client dirty) and the online engine
 //! (only the clients a delta can affect dirty). Each rung is
-//! deadline-checked before it starts and its answer is machine-checked
-//! before it is accepted:
+//! deadline-checked before it starts:
 //!
 //! 1. **surgical** ([`ApplyRung::Surgical`]) — repair the incumbent
 //!    touching only the dirty clients: strip replicas on crashed
@@ -22,12 +21,31 @@
 //! 4. **degrade** ([`ApplyRung::Degraded`]) — the surgical partial if it
 //!    verifies (it moved the fewest clients), else a best-effort
 //!    placement grown from empty and shrunk by a validate-and-drop loop
-//!    until it is provably correct.
+//!    until it verifies.
 //!
-//! The last rung is total: it always terminates (each round drops at
-//! least one client, and the empty placement over zeroed requests is
-//! vacuously valid), so only a passed deadline leaves the ladder
-//! without an answer.
+//! Which rungs run: rung 1 always, unless the deadline passed. A full
+//! surgical answer ends the climb. Rungs 2 and 3 answer only with a
+//! placement valid on the whole surviving instance, so when the
+//! surgical partial leaves clients unserved they are skipped (and
+//! `core.repair.rungs_skipped` counts the climb) on a proof that no
+//! such placement exists: a client the partial leaves is not
+//! [servable](DegradedPlatform::is_servable) (its demand cannot reach
+//! any server with capacity; O(depth) per client), or else the
+//! surviving instance fails the exact Multiple feasibility pass
+//! ([`multiple_is_feasible`]; O(s log s), and every policy's placement
+//! is a Multiple one). When the surgical rung gives up (`None`), every
+//! rung runs.
+//!
+//! The one check: every candidate a rung offers is accepted only after
+//! [`DegradedPlacement::verify`] passes it, in release builds too, and
+//! no candidate is checked twice. A full surgical answer that fails is
+//! not checked again as rung 4's partial, and each validate-and-drop
+//! round's report is checked once, its pass being its acceptance.
+//!
+//! The last rung always terminates (each round drops at least one
+//! client, and the report that serves nobody is vacuously valid), so
+//! only a passed deadline, or a check that rejects even that report,
+//! leaves the ladder without an answer.
 
 use std::fmt;
 use std::time::Instant;
@@ -35,6 +53,7 @@ use std::time::Instant;
 use rp_lp::{LpWorkspace, SolveBudget};
 use rp_tree::{ClientId, NodeId};
 
+use crate::bounds::multiple_is_feasible;
 use crate::failures::apply::{apply_failures, DegradedPlatform};
 use crate::failures::event::FailureEvent;
 use crate::failures::report::{DegradedPlacement, RepairOutcome};
@@ -109,7 +128,9 @@ pub fn inject_and_repair(
 /// no deadline and a fresh LP workspace. Never panics and never returns
 /// an unusable answer: the result is either a placement fully valid on
 /// [`DegradedPlatform::problem`] or a verified [`DegradedPlacement`]
-/// report.
+/// report. (Without a deadline the ladder comes back empty-handed only
+/// if its check rejects the report that serves nobody; that report is
+/// then returned as it is.)
 pub fn repair_after_failure(
     platform: &DegradedPlatform,
     placement: &Placement,
@@ -117,7 +138,7 @@ pub fn repair_after_failure(
 ) -> RepairOutcome {
     let _span = rp_obs::span(rp_obs::SpanKind::FailureRepair);
     let everyone: Vec<ClientId> = platform.problem().tree().client_ids().collect();
-    let (report, rung) = repair_ladder(
+    let answer = repair_ladder(
         platform,
         placement,
         &everyone,
@@ -125,8 +146,14 @@ pub fn repair_after_failure(
         None,
         SolveBudget::UNLIMITED,
         &mut LpWorkspace::new(),
-    )
-    .unwrap_or_else(|| (degraded_best_effort(platform, policy), ApplyRung::Degraded));
+    );
+    let (report, rung) = match answer {
+        Some(answer) => answer,
+        None => (
+            DegradedPlacement::serving_nobody(platform),
+            ApplyRung::Degraded,
+        ),
+    };
     rung.record(report.unserved.len());
     if report.unserved.is_empty() {
         RepairOutcome::Full(report.placement)
@@ -139,7 +166,9 @@ pub fn repair_after_failure(
 /// `platform`, re-examining only the `dirty` clients in the surgical
 /// rung. `budget`'s iteration cap and the time left before `deadline`
 /// bound the LP rung. Returns the accepted answer and its rung, or
-/// `None` when the deadline passed before any rung answered.
+/// `None` when the deadline passed before any rung answered, or when
+/// not even rung 4's last resort passed its check. Every answer it
+/// returns passed [`DegradedPlacement::verify`] exactly once.
 pub fn repair_ladder(
     platform: &DegradedPlatform,
     incumbent: &Placement,
@@ -150,35 +179,53 @@ pub fn repair_ladder(
     workspace: &mut LpWorkspace,
 ) -> Option<(DegradedPlacement, ApplyRung)> {
     let problem = platform.problem();
+    let accept = |placement: Placement, unserved: Vec<ClientId>| {
+        let report = DegradedPlacement::new(platform, placement, unserved);
+        report.verify(platform, policy).then_some(report)
+    };
 
-    // Rung 1: surgical repair of the dirty region.
+    // Rung 1: surgical repair of the dirty region. A full answer that
+    // fails its check is not checked again as rung 4's partial.
     let mut partial: Option<(Placement, Vec<ClientId>)> = None;
     if !expired(deadline) {
         if let Some((placement, unserved)) = surgical(platform, incumbent, dirty, policy) {
-            if unserved.is_empty() && placement.is_valid(problem, policy) {
-                let report = DegradedPlacement::new(platform, placement, Vec::new());
+            if !unserved.is_empty() {
+                partial = Some((placement, unserved));
+            } else if let Some(report) = accept(placement, Vec::new()) {
                 return Some((report, ApplyRung::Surgical));
             }
-            partial = Some((placement, unserved));
         }
     }
 
-    // Rung 2: LP-guided re-solve (Multiple only).
-    if policy == Policy::Multiple && !expired(deadline) {
-        let options = lp_options(deadline, budget);
-        if let Some(placement) = lp_guided_reusing(problem, &options, workspace) {
-            if placement.is_valid(problem, policy) {
-                let report = DegradedPlacement::new(platform, placement, Vec::new());
-                return Some((report, ApplyRung::LpRepair));
+    // Rungs 2 and 3 answer only with a placement valid on the whole
+    // surviving instance. None exists while a client with demand is
+    // unservable (O(depth) per unserved client), nor when the exact
+    // Multiple feasibility pass fails (O(s log s)): when the partial
+    // leaves clients unserved and either proof holds, go straight to
+    // rung 4.
+    let futile = partial.as_ref().is_some_and(|(_, unserved)| {
+        unserved.iter().any(|&c| !platform.is_servable(c)) || !multiple_is_feasible(problem)
+    });
+    if futile {
+        rp_obs::incr(rp_obs::Counter::CoreRepairRungsSkipped);
+    } else {
+        // Rung 2: LP-guided re-solve (Multiple only).
+        if policy == Policy::Multiple && !expired(deadline) {
+            let options = lp_options(deadline, budget);
+            if let Some(placement) = lp_guided_reusing(problem, &options, workspace) {
+                if let Some(report) = accept(placement, Vec::new()) {
+                    return Some((report, ApplyRung::LpRepair));
+                }
             }
         }
-    }
 
-    // Rung 3: full heuristic re-run from scratch.
-    if !expired(deadline) {
-        if let Some(placement) = heuristic_fallback(platform, policy) {
-            let report = DegradedPlacement::new(platform, placement, Vec::new());
-            return Some((report, ApplyRung::Rerun));
+        // Rung 3: full heuristic re-run from scratch.
+        if !expired(deadline) {
+            if let Some(placement) = heuristic_fallback(platform, policy) {
+                if let Some(report) = accept(placement, Vec::new()) {
+                    return Some((report, ApplyRung::Rerun));
+                }
+            }
         }
     }
 
@@ -186,18 +233,10 @@ pub fn repair_ladder(
     if expired(deadline) {
         return None;
     }
-    if let Some((placement, unserved)) = partial {
-        let report = DegradedPlacement::new(platform, placement, unserved);
-        if report.verify(platform, policy) {
-            return Some((report, ApplyRung::Degraded));
-        }
+    if let Some(report) = partial.and_then(|(placement, unserved)| accept(placement, unserved)) {
+        return Some((report, ApplyRung::Degraded));
     }
-    let report = degraded_best_effort(platform, policy);
-    debug_assert!(
-        report.verify(platform, policy),
-        "unverified degraded report"
-    );
-    Some((report, ApplyRung::Degraded))
+    degraded_best_effort(platform, policy).map(|report| (report, ApplyRung::Degraded))
 }
 
 /// Whether `deadline` has passed.
@@ -547,56 +586,60 @@ pub fn heuristic_fallback(platform: &DegradedPlatform, policy: Policy) -> Option
 }
 
 /// Rung 4's fallback: grow a best-effort partial placement from empty
-/// and shrink it by validate-and-drop until provably correct. Total:
-/// every platform, however broken, yields a verified report.
-pub fn degraded_best_effort(platform: &DegradedPlatform, policy: Policy) -> DegradedPlacement {
-    let problem = platform.problem();
-    let tree = problem.tree();
+/// and shrink it by validate-and-drop until it verifies. Each round's
+/// report passes through [`DegradedPlacement::verify`]'s check once,
+/// and the first that passes is returned. Every round either returns or
+/// drops one more client, and the last resort, the report that serves
+/// nobody ([`DegradedPlacement::serving_nobody`]), verifies on every
+/// platform: `None` means the check rejected even that.
+pub fn degraded_best_effort(
+    platform: &DegradedPlatform,
+    policy: Policy,
+) -> Option<DegradedPlacement> {
+    let tree = platform.problem().tree();
 
     // Serve the heavy clients while the surviving capacity lasts: the
     // surgical rung grown from the empty placement with every client
     // dirty (nothing is carried, so nothing needs shedding).
     let everyone: Vec<ClientId> = tree.client_ids().collect();
     let empty = Placement::empty(tree.num_clients());
-    let (mut placement, mut unserved) =
+    let (placement, unserved) =
         surgical(platform, &empty, &everyone, policy).unwrap_or((empty, everyone));
+    let mut report = DegradedPlacement::new(platform, placement, unserved);
 
-    // Validate-and-drop: every round either converges or drops one more
-    // client, and with everything dropped the placement is vacuously
-    // valid — the loop is total.
     let mut rounds = tree.num_clients() + 2;
     loop {
-        let check = platform.problem_with_unserved_dropped(&unserved);
-        let Err(violations) = placement.validate(&check, policy) else {
-            break;
+        let violations = match report.check(platform, policy) {
+            Ok(()) => return Some(report),
+            Err(violations) => violations,
         };
         let victim = violations
             .iter()
-            .find_map(|v| violating_client(v, &placement, tree))
-            .filter(|c| !unserved.contains(c));
+            .find_map(|v| violating_client(v, &report.placement, tree))
+            .filter(|c| !report.unserved.contains(c));
         match victim {
             Some(client) if rounds > 0 => {
                 rounds -= 1;
+                let DegradedPlacement {
+                    mut placement,
+                    mut unserved,
+                    ..
+                } = report;
                 for (server, amount) in held(&placement, client) {
                     placement.unassign(client, server, amount);
                 }
                 unserved.push(client);
                 prune_idle_replicas(&mut placement, tree.num_nodes());
+                report = DegradedPlacement::new(platform, placement, unserved);
             }
             _ => {
                 // Cannot attribute the violation (or ran out of rounds):
-                // fall back to the vacuously valid empty report.
-                placement = Placement::empty(tree.num_clients());
-                unserved = tree
-                    .client_ids()
-                    .filter(|&c| problem.requests(c) > 0)
-                    .collect();
-                break;
+                // fall back to the vacuously valid report.
+                let nobody = DegradedPlacement::serving_nobody(platform);
+                return nobody.verify(platform, policy).then_some(nobody);
             }
         }
     }
-
-    DegradedPlacement::new(platform, placement, unserved)
 }
 
 /// Maps a violation to a client whose removal resolves it.
@@ -645,6 +688,7 @@ fn prune_idle_replicas(placement: &mut Placement, num_nodes: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::failures::apply::FailureState;
     use rp_tree::{LinkId, TreeBuilder};
 
     /// root(W=10,s=10) -> mid(W=5,s=5) -> {c0: 4}; mid -> c1: 2;
@@ -760,6 +804,55 @@ mod tests {
                 RepairOutcome::Full(_) => panic!("{policy}: c0 is unreachable"),
             }
         }
+    }
+
+    #[test]
+    fn an_unservable_client_sends_the_ladder_straight_to_rung_4() {
+        let (p, _, c) = sample();
+        let placement = serve_all_at(&p, p.tree().root());
+        let everyone: Vec<ClientId> = p.tree().client_ids().collect();
+        let climb = |platform: &DegradedPlatform, workspace: &mut LpWorkspace| {
+            let budget = SolveBudget::UNLIMITED;
+            let policy = Policy::Multiple;
+            repair_ladder(
+                platform, &placement, &everyone, policy, None, budget, workspace,
+            )
+        };
+
+        // c0's uplink is cut: the LP rung could not answer, so its fresh
+        // workspace never solves.
+        let cut = apply_failures(&p, &[FailureEvent::UplinkDown(LinkId::Client(c[0]))]);
+        assert!(!cut.is_servable(c[0]));
+        let mut workspace = LpWorkspace::new();
+        let (report, rung) = climb(&cut, &mut workspace).unwrap();
+        assert_eq!(rung, ApplyRung::Degraded);
+        assert_eq!(report.unserved, vec![c[0]]);
+        assert!(report.verify(&cut, Policy::Multiple));
+        assert_eq!(workspace.revised.last_stats().refactorisations, 0);
+
+        // c2's demand outgrows the platform while every client stays
+        // servable: the feasibility pass proves the LP rung futile too.
+        let spike = FailureState::healthy(p.tree()).platform(&p, &[4, 2, 40], &[10, 5]);
+        assert!(spike.is_servable(c[2]));
+        assert!(!multiple_is_feasible(spike.problem()));
+        let mut workspace = LpWorkspace::new();
+        let (report, rung) = climb(&spike, &mut workspace).unwrap();
+        assert_eq!(rung, ApplyRung::Degraded);
+        assert!(report.unserved.contains(&c[2]));
+        assert_eq!(workspace.revised.last_stats().refactorisations, 0);
+
+        // Control: c2 now needs 9 at the root, its only server, where
+        // the incumbent keeps c0 and c1's 6, so the surgical top-up
+        // finds 1 of the 6 it needs; moving c0 and c1 down to `mid`
+        // serves everyone. Neither proof holds, so the LP rung runs and
+        // finds that.
+        let tight = FailureState::healthy(p.tree()).platform(&p, &[4, 2, 9], &[10, 5]);
+        assert!(multiple_is_feasible(tight.problem()));
+        let mut workspace = LpWorkspace::new();
+        let (report, rung) = climb(&tight, &mut workspace).unwrap();
+        assert_eq!(rung, ApplyRung::LpRepair);
+        assert!(report.unserved.is_empty());
+        assert!(workspace.revised.last_stats().refactorisations > 0);
     }
 
     #[test]

@@ -5,7 +5,7 @@ use rp_tree::ClientId;
 
 use crate::failures::apply::DegradedPlatform;
 use crate::policy::Policy;
-use crate::solution::Placement;
+use crate::solution::{Placement, Violation};
 
 /// A best-effort placement over the surviving platform when full
 /// service is infeasible: every client is either served completely or
@@ -49,6 +49,19 @@ impl DegradedPlacement {
         }
     }
 
+    /// The report that serves nobody: no replica, and every client with
+    /// demand listed unserved. It verifies on every platform, so it is
+    /// the degraded rung's last resort.
+    pub fn serving_nobody(platform: &DegradedPlatform) -> Self {
+        let problem = platform.problem();
+        let tree = problem.tree();
+        let unserved = tree
+            .client_ids()
+            .filter(|&c| problem.requests(c) > 0)
+            .collect();
+        DegradedPlacement::new(platform, Placement::empty(tree.num_clients()), unserved)
+    }
+
     /// Fraction of all requests still served, in `[0, 1]` (1.0 for an
     /// instance with no requests at all).
     pub fn served_fraction(&self) -> f64 {
@@ -63,7 +76,22 @@ impl DegradedPlacement {
     /// non-unserved client exactly (it validates against the surviving
     /// instance with unserved requests zeroed), unserved clients have
     /// no assignments, and the bookkeeping totals add up.
+    ///
+    /// This is the one acceptance check of the repair ladder: every
+    /// rung's candidate passes it exactly once before
+    /// [`repair_ladder`](crate::failures::repair_ladder) returns it.
     pub fn verify(&self, platform: &DegradedPlatform, policy: Policy) -> bool {
+        self.check(platform, policy).is_ok()
+    }
+
+    /// [`verify`](Self::verify) with the reason it failed: the
+    /// placement's violations against the served instance, or an empty
+    /// list when the bookkeeping is off.
+    pub(crate) fn check(
+        &self,
+        platform: &DegradedPlatform,
+        policy: Policy,
+    ) -> Result<(), Vec<Violation>> {
         let problem = platform.problem();
         let tree = problem.tree();
         if self
@@ -71,7 +99,7 @@ impl DegradedPlacement {
             .iter()
             .any(|&c| !self.placement.assignments(c).is_empty())
         {
-            return false;
+            return Err(Vec::new());
         }
         // A mask, not a search of the list: `unserved` is a public field,
         // so it may come unsorted or with repeats.
@@ -86,10 +114,22 @@ impl DegradedPlacement {
             .sum();
         let total: u64 = tree.client_ids().map(|c| problem.requests(c)).sum();
         if served != self.served_requests || total != self.total_requests {
-            return false;
+            return Err(Vec::new());
         }
-        let check = platform.problem_with_unserved_dropped(&self.unserved);
-        self.cost == self.placement.cost(&check) && self.placement.is_valid(&check, policy)
+        // With nobody unserved the served instance is the surviving one.
+        let dropped;
+        let instance = if self.unserved.is_empty() {
+            problem
+        } else {
+            dropped = platform.problem_with_unserved_dropped(&self.unserved);
+            &dropped
+        };
+        if self.cost != self.placement.cost(instance) {
+            return Err(Vec::new());
+        }
+        self.placement
+            .validate(instance, policy)
+            .map_err(|violations| violations.0)
     }
 }
 

@@ -257,18 +257,24 @@ impl<'a> Rounding<'a> {
         clients
     }
 
-    /// Object `k`'s load served at `node`, client by client.
+    /// Object `k`'s load served at `node`, client by client in client
+    /// order. Every assignment is on its client's path, so only the
+    /// clients of `subtree(node)` are looked at.
     fn served_at(&self, k: usize, node: NodeId) -> Vec<(ClientId, u64)> {
-        self.tree()
-            .client_ids()
-            .filter_map(|client| {
+        let mut served: Vec<(ClientId, u64)> = self
+            .tree()
+            .subtree_clients(node)
+            .iter()
+            .filter_map(|&client| {
                 self.placements[k]
                     .assignments(client)
                     .iter()
                     .find(|a| a.server == node)
                     .map(|a| (client, a.amount))
             })
-            .collect()
+            .collect();
+        served.sort_unstable_by_key(|&(client, _)| client.index());
+        served
     }
 
     /// Phase 1, CommitSaturate: the LP *selects* the replica sets and a
@@ -653,9 +659,9 @@ impl<'a> Rounding<'a> {
                     continue;
                 }
                 // Open replicas strictly inside the candidate's subtree,
-                // small loads first (the easiest to absorb fully). The
-                // load table is only built once a candidate actually has
-                // something to absorb.
+                // small loads first (the easiest to absorb fully). Each
+                // load is summed over the replica's own subtree, not read
+                // off a whole-tree load table rebuilt per candidate.
                 let mut inside: Vec<NodeId> = self.placements[k]
                     .replicas()
                     .iter()
@@ -665,9 +671,10 @@ impl<'a> Rounding<'a> {
                 if inside.is_empty() {
                     continue;
                 }
-                let mut loads = rp_tree::NodeMap::filled(tree.num_nodes(), 0u64);
-                self.placements[k].accumulate_server_loads(&mut loads);
-                inside.sort_by_key(|&r| (loads[r], r.index()));
+                inside.sort_by_cached_key(|&r| {
+                    let load: u64 = self.served_at(k, r).iter().map(|&(_, amount)| amount).sum();
+                    (load, r.index())
+                });
                 let mut absorbed: Vec<NodeId> = Vec::new();
                 let mut moved: Vec<(ClientId, NodeId, u64)> = Vec::new();
                 let mut saved: u64 = 0;

@@ -20,7 +20,8 @@
 //!   bandwidth-constrained and multi-object families;
 //! * [`ilp`] — the integer-linear-program formulations of Section 5 and
 //!   the LP-based lower bounds of Section 7.1;
-//! * [`bounds`] — the closed-form bounds of Section 3.4;
+//! * [`bounds`] — the closed-form bounds of Section 3.4 and the exact
+//!   Multiple feasibility pass;
 //! * [`multi`] — the several-object-types extension of Section 8.1;
 //! * [`objective`] — the read/write/combined objectives of Section 8.2;
 //! * [`io`] — plain-text (de)serialisation of whole problem instances;

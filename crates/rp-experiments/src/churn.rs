@@ -11,8 +11,11 @@
 //! * sustained **re-placements per second** and the p50/p99 apply
 //!   latency (wall-clock around [`PlacementEngine::apply`], also
 //!   visible as the `online.apply_us` histogram through `rp-obs`);
-//! * incumbent verification after **every** apply — the engine runs at
-//!   [`Paranoia::Full`] and the aggregate
+//! * incumbent verification after **every** apply — the engine's
+//!   ladder verifies each answer once before installing it, the sweep
+//!   re-checks the installed incumbent from outside
+//!   ([`PlacementEngine::verify_incumbent`], outside the apply timer but
+//!   inside the wall clock), and the aggregate
 //!   [`unverified`](ChurnPolicyOutcome::unverified) count must be
 //!   zero, which the chaos harness and the perf gate's `[online]`
 //!   section (`baseline --check`) assert.
@@ -24,7 +27,7 @@ use std::time::{Duration, Instant};
 
 use rp_core::Policy;
 use rp_lp::SolveBudget;
-use rp_online::{ApplyOutcome, Paranoia, PlacementEngine, RungCounts};
+use rp_online::{ApplyOutcome, PlacementEngine, RungCounts};
 use rp_workloads::churn::{churn_trace, ChurnConfig};
 use rp_workloads::platform::{paper_scale_instance_sized, PlatformKind};
 
@@ -164,7 +167,7 @@ pub fn run_churn_policy(config: &ChurnRunConfig, policy: Policy) -> ChurnPolicyO
         None => SolveBudget::UNLIMITED,
     };
 
-    let mut engine = PlacementEngine::new(problem, policy).with_paranoia(Paranoia::Full);
+    let mut engine = PlacementEngine::new(problem, policy);
     let mut applied = 0usize;
     let mut degraded = 0usize;
     let mut deferred = 0usize;

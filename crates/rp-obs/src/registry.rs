@@ -103,6 +103,7 @@ metric_enum! {
     CoreRepairRungRerun => ("core.repair.rung.rerun", "1", "rp-core"),
     CoreRepairRungDegraded => ("core.repair.rung.degraded", "1", "rp-core"),
     CoreRepairDroppedClients => ("core.repair.dropped_clients", "1", "rp-core"),
+    CoreRepairRungsSkipped => ("core.repair.rungs_skipped", "1", "rp-core"),
     // --- rp-online: the incremental placement engine. ---
     OnlineApplies => ("online.applies", "1", "rp-online"),
     OnlineRollbacks => ("online.rollbacks", "1", "rp-online"),

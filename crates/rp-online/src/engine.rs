@@ -13,18 +13,19 @@ use rp_core::failures::{
 use rp_core::{DirtyRegion, InstanceDelta, Policy, ProblemInstance};
 use rp_lp::{LpWorkspace, SolveBudget};
 
-/// How thoroughly the engine re-checks its own incumbent after every
-/// accepted apply. The rung results are machine-verified before
-/// acceptance in *every* mode; paranoia is the extra end-to-end check
-/// on top.
+/// How thoroughly the engine checks its answers. Every mode now
+/// verifies every answer exactly once, in release builds too: the
+/// repair ladder accepts a candidate only after
+/// [`DegradedPlacement::verify`] passes it, and an apply whose ladder
+/// accepts nothing rolls back and defers the delta. The enum stays so
+/// that [`PlacementEngine::with_paranoia`]'s callers keep building.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum Paranoia {
-    /// Full [`DegradedPlacement::verify`] behind `debug_assert!` only —
-    /// free in release builds.
+    /// Every answer is verified once, by the ladder.
     #[default]
     DebugOnly,
-    /// Full verification after every apply in release builds too; a
-    /// failed check rolls the apply back and defers the delta.
+    /// The same as [`Paranoia::DebugOnly`]: a second check of an
+    /// answer the ladder verified would repeat the same work.
     Full,
 }
 
@@ -49,10 +50,11 @@ pub enum ApplyOutcome {
         /// How many clients the incumbent leaves unserved.
         unserved: usize,
     },
-    /// The budget expired before any rung produced a verified answer:
-    /// the engine **rolled back** to the previous incumbent and queued
-    /// the delta for [`PlacementEngine::retry_deferred`]. This is the
-    /// backpressure signal.
+    /// No rung produced a verified answer (the budget expired first, or
+    /// no candidate passed its check): the engine **rolled back** to
+    /// the previous incumbent and queued the delta for
+    /// [`PlacementEngine::retry_deferred`]. This is the backpressure
+    /// signal.
     Deferred,
 }
 
@@ -163,7 +165,6 @@ pub struct PlacementEngine {
     /// pristine capacities, storage costs, QoS bounds and bandwidths.
     pristine: ProblemInstance,
     policy: Policy,
-    paranoia: Paranoia,
     state: EngineState,
     /// The current platform, rebuilt from `state` after every ingest
     /// (and after every rollback) — always consistent with `state`.
@@ -188,13 +189,13 @@ impl PlacementEngine {
         let platform = failures.platform(&problem, &requests, &healthy_capacities);
         let incumbent = match heuristic_fallback(&platform, policy) {
             Some(placement) => DegradedPlacement::new(&platform, placement, Vec::new()),
-            None => degraded_best_effort(&platform, policy),
+            None => degraded_best_effort(&platform, policy)
+                .unwrap_or_else(|| DegradedPlacement::serving_nobody(&platform)),
         };
         let dirty = DirtyRegion::for_tree(tree);
         let engine = PlacementEngine {
             pristine: problem,
             policy,
-            paranoia: Paranoia::default(),
             state: EngineState {
                 requests,
                 healthy_capacities,
@@ -212,9 +213,10 @@ impl PlacementEngine {
         engine
     }
 
-    /// Sets the paranoia level (builder-style).
-    pub fn with_paranoia(mut self, paranoia: Paranoia) -> Self {
-        self.paranoia = paranoia;
+    /// Sets the paranoia level (builder-style). Every [`Paranoia`] mode
+    /// verifies every answer once, so this changes nothing; it stays so
+    /// that callers naming a mode keep building.
+    pub fn with_paranoia(self, _paranoia: Paranoia) -> Self {
         self
     }
 
@@ -267,8 +269,10 @@ impl PlacementEngine {
     }
 
     /// Re-runs the full machine check of the incumbent against the
-    /// current platform. The engine maintains this as an invariant;
-    /// the chaos harness calls it after every apply.
+    /// current platform. The ladder already verified the incumbent once
+    /// before the engine installed it, so this is for harnesses that
+    /// check the engine from outside (the chaos tests call it after
+    /// every apply); the apply path never calls it.
     pub fn verify_incumbent(&self) -> bool {
         self.state.incumbent.verify(&self.platform, self.policy)
     }
@@ -296,8 +300,9 @@ impl PlacementEngine {
 
     /// Absorbs one delta within `budget`. On success the incumbent
     /// advances one generation and the outcome names the ladder rung
-    /// that answered; on a budget miss the engine rolls back to the
-    /// pre-apply incumbent and queues the delta
+    /// that answered; the ladder verified that answer once. When no
+    /// rung produced a verified answer (a budget miss) the engine rolls
+    /// back to the pre-apply incumbent and queues the delta
     /// ([`ApplyOutcome::Deferred`]).
     pub fn apply(&mut self, delta: InstanceDelta, budget: SolveBudget) -> ApplyOutcome {
         let _span = rp_obs::span(rp_obs::SpanKind::OnlineApply);
@@ -329,14 +334,6 @@ impl PlacementEngine {
                 let unserved = report.unserved.len();
                 self.state.incumbent = Arc::new(report);
                 self.generation += 1;
-                debug_assert!(
-                    self.verify_incumbent(),
-                    "unverified incumbent after `{delta}` (rung {rung})"
-                );
-                if self.paranoia == Paranoia::Full && !self.verify_incumbent() {
-                    self.rollback(snapshot, snapshot_generation, delta);
-                    return ApplyOutcome::Deferred;
-                }
                 rp_obs::gauge_set(rp_obs::Gauge::OnlineGeneration, self.generation);
                 rung.record(unserved);
                 self.rung_counts.record(rung);

@@ -43,8 +43,21 @@
 //!    [`DegradedPlacement`](rp_core::DegradedPlacement): serve what
 //!    fits, report the rest as unserved.
 //!
+//! A full surgical answer ends the climb. Rungs 2 and 3 accept only a
+//! placement that serves every request, so when the surgical partial
+//! leaves a client that no placement can serve (its uplink is dead, or
+//! no live server with capacity is reachable within its QoS bound:
+//! [`DegradedPlatform::is_servable`](rp_core::DegradedPlatform::is_servable)),
+//! the climb goes straight to rung 4. On a churn trace that keeps a
+//! few failures outstanding, that is most applies. It also goes
+//! straight to rung 4 when the partial leaves clients and the surviving
+//! instance fails the exact Multiple feasibility pass
+//! ([`multiple_is_feasible`](rp_core::bounds::multiple_is_feasible)):
+//! every client is reachable, but the capacities, QoS bounds and
+//! bandwidths cannot carry all the demand.
+//!
 //! What the engine adds around the ladder is the budget and deadline,
-//! snapshot and rollback, the deferred queue, checkpoints, paranoia and
+//! snapshot and rollback, the deferred queue, checkpoints and
 //! per-engine [`RungCounts`].
 //!
 //! # Budget, rollback and backpressure
@@ -59,12 +72,18 @@
 //! signal). [`PlacementEngine::retry_deferred`] replays the queue when
 //! the burst has passed.
 //!
-//! The engine re-verifies its incumbent after every accepted apply: a
-//! `debug_assert!` always, and a full
+//! # Verification
+//!
+//! Every answer is verified exactly once, in release builds too: the
+//! ladder accepts a rung's candidate only after
 //! [`DegradedPlacement::verify`](rp_core::DegradedPlacement::verify)
-//! in release builds too under [`Paranoia::Full`] — a failed paranoid
-//! check rolls back exactly like a budget miss, so an unverified
-//! incumbent can never be observed.
+//! passes it, and the engine installs what the ladder accepted without
+//! checking it again. A ladder that accepts nothing returns no answer,
+//! which the engine treats like a budget miss (roll back and defer), so
+//! an unverified incumbent can never be observed. Every [`Paranoia`]
+//! mode behaves alike; the enum stays so that callers that name a mode
+//! keep building. [`PlacementEngine::verify_incumbent`] re-runs the
+//! check for harnesses that watch the engine from outside.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,10 +1,10 @@
 //! The online chaos harness: a long seeded churn trace — arrivals,
 //! departures, demand drift, failures and paired recoveries — driven
 //! through a live [`PlacementEngine`] per policy. Every apply must end
-//! in a machine-verified incumbent (the engines run at
-//! [`Paranoia::Full`], so an unverified placement can never be
-//! observed) and the outcome/rung/generation bookkeeping must account
-//! for every delta. The release-mode sibling (the `[online]` section of
+//! in a machine-verified incumbent (the ladder verifies every answer
+//! before the engine installs it, so an unverified placement can never
+//! be observed) and the outcome/rung/generation bookkeeping must
+//! account for every delta. The release-mode sibling (the `[online]` section of
 //! the `rp-bench` perf gate, `baseline --check`) drives the same engine
 //! through 2000 deltas at `s = 400`; this debug-friendly harness keeps
 //! the instance small enough to run under `cargo test`.

@@ -9,11 +9,15 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use replica_placement::core::bounds::multiple_is_feasible;
+use replica_placement::core::failures::heuristic_fallback;
+use replica_placement::core::heuristics::lp_guided::lp_guided_reusing;
+use replica_placement::core::ilp::{lower_bound, BoundKind, IlpOptions};
 use replica_placement::core::{
     apply_failures, inject_and_repair, repair_after_failure, FailureEvent, RecoveryScope,
     RepairOutcome,
 };
-use replica_placement::lp::SolveBudget;
+use replica_placement::lp::{LpWorkspace, SolveBudget};
 use replica_placement::prelude::*;
 use replica_placement::tree::LinkId;
 use replica_placement::workloads::failures::failure_trace;
@@ -43,6 +47,33 @@ fn instance_from_seed(seed: u64) -> ProblemInstance {
     };
     let lambda = 0.2 + ((seed >> 24) % 90) as f64 / 100.0;
     generate_problem(tree, &WorkloadConfig::new(platform, lambda), seed ^ 0x5555)
+}
+
+/// `problem` with a QoS bound of 1–3 hops on about half of the clients.
+fn with_qos(problem: &ProblemInstance, seed: u64) -> ProblemInstance {
+    let tree = problem.tree();
+    let mut rng = StdRng::seed_from_u64(seed);
+    let qos: Vec<Option<u32>> = tree
+        .client_ids()
+        .map(|_| rng.gen_bool(0.5).then(|| rng.gen_range(1..=3u32)))
+        .collect();
+    ProblemInstance::builder(problem.tree_arc())
+        .requests(tree.client_ids().map(|c| problem.requests(c)).collect())
+        .capacities(tree.node_ids().map(|n| problem.capacity(n)).collect())
+        .storage_costs(tree.node_ids().map(|n| problem.storage_cost(n)).collect())
+        .qos(qos)
+        .client_link_bandwidths(
+            tree.client_ids()
+                .map(|c| problem.bandwidth(LinkId::Client(c)))
+                .collect(),
+        )
+        .node_link_bandwidths(
+            tree.node_ids()
+                .map(|n| problem.bandwidth(LinkId::Node(n)))
+                .collect(),
+        )
+        .kind(problem.kind())
+        .build()
 }
 
 /// A random failure sequence over every event kind, recoveries of
@@ -111,6 +142,112 @@ proptest! {
             let link = LinkId::Client(client);
             prop_assert_eq!(batch.problem().bandwidth(link), live.problem().bandwidth(link));
             prop_assert_eq!(batch.is_link_dead(link), live.is_link_dead(link));
+        }
+    }
+
+    /// The repair ladder's skip is sound: while a client with demand is
+    /// unservable, rungs 2 and 3 have nothing to find. On the platform
+    /// after every prefix of a random trace, `is_servable` agrees with
+    /// its definition checked server by server and link by link
+    /// (`path_is_alive`), and where it leaves a client with demand
+    /// unservable, no policy's re-run returns a placement and the
+    /// LP-guided rounding returns none valid on the surviving instance
+    /// (under Multiple, which every other policy's placements satisfy
+    /// too). So going straight to the degraded rung changes no answer.
+    #[test]
+    fn an_unservable_client_leaves_the_full_service_rungs_nothing(
+        instance_seed in 0u64..1_000_000,
+        trace_seed in 0u64..1_000_000,
+        trace_len in 1usize..=8,
+    ) {
+        let mut problem = instance_from_seed(instance_seed);
+        if instance_seed % 3 == 0 {
+            problem = attach_link_bandwidths(&problem, (0.5, 1.5), instance_seed);
+        }
+        let tree = problem.tree();
+        let events = failures_with_recoveries(tree, trace_len, trace_seed);
+        for prefix in 1..=events.len() {
+            let platform = apply_failures(&problem, &events[..prefix]);
+            let survivors = platform.problem();
+            for client in tree.client_ids() {
+                let reachable = survivors.requests(client) > 0
+                    && !platform.is_link_dead(LinkId::Client(client))
+                    && survivors.eligible_servers(client).any(|server| {
+                        survivors.capacity(server) > 0 && platform.path_is_alive(client, server)
+                    });
+                prop_assert_eq!(platform.is_servable(client), reachable, "{:?}", client);
+            }
+            let demanding = |c: &ClientId| survivors.requests(*c) > 0;
+            let Some(cut) = tree
+                .client_ids()
+                .filter(demanding)
+                .find(|&c| !platform.is_servable(c))
+            else {
+                continue;
+            };
+            for policy in Policy::ALL {
+                prop_assert!(
+                    heuristic_fallback(&platform, policy).is_none(),
+                    "{policy}: a re-run served {cut:?} after {:?}",
+                    &events[..prefix]
+                );
+            }
+            let rounded =
+                lp_guided_reusing(survivors, &IlpOptions::default(), &mut LpWorkspace::new());
+            prop_assert!(
+                rounded.is_none_or(|p| !p.is_valid(survivors, Policy::Multiple)),
+                "the LP rung served {cut:?} after {:?}",
+                &events[..prefix]
+            );
+        }
+    }
+
+    /// The ladder's second proof is exact and sound: on the platform
+    /// after every prefix of a random trace (with link bandwidths on a
+    /// third of the instances and QoS bounds on half),
+    /// `multiple_is_feasible` holds exactly when the rational Multiple
+    /// relaxation of the surviving instance has an optimum, fails
+    /// whenever a client with demand is unservable, and where it fails
+    /// no policy's re-run returns a placement and the LP-guided rounding
+    /// returns none. So skipping rungs 2 and 3 on it changes no answer.
+    #[test]
+    fn an_infeasible_platform_leaves_the_full_service_rungs_nothing(
+        instance_seed in 0u64..1_000_000,
+        trace_seed in 0u64..1_000_000,
+        trace_len in 1usize..=8,
+    ) {
+        let mut problem = instance_from_seed(instance_seed);
+        if instance_seed % 3 == 0 {
+            problem = attach_link_bandwidths(&problem, (0.5, 1.5), instance_seed);
+        }
+        if trace_seed % 2 == 0 {
+            problem = with_qos(&problem, trace_seed);
+        }
+        let tree = problem.tree();
+        let events = failures_with_recoveries(tree, trace_len, trace_seed);
+        for prefix in 1..=events.len() {
+            let platform = apply_failures(&problem, &events[..prefix]);
+            let survivors = platform.problem();
+            let feasible = multiple_is_feasible(survivors);
+            let relaxed = lower_bound(survivors, BoundKind::Rational).is_some();
+            prop_assert_eq!(feasible, relaxed, "after {:?}", &events[..prefix]);
+            let cut = tree
+                .client_ids()
+                .any(|c| survivors.requests(c) > 0 && !platform.is_servable(c));
+            prop_assert!(!(cut && feasible), "after {:?}", &events[..prefix]);
+            if feasible {
+                continue;
+            }
+            for policy in Policy::ALL {
+                prop_assert!(
+                    heuristic_fallback(&platform, policy).is_none(),
+                    "{policy}: a re-run served everyone after {:?}",
+                    &events[..prefix]
+                );
+            }
+            let rounded =
+                lp_guided_reusing(survivors, &IlpOptions::default(), &mut LpWorkspace::new());
+            prop_assert!(rounded.is_none(), "after {:?}", &events[..prefix]);
         }
     }
 
