@@ -594,8 +594,9 @@ fn online_suite() -> Report {
     let unverified = results.total_unverified();
     assert_eq!(unverified, 0, "the churn sweep left unverified incumbents");
     let mut report = Report::new(
-        "repl_per_sec = absorbed deltas per wall second, apply_*_ms = wall-clock ms per apply, \
-         the rest are counts; config/seed reproduces the sweep",
+        "repl_per_sec = absorbed deltas per second of summed apply time (the harness's \
+         incumbent check excluded), apply_*_ms = wall-clock ms per apply, the rest are counts; \
+         config/seed reproduces the sweep",
         3,
     );
     report.push("config/seed", config.seed as f64);

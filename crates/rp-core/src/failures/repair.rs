@@ -59,6 +59,7 @@ use crate::failures::event::FailureEvent;
 use crate::failures::report::{DegradedPlacement, RepairOutcome};
 use crate::heuristics::lp_guided::accounting::FeasAccounting;
 use crate::heuristics::lp_guided::lp_guided_reusing;
+use crate::heuristics::lp_guided::repair::prune_idle_replicas;
 use crate::heuristics::{BandwidthRepair, Heuristic};
 use crate::ilp::IlpOptions;
 use crate::policy::Policy;
@@ -324,12 +325,7 @@ fn surgical(
     // Charge every surviving assignment into the exact accounting of the
     // current instance; capacity-lost servers may show negative
     // residuals.
-    let mut accounting = FeasAccounting::for_problem(problem);
-    for client in tree.client_ids() {
-        for (server, amount) in held(&survivor, client) {
-            accounting.assign(tree, client, server, amount);
-        }
-    }
+    let mut accounting = FeasAccounting::charged(problem, &survivor);
 
     // Shed overload where the effective capacity dropped below the
     // carried load. Smallest assignments go first so the orphaned
@@ -666,22 +662,6 @@ fn violating_client(
             })
         }),
         Violation::WrongClientCount { .. } => None,
-    }
-}
-
-/// Drops replicas that no longer serve anything (they cost money and,
-/// under Closest, can shadow the real server).
-fn prune_idle_replicas(placement: &mut Placement, num_nodes: usize) {
-    let mut loads = rp_tree::NodeMap::filled(num_nodes, 0u64);
-    placement.accumulate_server_loads(&mut loads);
-    let idle: Vec<NodeId> = placement
-        .replicas()
-        .iter()
-        .copied()
-        .filter(|&n| loads[n] == 0)
-        .collect();
-    for node in idle {
-        placement.remove_replica(node);
     }
 }
 

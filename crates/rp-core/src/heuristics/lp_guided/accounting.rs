@@ -16,6 +16,7 @@ use rp_tree::{ClientId, LinkId, LinkMap, NodeId, TreeNetwork};
 
 use crate::multi::MultiObjectProblem;
 use crate::problem::ProblemInstance;
+use crate::solution::Placement;
 
 /// Residual used for unbounded links: large enough never to bind,
 /// small enough that charging every request of any instance cannot
@@ -62,6 +63,20 @@ impl FeasAccounting {
             |n| problem.capacity(n),
             |l| problem.bandwidth(l),
         )
+    }
+
+    /// Accounting over `problem` with every assignment of `placement`
+    /// charged: an overloaded server or a saturated link shows as a
+    /// negative residual (the repair passes' starting point).
+    pub(crate) fn charged(problem: &ProblemInstance, placement: &Placement) -> Self {
+        let tree = problem.tree();
+        let mut accounting = FeasAccounting::for_problem(problem);
+        for client in tree.client_ids() {
+            for a in placement.assignments(client) {
+                accounting.assign(tree, client, a.server, a.amount);
+            }
+        }
+        accounting
     }
 
     /// Fresh accounting over a multi-object instance: the **shared**

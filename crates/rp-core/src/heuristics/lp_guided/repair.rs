@@ -75,19 +75,7 @@ pub fn repair_bandwidth(
         return true;
     }
     let tree = problem.tree();
-    let mut accounting = FeasAccounting::for_problem(problem);
-    for client in tree.client_ids() {
-        // Snapshot: `assign` only reads the tree, but the borrow checker
-        // cannot see that, and assignment lists are tiny.
-        let assignments: Vec<(NodeId, u64)> = placement
-            .assignments(client)
-            .iter()
-            .map(|a| (a.server, a.amount))
-            .collect();
-        for (server, amount) in assignments {
-            accounting.assign(tree, client, server, amount);
-        }
-    }
+    let mut accounting = FeasAccounting::charged(problem, placement);
 
     // A violated client link is irreparable: the client's own demand
     // crosses it no matter where it is served.
@@ -151,9 +139,14 @@ pub fn repair_bandwidth(
         }
     }
 
-    // Replicas left without any load cost money (and, under Closest,
-    // can shadow the real server): drop them.
-    let mut loads = rp_tree::NodeMap::filled(tree.num_nodes(), 0u64);
+    prune_idle_replicas(placement, tree.num_nodes());
+    true
+}
+
+/// Drops replicas that no longer serve anything (they cost money and,
+/// under Closest, can shadow the real server).
+pub(crate) fn prune_idle_replicas(placement: &mut Placement, num_nodes: usize) {
+    let mut loads = rp_tree::NodeMap::filled(num_nodes, 0u64);
     placement.accumulate_server_loads(&mut loads);
     let idle: Vec<NodeId> = placement
         .replicas()
@@ -164,7 +157,6 @@ pub fn repair_bandwidth(
     for node in idle {
         placement.remove_replica(node);
     }
-    true
 }
 
 /// Tries to move `move_total` requests of `client` from `server` to

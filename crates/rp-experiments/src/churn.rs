@@ -8,17 +8,17 @@
 //!
 //! * outcome mix — applied / degraded / deferred — and which ladder
 //!   rung answered each absorbed delta ([`RungCounts`]);
-//! * sustained **re-placements per second** and the p50/p99 apply
-//!   latency (wall-clock around [`PlacementEngine::apply`], also
-//!   visible as the `online.apply_us` histogram through `rp-obs`);
+//! * sustained **re-placements per second** of engine time and the
+//!   p50/p99 apply latency (wall-clock around [`PlacementEngine::apply`],
+//!   also visible as the `online.apply_us` histogram through `rp-obs`);
+//!   the rate divides the absorbed deltas by the summed apply latencies;
 //! * incumbent verification after **every** apply — the engine's
 //!   ladder verifies each answer once before installing it, the sweep
 //!   re-checks the installed incumbent from outside
-//!   ([`PlacementEngine::verify_incumbent`], outside the apply timer but
-//!   inside the wall clock), and the aggregate
-//!   [`unverified`](ChurnPolicyOutcome::unverified) count must be
-//!   zero, which the chaos harness and the perf gate's `[online]`
-//!   section (`baseline --check`) assert.
+//!   ([`PlacementEngine::verify_incumbent`], outside every clock above),
+//!   and the aggregate [`unverified`](ChurnPolicyOutcome::unverified)
+//!   count must be zero, which the chaos harness and the perf gate's
+//!   `[online]` section (`baseline --check`) assert.
 //!
 //! `reproduce churn` renders the summary as a markdown table; the
 //! baseline binary records the same numbers in `BENCH_online.json`.
@@ -107,7 +107,8 @@ pub struct ChurnPolicyOutcome {
     pub unverified: usize,
     /// The engine's final incumbent generation.
     pub final_generation: u64,
-    /// Absorbed re-placements per wall-clock second.
+    /// Absorbed re-placements per second of engine time: the summed
+    /// wall-clock latencies of the applies, not the harness's checks.
     pub replacements_per_sec: f64,
     /// Median apply latency in milliseconds.
     pub p50_ms: f64,
@@ -173,7 +174,6 @@ pub fn run_churn_policy(config: &ChurnRunConfig, policy: Policy) -> ChurnPolicyO
     let mut deferred = 0usize;
     let mut unverified = 0usize;
     let mut latencies_ms: Vec<f64> = Vec::with_capacity(trace.len());
-    let wall = Instant::now();
     for entry in &trace {
         let start = Instant::now();
         let outcome = engine.apply(entry.delta, budget);
@@ -187,13 +187,13 @@ pub fn run_churn_policy(config: &ChurnRunConfig, policy: Policy) -> ChurnPolicyO
             unverified += 1;
         }
     }
-    let wall_seconds = wall.elapsed().as_secs_f64().max(1e-12);
     let absorbed = applied + degraded;
     latencies_ms.sort_by(|a, b| a.total_cmp(b));
+    let engine_ms: f64 = latencies_ms.iter().sum();
     let mean_ms = if latencies_ms.is_empty() {
         0.0
     } else {
-        latencies_ms.iter().sum::<f64>() / latencies_ms.len() as f64
+        engine_ms / latencies_ms.len() as f64
     };
     ChurnPolicyOutcome {
         policy,
@@ -203,7 +203,7 @@ pub fn run_churn_policy(config: &ChurnRunConfig, policy: Policy) -> ChurnPolicyO
         rungs: engine.rung_counts(),
         unverified,
         final_generation: engine.generation(),
-        replacements_per_sec: absorbed as f64 / wall_seconds,
+        replacements_per_sec: absorbed as f64 / (engine_ms / 1e3).max(1e-12),
         p50_ms: rp_obs::nearest_rank(&latencies_ms, 0.50),
         p99_ms: rp_obs::nearest_rank(&latencies_ms, 0.99),
         max_ms: latencies_ms.last().copied().unwrap_or(0.0),

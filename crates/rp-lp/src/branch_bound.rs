@@ -40,9 +40,9 @@ const INTEGRALITY_TOLERANCE: f64 = 1e-6;
 /// Options for the branch-and-bound search.
 #[derive(Clone, Copy, Debug)]
 pub struct BranchBoundOptions {
-    /// LP sub-solver options. Presolve is always disabled for the node
-    /// relaxations (per-node bound changes would invalidate the
-    /// reductions); the flag still applies to pure-LP pass-throughs.
+    /// LP sub-solver options. Node relaxations always run with the
+    /// presolve reductions off (per-node bound changes would invalidate
+    /// them); the flag still applies to pure-LP pass-throughs.
     pub simplex: SimplexOptions,
     /// Maximum number of explored nodes before giving up.
     pub max_nodes: usize,

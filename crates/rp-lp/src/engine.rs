@@ -25,12 +25,13 @@ pub struct SimplexOptions {
     /// to Bland's rule (anti-cycling); `0` prices with Bland from the
     /// first pivot.
     pub bland_after: usize,
-    /// Run the presolve pass (singleton rows/columns, forcing and
-    /// redundant constraints) before a cold solve. Branch-and-bound
-    /// disables it for its node solves, where per-node bound changes
-    /// would invalidate the reductions. Models below the micro-size
-    /// threshold skip the pass regardless (the analysis there costs more
-    /// than it saves). The oracle has no presolve.
+    /// Run the presolve reduction passes (singleton rows/columns,
+    /// forcing and redundant constraints) when the working form is
+    /// built; without them the form keeps every row and column.
+    /// Branch-and-bound turns them off for its node solves, where
+    /// per-node bound changes would invalidate the reductions. Models
+    /// below the micro-size threshold skip them regardless (there they
+    /// cost more than they save). The oracle has no presolve.
     pub presolve: bool,
     /// Whole-solve resource budget: wall-clock deadline and/or a total
     /// iteration cap, both unlimited by default. A budget stop returns

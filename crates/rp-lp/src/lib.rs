@@ -93,17 +93,18 @@
 //!   eligible clients) are dropped with the variables they pin, and
 //!   empty/singleton columns are fixed at their optimal bound; the
 //!   postsolve restores every eliminated variable. Branch-and-bound
-//!   disables it for node solves, where bound overrides would
-//!   invalidate the reductions.
+//!   turns the reductions off for node solves, where bound overrides
+//!   would invalidate them; such solves run on the same working form,
+//!   built from an analysis that removes nothing.
 //! * **Crash basis** — instead of one artificial per infeasible row,
 //!   the cold start makes a structural column basic in every coverage
 //!   equality whose value fits its bounds (block-triangularly, so the
 //!   start basis is trivially nonsingular). Phase 1 shrinks from one
 //!   artificial per client to a handful of residual rows.
-//! * **Micro-size fast path** — below ~50 rows the presolve analysis
-//!   costs more than it saves (the documented 10–20% cold-solve
-//!   overhead at `s ≤ 40`); such solves skip presolve automatically,
-//!   and a regression test pins the micro-size iteration counts to the
+//! * **Micro-size fast path** — below ~50 rows the presolve reduction
+//!   passes cost more than they save (the documented 10–20% cold-solve
+//!   overhead at `s ≤ 40`); such solves skip them automatically, and a
+//!   regression test pins the micro-size iteration counts to the
 //!   explicit presolve-off configuration.
 //! * **Warm starts** — a bound change (the only thing branch-and-bound
 //!   does between nodes) leaves the reduced costs untouched, so the

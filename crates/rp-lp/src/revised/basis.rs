@@ -1,9 +1,19 @@
 //! Standard-form matrix and basis bookkeeping for the revised simplex.
 //!
-//! [`StandardForm`] turns a [`Model`](crate::Model) into the equality
-//! form `A·x = b`, `l ≤ x ≤ u` the revised simplex works on:
+//! Every solve works on one form. [`Presolve`] analyses the
+//! [`Model`](crate::Model) first: singleton rows become bound
+//! tightenings, redundant and forcing constraints (zero-request clients,
+//! saturated capacities, nodes without eligible clients) are eliminated
+//! together with the variables they pin, and empty or singleton columns
+//! are fixed at their optimal bound. A solve that does not presolve
+//! (branch-and-bound's nodes, micro models) stops the analysis after its
+//! bound scan, so every row and column is kept with the model's bounds.
 //!
-//! * one row per model constraint — variable upper bounds are **not**
+//! [`StandardForm::build_reduced`] then assembles the equality form
+//! `A·x = b`, `l ≤ x ≤ u` the revised simplex works on, over the kept
+//! rows and columns:
+//!
+//! * one row per kept constraint — variable upper bounds are **not**
 //!   materialised as rows (they live in the column bounds and are
 //!   enforced by the bounded ratio test), which halves `m` versus the
 //!   dense tableau for the replica-placement LPs;
@@ -14,29 +24,22 @@
 //! * artificial columns are appended per solve, only for rows whose
 //!   initial slack value violates the slack bounds.
 //!
+//! The postsolve step of each solve restores every eliminated variable.
 //! [`BasisState`] tracks which column is basic in which row, the
 //! at-lower/at-upper status of every nonbasic column, and the values of
 //! the basic variables.
 //!
-//! [`Presolve`] shrinks the problem *before* the standard form is
-//! built: singleton rows become bound tightenings, redundant and
-//! forcing constraints (zero-request clients, saturated capacities,
-//! nodes without eligible clients) are eliminated together with the
-//! variables they pin, and empty or singleton columns are fixed at
-//! their optimal bound. [`StandardForm::build_reduced`] then assembles
-//! the equality form over the surviving rows and columns only, and the
-//! postsolve step in the driver restores every eliminated variable.
-//!
-//! Every build or refresh of a form also records the model data it
+//! Every build or refresh of the form also records the model data it
 //! read ([`Synced`]), so a re-solve of the same model can find its
 //! right-hand-side and bound edits by diff and patch the form in place.
-//! On a presolved form [`Presolve::absorb`] decides whether the
-//! reductions survive the edits: an edited kept column takes its new
-//! bound unless presolve tightened that side, a removed row an edit
-//! touches must still be implied ([`Presolve::still_implied`]), and a
-//! singleton equality that fixed its column re-derives the fixed value.
-//! Edited kept rows then get their reduced right-hand sides recomputed
-//! ([`Presolve::reduced_rhs`]).
+//! [`Presolve::absorb`] decides whether the reductions survive the
+//! edits: an edited kept column takes its new bound unless presolve
+//! tightened that side, a removed row an edit touches must still be
+//! implied ([`Presolve::still_implied`]), and a singleton equality that
+//! fixed its column re-derives the fixed value. Edited kept rows then get
+//! their reduced right-hand sides recomputed ([`Presolve::reduced_rhs`]).
+//! With nothing removed, every edit that leaves each column's bounds in
+//! order carries over.
 
 use crate::model::{Cmp, Constraint, Model, Sense};
 
@@ -77,9 +80,6 @@ pub(crate) struct StandardForm {
     /// `art_sign`), appended per solve.
     pub(crate) art_rows: Vec<usize>,
     pub(crate) art_signs: Vec<f64>,
-    /// Set when a variable's bounds are inverted (`ub < lb`): the LP is
-    /// trivially infeasible.
-    pub(crate) trivially_infeasible: bool,
     /// The model data this form was last built or refreshed from.
     pub(crate) synced: Synced,
 }
@@ -101,145 +101,11 @@ impl StandardForm {
         self.upper[col] - self.lower[col] <= 0.0
     }
 
-    /// Rebuilds the standard form from `model`, reusing every buffer.
-    pub(crate) fn build(&mut self, model: &Model) {
-        let n = model.num_vars();
-        let m = model.num_constraints();
-        self.m = m;
-        self.n_struct = n;
-        self.art_rows.clear();
-        self.art_signs.clear();
-        self.trivially_infeasible = false;
-
-        // CSC from the row-wise constraints: count, prefix, fill.
-        self.col_ptr.clear();
-        self.col_ptr.resize(n + 1, 0);
-        for c in &model.constraints {
-            for &(var, _) in &c.terms {
-                self.col_ptr[var.index() + 1] += 1;
-            }
-        }
-        for j in 0..n {
-            self.col_ptr[j + 1] += self.col_ptr[j];
-        }
-        let nnz = self.col_ptr[n];
-        self.col_rows.clear();
-        self.col_rows.resize(nnz, 0);
-        self.col_vals.clear();
-        self.col_vals.resize(nnz, 0.0);
-        // `col_ptr[j]` doubles as the fill cursor for column j; restore
-        // it afterwards by shifting back.
-        for (row, c) in model.constraints.iter().enumerate() {
-            for &(var, coeff) in &c.terms {
-                let slot = self.col_ptr[var.index()];
-                self.col_rows[slot] = row as u32;
-                self.col_vals[slot] = coeff;
-                self.col_ptr[var.index()] += 1;
-            }
-        }
-        for j in (1..=n).rev() {
-            self.col_ptr[j] = self.col_ptr[j - 1];
-        }
-        self.col_ptr[0] = 0;
-
-        // CSR mirror for row-wise scans (the crash basis). The
-        // constraints are already row-ordered, so one pass suffices.
-        self.row_ptr.clear();
-        self.row_cols.clear();
-        self.row_vals.clear();
-        self.row_ptr.push(0);
-        for c in &model.constraints {
-            for &(var, coeff) in &c.terms {
-                self.row_cols.push(var.index() as u32);
-                self.row_vals.push(coeff);
-            }
-            self.row_ptr.push(self.row_cols.len());
-        }
-
-        // Bounds and costs: structural then slack columns.
-        let maximise = model.sense() == Sense::Maximize;
-        self.lower.clear();
-        self.upper.clear();
-        self.cost.clear();
-        for v in &model.variables {
-            let ub = v.upper.unwrap_or(f64::INFINITY);
-            if ub < v.lower {
-                self.trivially_infeasible = true;
-            }
-            self.lower.push(v.lower);
-            self.upper.push(ub);
-            self.cost
-                .push(if maximise { -v.objective } else { v.objective });
-        }
-        self.rhs.clear();
-        for c in &model.constraints {
-            let (slo, shi) = slack_bounds(c.cmp);
-            self.lower.push(slo);
-            self.upper.push(shi);
-            self.cost.push(0.0);
-            self.rhs.push(c.rhs);
-        }
-        self.synced.sync(model);
-    }
-
-    /// Refreshes the structural bounds, objective, right-hand sides
-    /// **and the slack bounds** from `model` (used by the warm-started
-    /// paths; the stored basis stays valid because none of these enter
-    /// the basis matrix — the slack bounds encode each constraint's
-    /// comparison direction, so refreshing them lets the warm path
-    /// absorb even a flipped `≤`/`≥`/`=` without a stale-bound answer).
-    pub(crate) fn refresh_bounds(&mut self, model: &Model) {
-        self.trivially_infeasible = false;
-        let maximise = model.sense() == Sense::Maximize;
-        for (j, v) in model.variables.iter().enumerate() {
-            let ub = v.upper.unwrap_or(f64::INFINITY);
-            if ub < v.lower {
-                self.trivially_infeasible = true;
-            }
-            self.lower[j] = v.lower;
-            self.upper[j] = ub;
-            self.cost[j] = if maximise { -v.objective } else { v.objective };
-        }
-        for (row, c) in model.constraints.iter().enumerate() {
-            self.rhs[row] = c.rhs;
-            let (slo, shi) = slack_bounds(c.cmp);
-            self.lower[self.n_struct + row] = slo;
-            self.upper[self.n_struct + row] = shi;
-        }
-        self.synced.sync(model);
-    }
-
-    /// `true` when `model` has the same shape as the standard form was
-    /// built for (variable and constraint counts).
-    pub(crate) fn shape_matches(&self, model: &Model) -> bool {
-        self.n_struct == model.num_vars() && self.m == model.num_constraints()
-    }
-
-    /// `true` when `model`'s constraint matrix is entry-for-entry the
-    /// one this standard form was built from (compared against the CSR
-    /// mirror, which preserves the original row-major term order).
-    /// `O(nnz)` — cheap next to a solve, and what lets `solve_warm`
-    /// keep its documented promise of falling back to a cold solve
-    /// whenever anything but bounds, costs or right-hand sides changed.
-    pub(crate) fn matrix_matches(&self, model: &Model) -> bool {
-        for (row, c) in model.constraints.iter().enumerate() {
-            let range = self.row_ptr[row]..self.row_ptr[row + 1];
-            if range.len() != c.terms.len() {
-                return false;
-            }
-            for (t, &(var, coeff)) in range.zip(&c.terms) {
-                if self.row_cols[t] as usize != var.index() || self.row_vals[t] != coeff {
-                    return false;
-                }
-            }
-        }
-        true
-    }
-
     /// Rebuilds the standard form over the rows and columns `pre` kept,
-    /// folding the fixed columns into the right-hand sides. The layout
-    /// matches [`StandardForm::build`] exactly, just over the reduced
-    /// index spaces recorded in `pre`.
+    /// folding the fixed columns into the right-hand sides and reusing
+    /// every buffer. Columns and rows keep the model's order, and each
+    /// row its term order; when `pre` removed nothing, the form is the
+    /// model's own constraint matrix.
     pub(crate) fn build_reduced(&mut self, model: &Model, pre: &Presolve) {
         let n = pre.cols.len();
         let m = pre.rows.len();
@@ -247,7 +113,6 @@ impl StandardForm {
         self.n_struct = n;
         self.art_rows.clear();
         self.art_signs.clear();
-        self.trivially_infeasible = false;
 
         // CSC over kept rows and columns: count, prefix, fill.
         self.col_ptr.clear();
@@ -299,29 +164,23 @@ impl StandardForm {
         }
 
         // Bounds, costs and right-hand sides via the shared refresher.
-        self.lower.clear();
-        self.upper.clear();
-        self.cost.clear();
-        self.lower.resize(n, 0.0);
-        self.upper.resize(n, 0.0);
-        self.cost.resize(n, 0.0);
+        for column_data in [&mut self.lower, &mut self.upper, &mut self.cost] {
+            column_data.clear();
+            column_data.resize(n + m, 0.0);
+        }
         self.rhs.clear();
         self.rhs.resize(m, 0.0);
-        for _ in &pre.rows {
-            self.lower.push(0.0);
-            self.upper.push(0.0);
-            self.cost.push(0.0);
-        }
         self.refresh_reduced(model, pre);
     }
 
-    /// Refreshes the reduced structural bounds, objective and
-    /// right-hand sides from `model` and the (re-analysed) `pre` — the
-    /// warm-start counterpart of [`StandardForm::refresh_bounds`] for a
-    /// presolved form. The eliminated rows/columns must match the ones
-    /// this form was built from.
+    /// Refreshes the reduced structural bounds, objective, right-hand
+    /// sides **and the slack bounds** from `model` and the (re-analysed)
+    /// `pre` (the full warm entry; the stored basis stays valid because
+    /// none of these enter the basis matrix — the slack bounds encode
+    /// each constraint's comparison direction, so refreshing them lets
+    /// the warm path absorb even a flipped `≤`/`≥`/`=`). The eliminated
+    /// rows/columns must match the ones this form was built from.
     pub(crate) fn refresh_reduced(&mut self, model: &Model, pre: &Presolve) {
-        self.trivially_infeasible = false;
         let maximise = model.sense() == Sense::Maximize;
         for (rj, &j) in pre.cols.iter().enumerate() {
             let j = j as usize;
@@ -342,8 +201,12 @@ impl StandardForm {
     }
 
     /// `true` when `model`'s kept entries are entry-for-entry the ones
-    /// this reduced form was built from — the presolved counterpart of
-    /// [`StandardForm::matrix_matches`].
+    /// this form was built from (compared against the CSR mirror, which
+    /// preserves the model's term order). `O(nnz)` — cheap next to a
+    /// solve, and what lets `solve_warm` keep its documented promise of
+    /// falling back to a cold solve whenever anything but bounds, costs
+    /// or right-hand sides changed. The reductions must match the built
+    /// ones ([`Presolve::matches_built`]).
     pub(crate) fn matrix_matches_reduced(&self, model: &Model, pre: &Presolve) -> bool {
         for (ri, &i) in pre.rows.iter().enumerate() {
             let mut cursor = self.row_ptr[ri];
@@ -573,9 +436,11 @@ pub(crate) struct Presolve {
 
 impl Presolve {
     /// Analyses `model`, filling the masks, tightened bounds and fixed
-    /// values. Returns `false` when presolve alone proves the model
-    /// infeasible.
-    pub(crate) fn analyze(&mut self, model: &Model) -> bool {
+    /// values. Without `reduce` the analysis stops after its bound scan:
+    /// every row and column is kept, with the model's bounds. Returns
+    /// `false` when the analysis proves the model infeasible, as
+    /// inverted model bounds (`ub < lb`) always do.
+    pub(crate) fn analyze(&mut self, model: &Model, reduce: bool) -> bool {
         let n = model.num_vars();
         let m = model.num_constraints();
         self.lower.clear();
@@ -588,6 +453,18 @@ impl Presolve {
         self.row_derived.resize(m, false);
         self.col_kept.clear();
         self.col_kept.resize(n, true);
+        for v in &model.variables {
+            let ub = upper_bound(v.upper);
+            if ub < v.lower {
+                return false;
+            }
+            self.lower.push(v.lower);
+            self.upper.push(ub);
+        }
+        if !reduce {
+            return true;
+        }
+
         self.occ.clear();
         self.occ.resize(n, 0);
         self.occ_row.clear();
@@ -597,19 +474,7 @@ impl Presolve {
         self.stamp.clear();
         self.stamp.resize(n, 0);
         self.stamp_gen = 0;
-
         let maximise = model.sense() == Sense::Maximize;
-        for v in &model.variables {
-            let ub = v.upper.unwrap_or(f64::INFINITY);
-            if ub < v.lower {
-                // Strict, like the unreduced build: inverted *model*
-                // bounds are trivially infeasible.
-                return false;
-            }
-            self.lower.push(v.lower);
-            self.upper.push(ub);
-        }
-
         for _pass in 0..16 {
             let mut changed = false;
             // Column occurrences over the surviving rows (refreshed per
@@ -1063,8 +928,9 @@ impl Presolve {
     }
 
     /// `true` when the most recent [`Presolve::analyze`] produced
-    /// exactly the reductions the current reduced form was built from —
-    /// the condition for warm-starting a presolved basis.
+    /// exactly the reductions the current form was built from (with
+    /// nothing removed: the same row and column counts) — the condition
+    /// for warm-starting the stored basis.
     pub(crate) fn matches_built(&self) -> bool {
         self.row_kept == self.built_row_kept && self.col_kept == self.built_col_kept
     }

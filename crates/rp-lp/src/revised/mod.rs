@@ -11,6 +11,12 @@
 //! implicitly by the ratio test ([`ratio`]) rather than materialised as
 //! rows.
 //!
+//! Every solve runs on one working form, the presolved standard form of
+//! [`basis`]. A solve that does not presolve (branch-and-bound's nodes,
+//! models under [`MICRO_LP_ROWS`] rows) builds it from an analysis that
+//! removes nothing, so one build, warm entry, patch and postsolve serve
+//! every solve.
+//!
 //! Cold solves pick between two routes. When the phase-2 costs are
 //! already **dual feasible at the bound point** — every structural
 //! column can sit at a finite bound whose sign agrees with its cost,
@@ -65,7 +71,7 @@ use crate::error::LpError;
 use crate::model::Model;
 use crate::solution::{Solution, Status};
 
-use basis::{upper_bound, BasisState, ColStatus, Presolve, StandardForm};
+use basis::{BasisState, ColStatus, Presolve, StandardForm};
 use factor::Factorization;
 use pricing::{choose_entering, pivot_row_alphas, DualCandidates, Entering, Leaving};
 use ratio::{dual_ratio_test, primal_ratio_test, DualRatio, Ratio};
@@ -85,13 +91,14 @@ const PATCH_ETA_DIV: usize = 8;
 /// Pivot-magnitude tolerance of the ratio tests.
 const PIVOT_TOL: f64 = 1e-9;
 
-/// Constraint count below which the presolve analysis passes cost more
+/// Constraint count below which the presolve reduction passes cost more
 /// than they save (the documented ~10–20% cold-solve overhead at
-/// `s ≤ 40`). Below this threshold a solve skips presolve; the sweep's
-/// sibling warm starts are unaffected.
+/// `s ≤ 40`). Below this threshold the analysis stops after its bound
+/// scan and removes nothing; the sweep's sibling warm starts are
+/// unaffected.
 const MICRO_LP_ROWS: usize = 50;
 
-/// Whether a solve of `model` should actually run the presolve pass.
+/// Whether a solve of `model` should run the presolve reduction passes.
 fn effective_presolve(model: &Model, options: &SimplexOptions) -> bool {
     options.presolve && model.num_constraints() >= MICRO_LP_ROWS
 }
@@ -106,8 +113,8 @@ pub struct RevisedWorkspace {
     basis: BasisState,
     factor: Factorization,
     presolve: Presolve,
-    /// Whether `form` is the presolved reduction of the last model (a
-    /// changed presolve decision forces a cold rebuild on the next
+    /// Whether the analysis `form` was built from ran its reduction
+    /// passes (a changed decision forces a cold rebuild on the next
     /// solve).
     presolved: bool,
     /// How the last solve left the basis for an in-place patch: the
@@ -226,8 +233,10 @@ pub enum WarmStart {
     /// The warm path answered but needed further refactorisations along
     /// the way.
     WarmRefactor,
-    /// A stored basis existed but the presolve decision changed,
-    /// forcing a cold rebuild.
+    /// A stored basis existed but the decision whether the presolve
+    /// analysis runs its reduction passes changed
+    /// ([`SimplexOptions::presolve`], the micro-size threshold), forcing
+    /// a cold rebuild.
     ModeChangeCold,
 }
 
@@ -401,9 +410,9 @@ impl RevisedWorkspace {
     /// The in-place entry of a same-model re-solve after an optimal
     /// solve or a dual simplex proof of infeasibility: the
     /// right-hand-side and bound edits since that solve are found by
-    /// diffing against the synced data. On a presolved form the
-    /// reductions must survive them ([`Presolve::absorb`]); an unreduced
-    /// form absorbs any edit that leaves every column's bounds in order.
+    /// diffing against the synced data, and the reductions must survive
+    /// them ([`Presolve::absorb`]; with nothing removed, any edit that
+    /// leaves every column's bounds in order does).
     /// Edited kept rows get their reduced right-hand sides recomputed,
     /// edited kept columns their bounds, and a nonbasic column whose
     /// bound vanished is re-anchored at the other one. The basic values
@@ -425,24 +434,17 @@ impl RevisedWorkspace {
             {
                 return false;
             }
-            let absorbed = if self.presolved {
-                let (rows, cols) = (&self.edited, &self.edited_cols);
-                self.presolve
-                    .absorb(model, synced, rows, cols, &mut self.refold)
-            } else {
-                self.refold.clone_from(&self.edited);
-                self.edited_cols.iter().all(|&j| {
-                    let v = &model.variables[j as usize];
-                    v.lower <= upper_bound(v.upper)
-                })
-            };
-            if !absorbed {
+            let (rows, cols) = (&self.edited, &self.edited_cols);
+            if !self
+                .presolve
+                .absorb(model, synced, rows, cols, &mut self.refold)
+            {
                 return false;
             }
             self.residual.clear();
             self.residual.resize(self.form.m, 0.0);
             self.residual_nz.clear();
-            let (presolved, presolve) = (self.presolved, &self.presolve);
+            let presolve = &self.presolve;
             let (form, basis) = (&mut self.form, &mut self.basis);
             let (residual, residual_nz) = (&mut self.residual, &mut self.residual_nz);
             let mut shift = |row: usize, delta: f64| {
@@ -452,13 +454,8 @@ impl RevisedWorkspace {
                 residual[row] += delta;
             };
             for &i in &self.refold {
-                let c = &model.constraints[i as usize];
-                let (row, rhs) = if presolved {
-                    let row = presolve.row_map[i as usize] as usize;
-                    (row, presolve.reduced_rhs(c))
-                } else {
-                    (i as usize, c.rhs)
-                };
+                let row = presolve.row_map[i as usize] as usize;
+                let rhs = presolve.reduced_rhs(&model.constraints[i as usize]);
                 let delta = rhs - form.rhs[row];
                 form.rhs[row] = rhs;
                 if delta != 0.0 {
@@ -467,15 +464,11 @@ impl RevisedWorkspace {
             }
             for &j in &self.edited_cols {
                 let j = j as usize;
-                let (col, lower, upper) = if presolved {
-                    match presolve.col_map[j] {
-                        u32::MAX => continue,
-                        col => (col as usize, presolve.lower[j], presolve.upper[j]),
-                    }
-                } else {
-                    let v = &model.variables[j];
-                    (j, v.lower, upper_bound(v.upper))
+                let col = match presolve.col_map[j] {
+                    u32::MAX => continue,
+                    col => col as usize,
                 };
+                let (lower, upper) = (presolve.lower[j], presolve.upper[j]);
                 let before = basis.nonbasic_value(form, col);
                 form.lower[col] = lower;
                 form.upper[col] = upper;
@@ -513,35 +506,24 @@ impl RevisedWorkspace {
     }
 
     /// The full warm entry, timed as presolve: re-runs the presolve
-    /// analysis when the form is presolved, checks that the matrix and
-    /// the reductions match the stored form, refreshes bounds, costs and
-    /// right-hand sides from `model`, and re-anchors nonbasic columns
-    /// whose bound vanished.
+    /// analysis, checks that the matrix and the reductions match the
+    /// stored form, refreshes bounds, costs and right-hand sides from
+    /// `model`, and re-anchors nonbasic columns whose bound vanished.
     fn refresh_warm_form(&mut self, model: &Model) -> WarmEntry {
         let _t = rp_obs::phase_timer(rp_obs::Phase::Presolve);
-        let same_matrix = self.form.synced.same_matrix(model);
-        if self.presolved {
-            // Re-run the (cheap, O(nnz)) analysis: the stored reduced
-            // basis is only reusable when the new model eliminates
-            // exactly the same rows and columns.
-            if !self.presolve.analyze(model) {
-                return WarmEntry::Infeasible;
-            }
-            if !self.presolve.matches_built()
-                || !(same_matrix || self.form.matrix_matches_reduced(model, &self.presolve))
-            {
-                return WarmEntry::Rebuild;
-            }
-            self.form.refresh_reduced(model, &self.presolve);
-        } else {
-            if !(same_matrix || self.form.shape_matches(model) && self.form.matrix_matches(model)) {
-                return WarmEntry::Rebuild;
-            }
-            self.form.refresh_bounds(model);
-        }
-        if self.form.trivially_infeasible {
+        // Re-run the (cheap, O(nnz)) analysis: the stored basis is only
+        // reusable when the new model eliminates exactly the same rows
+        // and columns.
+        if !self.presolve.analyze(model, self.presolved) {
             return WarmEntry::Infeasible;
         }
+        if !self.presolve.matches_built()
+            || !(self.form.synced.same_matrix(model)
+                || self.form.matrix_matches_reduced(model, &self.presolve))
+        {
+            return WarmEntry::Rebuild;
+        }
+        self.form.refresh_reduced(model, &self.presolve);
         // Nonbasic columns whose bound vanished must be re-anchored.
         for col in 0..self.form.num_cols() {
             match self.basis.status[col] {
@@ -629,19 +611,13 @@ impl RevisedWorkspace {
         self.stats = SolveStats::default();
         self.warm_ready = false;
         self.presolved = effective_presolve(model, options);
-        let presolve_timer = rp_obs::phase_timer(rp_obs::Phase::Presolve);
-        if self.presolved {
-            if !self.presolve.analyze(model) {
+        {
+            let _t = rp_obs::phase_timer(rp_obs::Phase::Presolve);
+            if !self.presolve.analyze(model, self.presolved) {
                 return Solution::status_only(Status::Infeasible);
             }
             self.presolve.finalize_for_build();
             self.form.build_reduced(model, &self.presolve);
-        } else {
-            self.form.build(model);
-        }
-        drop(presolve_timer);
-        if self.form.trivially_infeasible {
-            return Solution::status_only(Status::Infeasible);
         }
         let m = self.form.m;
         let n = self.form.n_struct;
@@ -925,10 +901,8 @@ impl RevisedWorkspace {
         self.stats.ftran = ftran_now.delta_since(self.io_entry.0);
         self.stats.btran = btran_now.delta_since(self.io_entry.1);
         self.stats.max_eta_chain = self.stats.max_eta_chain.max(self.factor.updates());
-        if self.presolved {
-            self.stats.presolve_rows_removed = self.presolve.rows_removed();
-            self.stats.presolve_cols_removed = self.presolve.cols_removed();
-        }
+        self.stats.presolve_rows_removed = self.presolve.rows_removed();
+        self.stats.presolve_cols_removed = self.presolve.cols_removed();
         if rp_obs::counters_on() {
             self.stats.phases = rp_obs::take_solve_profile();
             let solve_us = self
@@ -1087,12 +1061,10 @@ impl RevisedWorkspace {
     }
 
     /// Expands a solution over the working form's columns back over the
-    /// original variables when presolve ran (in place, back to front — a
-    /// kept column's reduced index never exceeds its original one).
+    /// original variables, each eliminated one at its fixed value (in
+    /// place, back to front — a kept column's reduced index never
+    /// exceeds its original one).
     fn postsolve(&self, model: &Model, values: &mut Vec<f64>) {
-        if !self.presolved {
-            return;
-        }
         let n = model.num_vars();
         let mut reduced = self.presolve.cols.len();
         values.resize(n, 0.0);
@@ -1111,9 +1083,11 @@ impl RevisedWorkspace {
         self.stats
     }
 
-    /// Whether the last solve actually ran the presolve pass — `false`
-    /// on micro models even when [`SimplexOptions::presolve`] is set
-    /// (the size-threshold fast path).
+    /// Whether the last solve's presolve analysis ran its reduction
+    /// passes — `false` when [`SimplexOptions::presolve`] is off, and on
+    /// micro models even when it is set (the size-threshold fast path).
+    /// Either way the solve ran on the one working form; without the
+    /// passes that form keeps every row and column of the model.
     pub fn last_solve_used_presolve(&self) -> bool {
         self.presolved
     }
@@ -2143,6 +2117,111 @@ mod tests {
             let e = explicit_ws.last_stats();
             assert_eq!(d.iterations(), e.iterations(), "rows={rows}");
             assert_eq!(d.refactorisations, e.refactorisations, "rows={rows}");
+        }
+    }
+
+    /// The counters and answer of the workspace's last solve that a
+    /// change of working form could move.
+    fn trajectory(ws: &RevisedWorkspace, sol: &Solution) -> impl PartialEq + std::fmt::Debug {
+        let s = ws.last_stats();
+        let counts = (
+            s.primal_pivots,
+            s.dual_pivots,
+            s.bound_flips,
+            s.dual_bound_flips,
+        );
+        let refactors = (s.refactorisations, s.refactor_scheduled, s.max_eta_chain);
+        let values: Vec<u64> = sol.values.iter().map(|v| v.to_bits()).collect();
+        let answer = (sol.status, sol.objective.to_bits(), values);
+        (counts, refactors, s.warm, s.patched, answer)
+    }
+
+    #[test]
+    fn a_form_with_nothing_removed_pivots_like_an_unpresolved_one() {
+        // Every cover row has two live boxed columns and every column a
+        // positive cost, so the reduction passes remove nothing: the
+        // presolved form is the model's own matrix, and a cold solve, an
+        // rhs sibling and a bound-edit sibling pivot alike on both.
+        let mut model = cover_model(MICRO_LP_ROWS + 10);
+        let (row, var) = (model.constraint_ids().nth(3), model.var_ids().nth(7));
+        let unpresolved = SimplexOptions {
+            presolve: false,
+            ..SimplexOptions::default()
+        };
+        let (mut with, mut without) = (RevisedWorkspace::new(), RevisedWorkspace::new());
+        for step in 0..3 {
+            match step {
+                1 => model.set_rhs(row.unwrap(), 3.0),
+                2 => model.set_bounds(var.unwrap(), 0.0, Some(1.0)),
+                _ => {}
+            }
+            let reduced = with.solve_warm(&model, &SimplexOptions::default());
+            let stats = with.last_stats();
+            assert!(with.last_solve_used_presolve());
+            assert_eq!(
+                (stats.presolve_rows_removed, stats.presolve_cols_removed),
+                (0, 0)
+            );
+            let unreduced = without.solve_warm(&model, &unpresolved);
+            assert!(!without.last_solve_used_presolve());
+            assert_eq!(reduced.status, Status::Optimal);
+            assert_eq!(stats.patched, step > 0, "step {step}");
+            assert_eq!(
+                trajectory(&with, &reduced),
+                trajectory(&without, &unreduced),
+                "step {step}"
+            );
+        }
+    }
+
+    #[test]
+    fn an_unpresolved_solve_removes_nothing() {
+        // A singleton row the reduction passes turn into a bound: they
+        // remove it when they run, and an unpresolved solve keeps it.
+        let mut model = cover_model(MICRO_LP_ROWS + 10);
+        let first = model.var_ids().next().unwrap();
+        model.add_constraint("cap", LinExpr::var(first), Cmp::Le, 1.0);
+        let mut ws = RevisedWorkspace::new();
+        let presolved = ws.solve_warm(&model, &SimplexOptions::default());
+        assert!(ws.last_stats().presolve_rows_removed >= 1);
+        let options = SimplexOptions {
+            presolve: false,
+            ..SimplexOptions::default()
+        };
+        ws.invalidate();
+        let unpresolved = ws.solve_warm(&model, &options);
+        let stats = ws.last_stats();
+        assert_eq!(
+            (stats.presolve_rows_removed, stats.presolve_cols_removed),
+            (0, 0)
+        );
+        assert_eq!(ws.form.m, model.num_constraints());
+        assert_eq!(unpresolved.status, Status::Optimal);
+        assert_close(unpresolved.objective, presolved.objective);
+    }
+
+    #[test]
+    fn a_grown_model_is_not_warm_started_from_the_smaller_form() {
+        // The grown model's first rows are the small model's, so the
+        // full warm entry's matrix check alone would accept them: the
+        // row and column counts of the analysis must send it cold.
+        for rows in [5, MICRO_LP_ROWS + 10] {
+            let small = cover_model(rows);
+            let mut grown = small.clone();
+            let extra = grown.add_var("extra", 0.0, Some(5.0), 1.0);
+            let tight = LinExpr::var(extra).plus(1.0, small.var_ids().next().unwrap());
+            grown.add_constraint("tight", tight, Cmp::Ge, 9.0);
+            let mut ws = RevisedWorkspace::new();
+            assert_eq!(
+                ws.solve_warm(&small, &SimplexOptions::default()).status,
+                Status::Optimal
+            );
+            let warm = ws.solve_warm(&grown, &SimplexOptions::default());
+            assert_eq!(ws.last_stats().warm, WarmStart::Cold, "rows={rows}");
+            let cold = solve(&grown);
+            assert_eq!(warm.status, Status::Optimal);
+            assert_close(warm.objective, cold.objective);
+            assert!(grown.is_feasible(&warm.values, 1e-6), "rows={rows}");
         }
     }
 

@@ -206,12 +206,13 @@ fn random_edit(
 /// patch, `Some(false)` when it must not (inverted bounds), `None` when
 /// the class does not decide.
 ///
-/// The class: an unreduced form absorbs every edit; on a presolved form
-/// each edited row is kept, or is a singleton equality that fixed its
-/// removed column and re-derives a value within the column's new
-/// bounds, each edited column is kept with its edited sides untouched
-/// by presolve, or is such a re-derived column, and no other removed
-/// row has a term on an edited or re-derived column.
+/// The class: a form built without the reduction passes (nothing
+/// removed) absorbs every edit; otherwise each edited row is kept, or
+/// is a singleton equality that fixed its removed column and re-derives
+/// a value within the column's new bounds, each edited column is kept
+/// with its edited sides untouched by presolve, or is such a re-derived
+/// column, and no other removed row has a term on an edited or
+/// re-derived column.
 fn patch_expected(ws: &RevisedWorkspace, before: &Model, after: &Model) -> Option<bool> {
     let bounds = |m: &Model, j: usize| {
         let v = &m.variables[j];
