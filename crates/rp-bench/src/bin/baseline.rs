@@ -581,13 +581,16 @@ fn failures_suite() -> Report {
 /// re-placements per second, apply latency and escalation-rung
 /// counters. With no deadline no rung is cut short, so the outcome and
 /// rung counts are a function of the seed and CI diffs them; the
-/// `repl_per_sec/*` and `apply_*_ms/*` keys are timings.
+/// `repl_per_sec/*` and `apply_*_ms/*` keys are timings. The policies
+/// run one after another on one thread, so each apply is timed without
+/// the other two engines competing for the cores.
 fn online_suite() -> Report {
     use rp_experiments::churn::{run_churn, ChurnRunConfig};
 
     let config = ChurnRunConfig {
         problem_size: 2000,
         budget_ms: None,
+        threads: Some(1),
         ..ChurnRunConfig::new()
     };
     let results = run_churn(&config);

@@ -1,7 +1,5 @@
 //! Folding failure events into the surviving platform.
 
-use std::sync::Arc;
-
 use rp_tree::{ClientId, LinkId, NodeId, TreeNetwork};
 
 use crate::failures::event::{FailureEvent, RecoveryScope};
@@ -110,20 +108,46 @@ impl FailureState {
     /// The surviving platform: `base` (the source of storage costs, QoS
     /// bounds, bandwidths and the objective) with the current
     /// `requests` per client and the failures applied to the
-    /// `healthy_capacities` per node.
+    /// `healthy_capacities` per node. This is the one instance build of
+    /// the failure pipeline: crashed servers get capacity 0, dead links
+    /// bandwidth 0, and every other parameter carries over unchanged.
     pub fn platform(
         &self,
         base: &ProblemInstance,
         requests: &[u64],
         healthy_capacities: &[u64],
     ) -> DegradedPlatform {
-        let capacities = base
-            .tree()
-            .node_ids()
-            .map(|n| self.capacity(n, healthy_capacities[n.index()]))
-            .collect();
+        let tree = base.tree();
+        let bandwidth = |link: LinkId| {
+            if self.is_link_dead(link) {
+                Some(0)
+            } else {
+                base.bandwidth(link)
+            }
+        };
+        let problem = ProblemInstance::builder(base.tree_arc())
+            .requests(requests.to_vec())
+            .capacities(
+                tree.node_ids()
+                    .map(|n| self.capacity(n, healthy_capacities[n.index()]))
+                    .collect(),
+            )
+            .storage_costs(tree.node_ids().map(|n| base.storage_cost(n)).collect())
+            .qos(tree.client_ids().map(|c| base.qos(c)).collect())
+            .client_link_bandwidths(
+                tree.client_ids()
+                    .map(|c| bandwidth(LinkId::Client(c)))
+                    .collect(),
+            )
+            .node_link_bandwidths(
+                tree.node_ids()
+                    .map(|n| bandwidth(LinkId::Node(n)))
+                    .collect(),
+            )
+            .kind(base.kind())
+            .build();
         DegradedPlatform {
-            problem: rebuild_with(base, requests.to_vec(), capacities, self),
+            problem,
             failures: self.clone(),
         }
     }
@@ -134,10 +158,14 @@ impl FailureState {
 /// The degraded instance encodes every failure through the ordinary
 /// problem parameters — crashed servers have capacity 0, dead links
 /// have bandwidth 0 — so *all* existing machinery (heuristics,
-/// validation, the exact accounting) works on it unchanged. The dead
-/// flags are kept alongside because a zero-capacity server and a
-/// crashed one differ for repair: a replica may not survive on either,
-/// but only a dead *link* severs routes.
+/// validation, the exact accounting) works on it unchanged: the repair
+/// passes open no crashed server because its residual capacity is never
+/// positive, and a degraded answer is checked on this same instance
+/// ([`DegradedPlacement::verify`](crate::failures::DegradedPlacement::verify)
+/// waives only the unserved clients' demand), so no second instance is
+/// built. The dead flags are kept alongside because a zero-capacity
+/// server and a crashed one differ for repair: a replica may not
+/// survive on either, but only a dead *link* severs routes.
 #[derive(Clone)]
 pub struct DegradedPlatform {
     problem: ProblemInstance,
@@ -155,45 +183,6 @@ pub fn apply_failures(problem: &ProblemInstance, events: &[FailureEvent]) -> Deg
     let requests: Vec<u64> = tree.client_ids().map(|c| problem.requests(c)).collect();
     let capacities: Vec<u64> = tree.node_ids().map(|n| problem.capacity(n)).collect();
     failures.platform(problem, &requests, &capacities)
-}
-
-/// The one instance rebuild: `base` with new requests and capacities
-/// and zeroed bandwidth on the links `failures` marks dead. Every other
-/// parameter — tree, storage costs, QoS bounds, objective kind —
-/// carries over unchanged.
-fn rebuild_with(
-    base: &ProblemInstance,
-    requests: Vec<u64>,
-    capacities: Vec<u64>,
-    failures: &FailureState,
-) -> ProblemInstance {
-    let tree: Arc<TreeNetwork> = base.tree_arc();
-    let storage_costs: Vec<u64> = tree.node_ids().map(|n| base.storage_cost(n)).collect();
-    let qos: Vec<Option<u32>> = tree.client_ids().map(|c| base.qos(c)).collect();
-    let bandwidth = |link: LinkId| {
-        if failures.is_link_dead(link) {
-            Some(0)
-        } else {
-            base.bandwidth(link)
-        }
-    };
-    let client_bw: Vec<Option<u64>> = tree
-        .client_ids()
-        .map(|c| bandwidth(LinkId::Client(c)))
-        .collect();
-    let node_bw: Vec<Option<u64>> = tree
-        .node_ids()
-        .map(|n| bandwidth(LinkId::Node(n)))
-        .collect();
-    ProblemInstance::builder(tree)
-        .requests(requests)
-        .capacities(capacities)
-        .storage_costs(storage_costs)
-        .qos(qos)
-        .client_link_bandwidths(client_bw)
-        .node_link_bandwidths(node_bw)
-        .kind(base.kind())
-        .build()
 }
 
 impl DegradedPlatform {
@@ -271,22 +260,6 @@ impl DegradedPlatform {
             .filter(|&&d| d)
             .count()
             + self.failures.dead_node_links.iter().filter(|&&d| d).count()
-    }
-
-    /// A copy of the surviving instance with the requests of `unserved`
-    /// clients zeroed — the instance a degraded placement is validated
-    /// against (a zero-request client passes validation unassigned).
-    pub fn problem_with_unserved_dropped(&self, unserved: &[ClientId]) -> ProblemInstance {
-        let tree = self.problem.tree();
-        let mut requests: Vec<u64> = tree
-            .client_ids()
-            .map(|c| self.problem.requests(c))
-            .collect();
-        for &client in unserved {
-            requests[client.index()] = 0;
-        }
-        let capacities: Vec<u64> = tree.node_ids().map(|n| self.problem.capacity(n)).collect();
-        rebuild_with(&self.problem, requests, capacities, &self.failures)
     }
 }
 
@@ -611,12 +584,31 @@ mod tests {
 
     #[test]
     fn dropping_unserved_clients_zeroes_their_requests_only() {
-        let (p, _, c) = sample();
+        use crate::failures::report::DegradedPlacement;
+        use crate::policy::Policy;
+        use crate::solution::{Placement, Violation};
+
+        // c0 is cut off; c1 (5) and c2 (2) are served at the root. The
+        // check waives c0's demand on the surviving instance itself.
+        let (p, n, c) = sample();
         let platform = apply_failures(&p, &[FailureEvent::UplinkDown(LinkId::Client(c[0]))]);
-        let check = platform.problem_with_unserved_dropped(&[c[0]]);
-        assert_eq!(check.requests(c[0]), 0);
-        assert_eq!(check.requests(c[1]), 5);
-        assert_eq!(check.requests(c[2]), 2);
-        assert_eq!(check.bandwidth(LinkId::Client(c[0])), Some(0));
+        assert_eq!(platform.problem().requests(c[0]), 3);
+        let report = |c1_served: u64| {
+            let mut placement = Placement::empty(3);
+            placement.add_replica(n[0]);
+            placement.assign(c[1], n[0], c1_served);
+            placement.assign(c[2], n[0], 2);
+            DegradedPlacement::new(&platform, placement, vec![c[0]])
+        };
+        assert!(report(5).verify(&platform, Policy::Upwards));
+        // Only the listed client's demand is waived.
+        assert_eq!(
+            report(4).check(&platform, Policy::Upwards),
+            Err(vec![Violation::RequestsNotCovered {
+                client: c[1],
+                requested: 5,
+                assigned: 4,
+            }])
+        );
     }
 }

@@ -11,8 +11,12 @@
 //!    current demand, shed load from servers whose capacity dropped
 //!    (whole clients under the single-server policies, exact amounts
 //!    under Multiple), and re-home the orphans through the LP-guided
-//!    repair stack's exact accounting ([`FeasAccounting`]). Orphans that
-//!    find no home are left unserved, which keeps a partial answer;
+//!    repair stack's exact accounting ([`FeasAccounting`]): under
+//!    Upwards and Multiple with the step the bandwidth repair
+//!    ([`BandwidthRepair`]) moves flow with (`place_on_path`, here over
+//!    the orphan's eligible servers), under Closest onto the first
+//!    replica on the path or a node below it. Orphans that find no home
+//!    are left unserved, which keeps a partial answer;
 //! 2. **LP-guided** ([`ApplyRung::LpRepair`]) — under Multiple only, a
 //!    warm LP re-solve rounded to an integral placement (the rounding
 //!    splits clients, which the single-server policies forbid);
@@ -59,7 +63,7 @@ use crate::failures::event::FailureEvent;
 use crate::failures::report::{DegradedPlacement, RepairOutcome};
 use crate::heuristics::lp_guided::accounting::FeasAccounting;
 use crate::heuristics::lp_guided::lp_guided_reusing;
-use crate::heuristics::lp_guided::repair::prune_idle_replicas;
+use crate::heuristics::lp_guided::repair::{place_on_path, prune_idle_replicas};
 use crate::heuristics::{BandwidthRepair, Heuristic};
 use crate::ilp::IlpOptions;
 use crate::policy::Policy;
@@ -335,17 +339,14 @@ fn surgical(
         if accounting.node_residual(node) >= 0 {
             continue;
         }
-        let mut carried: Vec<(ClientId, u64)> = tree
-            .client_ids()
-            .flat_map(|c| {
-                survivor
-                    .assignments(c)
-                    .iter()
-                    .filter(|a| a.server == node)
-                    .map(|a| (c, a.amount))
-                    .collect::<Vec<_>>()
-            })
-            .collect();
+        // Only clients below `node` can be served there, each by one
+        // assignment (`Placement::assign` merges).
+        let mut carried: Vec<(ClientId, u64)> = Vec::new();
+        for &c in tree.subtree_clients(node) {
+            if let Some(a) = survivor.assignments(c).iter().find(|a| a.server == node) {
+                carried.push((c, a.amount));
+            }
+        }
         carried.sort_by_key(|&(c, amount)| (amount, c.index()));
         for (client, amount) in carried {
             let deficit = -accounting.node_residual(node);
@@ -378,7 +379,6 @@ fn surgical(
     for (client, amount) in orphans {
         if !rehome(
             problem,
-            platform,
             &mut survivor,
             &mut accounting,
             client,
@@ -408,14 +408,13 @@ fn held(placement: &Placement, client: ClientId) -> Vec<(NodeId, u64)> {
 }
 
 /// Places `amount` orphaned requests of `client` onto surviving
-/// servers; returns whether the whole amount found a home. Dead servers
-/// and dead links are excluded automatically — their residuals are zero
-/// in the degraded accounting. `survivor` and `accounting` must agree
-/// (every assignment charged) before the call; on `false` they are left
-/// exactly as they were (partial moves under Multiple are rolled back).
+/// servers; returns whether the whole amount found a home. Upwards and
+/// Multiple use the bandwidth repair's step ([`place_on_path`]) over
+/// the eligible servers, which opens no crashed server; Closest must
+/// use the first replica on the path or re-home below it. On `false`
+/// every assignment and residual is as it was.
 fn rehome(
     problem: &ProblemInstance,
-    platform: &DegradedPlatform,
     survivor: &mut Placement,
     accounting: &mut FeasAccounting,
     client: ClientId,
@@ -436,80 +435,10 @@ fn rehome(
             survivor.assign(client, target, amount);
             true
         }
-        Policy::Upwards => {
-            let eligible: Vec<NodeId> = problem.eligible_servers(client).collect();
-            let target = eligible
-                .iter()
-                .copied()
-                .find(|&v| {
-                    survivor.has_replica(v) && accounting.max_assignable(tree, client, v) >= amount
-                })
-                .or_else(|| {
-                    eligible
-                        .iter()
-                        .copied()
-                        .filter(|&v| {
-                            !survivor.has_replica(v)
-                                && !platform.is_server_dead(v)
-                                && accounting.max_assignable(tree, client, v) >= amount
-                        })
-                        .min_by_key(|&v| (problem.storage_cost(v), v.index()))
-                });
-            let Some(v) = target else {
-                return false;
-            };
-            survivor.add_replica(v);
-            accounting.assign(tree, client, v, amount);
-            survivor.assign(client, v, amount);
-            true
-        }
-        Policy::Multiple => {
-            let eligible: Vec<NodeId> = problem.eligible_servers(client).collect();
-            let mut moved: Vec<(NodeId, u64)> = Vec::new();
-            let mut left = amount;
-            // Drain open replicas closest-first (free), then open the
-            // cheapest helpful nodes.
-            for &v in &eligible {
-                if left == 0 {
-                    break;
-                }
-                if !survivor.has_replica(v) {
-                    continue;
-                }
-                let take = left.min(accounting.max_assignable(tree, client, v));
-                if take > 0 {
-                    accounting.assign(tree, client, v, take);
-                    survivor.assign(client, v, take);
-                    moved.push((v, take));
-                    left -= take;
-                }
-            }
-            while left > 0 {
-                let best = eligible
-                    .iter()
-                    .copied()
-                    .filter(|&v| !survivor.has_replica(v) && !platform.is_server_dead(v))
-                    .map(|v| (v, accounting.max_assignable(tree, client, v)))
-                    .filter(|&(_, headroom)| headroom > 0)
-                    .min_by_key(|&(v, _)| (problem.storage_cost(v), v.index()));
-                let Some((v, headroom)) = best else {
-                    break;
-                };
-                let take = left.min(headroom);
-                survivor.add_replica(v);
-                accounting.assign(tree, client, v, take);
-                survivor.assign(client, v, take);
-                moved.push((v, take));
-                left -= take;
-            }
-            if left > 0 {
-                for &(v, take) in &moved {
-                    accounting.unassign(tree, client, v, take);
-                    survivor.unassign(client, v, take);
-                }
-                return false;
-            }
-            true
+        Policy::Upwards | Policy::Multiple => {
+            let path: Vec<NodeId> = problem.eligible_servers(client).collect();
+            let single = policy.is_single_server();
+            place_on_path(problem, survivor, accounting, client, amount, &path, single)
         }
     }
 }

@@ -9,8 +9,9 @@ use crate::solution::{Placement, Violation};
 
 /// A best-effort placement over the surviving platform when full
 /// service is infeasible: every client is either served completely or
-/// listed as unserved, and [`DegradedPlacement::verify`] checks the
-/// served set is genuinely servable.
+/// listed as unserved, and [`DegradedPlacement::verify`] checks it on
+/// the surviving instance itself, waiving only the listed clients'
+/// demand.
 #[derive(Clone, Debug)]
 pub struct DegradedPlacement {
     /// The partial placement: serves exactly the clients *not* listed
@@ -72,10 +73,11 @@ impl DegradedPlacement {
         }
     }
 
-    /// Checks the report is *correct*: the placement serves every
-    /// non-unserved client exactly (it validates against the surviving
-    /// instance with unserved requests zeroed), unserved clients have
-    /// no assignments, and the bookkeeping totals add up.
+    /// Checks the report is *correct*: unserved clients have no
+    /// assignments, the bookkeeping totals add up, and the placement
+    /// validates on the surviving instance
+    /// ([`DegradedPlatform::problem`]) with one waiver: the demand of
+    /// the clients listed unserved need not be covered.
     ///
     /// This is the one acceptance check of the repair ladder: every
     /// rung's candidate passes it exactly once before
@@ -85,8 +87,10 @@ impl DegradedPlacement {
     }
 
     /// [`verify`](Self::verify) with the reason it failed: the
-    /// placement's violations against the served instance, or an empty
-    /// list when the bookkeeping is off.
+    /// placement's violations on the surviving instance less the
+    /// `RequestsNotCovered` of the listed clients (the only violation a
+    /// client with no assignment can raise), or an empty list when the
+    /// bookkeeping is off.
     pub(crate) fn check(
         &self,
         platform: &DegradedPlatform,
@@ -116,20 +120,22 @@ impl DegradedPlacement {
         if served != self.served_requests || total != self.total_requests {
             return Err(Vec::new());
         }
-        // With nobody unserved the served instance is the surviving one.
-        let dropped;
-        let instance = if self.unserved.is_empty() {
-            problem
-        } else {
-            dropped = platform.problem_with_unserved_dropped(&self.unserved);
-            &dropped
-        };
-        if self.cost != self.placement.cost(instance) {
+        if self.cost != self.placement.cost(problem) {
             return Err(Vec::new());
         }
-        self.placement
-            .validate(instance, policy)
-            .map_err(|violations| violations.0)
+        let Err(violations) = self.placement.validate(problem, policy) else {
+            return Ok(());
+        };
+        let waived = |v: &Violation| match v {
+            Violation::RequestsNotCovered { client, .. } => is_unserved[client.index()],
+            _ => false,
+        };
+        let left: Vec<Violation> = violations.0.into_iter().filter(|v| !waived(v)).collect();
+        if left.is_empty() {
+            Ok(())
+        } else {
+            Err(left)
+        }
     }
 }
 

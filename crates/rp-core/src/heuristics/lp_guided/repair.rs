@@ -11,7 +11,10 @@
 //! link, moves crossing assignments to servers below it: open replicas
 //! with residual capacity first (free), then the cheapest new replica
 //! on the client's path. Under the single-server policies whole clients
-//! move to a single new server; under Multiple the flow may split.
+//! move to a single new server; under Multiple the flow may split. The
+//! move is `place_on_path`, the crate's one re-homing step: the surgical
+//! rung of [`repair_ladder`](crate::failures::repair_ladder) re-homes
+//! its Upwards and Multiple orphans with it too.
 //! [`BandwidthRepair`] packages this as a drop-in wrapper around any
 //! classic [`Heuristic`], re-validating the repaired placement under
 //! the wrapped heuristic's own policy (a Closest repair that breaks the
@@ -159,10 +162,10 @@ pub(crate) fn prune_idle_replicas(placement: &mut Placement, num_nodes: usize) {
     }
 }
 
-/// Tries to move `move_total` requests of `client` from `server` to
-/// servers on the client's path at or below `ceiling` (all strictly
-/// below the violated link). Rolls back entirely when the amount cannot
-/// be placed; returns whether the move happened.
+/// Moves `amount` requests of `client` from `server` to servers on the
+/// client's path at or below `ceiling` (all strictly below the violated
+/// link) through [`place_on_path`], or leaves them on `server` when they
+/// do not fit there.
 #[allow(clippy::too_many_arguments)]
 fn move_below(
     problem: &ProblemInstance,
@@ -170,107 +173,132 @@ fn move_below(
     accounting: &mut FeasAccounting,
     client: ClientId,
     server: NodeId,
-    move_total: u64,
+    amount: u64,
     ceiling: NodeId,
     single_server: bool,
-) -> bool {
-    if move_total == 0 {
-        return false;
-    }
+) {
     let tree = problem.tree();
-    accounting.unassign(tree, client, server, move_total);
-    let removed = placement.unassign(client, server, move_total);
-    debug_assert_eq!(removed, move_total);
+    accounting.unassign(tree, client, server, amount);
+    let removed = placement.unassign(client, server, amount);
+    debug_assert_eq!(removed, amount);
 
     // Candidate targets: the path from the client up to (and including)
     // the lower end of the violated link. They are all closer than the
     // old server, so any QoS bound the old assignment satisfied stays
     // satisfied.
-    let mut targets: Vec<NodeId> = Vec::new();
-    for ancestor in tree.ancestors_of_client(client) {
-        targets.push(ancestor);
-        if ancestor == ceiling {
-            break;
-        }
+    let below = tree.client_distance(client, ceiling).unwrap_or(0) as usize;
+    let targets: Vec<NodeId> = tree.ancestors_of_client(client).take(below).collect();
+    if !place_on_path(
+        problem,
+        placement,
+        accounting,
+        client,
+        amount,
+        &targets,
+        single_server,
+    ) {
+        accounting.assign(tree, client, server, amount);
+        placement.assign(client, server, amount);
     }
+}
 
-    let mut moved: Vec<(NodeId, u64)> = Vec::new();
-    let mut left = move_total;
+/// The one re-homing step of both repair passes ([`move_below`] and the
+/// failure ladder's Upwards and Multiple re-homing): places `amount`
+/// requests of `client` on `candidates`, servers on its path listed
+/// closest first, each move charged to `accounting` (which must agree
+/// with `placement`). Single-server: the closest open replica that can
+/// take the whole amount, else the cheapest other candidate that can.
+/// Split: drain the open replicas closest-first, then open the cheapest
+/// candidates with headroom. Returns whether the whole amount found a
+/// home; on `false` every assignment and residual is as it was (a
+/// replica the split opened stays, serving nothing, for the caller's
+/// [`prune_idle_replicas`]).
+///
+/// A crashed server never opens: it has capacity 0 on the surviving
+/// instance, so its residual (0 minus its charged load) is at most 0 and
+/// [`FeasAccounting::max_assignable`] is 0, while single-server needs
+/// headroom `>= amount > 0` and split `> 0`.
+pub(crate) fn place_on_path(
+    problem: &ProblemInstance,
+    placement: &mut Placement,
+    accounting: &mut FeasAccounting,
+    client: ClientId,
+    amount: u64,
+    candidates: &[NodeId],
+    single_server: bool,
+) -> bool {
+    if amount == 0 {
+        return true;
+    }
+    let tree = problem.tree();
     if single_server {
-        // One target must take everything: prefer an open replica
-        // (closest first), else the cheapest node worth opening.
-        let target = targets
+        let target = candidates
             .iter()
             .copied()
             .find(|&v| {
-                placement.has_replica(v) && accounting.max_assignable(tree, client, v) >= left
+                placement.has_replica(v) && accounting.max_assignable(tree, client, v) >= amount
             })
             .or_else(|| {
-                targets
+                candidates
                     .iter()
                     .copied()
                     .filter(|&v| {
                         !placement.has_replica(v)
-                            && accounting.max_assignable(tree, client, v) >= left
+                            && accounting.max_assignable(tree, client, v) >= amount
                     })
                     .min_by_key(|&v| (problem.storage_cost(v), v.index()))
             });
-        if let Some(v) = target {
-            placement.add_replica(v);
-            accounting.assign(tree, client, v, left);
-            placement.assign(client, v, left);
-            moved.push((v, left));
-            left = 0;
+        let Some(v) = target else {
+            return false;
+        };
+        placement.add_replica(v);
+        accounting.assign(tree, client, v, amount);
+        placement.assign(client, v, amount);
+        return true;
+    }
+
+    let mut moved: Vec<(NodeId, u64)> = Vec::new();
+    let mut left = amount;
+    for &v in candidates {
+        if left == 0 {
+            break;
         }
-    } else {
-        // Multiple: drain open replicas closest-first, then open the
-        // cheapest helpful nodes.
-        for &v in &targets {
-            if left == 0 {
-                break;
-            }
-            if !placement.has_replica(v) {
-                continue;
-            }
-            let take = left.min(accounting.max_assignable(tree, client, v));
-            if take > 0 {
-                accounting.assign(tree, client, v, take);
-                placement.assign(client, v, take);
-                moved.push((v, take));
-                left -= take;
-            }
+        if !placement.has_replica(v) {
+            continue;
         }
-        while left > 0 {
-            let best = targets
-                .iter()
-                .copied()
-                .filter(|&v| !placement.has_replica(v))
-                .map(|v| (v, accounting.max_assignable(tree, client, v)))
-                .filter(|&(_, headroom)| headroom > 0)
-                .min_by_key(|&(v, _)| (problem.storage_cost(v), v.index()));
-            let Some((v, headroom)) = best else {
-                break;
-            };
-            let take = left.min(headroom);
-            placement.add_replica(v);
+        let take = left.min(accounting.max_assignable(tree, client, v));
+        if take > 0 {
             accounting.assign(tree, client, v, take);
             placement.assign(client, v, take);
             moved.push((v, take));
             left -= take;
         }
     }
-
+    while left > 0 {
+        let best = candidates
+            .iter()
+            .copied()
+            .filter(|&v| !placement.has_replica(v))
+            .map(|v| (v, accounting.max_assignable(tree, client, v)))
+            .filter(|&(_, headroom)| headroom > 0)
+            .min_by_key(|&(v, _)| (problem.storage_cost(v), v.index()));
+        let Some((v, headroom)) = best else {
+            break;
+        };
+        let take = left.min(headroom);
+        placement.add_replica(v);
+        accounting.assign(tree, client, v, take);
+        placement.assign(client, v, take);
+        moved.push((v, take));
+        left -= take;
+    }
     if left > 0 {
-        // Roll back: undo the partial moves, restore the old assignment.
         for &(v, take) in &moved {
             accounting.unassign(tree, client, v, take);
             placement.unassign(client, v, take);
         }
-        accounting.assign(tree, client, server, move_total);
-        placement.assign(client, server, move_total);
-        return false;
     }
-    true
+    left == 0
 }
 
 #[cfg(test)]
@@ -381,6 +409,188 @@ mod tests {
             let plain = heuristic.run(&p).map(|pl| pl.cost(&p));
             let wrapped = BandwidthRepair(heuristic).run(&p).map(|pl| pl.cost(&p));
             assert_eq!(plain, wrapped, "{heuristic}");
+        }
+    }
+
+    /// root -> x -> a -> b -> {c0: 4}; root -> c1: 9. Node order
+    /// `[root, x, a, b]`; c0's candidates closest first are `[b, a, x,
+    /// root]`.
+    fn path(
+        capacities: Vec<u64>,
+        costs: Vec<u64>,
+    ) -> (ProblemInstance, Vec<NodeId>, Vec<ClientId>) {
+        let mut t = TreeBuilder::new();
+        let root = t.add_root();
+        let x = t.add_node(root);
+        let a = t.add_node(x);
+        let b = t.add_node(a);
+        let c0 = t.add_client(b);
+        let c1 = t.add_client(root);
+        let p = ProblemInstance::builder(t.build().unwrap())
+            .requests(vec![4, 9])
+            .capacities(capacities)
+            .storage_costs(costs)
+            .build();
+        (p, vec![root, x, a, b], vec![c0, c1])
+    }
+
+    /// `placement` with replicas on `open`, and c1's 9 requests at the
+    /// root when it is among them.
+    fn opened(p: &ProblemInstance, n: &[NodeId], c: &[ClientId], open: &[NodeId]) -> Placement {
+        let mut placement = Placement::empty(2);
+        for &v in open {
+            placement.add_replica(v);
+        }
+        if open.contains(&n[0]) {
+            placement.assign(c[1], n[0], p.requests(c[1]));
+        }
+        placement
+    }
+
+    fn residuals(p: &ProblemInstance, accounting: &FeasAccounting) -> Vec<i64> {
+        let tree = p.tree();
+        let nodes = tree.node_ids().map(|n| accounting.node_residual(n));
+        let links = tree.link_ids().map(|l| accounting.link_residual(l));
+        nodes.chain(links).collect()
+    }
+
+    /// c0's `(server, amount)` assignments, sorted by server.
+    fn served(placement: &Placement, client: ClientId) -> Vec<(NodeId, u64)> {
+        let mut held: Vec<(NodeId, u64)> = placement
+            .assignments(client)
+            .iter()
+            .map(|a| (a.server, a.amount))
+            .collect();
+        held.sort();
+        held
+    }
+
+    #[test]
+    fn a_failed_step_leaves_placement_and_residuals_as_they_were() {
+        // Open: a (room 2) and the root (room 1); closed b and x have no
+        // capacity. 3 < 4, so neither mode can place c0, and the split
+        // mode must undo the 3 it drained.
+        let (p, n, c) = path(vec![10, 0, 2, 0], vec![10, 1, 5, 1]);
+        let candidates = [n[3], n[2], n[1], n[0]];
+        for single_server in [true, false] {
+            let before = opened(&p, &n, &c, &[n[0], n[2]]);
+            let mut placement = before.clone();
+            let mut accounting = FeasAccounting::charged(&p, &placement);
+            let charged = residuals(&p, &accounting);
+            assert!(!place_on_path(
+                &p,
+                &mut placement,
+                &mut accounting,
+                c[0],
+                4,
+                &candidates,
+                single_server,
+            ));
+            assert_eq!(placement, before, "single_server = {single_server}");
+            assert_eq!(residuals(&p, &accounting), charged);
+        }
+    }
+
+    #[test]
+    fn a_single_server_step_takes_the_closest_open_replica_with_room() {
+        // b is closed, closer and cheapest; a and the root are open.
+        let (p, n, c) = path(vec![20, 10, 10, 10], vec![10, 8, 5, 1]);
+        let mut placement = opened(&p, &n, &c, &[n[0], n[2]]);
+        let mut accounting = FeasAccounting::charged(&p, &placement);
+        let candidates = [n[3], n[2], n[1], n[0]];
+        assert!(place_on_path(
+            &p,
+            &mut placement,
+            &mut accounting,
+            c[0],
+            4,
+            &candidates,
+            true,
+        ));
+        assert_eq!(served(&placement, c[0]), vec![(n[2], 4)]);
+        assert_eq!(placement.replicas(), &[n[0], n[2]]);
+        assert_eq!(accounting.node_residual(n[2]), 6);
+    }
+
+    #[test]
+    fn a_split_step_drains_open_replicas_closest_first_then_opens_the_cheapest() {
+        // Open: a (room 2) and the root (room 3); closed: x (cost 2)
+        // and b (cost 4), both with room 5.
+        let (p, n, c) = path(vec![12, 5, 2, 5], vec![10, 2, 5, 4]);
+        let candidates = [n[3], n[2], n[1], n[0]];
+        let step = |amount: u64| {
+            let mut placement = opened(&p, &n, &c, &[n[0], n[2]]);
+            let mut accounting = FeasAccounting::charged(&p, &placement);
+            let placed = place_on_path(
+                &p,
+                &mut placement,
+                &mut accounting,
+                c[0],
+                amount,
+                &candidates,
+                false,
+            );
+            (placed, placement)
+        };
+        // 4 fit in the open replicas: a is drained before the root.
+        let (placed, placement) = step(4);
+        assert!(placed);
+        assert_eq!(served(&placement, c[0]), vec![(n[0], 2), (n[2], 2)]);
+        assert_eq!(placement.replicas(), &[n[0], n[2]]);
+        // 7 need 2 more: x, the cheapest closed node, opens; b does not.
+        let (placed, placement) = step(7);
+        assert!(placed);
+        assert_eq!(
+            served(&placement, c[0]),
+            vec![(n[0], 3), (n[1], 2), (n[2], 2)]
+        );
+        assert_eq!(placement.replicas(), &[n[0], n[1], n[2]]);
+    }
+
+    #[test]
+    fn a_crashed_server_is_never_opened() {
+        use crate::failures::{apply_failures, FailureEvent};
+
+        // x is the cheapest candidate but crashed: both modes open a,
+        // the cheapest live one, on the surviving instance.
+        let (p, n, c) = path(vec![20, 10, 10, 10], vec![10, 1, 5, 8]);
+        let platform = apply_failures(&p, &[FailureEvent::ServerCrash(n[1])]);
+        let survivors = platform.problem();
+        let candidates = [n[3], n[2], n[1], n[0]];
+        for single_server in [true, false] {
+            let mut placement = opened(survivors, &n, &c, &[]);
+            let mut accounting = FeasAccounting::charged(survivors, &placement);
+            assert!(place_on_path(
+                survivors,
+                &mut placement,
+                &mut accounting,
+                c[0],
+                4,
+                &candidates,
+                single_server,
+            ));
+            assert_eq!(served(&placement, c[0]), vec![(n[2], 4)]);
+            assert_eq!(placement.replicas(), &[n[2]]);
+        }
+        // With every live candidate full, neither mode falls back on x.
+        let mut events = vec![FailureEvent::ServerCrash(n[1])];
+        events.extend(
+            [n[0], n[2], n[3]].map(|node| FailureEvent::CapacityLoss { node, remaining: 0 }),
+        );
+        let full = apply_failures(&p, &events);
+        for single_server in [true, false] {
+            let mut placement = opened(full.problem(), &n, &c, &[]);
+            let mut accounting = FeasAccounting::charged(full.problem(), &placement);
+            assert!(!place_on_path(
+                full.problem(),
+                &mut placement,
+                &mut accounting,
+                c[0],
+                4,
+                &candidates,
+                single_server,
+            ));
+            assert!(placement.replicas().is_empty());
         }
     }
 }

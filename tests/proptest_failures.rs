@@ -10,12 +10,12 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use replica_placement::core::bounds::multiple_is_feasible;
-use replica_placement::core::failures::heuristic_fallback;
+use replica_placement::core::failures::{degraded_best_effort, heuristic_fallback};
 use replica_placement::core::heuristics::lp_guided::lp_guided_reusing;
 use replica_placement::core::ilp::{lower_bound, BoundKind, IlpOptions};
 use replica_placement::core::{
-    apply_failures, inject_and_repair, repair_after_failure, FailureEvent, RecoveryScope,
-    RepairOutcome,
+    apply_failures, inject_and_repair, repair_after_failure, BandwidthRepair, DegradedPlacement,
+    DegradedPlatform, FailureEvent, RecoveryScope, RepairOutcome,
 };
 use replica_placement::lp::{LpWorkspace, SolveBudget};
 use replica_placement::prelude::*;
@@ -57,8 +57,20 @@ fn with_qos(problem: &ProblemInstance, seed: u64) -> ProblemInstance {
         .client_ids()
         .map(|_| rng.gen_bool(0.5).then(|| rng.gen_range(1..=3u32)))
         .collect();
+    let requests = tree.client_ids().map(|c| problem.requests(c)).collect();
+    rebuilt(problem, requests, qos)
+}
+
+/// `problem` with new per-client `requests` and QoS bounds; every other
+/// parameter carries over.
+fn rebuilt(
+    problem: &ProblemInstance,
+    requests: Vec<u64>,
+    qos: Vec<Option<u32>>,
+) -> ProblemInstance {
+    let tree = problem.tree();
     ProblemInstance::builder(problem.tree_arc())
-        .requests(tree.client_ids().map(|c| problem.requests(c)).collect())
+        .requests(requests)
         .capacities(tree.node_ids().map(|n| problem.capacity(n)).collect())
         .storage_costs(tree.node_ids().map(|n| problem.storage_cost(n)).collect())
         .qos(qos)
@@ -74,6 +86,68 @@ fn with_qos(problem: &ProblemInstance, seed: u64) -> ProblemInstance {
         )
         .kind(problem.kind())
         .build()
+}
+
+/// The oracle for `DegradedPlacement::verify`: the check it made when
+/// it validated on a copy of the surviving instance rebuilt with the
+/// unserved clients' requests set to zero, instead of waiving their
+/// demand on the instance itself.
+fn verifies_on_a_rebuilt_copy(
+    report: &DegradedPlacement,
+    platform: &DegradedPlatform,
+    policy: Policy,
+) -> bool {
+    let problem = platform.problem();
+    let tree = problem.tree();
+    let placement = &report.placement;
+    if report
+        .unserved
+        .iter()
+        .any(|&c| !placement.assignments(c).is_empty())
+    {
+        return false;
+    }
+    let mut requests: Vec<u64> = tree.client_ids().map(|c| problem.requests(c)).collect();
+    for &client in &report.unserved {
+        requests[client.index()] = 0;
+    }
+    let served: u64 = requests.iter().sum();
+    if served != report.served_requests || problem.total_requests() != report.total_requests {
+        return false;
+    }
+    let qos = tree.client_ids().map(|c| problem.qos(c)).collect();
+    let copy = rebuilt(problem, requests, qos);
+    report.cost == placement.cost(&copy) && placement.is_valid(&copy, policy)
+}
+
+/// Mutations of a verified `report`, each with its bookkeeping redone
+/// so that only the validation can catch it: an assignment given to an
+/// unserved client, that client dropped from the unserved list, and a
+/// served client cut one request short (each where the report has such
+/// a client).
+fn mutants(report: &DegradedPlacement, platform: &DegradedPlatform) -> Vec<DegradedPlacement> {
+    let tree = platform.problem().tree();
+    let rebuild = |placement: Placement, unserved: &[ClientId]| {
+        DegradedPlacement::new(platform, placement, unserved.to_vec())
+    };
+    let mut mutants = Vec::new();
+    if let Some((&cut, rest)) = report.unserved.split_first() {
+        let mut sneaky = report.placement.clone();
+        let parent = tree.parent_of_client(cut);
+        sneaky.add_replica(parent);
+        sneaky.assign(cut, parent, 1);
+        mutants.push(rebuild(sneaky, &report.unserved));
+        mutants.push(rebuild(report.placement.clone(), rest));
+    }
+    let served = tree
+        .client_ids()
+        .find_map(|c| Some((c, report.placement.assignments(c).first()?.server)));
+    if let Some((client, server)) = served {
+        let mut short = report.placement.clone();
+        short.unassign(client, server, 1);
+        mutants.push(rebuild(short, &report.unserved));
+    }
+    mutants
 }
 
 /// A random failure sequence over every event kind, recoveries of
@@ -248,6 +322,64 @@ proptest! {
             let rounded =
                 lp_guided_reusing(survivors, &IlpOptions::default(), &mut LpWorkspace::new());
             prop_assert!(rounded.is_none(), "after {:?}", &events[..prefix]);
+        }
+    }
+
+    /// A degraded answer is checked on the surviving instance itself,
+    /// with only the listed clients' demand waived, and that check
+    /// agrees with validating on a copy rebuilt with their requests
+    /// zeroed. The reports come from the ladder and from its best-effort
+    /// fallback on the platform after every prefix of a random trace
+    /// (bandwidths on a third of the instances, QoS bounds on half),
+    /// plus three mutations of each: an assignment given to an unserved
+    /// client, a served client cut one request short, and an unserved
+    /// client dropped from the list (its bookkeeping redone, so that
+    /// only the validation can catch it).
+    #[test]
+    fn a_degraded_check_on_the_surviving_instance_matches_a_rebuilt_copy(
+        instance_seed in 0u64..1_000_000,
+        trace_seed in 0u64..1_000_000,
+        trace_len in 1usize..=6,
+    ) {
+        let mut problem = instance_from_seed(instance_seed);
+        if instance_seed % 3 == 0 {
+            problem = attach_link_bandwidths(&problem, (0.5, 1.5), instance_seed);
+        }
+        if trace_seed % 2 == 0 {
+            problem = with_qos(&problem, trace_seed);
+        }
+        let tree = problem.tree();
+        let events = failures_with_recoveries(tree, trace_len, trace_seed);
+        for prefix in 1..=events.len() {
+            let platform = apply_failures(&problem, &events[..prefix]);
+            for heuristic in Heuristic::BASE {
+                let Some(placement) = BandwidthRepair(heuristic).run(&problem) else {
+                    continue;
+                };
+                let policy = heuristic.policy();
+                let answer = match repair_after_failure(&platform, &placement, policy) {
+                    RepairOutcome::Degraded(report) => report,
+                    RepairOutcome::Full(placement) => {
+                        DegradedPlacement::new(&platform, placement, Vec::new())
+                    }
+                };
+                let mut reports = vec![answer];
+                reports.extend(degraded_best_effort(&platform, policy));
+                for report in reports {
+                    prop_assert!(report.verify(&platform, policy), "{heuristic:?}");
+                    for case in mutants(&report, &platform).into_iter().chain([report]) {
+                        let oracle = verifies_on_a_rebuilt_copy(&case, &platform, policy);
+                        prop_assert_eq!(
+                            case.verify(&platform, policy),
+                            oracle,
+                            "{:?} after {:?}: {:?}",
+                            heuristic,
+                            &events[..prefix],
+                            case
+                        );
+                    }
+                }
+            }
         }
     }
 
