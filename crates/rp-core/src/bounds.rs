@@ -66,6 +66,11 @@ pub fn replica_cost_lower_bound(problem: &ProblemInstance) -> f64 {
 /// demand that may still climb, so the pass fails only when no
 /// placement exists: a client's uplink or a node's link carries too
 /// much, or demand is left over at the last server its QoS allows.
+///
+/// Two callers act on `false`: the repair ladder skips its full-service
+/// rungs ([`crate::failures`]), and the sweep runner of `rp-experiments`
+/// settles a trial without running a heuristic or the LP bound (the
+/// rational and the mixed relaxation are then both infeasible).
 pub fn multiple_is_feasible(problem: &ProblemInstance) -> bool {
     let tree = problem.tree();
     let order = tree.postorder_nodes();

@@ -16,7 +16,9 @@
 //!    ([`BandwidthRepair`]) moves flow with (`place_on_path`, here over
 //!    the orphan's eligible servers), under Closest onto the first
 //!    replica on the path or a node below it. Orphans that find no home
-//!    are left unserved, which keeps a partial answer;
+//!    are left unserved, which keeps a partial answer; an orphan that is
+//!    not [servable](DegradedPlatform::is_servable) is left unserved
+//!    without a try;
 //! 2. **LP-guided** ([`ApplyRung::LpRepair`]) — under Multiple only, a
 //!    warm LP re-solve rounded to an integral placement (the rounding
 //!    splits clients, which the single-server policies forbid);
@@ -373,18 +375,23 @@ fn surgical(
     }
 
     // Re-home the orphans hardest (largest) first; what cannot be
-    // re-homed is fully unassigned and reported unserved.
+    // re-homed is fully unassigned and reported unserved. An orphan no
+    // placement can serve is not tried: no live server with capacity
+    // is reachable from it, so every candidate has zero headroom and
+    // `rehome` would fail without a change.
     let mut unserved: Vec<ClientId> = Vec::new();
     orphans.sort_by_key(|&(c, amount)| (std::cmp::Reverse(amount), c.index()));
     for (client, amount) in orphans {
-        if !rehome(
-            problem,
-            &mut survivor,
-            &mut accounting,
-            client,
-            amount,
-            policy,
-        ) {
+        if !platform.is_servable(client)
+            || !rehome(
+                problem,
+                &mut survivor,
+                &mut accounting,
+                client,
+                amount,
+                policy,
+            )
+        {
             for (server, amount) in held(&survivor, client) {
                 let removed = survivor.unassign(client, server, amount);
                 accounting.unassign(tree, client, server, removed);
@@ -762,6 +769,60 @@ mod tests {
         assert_eq!(rung, ApplyRung::LpRepair);
         assert!(report.unserved.is_empty());
         assert!(workspace.revised.last_stats().refactorisations > 0);
+    }
+
+    #[test]
+    fn unservable_orphans_stay_unserved_and_a_servable_one_is_rehomed() {
+        // root(W=20) -> a(W=5) -> {c0: 2}; a -> m(W=4) -> {c2: 3};
+        // root -> b(W=0) -> {c1: 2}. Replicas at root (c0, c1) and m
+        // (c2). m crashes, c0's uplink and b's uplink die: c0 sits
+        // behind a dead uplink, c1's only live path ends at b, which has
+        // no capacity, and c2 can still reach the root.
+        let mut bld = TreeBuilder::new();
+        let root = bld.add_root();
+        let a = bld.add_node(root);
+        let c0 = bld.add_client(a);
+        let m = bld.add_node(a);
+        let c2 = bld.add_client(m);
+        let b = bld.add_node(root);
+        let c1 = bld.add_client(b);
+        let p =
+            ProblemInstance::replica_cost(bld.build().unwrap(), vec![2, 3, 2], vec![20, 5, 4, 0]);
+        let mut placement = Placement::empty(3);
+        placement.add_replica(root);
+        placement.add_replica(m);
+        placement.assign(c0, root, 2);
+        placement.assign(c1, root, 2);
+        placement.assign(c2, m, 3);
+        assert!(placement.is_valid(&p, Policy::Closest));
+        let events = [
+            FailureEvent::ServerCrash(m),
+            FailureEvent::UplinkDown(LinkId::Client(c0)),
+            FailureEvent::UplinkDown(LinkId::Node(b)),
+        ];
+        let platform = apply_failures(&p, &events);
+        assert!(!platform.is_servable(c0) && !platform.is_servable(c1));
+        assert!(platform.is_servable(c2));
+        let everyone: Vec<ClientId> = p.tree().client_ids().collect();
+        for policy in Policy::ALL {
+            let (repaired, unserved) = surgical(&platform, &placement, &everyone, policy).unwrap();
+            assert_eq!(unserved, vec![c0, c1], "{policy}");
+            // No replica opens: m's is gone and c2 moves to the root.
+            assert_eq!(repaired.replicas(), [root], "{policy}");
+            let servers = |c| held(&repaired, c);
+            assert_eq!(servers(c2), vec![(root, 3)], "{policy}");
+            assert!(servers(c0).is_empty() && servers(c1).is_empty(), "{policy}");
+
+            // The ladder keeps that partial.
+            let RepairOutcome::Degraded(report) =
+                repair_after_failure(&platform, &placement, policy)
+            else {
+                panic!("{policy}: c0 and c1 are cut off");
+            };
+            assert_eq!(report.unserved, vec![c0, c1], "{policy}");
+            assert_eq!(report.placement, repaired, "{policy}");
+            assert!(report.verify(&platform, policy), "{policy}");
+        }
     }
 
     #[test]

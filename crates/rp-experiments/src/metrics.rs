@@ -22,14 +22,19 @@ pub struct TrialResult {
     pub problem_size: usize,
     /// Load factor actually achieved by the generator.
     pub achieved_lambda: f64,
-    /// LP lower bound on the replica cost (`None` when the LP itself is
-    /// infeasible, i.e. the tree is not solvable under any policy).
+    /// LP lower bound on the replica cost (`None` when the tree is not
+    /// solvable under any policy: the exact Multiple feasibility pass
+    /// fails, and the LP is then infeasible too, so it is not solved).
     pub lp_bound: Option<f64>,
     /// Cost found by each heuristic (`None` = no valid solution).
     pub heuristic_costs: Vec<(Heuristic, Option<u64>)>,
-    /// Wall-clock seconds spent on the LP bound.
+    /// Wall-clock seconds spent on the LP bound. On a trial the
+    /// feasibility pass settles, the pass's own time; on any other, the
+    /// pass is not in it (only the `exp.trial_us` histogram has it).
     pub lp_seconds: f64,
-    /// Wall-clock seconds spent running all heuristics.
+    /// Wall-clock seconds spent running all heuristics: 0 on a trial the
+    /// feasibility pass settles, which runs none. The pass itself is
+    /// never in it (only `exp.trial_us` has it on a trial it accepts).
     pub heuristics_seconds: f64,
 }
 
@@ -42,7 +47,8 @@ impl TrialResult {
             .and_then(|(_, c)| *c)
     }
 
-    /// `true` when the LP declared the tree solvable.
+    /// `true` when the feasibility pass and the LP declare the tree
+    /// solvable.
     pub fn solvable(&self) -> bool {
         self.lp_bound.is_some()
     }

@@ -44,13 +44,30 @@
 //! cheapest of the eight base costs, so when it is requested all eight
 //! run and its cost is their minimum: no second pass, and no pooled
 //! MixedBest incumbent.
+//!
+//! # An infeasible trial
+//!
+//! Right after the demand draw, a trial runs the exact Multiple
+//! feasibility pass ([`multiple_is_feasible`], O(s log s), with QoS
+//! bounds and bandwidths). When it fails, no heuristic and no LP run:
+//! every requested heuristic and the bound report `None`, as they would
+//! have. A Closest or Upwards placement is also a Multiple one, so no
+//! heuristic could succeed; the rational relaxation is infeasible since
+//! the pass is exact, and so is the mixed one, since setting every `x`
+//! to 1 keeps a rational solution feasible. The kept formulation and LP
+//! workspace stay as they are: the next feasible sibling re-targets and
+//! re-solves them, and a tree whose first trials are all settled builds
+//! its formulation on its first feasible one. `exp.infeasible_trials`
+//! counts the settled trials.
 
 use std::ops::Range;
 use std::sync::Arc;
+use std::time::Instant;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use rp_core::bounds::multiple_is_feasible;
 use rp_core::heuristics::{HeuristicState, StateBuffers};
 use rp_core::ilp::{
     build_model, integral_lower_bound, relaxation_bound, BoundKind, IlpFormulation, IlpOptions,
@@ -297,7 +314,8 @@ pub fn run_single_trial(config: &ExperimentConfig, lambda: f64, tree_index: usiz
 
 /// Generates and evaluates one tree on a worker's pinned scratch state.
 /// A λ-sibling of the scratch's last trial reuses its tree, capacities
-/// and formulation; any other trial draws them afresh (see the module
+/// and formulation; any other trial draws them afresh, and a trial the
+/// feasibility pass settles runs no heuristic and no LP (see the module
 /// docs). Either way the result equals [`run_single_trial`]'s.
 pub fn run_single_trial_with(
     config: &ExperimentConfig,
@@ -334,6 +352,25 @@ pub fn run_single_trial_with(
         kept.capacities.clone(),
     );
 
+    // The exact pass settles a trial that no placement of any policy
+    // serves: neither relaxation is feasible then, so nothing else runs
+    // and the kept state stays as it is (see the module docs).
+    let pass = Instant::now();
+    if !multiple_is_feasible(&problem) {
+        rp_obs::incr(rp_obs::Counter::ExpInfeasibleTrials);
+        let lp_seconds = pass.elapsed().as_secs_f64();
+        scratch.kept = Some(kept);
+        return TrialResult {
+            tree_index,
+            problem_size: problem.tree().problem_size(),
+            achieved_lambda: problem.load_factor(),
+            lp_bound: None,
+            heuristic_costs: config.heuristics.iter().map(|&h| (h, None)).collect(),
+            lp_seconds,
+            heuristics_seconds: 0.0,
+        };
+    }
+
     let heuristics_span = rp_obs::timed_span(rp_obs::SpanKind::HeuristicsPhase);
     let heuristic_costs = heuristic_costs(&problem, &config.heuristics, &mut scratch.buffers);
     let heuristics_seconds = heuristics_span.finish_seconds();
@@ -357,6 +394,12 @@ pub fn run_single_trial_with(
     let lp_bound = relaxation_bound(&formulation.model, config.bound, &options, &mut scratch.lp)
         .map(|raw| integral_lower_bound(raw) as f64);
     let lp_seconds = lp_span.finish_seconds();
+    // The pass accepted, so an infeasible verdict would be an LP false
+    // negative.
+    debug_assert!(
+        lp_bound.is_some(),
+        "λ={lambda} tree {tree_index}: the pass accepts, the LP says infeasible"
+    );
 
     let result = TrialResult {
         tree_index,
@@ -856,6 +899,109 @@ mod tests {
                 config.bound
             );
         }
+    }
+
+    #[test]
+    fn settled_trials_in_any_order_match_the_reference() {
+        // High-λ heterogeneous trees at 20 ≤ s ≤ 80, where the
+        // feasibility pass settles many trials: settled trials come first
+        // for their tree, between feasible siblings and after a
+        // descending λ step, on one scratch. Each result must equal a
+        // reference on the generated instance: every base heuristic on
+        // fresh buffers, and the bound on a fresh build and workspace.
+        let base = ExperimentConfig {
+            size_range: (20, 80),
+            platform: PlatformKind::default_heterogeneous(),
+            ..ExperimentConfig::smoke_test()
+        };
+        let qos = ExperimentConfig {
+            qos_hops: Some(2),
+            ..base.clone()
+        };
+        let mixed = ExperimentConfig {
+            bound: BoundKind::Mixed,
+            ..base.clone()
+        };
+        let order: Vec<(&ExperimentConfig, usize, &[f64])> = vec![
+            (&base, 0, &[0.9, 0.8, 0.5, 0.9]),
+            (&base, 1, &[0.6, 0.7, 0.8, 0.9, 0.3]),
+            (&base, 7, &[0.7, 0.9, 0.8, 0.2]),
+            (&base, 4, &[0.9]),
+            (&base, 0, &[0.5]),
+            (&base, 6, &[0.8, 0.9]),
+            (&base, 5, &[0.3, 0.8]),
+            (&qos, 7, &[0.4, 0.5, 0.6, 0.9, 0.1]),
+            (&qos, 0, &[0.9, 0.2]),
+            (&mixed, 1, &[0.9, 0.8, 0.7, 0.6]),
+            (&mixed, 3, &[0.9, 0.2]),
+        ];
+        let reference = |config: &ExperimentConfig, lambda: f64, tree: usize| {
+            let problem = generate_trial_problem(config, lambda, tree);
+            let base: Vec<Option<u64>> = Heuristic::BASE
+                .iter()
+                .map(|h| h.run(&problem).map(|p| p.cost(&problem)))
+                .collect();
+            let costs: Vec<(Heuristic, Option<u64>)> = config
+                .heuristics
+                .iter()
+                .map(|&h| match Heuristic::BASE.iter().position(|&b| b == h) {
+                    Some(i) => (h, base[i]),
+                    None => (h, base.iter().flatten().min().copied()),
+                })
+                .collect();
+            let bound =
+                rp_core::ilp::lower_bound_with(&problem, config.bound, &IlpOptions::default())
+                    .map(|raw| integral_lower_bound(raw) as f64);
+            (
+                problem.tree().problem_size(),
+                problem.load_factor(),
+                costs,
+                bound,
+            )
+        };
+
+        let mut scratch = WorkerScratch::new();
+        let (mut settled, mut settled_then_feasible) = (0, 0);
+        let mut last: Option<(&ExperimentConfig, usize, bool)> = None;
+        for &(config, tree, lambdas) in &order {
+            for &lambda in lambdas {
+                let trial = run_single_trial_with(config, lambda, tree, &mut scratch);
+                let (size, achieved, costs, bound) = reference(config, lambda, tree);
+                let context = format!(
+                    "λ={lambda} tree {tree} {:?} {:?}",
+                    config.qos_hops, config.bound
+                );
+                assert_eq!(
+                    answers(&trial),
+                    (size, achieved, &costs[..], bound),
+                    "{context}"
+                );
+                // A settled trial keeps its tree, and builds no
+                // formulation for a tree that had none.
+                let kept = scratch.kept.as_ref().unwrap();
+                assert_eq!(kept.key, TreeKey::new(config, tree), "{context}");
+                let is_settled = trial.lp_bound.is_none();
+                if is_settled {
+                    settled += 1;
+                    assert_eq!(trial.heuristics_seconds, 0.0, "{context}");
+                }
+                if let Some((prev_config, prev_tree, prev_settled)) = last {
+                    let sibling = std::ptr::eq(prev_config, config) && prev_tree == tree;
+                    settled_then_feasible += usize::from(sibling && prev_settled && !is_settled);
+                }
+                last = Some((config, tree, is_settled));
+            }
+        }
+        assert!(settled >= 10, "{settled} settled trials");
+        assert!(settled_then_feasible >= 5, "{settled_then_feasible}");
+
+        // A tree whose trials are all settled builds no formulation.
+        let mut scratch = WorkerScratch::new();
+        for lambda in [0.9, 0.8, 0.7] {
+            let trial = run_single_trial_with(&base, lambda, 6, &mut scratch);
+            assert_eq!(trial.lp_bound, None, "λ={lambda}");
+        }
+        assert!(scratch.kept.as_ref().unwrap().formulation.is_none());
     }
 
     #[test]

@@ -1708,7 +1708,6 @@ enum DualOutcome {
     Stopped(LpError),
 }
 
-#[cfg(test)]
 mod patch_tests;
 
 #[cfg(test)]

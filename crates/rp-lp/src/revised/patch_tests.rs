@@ -1,3 +1,4 @@
+#![cfg(test)]
 //! Differential property test of the in-place warm entry: one model is
 //! edited in place (right-hand sides and variable bounds: tightened,
 //! loosened, restored, to and from infinity, inverted) and re-solved on

@@ -111,6 +111,7 @@ metric_enum! {
     // --- rp-experiments: sweep drivers. ---
     ExpTrials => ("exp.trials", "1", "rp-experiments"),
     ExpSiblingTrials => ("exp.sibling_trials", "1", "rp-experiments"),
+    ExpInfeasibleTrials => ("exp.infeasible_trials", "1", "rp-experiments"),
     ExpScenarioTrials => ("exp.scenario_trials", "1", "rp-experiments"),
     ExpResilienceTrials => ("exp.resilience_trials", "1", "rp-experiments"),
     ExpChurnTrials => ("exp.churn_trials", "1", "rp-experiments"),
