@@ -139,6 +139,12 @@ fn cold_solve(ws: &mut RevisedWorkspace, model: &Model) -> Option<(f64, f64)> {
     optimal.then_some((ns / 1e6, solution.objective))
 }
 
+/// Whether the last solve on `ws` took the dual cold start: a replica
+/// bound that falls to the two-phase route makes phase-1 pivots.
+fn dual_start(ws: &RevisedWorkspace) -> bool {
+    ws.last_stats().phase1_pivots == 0
+}
+
 /// Times `place` end to end and returns the cost gap of the valid
 /// placement it found (percent over `yardstick`) and the wall ms, or
 /// `None` when it found none.
@@ -913,8 +919,8 @@ fn check(budget_path: &str, section: Option<&str>) {
     });
 
     // One instrumented cold solve of each bound: [lp] takes the s = 2000
-    // wall time and iterations from it, [obs] the phase coverage of both
-    // and the metrics and trace they leave behind.
+    // wall time, iterations and route from it, [obs] the phase coverage
+    // of both and the metrics and trace they leave behind.
     rp_obs::set_mode(ObsMode::Full);
     rp_obs::reset_all();
     rp_obs::clear_trace();
@@ -923,7 +929,7 @@ fn check(budget_path: &str, section: Option<&str>) {
         let (ms, _) = cold_solve(&mut ws, model)?;
         let stats = ws.last_stats();
         let coverage = stats.phases.total_nanos() as f64 / (ms * 1e6);
-        Some((ms, stats.iterations() as f64, coverage))
+        Some((ms, stats.iterations() as f64, coverage, dual_start(&ws)))
     };
     let (s400_full, s2000_full) = match &s2000_build {
         Some((_, s2000_model)) => (instrumented(&s400_model), instrumented(s2000_model)),
@@ -937,12 +943,17 @@ fn check(budget_path: &str, section: Option<&str>) {
         // the mode-gated instrumentation sites cost when disabled.
         rp_obs::set_mode(ObsMode::Off);
         let mut ws = RevisedWorkspace::new();
-        let solves: Option<Vec<_>> = (0..5).map(|_| cold_solve(&mut ws, &s400_model)).collect();
+        let solves: Option<Vec<_>> = (0..5)
+            .map(|_| cold_solve(&mut ws, &s400_model).map(|(ms, obj)| (ms, obj, dual_start(&ws))))
+            .collect();
         let median = solves.map(|mut solves| {
             solves.sort_by(|a, b| a.0.total_cmp(&b.0));
             solves[2]
         });
-        let invariants = [dense_agrees(&s400_model, median.map(|m| m.1))];
+        let invariants = [
+            dense_agrees(&s400_model, median.map(|m| m.1)),
+            ("dual cold start", median.is_some_and(|m| m.2)),
+        ];
         let subject = "[s=400 bound, median of 5, ObsMode::Off]";
         checks.record("s400_bound_ms", subject, median.map(|m| m.0), &invariants);
         let build_ms = s2000_build.as_ref().map(|build| build.0);
@@ -953,7 +964,8 @@ fn check(budget_path: &str, section: Option<&str>) {
         let subject = "[s=2000 bandwidth model, median of 5 builds]";
         checks.record("s2000_build_ms", subject, build_ms, &invariants);
         let subject = "[s=2000 bandwidth bound, one cold solve]";
-        checks.record("s2000_bound_ms", subject, s2000_full.map(|s| s.0), &[]);
+        let dual = [("dual cold start", s2000_full.is_some_and(|s| s.3))];
+        checks.record("s2000_bound_ms", subject, s2000_full.map(|s| s.0), &dual);
         let iterations = s2000_full.map(|s| s.1);
         checks.record("s2000_iterations_max", subject, iterations, &[]);
 

@@ -60,10 +60,15 @@
 //!   hyper-sparse solves keep eta-file growth cheap enough that a long
 //!   cadence wins).
 //! * **Hyper-sparse solves** — both factors are stored column-wise and
-//!   row-wise, and all four triangular solves run in scatter form,
-//!   skipping every position whose running value is exactly zero: an
-//!   FTRAN/BTRAN with a sparse right-hand side costs close to the
-//!   nonzeros it touches plus one `O(m)` sweep.
+//!   row-wise, and one solve per direction (FTRAN `B·x = v`, BTRAN
+//!   `Bᵀ·y = v`) carries the right-hand side's nonzero pattern: its
+//!   triangular solves then visit only the reachable positions, in
+//!   elimination order off a heap, so a pivot column or a unit row
+//!   costs close to the nonzeros it touches. A solve whose live pattern
+//!   outgrows an eighth of the rows, or whose right-hand side comes
+//!   without one (the basic values after a refactorisation, the duals
+//!   from `c_B`), runs dense scatter sweeps that still skip every exact
+//!   zero.
 //! * **One primal and one dual pricing rule** — the primal simplex
 //!   prices with Dantzig's most attractive reduced cost and degrades to
 //!   Bland's rule after [`SimplexOptions::bland_after`] iterations.
@@ -86,7 +91,10 @@
 //!   ratio test** that walks the pivot row's breakpoints and flips
 //!   boxed columns for longer dual steps. This is what broke the
 //!   pricing wall: the `s = 2000` bandwidth bound dropped from ~700 ms
-//!   to under 50 ms (see `perf-budget.toml`).
+//!   to under 50 ms (see `perf-budget.toml`). Any other LP, and a dual
+//!   run that stops early, takes the textbook two phases of bounded
+//!   primal simplex, starting from each row's slack, or from a signed
+//!   artificial where the slack cannot absorb the row's residual.
 //! * **Presolve** ([`SimplexOptions::presolve`], on by default) —
 //!   singleton rows become bound tightenings, redundant and forcing
 //!   rows (zero-request clients, saturated capacities, nodes with no
@@ -96,11 +104,6 @@
 //!   turns the reductions off for node solves, where bound overrides
 //!   would invalidate them; such solves run on the same working form,
 //!   built from an analysis that removes nothing.
-//! * **Crash basis** — instead of one artificial per infeasible row,
-//!   the cold start makes a structural column basic in every coverage
-//!   equality whose value fits its bounds (block-triangularly, so the
-//!   start basis is trivially nonsingular). Phase 1 shrinks from one
-//!   artificial per client to a handful of residual rows.
 //! * **Micro-size fast path** — below ~50 rows the presolve reduction
 //!   passes cost more than they save (the documented 10–20% cold-solve
 //!   overhead at `s ≤ 40`); such solves skip them automatically, and a

@@ -64,7 +64,8 @@ pub(crate) struct StandardForm {
     pub(crate) col_ptr: Vec<usize>,
     pub(crate) col_rows: Vec<u32>,
     pub(crate) col_vals: Vec<f64>,
-    /// CSR mirror (structural columns only), used by the crash basis.
+    /// CSR mirror (structural columns only), used by the pivot row
+    /// (`pivot_row_alphas`) and the matrix compare.
     pub(crate) row_ptr: Vec<usize>,
     pub(crate) row_cols: Vec<u32>,
     pub(crate) row_vals: Vec<f64>,

@@ -34,13 +34,20 @@
 //!   refactorisation without the eta file's solve-time blow-up.
 //!
 //! Both factors are stored column-wise **and** row-wise so that all four
-//! triangular solves (`ftran` = solve `B·x = v`, `btran` = solve
-//! `Bᵀ·y = v`) run in **scatter form**: a position whose running value
-//! is exactly zero contributes nothing and is skipped outright, so a
-//! solve with a sparse right-hand side (an entering column, a unit
-//! vector) costs close to the structurally reachable nonzeros it
-//! actually touches plus one `O(m)` sweep — the hyper-sparsity that
-//! makes the revised method scale to multi-thousand-row formulations.
+//! triangular solves run in **scatter form**: a position whose running
+//! value is exactly zero contributes nothing and is skipped outright.
+//! There is one solve per direction, `ftran` (`B·x = v`) and `btran`
+//! (`Bᵀ·y = v`), and each takes the right-hand side's nonzero pattern
+//! when the caller has one. With a pattern (an entering column, a unit
+//! vector, a bound-flip residual) the triangular solves visit only the
+//! structurally reachable positions, popped off a min-heap in
+//! elimination order, so the solve costs close to the nonzeros it
+//! touches — the hyper-sparsity that makes the revised method scale to
+//! multi-thousand-row formulations. Without one (the dense right-hand
+//! sides after a refactorisation), or once the live pattern outgrows
+//! the sparse cutoff, the solve runs the dense sweeps over all `m`
+//! steps. Both routes do the same arithmetic in the same order, so they
+//! return the same bits.
 //!
 //! Index spaces: `ftran` maps the *constraint-row* space to the *basis
 //! slot* space (`x[k]` = value of the column basic in row `k`), `btran`
@@ -51,6 +58,9 @@
 //!
 //! All buffers live in the struct and keep their capacity across solves
 //! and refactorisations.
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use super::TranCounters;
 
@@ -80,44 +90,12 @@ const UORDER_HOLE: u32 = u32::MAX;
 /// cost more than it saves).
 const SPARSE_FALLBACK_DIV: usize = 8;
 
-/// Push onto the binary min-heap of packed `key << 32 | payload`
-/// entries kept in a plain reused `Vec`.
-fn heap_push(heap: &mut Vec<u64>, entry: u64) {
-    heap.push(entry);
-    let mut i = heap.len() - 1;
-    while i > 0 {
-        let parent = (i - 1) / 2;
-        if heap[parent] <= heap[i] {
-            break;
-        }
-        heap.swap(parent, i);
-        i = parent;
-    }
-}
-
-/// Pop the minimum entry off the packed binary min-heap.
-fn heap_pop(heap: &mut Vec<u64>) -> Option<u64> {
-    let last = heap.len().checked_sub(1)?;
-    heap.swap(0, last);
-    let top = heap.pop();
-    let mut i = 0;
-    loop {
-        let left = 2 * i + 1;
-        let right = left + 1;
-        let mut smallest = i;
-        if left < heap.len() && heap[left] < heap[smallest] {
-            smallest = left;
-        }
-        if right < heap.len() && heap[right] < heap[smallest] {
-            smallest = right;
-        }
-        if smallest == i {
-            break;
-        }
-        heap.swap(i, smallest);
-        i = smallest;
-    }
-    top
+/// A min-heap entry of the sparse solves and the update: it pops by
+/// `key` and carries `payload` in its low bits. Every key is unique
+/// within one solve (the membership mask admits each position once), so
+/// the pop order is fully determined by the keys.
+fn heap_entry(key: u32, payload: u32) -> Reverse<u64> {
+    Reverse((u64::from(key) << 32) | u64::from(payload))
 }
 
 /// Sparse LU factors plus the Forrest–Tomlin update state. See the
@@ -170,8 +148,9 @@ pub(crate) struct Factorization {
     /// Membership mask for the sparse-solve pattern (step space;
     /// all-false between calls).
     mask: Vec<bool>,
-    /// Packed binary heap driving the sparse triangular solves.
-    heap: Vec<u64>,
+    /// Min-heap of [`heap_entry`] keys driving the sparse triangular
+    /// solves and the update's row elimination.
+    heap: BinaryHeap<Reverse<u64>>,
     /// Current pattern of `work` during a sparse solve.
     nzbuf: Vec<u32>,
     // ---- refactorisation working state ----
@@ -806,184 +785,84 @@ impl Factorization {
     }
 
     /// Solves `B·x = v` in place: `v` enters in constraint-row space and
-    /// leaves in basis-slot space. Also saves the intermediate spike the
-    /// next [`Factorization::update`] consumes.
-    pub(crate) fn ftran(&mut self, v: &mut [f64]) {
+    /// leaves in basis-slot space, and the intermediate spike the next
+    /// [`Factorization::update`] consumes is saved.
+    ///
+    /// `Some(nz)` carries `v`'s nonzero pattern: `v` must be zero outside
+    /// the positions in `nz` (duplicates tolerated). The triangular
+    /// solves then walk only the structurally reachable entries —
+    /// heap-ordered scatter in elimination order — so a unit-vector
+    /// solve costs its true fill, not `O(m)`, and any phase whose live
+    /// pattern outgrows the sparse cutoff finishes with the dense
+    /// sweeps. On return `nz` holds the solution's pattern. `None` takes
+    /// `v` as dense: the permute-in reads and the permute-out writes all
+    /// `m` entries, and every phase runs the dense sweeps.
+    pub(crate) fn ftran(&mut self, v: &mut [f64], nz: Option<&mut Vec<u32>>) {
         let m = self.m;
         debug_assert_eq!(v.len(), m);
-        let work = &mut self.work;
-        let mut in_nnz = 0u64;
-        for k in 0..m {
-            let t = v[self.p[k] as usize];
-            in_nnz += u64::from(t != 0.0);
-            work[k] = t;
-        }
-        self.ftran_io.calls += 1;
-        self.ftran_io.in_nnz += in_nnz;
-        self.ftran_io.dim += m as u64;
-        // L forward solve, scatter form with the zero skip.
-        for k in 0..m {
-            let t = work[k];
-            if t != 0.0 {
-                for idx in self.lcol_ptr[k]..self.lcol_ptr[k + 1] {
-                    work[self.lcol_idx[idx] as usize] -= self.lcol_val[idx] * t;
-                }
-            }
-        }
-        // Forrest–Tomlin row etas, chronological.
-        for e in 0..self.eta_target.len() {
-            let mut dot = 0.0;
-            for idx in self.eta_ptr[e]..self.eta_ptr[e + 1] {
-                dot += self.eta_val[idx] * work[self.eta_idx[idx] as usize];
-            }
-            work[self.eta_target[e] as usize] -= dot;
-        }
-        self.spike.clear();
-        self.spike.extend_from_slice(work);
-        self.spike_nz.clear();
-        for (k, &s) in self.spike.iter().enumerate() {
-            if s != 0.0 {
-                self.spike_nz.push(k as u32);
-            }
-        }
-        // U backward solve along the elimination order, scatter form.
-        for idx in (0..self.uorder.len()).rev() {
-            let k = self.uorder[idx];
-            if k == UORDER_HOLE {
-                continue;
-            }
-            let k = k as usize;
-            let t = work[k];
-            if t != 0.0 {
-                let x = t / self.udiag[k];
-                work[k] = x;
-                for &(i, u) in &self.ucols[k] {
-                    work[i as usize] -= u * x;
-                }
-            }
-        }
-        for k in 0..m {
-            v[self.q[k] as usize] = work[k];
-            work[k] = 0.0;
-        }
-    }
-
-    /// Solves `Bᵀ·y = v` in place: `v` enters in basis-slot space and
-    /// leaves in constraint-row space.
-    pub(crate) fn btran(&mut self, v: &mut [f64]) {
-        let m = self.m;
-        debug_assert_eq!(v.len(), m);
-        let work = &mut self.work;
-        let mut in_nnz = 0u64;
-        for k in 0..m {
-            let t = v[self.q[k] as usize];
-            in_nnz += u64::from(t != 0.0);
-            work[k] = t;
-        }
-        self.btran_io.calls += 1;
-        self.btran_io.in_nnz += in_nnz;
-        self.btran_io.dim += m as u64;
-        // Uᵀ forward solve along the elimination order, scatter form
-        // over the rows of U.
-        for idx in 0..self.uorder.len() {
-            let k = self.uorder[idx];
-            if k == UORDER_HOLE {
-                continue;
-            }
-            let k = k as usize;
-            let t = work[k];
-            if t != 0.0 {
-                let a = t / self.udiag[k];
-                work[k] = a;
-                for &(j, u) in &self.urows[k] {
-                    work[j as usize] -= u * a;
-                }
-            }
-        }
-        // Transposed row etas, reverse chronological: only multiples of
-        // the target's value propagate — skip when it is zero.
-        for e in (0..self.eta_target.len()).rev() {
-            let t = work[self.eta_target[e] as usize];
-            if t != 0.0 {
-                for idx in self.eta_ptr[e]..self.eta_ptr[e + 1] {
-                    work[self.eta_idx[idx] as usize] -= self.eta_val[idx] * t;
-                }
-            }
-        }
-        // Lᵀ backward solve, scatter form over the rows of L.
-        for k in (0..m).rev() {
-            let t = work[k];
-            if t != 0.0 {
-                for idx in self.lrow_ptr[k]..self.lrow_ptr[k + 1] {
-                    work[self.lrow_idx[idx] as usize] -= self.lrow_val[idx] * t;
-                }
-            }
-        }
-        for k in 0..m {
-            v[self.p[k] as usize] = work[k];
-            work[k] = 0.0;
-        }
-    }
-
-    /// [`Factorization::ftran`] with an explicit nonzero pattern:
-    /// `v` must be zero outside the positions in `nz` (duplicates
-    /// tolerated). The triangular solves walk only the structurally
-    /// reachable entries — heap-ordered scatter in elimination order —
-    /// so a unit-vector solve costs its true fill, not `O(m)`. Any
-    /// phase whose live pattern outgrows the sparse cutoff falls back
-    /// to the plain dense sweeps. On return `v` holds the solution,
-    /// `nz` its pattern, and the update spike is saved exactly like the
-    /// dense path.
-    pub(crate) fn ftran_sparse(&mut self, v: &mut [f64], nz: &mut Vec<u32>) {
-        let m = self.m;
-        debug_assert_eq!(v.len(), m);
-        self.ftran_io.calls += 1;
-        self.ftran_io.in_nnz += nz.len() as u64;
-        self.ftran_io.dim += m as u64;
         let cutoff = (m / SPARSE_FALLBACK_DIV).max(32);
         // Permute in: constraint-row space → step space.
         self.nzbuf.clear();
-        for &r in nz.iter() {
-            let r = r as usize;
-            let k = self.row_step[r] as usize;
-            if !self.mask[k] {
-                self.mask[k] = true;
-                self.nzbuf.push(k as u32);
+        let in_nnz = match nz.as_deref() {
+            Some(nz) => {
+                for &r in nz {
+                    let r = r as usize;
+                    let k = self.row_step[r] as usize;
+                    if !self.mask[k] {
+                        self.mask[k] = true;
+                        self.nzbuf.push(k as u32);
+                    }
+                    // `+=`: a duplicate entry re-reads the already-zeroed `v[r]`.
+                    self.work[k] += v[r];
+                    v[r] = 0.0;
+                }
+                nz.len() as u64
             }
-            // `+=`: a duplicate entry re-reads the already-zeroed `v[r]`.
-            self.work[k] += v[r];
-            v[r] = 0.0;
-        }
-        let mut dense = self.nzbuf.len() > cutoff;
+            None => {
+                let work = &mut self.work;
+                let mut in_nnz = 0u64;
+                for k in 0..m {
+                    let t = v[self.p[k] as usize];
+                    in_nnz += u64::from(t != 0.0);
+                    work[k] = t;
+                }
+                in_nnz
+            }
+        };
+        self.ftran_io.calls += 1;
+        self.ftran_io.in_nnz += in_nnz;
+        self.ftran_io.dim += m as u64;
+        let mut dense = nz.is_none() || self.nzbuf.len() > cutoff;
         // L forward solve in increasing step order.
         if dense {
+            let work = &mut self.work;
             for k in 0..m {
-                let t = self.work[k];
+                let t = work[k];
                 if t != 0.0 {
                     for idx in self.lcol_ptr[k]..self.lcol_ptr[k + 1] {
-                        self.work[self.lcol_idx[idx] as usize] -= self.lcol_val[idx] * t;
+                        work[self.lcol_idx[idx] as usize] -= self.lcol_val[idx] * t;
                     }
                 }
             }
         } else {
             self.heap.clear();
-            for &k in &self.nzbuf {
-                heap_push(&mut self.heap, ((k as u64) << 32) | k as u64);
-            }
-            while let Some(entry) = heap_pop(&mut self.heap) {
+            self.heap
+                .extend(self.nzbuf.iter().map(|&k| heap_entry(k, k)));
+            while let Some(Reverse(entry)) = self.heap.pop() {
                 let k = entry as u32 as usize;
                 let t = self.work[k];
                 if t == 0.0 {
                     continue;
                 }
                 for idx in self.lcol_ptr[k]..self.lcol_ptr[k + 1] {
-                    let i = self.lcol_idx[idx] as usize;
-                    if !self.mask[i] {
-                        self.mask[i] = true;
-                        self.nzbuf.push(i as u32);
-                        heap_push(&mut self.heap, ((i as u64) << 32) | i as u64);
+                    let i = self.lcol_idx[idx];
+                    let i_us = i as usize;
+                    if !self.mask[i_us] {
+                        self.mask[i_us] = true;
+                        self.nzbuf.push(i);
+                        self.heap.push(heap_entry(i, i));
                     }
-                    self.work[i] -= self.lcol_val[idx] * t;
+                    self.work[i_us] -= self.lcol_val[idx] * t;
                 }
             }
         }
@@ -1029,28 +908,28 @@ impl Factorization {
             dense = true;
         }
         if dense {
+            let work = &mut self.work;
             for idx in (0..self.uorder.len()).rev() {
                 let k = self.uorder[idx];
                 if k == UORDER_HOLE {
                     continue;
                 }
                 let k = k as usize;
-                let t = self.work[k];
+                let t = work[k];
                 if t != 0.0 {
                     let x = t / self.udiag[k];
-                    self.work[k] = x;
+                    work[k] = x;
                     for &(i, u) in &self.ucols[k] {
-                        self.work[i as usize] -= u * x;
+                        work[i as usize] -= u * x;
                     }
                 }
             }
         } else {
             self.heap.clear();
-            for &k in &self.nzbuf {
-                let key = !self.upos[k as usize];
-                heap_push(&mut self.heap, ((key as u64) << 32) | k as u64);
-            }
-            while let Some(entry) = heap_pop(&mut self.heap) {
+            let upos = &self.upos;
+            self.heap
+                .extend(self.nzbuf.iter().map(|&k| heap_entry(!upos[k as usize], k)));
+            while let Some(Reverse(entry)) = self.heap.pop() {
                 let k = entry as u32 as usize;
                 let t = self.work[k];
                 if t == 0.0 {
@@ -1063,8 +942,7 @@ impl Factorization {
                     if !self.mask[i_us] {
                         self.mask[i_us] = true;
                         self.nzbuf.push(i);
-                        let key = !self.upos[i_us];
-                        heap_push(&mut self.heap, ((key as u64) << 32) | i as u64);
+                        self.heap.push(heap_entry(!self.upos[i_us], i));
                     }
                     self.work[i_us] -= u * x;
                 }
@@ -1072,6 +950,14 @@ impl Factorization {
         }
         // Permute out (step → basis-slot space), restoring the all-zero
         // scratch and all-false mask invariants.
+        let Some(nz) = nz else {
+            let work = &mut self.work;
+            for k in 0..m {
+                v[self.q[k] as usize] = work[k];
+                work[k] = 0.0;
+            }
+            return;
+        };
         nz.clear();
         if dense {
             for &k in &self.nzbuf {
@@ -1101,56 +987,71 @@ impl Factorization {
         }
     }
 
-    /// [`Factorization::btran`] with an explicit nonzero pattern — the
-    /// mirror of [`Factorization::ftran_sparse`]: `v` enters in
-    /// basis-slot space (zero outside `nz`, duplicates tolerated) and
-    /// leaves in constraint-row space with `nz` rewritten to the output
-    /// pattern.
-    pub(crate) fn btran_sparse(&mut self, v: &mut [f64], nz: &mut Vec<u32>) {
+    /// Solves `Bᵀ·y = v` in place, the mirror of
+    /// [`Factorization::ftran`]: `v` enters in basis-slot space and
+    /// leaves in constraint-row space. `Some(nz)` carries `v`'s pattern
+    /// (zero outside `nz`, duplicates tolerated) and is rewritten to the
+    /// output pattern; `None` takes `v` as dense.
+    pub(crate) fn btran(&mut self, v: &mut [f64], nz: Option<&mut Vec<u32>>) {
         let m = self.m;
         debug_assert_eq!(v.len(), m);
-        self.btran_io.calls += 1;
-        self.btran_io.in_nnz += nz.len() as u64;
-        self.btran_io.dim += m as u64;
         let cutoff = (m / SPARSE_FALLBACK_DIV).max(32);
         // Permute in: basis-slot space → step space.
         self.nzbuf.clear();
-        for &s in nz.iter() {
-            let s = s as usize;
-            let k = self.step_of_slot[s] as usize;
-            if !self.mask[k] {
-                self.mask[k] = true;
-                self.nzbuf.push(k as u32);
+        let in_nnz = match nz.as_deref() {
+            Some(nz) => {
+                for &s in nz {
+                    let s = s as usize;
+                    let k = self.step_of_slot[s] as usize;
+                    if !self.mask[k] {
+                        self.mask[k] = true;
+                        self.nzbuf.push(k as u32);
+                    }
+                    // `+=`: a duplicate entry re-reads the already-zeroed `v[s]`.
+                    self.work[k] += v[s];
+                    v[s] = 0.0;
+                }
+                nz.len() as u64
             }
-            // `+=`: a duplicate entry re-reads the already-zeroed `v[s]`.
-            self.work[k] += v[s];
-            v[s] = 0.0;
-        }
-        let mut dense = self.nzbuf.len() > cutoff;
+            None => {
+                let work = &mut self.work;
+                let mut in_nnz = 0u64;
+                for k in 0..m {
+                    let t = v[self.q[k] as usize];
+                    in_nnz += u64::from(t != 0.0);
+                    work[k] = t;
+                }
+                in_nnz
+            }
+        };
+        self.btran_io.calls += 1;
+        self.btran_io.in_nnz += in_nnz;
+        self.btran_io.dim += m as u64;
+        let mut dense = nz.is_none() || self.nzbuf.len() > cutoff;
         // Uᵀ forward solve in increasing elimination order.
         if dense {
+            let work = &mut self.work;
             for idx in 0..self.uorder.len() {
                 let k = self.uorder[idx];
                 if k == UORDER_HOLE {
                     continue;
                 }
                 let k = k as usize;
-                let t = self.work[k];
+                let t = work[k];
                 if t != 0.0 {
                     let a = t / self.udiag[k];
-                    self.work[k] = a;
+                    work[k] = a;
                     for &(j, u) in &self.urows[k] {
-                        self.work[j as usize] -= u * a;
+                        work[j as usize] -= u * a;
                     }
                 }
             }
         } else {
             self.heap.clear();
-            for &k in &self.nzbuf {
-                let key = self.upos[k as usize];
-                heap_push(&mut self.heap, ((key as u64) << 32) | k as u64);
-            }
-            while let Some(entry) = heap_pop(&mut self.heap) {
+            let upos = &self.upos;
+            self.heap
+                .extend(self.nzbuf.iter().map(|&k| heap_entry(upos[k as usize], k)));
+            while let Some(Reverse(entry)) = self.heap.pop() {
                 let k = entry as u32 as usize;
                 let t = self.work[k];
                 if t == 0.0 {
@@ -1163,8 +1064,7 @@ impl Factorization {
                     if !self.mask[j_us] {
                         self.mask[j_us] = true;
                         self.nzbuf.push(j);
-                        let key = self.upos[j_us];
-                        heap_push(&mut self.heap, ((key as u64) << 32) | j as u64);
+                        self.heap.push(heap_entry(self.upos[j_us], j));
                     }
                     self.work[j_us] -= u * a;
                 }
@@ -1190,20 +1090,20 @@ impl Factorization {
             dense = true;
         }
         if dense {
+            let work = &mut self.work;
             for k in (0..m).rev() {
-                let t = self.work[k];
+                let t = work[k];
                 if t != 0.0 {
                     for idx in self.lrow_ptr[k]..self.lrow_ptr[k + 1] {
-                        self.work[self.lrow_idx[idx] as usize] -= self.lrow_val[idx] * t;
+                        work[self.lrow_idx[idx] as usize] -= self.lrow_val[idx] * t;
                     }
                 }
             }
         } else {
             self.heap.clear();
-            for &k in &self.nzbuf {
-                heap_push(&mut self.heap, ((!k as u64) << 32) | k as u64);
-            }
-            while let Some(entry) = heap_pop(&mut self.heap) {
+            self.heap
+                .extend(self.nzbuf.iter().map(|&k| heap_entry(!k, k)));
+            while let Some(Reverse(entry)) = self.heap.pop() {
                 let k = entry as u32 as usize;
                 let t = self.work[k];
                 if t == 0.0 {
@@ -1215,7 +1115,7 @@ impl Factorization {
                     if !self.mask[j_us] {
                         self.mask[j_us] = true;
                         self.nzbuf.push(j);
-                        heap_push(&mut self.heap, ((!j as u64) << 32) | j as u64);
+                        self.heap.push(heap_entry(!j, j));
                     }
                     self.work[j_us] -= self.lrow_val[idx] * t;
                 }
@@ -1223,6 +1123,14 @@ impl Factorization {
         }
         // Permute out (step → constraint-row space) with the same
         // invariant restoration as the FTRAN.
+        let Some(nz) = nz else {
+            let work = &mut self.work;
+            for k in 0..m {
+                v[self.p[k] as usize] = work[k];
+                work[k] = 0.0;
+            }
+            return;
+        };
         nz.clear();
         if dense {
             for &k in &self.nzbuf {
@@ -1277,11 +1185,11 @@ impl Factorization {
             self.acc[j_us] = v;
             if !self.mask[j_us] {
                 self.mask[j_us] = true;
-                heap_push(&mut self.heap, ((self.upos[j_us] as u64) << 32) | j as u64);
+                self.heap.push(heap_entry(self.upos[j_us], j));
             }
         }
         let mut d = self.spike[t];
-        while let Some(entry) = heap_pop(&mut self.heap) {
+        while let Some(Reverse(entry)) = self.heap.pop() {
             let j = entry as u32 as usize;
             self.mask[j] = false;
             let val = self.acc[j];
@@ -1299,7 +1207,7 @@ impl Factorization {
                 }
                 if !self.mask[l_us] {
                     self.mask[l_us] = true;
-                    heap_push(&mut self.heap, ((self.upos[l_us] as u64) << 32) | l as u64);
+                    self.heap.push(heap_entry(self.upos[l_us], l));
                 }
                 self.acc[l_us] -= mu * uv;
             }
@@ -1370,6 +1278,56 @@ mod tests {
         }
     }
 
+    /// The nonzero positions of `v`, ascending: the pattern the
+    /// pattern route takes.
+    fn pattern(v: &[f64]) -> Vec<u32> {
+        (0..v.len() as u32)
+            .filter(|&i| v[i as usize] != 0.0)
+            .collect()
+    }
+
+    fn assert_bits(a: &[f64], b: &[f64], what: &str) {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(a), bits(b), "{what}");
+    }
+
+    #[derive(Clone, Copy, Debug)]
+    enum Dir {
+        Ftran,
+        Btran,
+    }
+
+    impl Dir {
+        fn solve(self, f: &mut Factorization, v: &mut [f64], nz: Option<&mut Vec<u32>>) {
+            match self {
+                Dir::Ftran => f.ftran(v, nz),
+                Dir::Btran => f.btran(v, nz),
+            }
+        }
+    }
+
+    /// Solves `v` in place through both routes of the one entry of
+    /// `dir`, dense (`None`) first and then with `v`'s pattern, and
+    /// asserts that they agree bit for bit, returned pattern included.
+    /// Both routes save the same spike, so an update may follow.
+    fn solve_both(f: &mut Factorization, dir: Dir, v: &mut [f64]) {
+        let mut sparse = v.to_vec();
+        let mut nz = pattern(v);
+        dir.solve(f, v, None);
+        dir.solve(f, &mut sparse, Some(&mut nz));
+        assert_bits(v, &sparse, "dense vs pattern route");
+        nz.sort_unstable();
+        assert_eq!(nz, pattern(v), "returned pattern");
+    }
+
+    fn ftran(f: &mut Factorization, v: &mut [f64]) {
+        solve_both(f, Dir::Ftran, v);
+    }
+
+    fn btran(f: &mut Factorization, v: &mut [f64]) {
+        solve_both(f, Dir::Btran, v);
+    }
+
     /// `B · x` for a dense column list.
     fn apply(cols: &[Vec<f64>], x: &[f64]) -> Vec<f64> {
         let m = cols.len();
@@ -1396,7 +1354,7 @@ mod tests {
 
     fn assert_roundtrip(f: &mut Factorization, cols: &[Vec<f64>], v0: &[f64], tol: f64) {
         let mut x = v0.to_vec();
-        f.ftran(&mut x);
+        ftran(f, &mut x);
         let back = apply(cols, &x);
         for i in 0..cols.len() {
             assert!(
@@ -1407,7 +1365,7 @@ mod tests {
             );
         }
         let mut y = v0.to_vec();
-        f.btran(&mut y);
+        btran(f, &mut y);
         let back_t = apply_t(cols, &y);
         for k in 0..cols.len() {
             assert!(
@@ -1426,11 +1384,11 @@ mod tests {
         let mut f = Factorization::default();
         assert!(f.refactor(2, sparse_loader(&cols)));
         let mut v = vec![5.0, 10.0];
-        f.ftran(&mut v);
+        ftran(&mut f, &mut v);
         assert!((v[0] - 1.0).abs() < 1e-12);
         assert!((v[1] - 3.0).abs() < 1e-12);
         let mut y = vec![5.0, 10.0];
-        f.btran(&mut y);
+        btran(&mut f, &mut y);
         assert!((y[0] - 1.0).abs() < 1e-12);
         assert!((y[1] - 3.0).abs() < 1e-12);
     }
@@ -1442,7 +1400,7 @@ mod tests {
         let mut f = Factorization::default();
         assert!(f.refactor(2, sparse_loader(&cols)));
         let mut v = vec![3.0, 7.0];
-        f.ftran(&mut v);
+        ftran(&mut f, &mut v);
         // x solves [[0,1],[1,0]] x = [3,7] => x = [7, 3].
         assert!((v[0] - 7.0).abs() < 1e-12);
         assert!((v[1] - 3.0).abs() < 1e-12);
@@ -1467,17 +1425,17 @@ mod tests {
         let mut f = Factorization::default();
         assert!(f.refactor(2, sparse_loader(&cols)));
         let mut w = vec![3.0, 1.0];
-        f.ftran(&mut w); // saves the spike
+        ftran(&mut f, &mut w); // saves the spike
         assert!(f.update(0));
         assert_eq!(f.updates(), 1);
         // Solve B1 x = [6, 5]: x0 = 2, x1 = 5 - 2 = 3.
         let mut v = vec![6.0, 5.0];
-        f.ftran(&mut v);
+        ftran(&mut f, &mut v);
         assert!((v[0] - 2.0).abs() < 1e-12, "{v:?}");
         assert!((v[1] - 3.0).abs() < 1e-12, "{v:?}");
         // Bᵀ1 y = [7, 2]: Bᵀ1 = [[3,1],[0,1]] => y1 = 2, 3 y0 + y1 = 7 => y0 = 5/3.
         let mut y = vec![7.0, 2.0];
-        f.btran(&mut y);
+        btran(&mut f, &mut y);
         assert!((y[0] - 5.0 / 3.0).abs() < 1e-12, "{y:?}");
         assert!((y[1] - 2.0).abs() < 1e-12, "{y:?}");
     }
@@ -1511,7 +1469,7 @@ mod tests {
         }));
         // B = [[2, 0], [1, 4]]: B x = [2, 9] => x = [1, 2].
         let mut v = vec![2.0, 9.0];
-        f.ftran(&mut v);
+        ftran(&mut f, &mut v);
         assert!((v[0] - 1.0).abs() < 1e-12, "{v:?}");
         assert!((v[1] - 2.0).abs() < 1e-12, "{v:?}");
     }
@@ -1726,7 +1684,7 @@ mod tests {
                 assert_roundtrip(&mut f, cols, &v0, 1e-6);
                 // Differential: sparse ftran == dense solve.
                 let mut xs = v0.clone();
-                f.ftran(&mut xs);
+                ftran(&mut f, &mut xs);
                 let mut xd = v0.clone();
                 dense.solve(&mut xd);
                 for i in 0..m {
@@ -1761,7 +1719,7 @@ mod tests {
                 }
                 a[slot] += 6.0 + rng.next_f64().abs();
                 let mut w = a.clone();
-                f.ftran(&mut w);
+                ftran(&mut f, &mut w);
                 if !f.update(slot) {
                     // Numerically refused: refactor and continue, like
                     // the simplex driver does.
@@ -1783,9 +1741,9 @@ mod tests {
             assert!(fresh.refactor(m, sparse_loader(&cols)));
             let v0: Vec<f64> = (0..m).map(|_| rng.next_f64()).collect();
             let mut a1 = v0.clone();
-            f.ftran(&mut a1);
+            ftran(&mut f, &mut a1);
             let mut a2 = v0.clone();
-            fresh.ftran(&mut a2);
+            ftran(&mut fresh, &mut a2);
             for i in 0..m {
                 assert!(
                     (a1[i] - a2[i]).abs() < 1e-5,
@@ -1847,6 +1805,90 @@ mod tests {
         assert_roundtrip(&mut f, &cols, &v0, 1e-8);
     }
 
+    /// A right-hand side with up to `nnz` random nonzeros.
+    fn sparse_rhs(m: usize, nnz: usize, rng: &mut XorShift) -> Vec<f64> {
+        let mut v = vec![0.0; m];
+        for _ in 0..nnz {
+            v[rng.next_usize(m)] = rng.next_f64();
+        }
+        v
+    }
+
+    /// Solves `v0` through the dense route of `a` and the pattern route
+    /// of `b` (two factorisations of one basis; the pattern carries a
+    /// duplicate entry), asserts bitwise-equal outputs and the returned
+    /// pattern, and returns the output.
+    fn across(a: &mut Factorization, b: &mut Factorization, dir: Dir, v0: &[f64]) -> Vec<f64> {
+        let mut dense = v0.to_vec();
+        dir.solve(a, &mut dense, None);
+        let mut sparse = v0.to_vec();
+        let mut nz = pattern(v0);
+        nz.extend(nz.first().copied());
+        dir.solve(b, &mut sparse, Some(&mut nz));
+        assert_bits(&dense, &sparse, &format!("{dir:?} of {v0:?}"));
+        nz.sort_unstable();
+        assert_eq!(nz, pattern(&dense), "{dir:?} pattern");
+        dense
+    }
+
+    #[test]
+    fn dense_and_pattern_routes_agree_bit_for_bit() {
+        // Two factorisations of one basis walk one chain of
+        // Forrest–Tomlin updates, `a` solving through the dense route
+        // and `b` through the pattern route: every solve must agree bit
+        // for bit, and so must the spike each entering FTRAN saves, so
+        // the next update and solve agree too.
+        let mut rng = XorShift(0x5EED_F00D);
+        for m in [40usize, 300] {
+            let cutoff = (m / SPARSE_FALLBACK_DIV).max(32);
+            let bases = [
+                random_sparse(m, 2 * m, &mut rng),
+                permuted_triangular(m, m, 0, &mut rng),
+            ];
+            for (case, mut cols) in bases.into_iter().enumerate() {
+                let (mut a, mut b) = (Factorization::default(), Factorization::default());
+                assert!(a.refactor(m, sparse_loader(&cols)));
+                assert!(b.refactor(m, sparse_loader(&cols)));
+                let mut performed = 0;
+                for _ in 0..40 {
+                    // The empty right-hand side, one below the sparse
+                    // cutoff and one above it.
+                    for nnz in [0, 3, cutoff + 8] {
+                        let v0 = sparse_rhs(m, nnz, &mut rng);
+                        across(&mut a, &mut b, Dir::Btran, &v0);
+                        across(&mut a, &mut b, Dir::Ftran, &v0);
+                    }
+                    // The entering column: the leaving one, perturbed.
+                    let slot = rng.next_usize(m);
+                    let mut entering = sparse_rhs(m, 3, &mut rng);
+                    for (e, &c) in entering.iter_mut().zip(&cols[slot]) {
+                        *e = 0.1 * *e + 1.5 * c;
+                    }
+                    across(&mut a, &mut b, Dir::Ftran, &entering);
+                    assert_bits(&a.spike, &b.spike, "saved spike");
+                    let sorted = |f: &Factorization| {
+                        let mut nz = f.spike_nz.clone();
+                        nz.sort_unstable();
+                        nz
+                    };
+                    assert_eq!(sorted(&a), sorted(&b), "saved spike pattern");
+                    let updated = a.update(slot);
+                    assert_eq!(updated, b.update(slot), "m={m} case {case}");
+                    if updated {
+                        cols[slot] = entering;
+                        performed += 1;
+                    } else {
+                        assert!(a.refactor(m, sparse_loader(&cols)));
+                        assert!(b.refactor(m, sparse_loader(&cols)));
+                    }
+                }
+                assert!(performed >= 10, "m={m} case {case}: {performed} updates");
+                let v0: Vec<f64> = (0..m).map(|_| rng.next_f64()).collect();
+                assert_roundtrip(&mut b, &cols, &v0, 1e-5);
+            }
+        }
+    }
+
     #[test]
     fn update_refuses_a_singular_replacement() {
         // Replacing column 0 of I by e_1 makes the basis singular
@@ -1855,11 +1897,11 @@ mod tests {
         let mut f = Factorization::default();
         assert!(f.refactor(2, sparse_loader(&cols)));
         let mut w = vec![0.0, 1.0];
-        f.ftran(&mut w);
+        ftran(&mut f, &mut w);
         assert!(!f.update(0));
         // The factorisation is untouched: it still inverts I.
         let mut v = vec![4.0, 9.0];
-        f.ftran(&mut v);
+        ftran(&mut f, &mut v);
         assert!((v[0] - 4.0).abs() < 1e-12 && (v[1] - 9.0).abs() < 1e-12);
     }
 
@@ -1868,8 +1910,8 @@ mod tests {
         let mut f = Factorization::default();
         assert!(f.refactor(0, |_, _, _| {}));
         let mut v: Vec<f64> = vec![];
-        f.ftran(&mut v);
-        f.btran(&mut v);
+        ftran(&mut f, &mut v);
+        btran(&mut f, &mut v);
         assert_eq!(f.nnz(), (0, 0));
     }
 }

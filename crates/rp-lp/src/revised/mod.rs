@@ -24,10 +24,12 @@
 //! everything boxed at lower bound 0) — the solve starts from the slack
 //! basis and runs the **dual simplex** directly: no phase 1, no
 //! artificials, and the bound-flipping dual ratio test ([`ratio`])
-//! turns the many boxed columns into long dual steps. Otherwise the
-//! textbook two phases run as bounded primal simplex from a **crash
-//! basis** that covers infeasible rows with structural columns wherever
-//! possible, so phase 1 starts with only a handful of artificials.
+//! turns the many boxed columns into long dual steps. Every replica LP,
+//! branch-and-bound's nodes included, takes this route. Otherwise —
+//! general LPs, and the fallback after a dual run stops — the textbook
+//! two phases run as bounded primal simplex from a start that makes
+//! each row's slack basic, or covers the row with a signed artificial
+//! where the slack cannot absorb its residual.
 //!
 //! For branch-and-bound, the workspace additionally supports **warm
 //! starts** ([`RevisedWorkspace::solve_warm`]): after a node changes
@@ -137,9 +139,10 @@ pub struct RevisedWorkspace {
     flips: Vec<u32>,
     /// Dual values / BTRAN buffer.
     y: Vec<f64>,
-    /// Pivot column / FTRAN buffer.
+    /// Pivot column / FTRAN buffer, kept zero outside `w_nz` from the
+    /// cold build of the form on.
     w: Vec<f64>,
-    /// Nonzero pattern of `w` while the dual loop keeps it sparse.
+    /// Nonzero pattern of `w` (maintained by every writer of `w`).
     w_nz: Vec<u32>,
     /// Dual pivot row buffer, kept zero outside `rho_nz`.
     rho: Vec<f64>,
@@ -149,8 +152,6 @@ pub struct RevisedWorkspace {
     residual: Vec<f64>,
     /// Nonzero pattern of `residual` during the bound-flip FTRAN.
     residual_nz: Vec<u32>,
-    /// Per-row flags used by the crash-basis construction.
-    row_flags: Vec<bool>,
     /// Phase-1 cost buffer.
     phase_costs: Vec<f64>,
     /// Incrementally maintained reduced costs (one per column).
@@ -496,7 +497,7 @@ impl RevisedWorkspace {
         if !self.residual_nz.is_empty() {
             let _t = rp_obs::phase_timer(rp_obs::Phase::Ftran);
             self.factor
-                .ftran_sparse(&mut self.residual, &mut self.residual_nz);
+                .ftran(&mut self.residual, Some(&mut self.residual_nz));
             for &i in &self.residual_nz {
                 let i = i as usize;
                 self.basis.x_basic[i] += self.residual[i];
@@ -577,27 +578,35 @@ impl RevisedWorkspace {
         // Polish with primal phase 2: exits immediately when the dual
         // cleanup already reached optimality, and absorbs any residual
         // dual infeasibility (e.g. a bound that loosened back) otherwise.
-        self.polish_and_extract(model, options)
+        let d_exact = self.stats.dual_pivots == 0;
+        self.polish_and_extract(model, options, d_exact)
     }
 
-    /// Primal phase-2 polish after a dual simplex run reached primal
-    /// feasibility, followed by solution extraction. Exits immediately
-    /// when the dual pass already proved optimality. If the dual pass
-    /// made no pivot, its entry reduced costs are still exact, so the
-    /// polish keeps them.
-    fn polish_and_extract(&mut self, model: &Model, options: &SimplexOptions) -> Solution {
+    /// Primal phase 2 from a primal-feasible basis, followed by
+    /// solution extraction: the polish after a dual simplex run reached
+    /// primal feasibility (which exits at once when the dual pass
+    /// already proved optimality), and the second phase of the
+    /// two-phase route. `d_exact` says `d` already holds the basis's
+    /// phase-2 reduced costs — true after a dual pass that made no
+    /// pivot — so the polish keeps them.
+    fn polish_and_extract(
+        &mut self,
+        model: &Model,
+        options: &SimplexOptions,
+        d_exact: bool,
+    ) -> Solution {
         self.load_phase2_costs();
         let costs = std::mem::take(&mut self.phase_costs);
-        let d_exact = self.stats.dual_pivots == 0;
         let outcome = self.primal_loop(&costs, options, false, d_exact);
         self.phase_costs = costs;
         match outcome {
             PhaseOutcome::Optimal => self.extract(model, Status::Optimal),
             PhaseOutcome::Unbounded => Solution::status_only(Status::Unbounded),
             PhaseOutcome::Stopped(err) => {
-                // The dual pass reached primal feasibility and the
-                // primal polish preserves it: extract the best point
-                // found so far instead of discarding the work.
+                // Phase 2 iterates over primal-feasible bases only, and
+                // the dual pass before a polish reached primal
+                // feasibility: extract the best point found so far
+                // instead of discarding the work.
                 self.last_error = Some(err);
                 self.extract(model, err.status())
             }
@@ -618,6 +627,11 @@ impl RevisedWorkspace {
             }
             self.presolve.finalize_for_build();
             self.form.build_reduced(model, &self.presolve);
+            // The sparse-`w` invariant every column FTRAN keeps: `w` is
+            // zero outside `w_nz`. Only this build changes `m`.
+            self.w.clear();
+            self.w.resize(self.form.m, 0.0);
+            self.w_nz.clear();
         }
         let m = self.form.m;
         let n = self.form.n_struct;
@@ -636,7 +650,8 @@ impl RevisedWorkspace {
             }
             match self.dual_loop(options, false, None) {
                 DualOutcome::PrimalFeasible => {
-                    return self.polish_and_extract(model, options);
+                    let d_exact = self.stats.dual_pivots == 0;
+                    return self.polish_and_extract(model, options, d_exact);
                 }
                 // The start was dual feasible, so an unbounded dual
                 // step proves primal infeasibility.
@@ -685,91 +700,7 @@ impl RevisedWorkspace {
                 }
             }
         }
-        // Crash pass: a row whose initial slack value violates the
-        // slack bounds would need an artificial — and every artificial
-        // costs phase-1 pivots to drive out again. Instead, try to make
-        // a *structural* column basic in the row, at the value that
-        // closes the residual exactly. The column must not touch any
-        // other deficient row (so the crash columns + slacks stay block
-        // triangular and trivially nonsingular) and the value must lie
-        // within its bounds. On the replica formulations this covers
-        // every `cover` equality with one of its `y` variables, cutting
-        // phase 1 from one artificial per client to a handful.
-        self.row_flags.clear();
         for row in 0..m {
-            let slack = n + row;
-            let r = self.residual[row];
-            self.row_flags
-                .push(r < self.form.lower[slack] || r > self.form.upper[slack]);
-        }
-        for row in 0..m {
-            // `row_flags` stays set for rows that received a crash
-            // column: a later candidate may not touch *any* deficient
-            // row (crashed or not), which keeps every crash row's basic
-            // value decoupled — the recompute below then reproduces the
-            // hand-checked in-bounds values exactly.
-            if !self.row_flags[row] || self.basis.basic[row] != usize::MAX {
-                continue;
-            }
-            let r = self.residual[row];
-            // (column, its coefficient in this row) of the best
-            // candidate so far — carrying the coefficient avoids having
-            // to re-find the entry after the scan.
-            let mut chosen: Option<(usize, f64)> = None;
-            for k in self.form.row_ptr[row]..self.form.row_ptr[row + 1] {
-                let col = self.form.row_cols[k] as usize;
-                let coeff = self.form.row_vals[k];
-                if coeff.abs() < 1e-7 || self.basis.status[col] != ColStatus::Lower {
-                    continue;
-                }
-                let value = self.form.lower[col] + r / coeff;
-                if value < self.form.lower[col] || value > self.form.upper[col] {
-                    continue;
-                }
-                let touches_deficient_row = (self.form.col_ptr[col]..self.form.col_ptr[col + 1])
-                    .any(|t| {
-                        let other = self.form.col_rows[t] as usize;
-                        other != row && self.row_flags[other]
-                    });
-                if touches_deficient_row {
-                    continue;
-                }
-                match chosen {
-                    Some((_, best)) if coeff.abs() <= best.abs() => {}
-                    _ => chosen = Some((col, coeff)),
-                }
-            }
-            if let Some((col, coeff)) = chosen {
-                // The column leaves its lower bound: remove the lower
-                //-bound contribution already folded into the residual
-                // and install the basic value.
-                let value = self.form.lower[col] + r / coeff;
-                let delta = value - self.form.lower[col];
-                for t in self.form.col_ptr[col]..self.form.col_ptr[col + 1] {
-                    let other = self.form.col_rows[t] as usize;
-                    if other != row {
-                        self.residual[other] -= self.form.col_vals[t] * delta;
-                    }
-                }
-                self.basis.status[col] = ColStatus::Basic(row as u32);
-                self.basis.basic[row] = col;
-                self.basis.x_basic[row] = value;
-                // The row's slack stays nonbasic: park it at its finite
-                // bound (a `>=` slack is unbounded below, so "lower"
-                // would be -inf).
-                let slack = n + row;
-                self.basis.status[slack] = if self.form.lower[slack].is_finite() {
-                    ColStatus::Lower
-                } else {
-                    ColStatus::Upper
-                };
-            }
-        }
-
-        for row in 0..m {
-            if self.basis.basic[row] != usize::MAX {
-                continue; // crash column already basic here
-            }
             let slack = n + row;
             let r = self.residual[row];
             let (slo, shi) = (self.form.lower[slack], self.form.upper[slack]);
@@ -799,10 +730,9 @@ impl RevisedWorkspace {
             }
         }
 
-        // The crash may leave tiny inconsistencies (clamped values);
-        // recomputing `x_B = B⁻¹(b − N·x_N)` makes the start exact.
-        // The crash basis is block triangular by construction, so a
-        // failure here means genuinely degenerate input data.
+        // Recomputing `x_B = B⁻¹(b − N·x_N)` makes the start exact.
+        // Every basic column is a slack or an artificial of its own row,
+        // so a failure here means genuinely degenerate input data.
         if !self.refactor_and_recompute() {
             return self.fail(LpError::SingularBasis);
         }
@@ -851,21 +781,7 @@ impl RevisedWorkspace {
         }
 
         // ---- Phase 2: minimise the true objective. ----
-        self.load_phase2_costs();
-        let costs = std::mem::take(&mut self.phase_costs);
-        let outcome = self.primal_loop(&costs, options, false, false);
-        self.phase_costs = costs;
-        match outcome {
-            PhaseOutcome::Optimal => self.extract(model, Status::Optimal),
-            PhaseOutcome::Unbounded => Solution::status_only(Status::Unbounded),
-            PhaseOutcome::Stopped(err) => {
-                // Phase 2 iterates over primal-feasible bases only, so
-                // the current point is feasible — return it as the best
-                // bound so far rather than discarding the work.
-                self.last_error = Some(err);
-                self.extract(model, err.status())
-            }
-        }
+        self.polish_and_extract(model, options, false)
     }
 
     /// Records the typed stop reason and returns its conservative
@@ -1110,7 +1026,7 @@ impl RevisedWorkspace {
         self.w_nz.clear();
         self.w[i % m] = 1.0;
         self.w_nz.push((i % m) as u32);
-        self.factor.ftran_sparse(&mut self.w, &mut self.w_nz);
+        self.factor.ftran(&mut self.w, Some(&mut self.w_nz));
     }
 
     /// Benchmark hook: one hyper-sparse BTRAN on the unit vector `e_i`.
@@ -1125,7 +1041,7 @@ impl RevisedWorkspace {
         self.rho_nz.clear();
         self.rho[i % m] = 1.0;
         self.rho_nz.push((i % m) as u32);
-        self.factor.btran_sparse(&mut self.rho, &mut self.rho_nz);
+        self.factor.btran(&mut self.rho, Some(&mut self.rho_nz));
     }
 
     /// Benchmark hook: one sparse Markowitz refactorisation of the
@@ -1197,17 +1113,17 @@ impl RevisedWorkspace {
         }
         let _t = rp_obs::phase_timer(rp_obs::Phase::Ftran);
         self.basis.residual_rhs(&self.form, &mut self.residual);
-        self.factor.ftran(&mut self.residual);
+        self.factor.ftran(&mut self.residual, None);
         self.basis.x_basic.clear();
         self.basis.x_basic.extend_from_slice(&self.residual);
         true
     }
 
-    /// [`RevisedWorkspace::ftran_column`] through the hyper-sparse
-    /// FTRAN, maintaining `w_nz`. Requires the sparse-`w` invariant
-    /// (zero outside `w_nz`), which [`RevisedWorkspace::dual_loop`]
-    /// establishes at entry and every sparse call preserves.
-    fn ftran_column_sparse(&mut self, col: usize) {
+    /// Loads `B⁻¹ a_col` into `self.w` through the hyper-sparse FTRAN,
+    /// maintaining `w_nz`. Requires the sparse-`w` invariant (zero
+    /// outside `w_nz`), which a cold solve establishes where it builds
+    /// the form and every call preserves.
+    fn ftran_column(&mut self, col: usize) {
         let _t = rp_obs::phase_timer(rp_obs::Phase::Ftran);
         for &r in &self.w_nz {
             self.w[r as usize] = 0.0;
@@ -1221,17 +1137,7 @@ impl RevisedWorkspace {
             }
             w[row] += val;
         });
-        self.factor.ftran_sparse(w, w_nz);
-    }
-
-    /// Loads `B⁻¹ a_col` into `self.w`.
-    fn ftran_column(&mut self, col: usize) {
-        let _t = rp_obs::phase_timer(rp_obs::Phase::Ftran);
-        self.w.clear();
-        self.w.resize(self.form.m, 0.0);
-        let w = &mut self.w;
-        self.form.for_each_entry(col, |row, val| w[row] += val);
-        self.factor.ftran(w);
+        self.factor.ftran(w, Some(w_nz));
     }
 
     /// Recomputes the duals `y = B⁻ᵀ c_B` and every reduced cost
@@ -1242,7 +1148,7 @@ impl RevisedWorkspace {
         self.y.clear();
         self.y
             .extend(self.basis.basic.iter().map(|&col| costs[col]));
-        self.factor.btran(&mut self.y);
+        self.factor.btran(&mut self.y, None);
         self.d.clear();
         let form = &self.form;
         let y = &self.y;
@@ -1275,7 +1181,7 @@ impl RevisedWorkspace {
         self.rho_nz.clear();
         self.rho[row] = 1.0;
         self.rho_nz.push(row as u32);
-        self.factor.btran_sparse(&mut self.rho, &mut self.rho_nz);
+        self.factor.btran(&mut self.rho, Some(&mut self.rho_nz));
         pivot_row_alphas(
             &self.form,
             &self.rho,
@@ -1452,8 +1358,9 @@ impl RevisedWorkspace {
         }
         let _t = rp_obs::phase_timer(rp_obs::Phase::Ftran);
         let scale = entering.sigma * step;
-        for (x, &wi) in self.basis.x_basic.iter_mut().zip(&self.w) {
-            *x -= scale * wi;
+        for &i in &self.w_nz {
+            let i = i as usize;
+            self.basis.x_basic[i] -= scale * self.w[i];
         }
     }
 
@@ -1493,7 +1400,7 @@ impl RevisedWorkspace {
             });
         }
         self.factor
-            .ftran_sparse(&mut self.residual, &mut self.residual_nz);
+            .ftran(&mut self.residual, Some(&mut self.residual_nz));
         for &i in &self.residual_nz {
             let i = i as usize;
             self.basis.x_basic[i] -= self.residual[i];
@@ -1517,14 +1424,6 @@ impl RevisedWorkspace {
         let max_iter = options
             .max_iterations
             .unwrap_or_else(|| 200 + 50 * (self.form.m + self.form.num_cols()));
-        // Establish the sparse-`w` invariant the loop's hyper-sparse
-        // FTRANs maintain: zero outside `w_nz`.
-        {
-            let _t = rp_obs::phase_timer(rp_obs::Phase::Ftran);
-            self.w.clear();
-            self.w.resize(self.form.m, 0.0);
-            self.w_nz.clear();
-        }
         // Dual pricing needs the phase-2 reduced costs; they are kept
         // current by the same rank-one pivot-row updates the primal
         // loop uses.
@@ -1602,7 +1501,7 @@ impl RevisedWorkspace {
                 }
                 self.flips = flips;
 
-                self.ftran_column_sparse(entering);
+                self.ftran_column(entering);
                 let row = leaving.row;
                 let alpha = self.w[row];
                 if alpha.abs() <= PIVOT_TOL {
@@ -2224,10 +2123,10 @@ mod tests {
         }
     }
 
-    /// Two overlapping `>=` rows: every structural column touches both
-    /// deficient rows, so the crash pass cannot cover either and phase 1
-    /// genuinely needs pivots — which is what lets a zero budget expire
-    /// *before* any feasible point exists.
+    /// Two overlapping `>=` rows that the start at the lower bounds
+    /// violates, so reaching a feasible point takes pivots — which is
+    /// what lets a zero budget expire *before* any feasible point
+    /// exists.
     fn needs_phase_one_pivots() -> Model {
         let mut m = Model::minimize();
         let x = m.add_var("x", 0.0, None, 1.0);
@@ -2241,8 +2140,8 @@ mod tests {
     fn expired_deadline_stops_without_panicking() {
         use crate::error::SolveBudget;
         use std::time::Duration;
-        // A zero allowance expires before the first pivot: phase 1 has
-        // no feasible point yet, so the stop is status-only with the
+        // A zero allowance expires before the first pivot: no feasible
+        // point exists yet, so the stop carries no point, only the
         // typed reason recorded.
         let m = needs_phase_one_pivots();
         let options = SimplexOptions {

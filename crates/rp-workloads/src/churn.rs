@@ -27,7 +27,9 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rp_core::{FailureEvent, InstanceDelta, ProblemInstance, RecoveryScope};
-use rp_tree::{ClientId, LinkId, NodeId, TreeNetwork};
+use rp_tree::ClientId;
+
+use crate::failures::{random_node, sample_failure};
 
 /// Rate-curve and event-mix parameters of a churn trace.
 #[derive(Clone, Copy, Debug)]
@@ -213,60 +215,6 @@ fn sample_demand_event<R: Rng>(demand: &mut [u64], max_request: u64, rng: &mut R
             client: ClientId::from_index(slot),
             requests,
         }
-    }
-}
-
-/// The same mixed failure kinds as [`failure_trace`]
-/// (crash / link / capacity loss / subtree), drawn inline so the churn
-/// stream shares one RNG.
-fn sample_failure<R: Rng>(problem: &ProblemInstance, rng: &mut R) -> FailureEvent {
-    let tree = problem.tree();
-    match rng.gen_range(0..4u32) {
-        0 => FailureEvent::ServerCrash(random_node(tree, rng)),
-        1 => match random_link(tree, rng) {
-            Some(link) => FailureEvent::UplinkDown(link),
-            None => FailureEvent::ServerCrash(tree.root()),
-        },
-        2 => {
-            let node = random_node(tree, rng);
-            let capacity = problem.capacity(node);
-            FailureEvent::CapacityLoss {
-                node,
-                remaining: if capacity == 0 {
-                    0
-                } else {
-                    rng.gen_range(0..capacity)
-                },
-            }
-        }
-        _ => {
-            let candidates: Vec<NodeId> = tree.node_ids().filter(|&n| !tree.is_root(n)).collect();
-            if candidates.is_empty() {
-                FailureEvent::ServerCrash(tree.root())
-            } else {
-                FailureEvent::SubtreeFailure(candidates[rng.gen_range(0..candidates.len())])
-            }
-        }
-    }
-}
-
-fn random_node<R: Rng>(tree: &TreeNetwork, rng: &mut R) -> NodeId {
-    NodeId::from_index(rng.gen_range(0..tree.num_nodes()))
-}
-
-fn random_link<R: Rng>(tree: &TreeNetwork, rng: &mut R) -> Option<LinkId> {
-    let clients = tree.num_clients();
-    let uplinks = tree.num_nodes().saturating_sub(1);
-    let total = clients + uplinks;
-    if total == 0 {
-        return None;
-    }
-    let pick = rng.gen_range(0..total);
-    if pick < clients {
-        Some(LinkId::Client(ClientId::from_index(pick)))
-    } else {
-        let candidates: Vec<NodeId> = tree.node_ids().filter(|&n| !tree.is_root(n)).collect();
-        Some(LinkId::Node(candidates[pick - clients]))
     }
 }
 

@@ -33,37 +33,42 @@ pub fn sample_link_failure(problem: &ProblemInstance, seed: u64) -> FailureEvent
 /// or a correlated subtree failure of a non-root node.
 pub fn failure_trace(problem: &ProblemInstance, len: usize, seed: u64) -> Vec<FailureEvent> {
     let mut rng = StdRng::seed_from_u64(seed);
-    let tree = problem.tree();
     (0..len)
-        .map(|_| match rng.gen_range(0..4u32) {
-            0 => FailureEvent::ServerCrash(random_node(tree, &mut rng)),
-            1 => match random_link(tree, &mut rng) {
-                Some(link) => FailureEvent::UplinkDown(link),
-                None => FailureEvent::ServerCrash(tree.root()),
-            },
-            2 => {
-                let node = random_node(tree, &mut rng);
-                let capacity = problem.capacity(node);
-                FailureEvent::CapacityLoss {
-                    node,
-                    remaining: if capacity == 0 {
-                        0
-                    } else {
-                        rng.gen_range(0..capacity)
-                    },
-                }
-            }
-            _ => match random_non_root_node(tree, &mut rng) {
-                // Subtree failure of the root would erase the platform;
-                // model correlated failures below it instead.
-                Some(node) => FailureEvent::SubtreeFailure(node),
-                None => FailureEvent::ServerCrash(tree.root()),
-            },
-        })
+        .map(|_| sample_failure(problem, &mut rng))
         .collect()
 }
 
-fn random_node<R: Rng>(tree: &TreeNetwork, rng: &mut R) -> NodeId {
+/// One event of the mixed kinds [`failure_trace`] draws, from `rng`.
+pub(crate) fn sample_failure<R: Rng>(problem: &ProblemInstance, rng: &mut R) -> FailureEvent {
+    let tree = problem.tree();
+    match rng.gen_range(0..4u32) {
+        0 => FailureEvent::ServerCrash(random_node(tree, rng)),
+        1 => match random_link(tree, rng) {
+            Some(link) => FailureEvent::UplinkDown(link),
+            None => FailureEvent::ServerCrash(tree.root()),
+        },
+        2 => {
+            let node = random_node(tree, rng);
+            let capacity = problem.capacity(node);
+            FailureEvent::CapacityLoss {
+                node,
+                remaining: if capacity == 0 {
+                    0
+                } else {
+                    rng.gen_range(0..capacity)
+                },
+            }
+        }
+        _ => match random_non_root_node(tree, rng) {
+            // Subtree failure of the root would erase the platform;
+            // model correlated failures below it instead.
+            Some(node) => FailureEvent::SubtreeFailure(node),
+            None => FailureEvent::ServerCrash(tree.root()),
+        },
+    }
+}
+
+pub(crate) fn random_node<R: Rng>(tree: &TreeNetwork, rng: &mut R) -> NodeId {
     NodeId::from_index(rng.gen_range(0..tree.num_nodes()))
 }
 
