@@ -22,7 +22,8 @@
 //! timing and quality figure with its `perf-budget.toml` entry (a key
 //! ending in `_min` is a floor, any other a ceiling; both inclusive). The
 //! correctness invariants checked on the same instance are constants in
-//! code, such as [`ORACLE_TOLERANCE`], printed on the same line. A
+//! code, such as [`ORACLE_TOLERANCE`] and [`CLOSED_FORM_TOLERANCE`],
+//! printed on the same line. A
 //! missing or NaN figure or a failed invariant is a breach, and a budget
 //! key no gate records is an error. On a breach the gate diffs a fresh
 //! `obs` snapshot against `BENCH_obs.json`, prints the top movers, and
@@ -43,6 +44,7 @@ use std::time::{Duration, Instant};
 
 use rp_bench::snapshot::{flatten_json_numbers, obs_diff_report, Report};
 use rp_bench::{bench_instance, MICRO_SIZES};
+use rp_core::bounds::rational_relaxation_optimum;
 use rp_core::heuristics::lp_guided::{lp_guided, lp_guided_multi};
 use rp_core::heuristics::HeuristicState;
 use rp_core::ilp::{build_model, lower_bound, lower_bound_with};
@@ -672,6 +674,11 @@ fn read_or_exit(path: &str) -> String {
 /// match the dense-tableau oracle's.
 const ORACLE_TOLERANCE: f64 = 1e-4;
 
+/// Relative tolerance within which the revised engine's objective must
+/// match the closed-form optimum of a rational relaxation whose storage
+/// costs are proportional to its capacities.
+const CLOSED_FORM_TOLERANCE: f64 = 1e-9;
+
 /// Phase timers never nest, so the phase breakdown of a solve can fall
 /// short of its wall clock (untimed glue) but not exceed it by more
 /// than this factor.
@@ -793,6 +800,19 @@ fn dense_agrees(model: &Model, objective: Option<f64>) -> Invariant {
     ("dense oracle agrees", agrees)
 }
 
+/// Whether the revised engine's `objective` on the rational relaxation
+/// of `problem` (none when that solve failed) is the relaxation's
+/// closed-form optimum `c·Σ r_i` within [`CLOSED_FORM_TOLERANCE`]: an
+/// exact check that needs no oracle, at any size. It fails on an
+/// instance whose costs are not proportional to its capacities.
+fn closed_form_agrees(problem: &ProblemInstance, objective: Option<f64>) -> Invariant {
+    let pair = objective.zip(rational_relaxation_optimum(problem));
+    let agrees = pair.is_some_and(|(objective, exact)| {
+        (objective - exact).abs() <= CLOSED_FORM_TOLERANCE * exact.abs().max(1.0)
+    });
+    ("closed form agrees", agrees)
+}
+
 /// Median wall ms of five rhs siblings of `model`, each one `<=` row
 /// (spread over the model) relaxed by +1, re-solved on the workspace
 /// of the model's cold solve, and restored — the same model edited in
@@ -835,8 +855,10 @@ fn warm_siblings(model: &Model) -> (Option<f64>, [Invariant; 2]) {
 }
 
 /// Median wall ms of the eight λ-siblings of one paper-scale (s = 400)
-/// heterogeneous tree with a root-attached client, solved as the sweep
-/// solves them: the model built at λ = 0.1 is cold-solved, then
+/// heterogeneous tree with a root-attached client, solved as a sweep
+/// whose bound needs the LP solves them (the rational bound of these
+/// proportional costs takes its closed form there): the model built at
+/// λ = 0.1 is cold-solved, then
 /// re-targeted in place to λ = 0.2..0.9 and re-solved on the same
 /// workspace (each solve timed, the re-target not). The gate's two
 /// invariants: every sibling's status and bound match a cold solve of a
@@ -903,14 +925,14 @@ fn check(budget_path: &str, section: Option<&str>) {
     let s400_model = rational_model(&s400);
     let s120 = feasible_bandwidth_instance(120, 0.4, 31);
     let s120_model = rational_model(&s120);
+    let s2000 = bandwidth_scale_instance(0.2, 31);
 
     // [lp] times five builds of the s = 2000 bandwidth model (median ms)
     // and keeps the last one for the solves below.
     let s2000_build = (run("lp") || run("obs") || run("warm")).then(|| {
-        let problem = bandwidth_scale_instance(0.2, 31);
         let (mut ms, mut model) = (Vec::with_capacity(5), Model::default());
         for _ in 0..5 {
-            let (ns, built) = time_once(|| rational_model(&problem));
+            let (ns, built) = time_once(|| rational_model(&s2000));
             ms.push(ns / 1e6);
             model = built;
         }
@@ -926,10 +948,16 @@ fn check(budget_path: &str, section: Option<&str>) {
     rp_obs::clear_trace();
     let instrumented = |model: &Model| {
         let mut ws = RevisedWorkspace::new();
-        let (ms, _) = cold_solve(&mut ws, model)?;
+        let (ms, objective) = cold_solve(&mut ws, model)?;
         let stats = ws.last_stats();
         let coverage = stats.phases.total_nanos() as f64 / (ms * 1e6);
-        Some((ms, stats.iterations() as f64, coverage, dual_start(&ws)))
+        Some((
+            ms,
+            stats.iterations() as f64,
+            coverage,
+            dual_start(&ws),
+            objective,
+        ))
     };
     let (s400_full, s2000_full) = match &s2000_build {
         Some((_, s2000_model)) => (instrumented(&s400_model), instrumented(s2000_model)),
@@ -952,6 +980,7 @@ fn check(budget_path: &str, section: Option<&str>) {
         });
         let invariants = [
             dense_agrees(&s400_model, median.map(|m| m.1)),
+            closed_form_agrees(&s400, median.map(|m| m.1)),
             ("dual cold start", median.is_some_and(|m| m.2)),
         ];
         let subject = "[s=400 bound, median of 5, ObsMode::Off]";
@@ -964,8 +993,12 @@ fn check(budget_path: &str, section: Option<&str>) {
         let subject = "[s=2000 bandwidth model, median of 5 builds]";
         checks.record("s2000_build_ms", subject, build_ms, &invariants);
         let subject = "[s=2000 bandwidth bound, one cold solve]";
-        let dual = [("dual cold start", s2000_full.is_some_and(|s| s.3))];
-        checks.record("s2000_bound_ms", subject, s2000_full.map(|s| s.0), &dual);
+        let invariants = [
+            ("dual cold start", s2000_full.is_some_and(|s| s.3)),
+            closed_form_agrees(&s2000, s2000_full.map(|s| s.4)),
+        ];
+        let ms = s2000_full.map(|s| s.0);
+        checks.record("s2000_bound_ms", subject, ms, &invariants);
         let iterations = s2000_full.map(|s| s.1);
         checks.record("s2000_iterations_max", subject, iterations, &[]);
 

@@ -2,10 +2,15 @@
 //! feasibility check of the Multiple policy.
 //!
 //! The bounds are the cheap, closed-form ones discussed in Section 3.4
-//! of the paper. The stronger LP-based bound (Section 7.1) lives in
-//! [`crate::ilp`]. Section 3.4 also shows (Figure 5) that the trivial
-//! bound can be arbitrarily far from the optimal cost, which the tests
-//! of `rp-workloads::paper_examples` reproduce.
+//! of the paper. The LP-based bounds (Section 7.1) live in
+//! [`crate::ilp`]. Where storage costs are proportional to capacities,
+//! as on both of the paper's platforms, the fully rational one is no
+//! stronger than the volume bound: its optimum *is* that bound
+//! ([`rational_relaxation_optimum`]). Only the mixed relaxation, with
+//! integral `x`, can rise above it there. Section 3.4 also shows
+//! (Figure 5) that the trivial bound can be arbitrarily far from the
+//! optimal cost, which the tests of `rp-workloads::paper_examples`
+//! reproduce.
 
 use rp_tree::LinkId;
 
@@ -31,7 +36,9 @@ pub fn replica_counting_lower_bound(problem: &ProblemInstance) -> Option<u64> {
 ///
 /// For instances whose costs are *not* proportional to capacities the
 /// bound generalises to `Σ r_i × min_j (s_j / W_j)`, which is what this
-/// function computes.
+/// function computes. Where they are proportional, it is also the exact
+/// optimum of the rational LP relaxation
+/// ([`rational_relaxation_optimum`]).
 pub fn replica_cost_lower_bound(problem: &ProblemInstance) -> f64 {
     let total_requests = problem.total_requests() as f64;
     let min_cost_per_capacity = problem
@@ -50,6 +57,41 @@ pub fn replica_cost_lower_bound(problem: &ProblemInstance) -> f64 {
         };
     }
     total_requests * min_cost_per_capacity
+}
+
+/// The optimum of the fully rational **Multiple** relaxation (the
+/// [`crate::ilp::BoundKind::Rational`] LP bound) of a feasible `problem`
+/// whose storage costs are proportional to its capacities, `s_j = c·W_j`
+/// at every node with `W_j > 0`: the volume bound `c·Σ r_i` of
+/// [`replica_cost_lower_bound`]. Both of the paper's platforms qualify:
+/// Replica Counting has `s_j = 1, W_j = W`, Replica Cost `s_j = W_j`.
+///
+/// Proof: a node's capacity row gives `s_j·x_j = c·W_j·x_j ≥ c·load_j`
+/// (a node with `W_j = 0` carries no load), so every feasible point
+/// costs at least `c·Σ_j load_j = c·Σ r_i`; and `x_j = load_j / W_j ≤ 1`
+/// (0 where `W_j = 0`) keeps a feasible point feasible at exactly that
+/// cost. QoS bounds and link bandwidths constrain only the loads.
+///
+/// `None` when the costs are not proportional, tested exactly by
+/// `s_j·W_k = s_k·W_j` in 128-bit integers over the nodes with `W > 0`,
+/// or when no node has positive capacity. **Precondition:** `problem`
+/// is feasible ([`multiple_is_feasible`]); an infeasible relaxation has
+/// no optimum, and the value then bounds nothing.
+pub fn rational_relaxation_optimum(problem: &ProblemInstance) -> Option<f64> {
+    let mut serving = problem
+        .tree()
+        .node_ids()
+        .filter(|&n| problem.capacity(n) > 0)
+        .map(|n| {
+            (
+                u128::from(problem.storage_cost(n)),
+                u128::from(problem.capacity(n)),
+            )
+        });
+    let (cost, capacity) = serving.next()?;
+    serving
+        .all(|(s, w)| s * capacity == cost * w)
+        .then(|| replica_cost_lower_bound(problem))
 }
 
 /// Whether some **Multiple** placement serves every request of
@@ -295,10 +337,15 @@ mod tests {
                 .client_link_bandwidths(client_bw)
                 .node_link_bandwidths(node_bw)
                 .build();
-            let lp = lower_bound(&p, BoundKind::Rational).is_some();
-            assert_eq!(multiple_is_feasible(&p), lp, "{p:?}");
-            if lp {
+            let lp = lower_bound(&p, BoundKind::Rational);
+            assert_eq!(multiple_is_feasible(&p), lp.is_some(), "{p:?}");
+            if let Some(lp) = lp {
                 feasible += 1;
+                // The costs default to the capacities, so where some node
+                // serves, the closed form is the LP's optimum.
+                if let Some(exact) = rational_relaxation_optimum(&p) {
+                    assert!((exact - lp).abs() <= 1e-6, "{exact} vs {lp}: {p:?}");
+                }
             } else {
                 infeasible += 1;
             }
@@ -326,6 +373,102 @@ mod tests {
         let dense = dense.objective;
         assert!((revised - dense).abs() < 1e-6, "{revised} vs {dense}");
         assert!(revised + 1e-6 >= replica_cost_lower_bound(&p));
+    }
+
+    #[test]
+    fn closed_form_is_the_rational_optimum_on_both_paper_platforms() {
+        // Replica Counting (s_j = 1, W_j = W) and Replica Cost (s_j = W_j)
+        // on the same tree: c·Σ r_i = 15/6 and 15.
+        let (requests, capacities) = (vec![3, 1, 9, 2], vec![6, 4, 5]);
+        let mut b = TreeBuilder::new();
+        let root = b.add_root();
+        let a = b.add_node(root);
+        let c = b.add_node(root);
+        for parent in [a, a, c, root] {
+            b.add_client(parent);
+        }
+        let tree = b.build().unwrap();
+        let counting = ProblemInstance::replica_counting(tree.clone(), requests.clone(), 6);
+        let cost = ProblemInstance::replica_cost(tree, requests, capacities);
+        for (p, expected) in [(counting, 2.5), (cost, 15.0)] {
+            assert!(multiple_is_feasible(&p));
+            let lp = lower_bound(&p, BoundKind::Rational).unwrap();
+            let exact = rational_relaxation_optimum(&p).unwrap();
+            assert!((exact - expected).abs() < 1e-12, "{exact}");
+            assert!((lp - exact).abs() < 1e-9, "{lp} vs {exact}");
+        }
+    }
+
+    #[test]
+    fn closed_form_needs_proportional_costs() {
+        // `mid` is twice as cost-efficient as the root: the volume bound
+        // (15) is below the LP (20), which must also pay for the 10
+        // requests the root serves at full price.
+        let two_level = |costs: Vec<u64>| {
+            let mut b = TreeBuilder::new();
+            let root = b.add_root();
+            let mid = b.add_node(root);
+            b.add_client(mid);
+            ProblemInstance::builder(b.build().unwrap())
+                .requests(vec![30])
+                .capacities(vec![20, 20])
+                .storage_costs(costs)
+                .build()
+        };
+        let skewed = two_level(vec![20, 10]);
+        assert_eq!(rational_relaxation_optimum(&skewed), None);
+        let lp = lower_bound(&skewed, BoundKind::Rational).unwrap();
+        assert!((lp - 20.0).abs() < 1e-9, "{lp}");
+        assert!(replica_cost_lower_bound(&skewed) < lp - 1.0);
+        // Scaling every cost by one factor keeps them proportional.
+        let scaled = two_level(vec![30, 30]);
+        assert_eq!(rational_relaxation_optimum(&scaled), Some(45.0));
+    }
+
+    #[test]
+    fn closed_form_ignores_nodes_without_capacity() {
+        // `mid` cannot serve, so its cost says nothing about the others'
+        // ratio: the root (s = 2·W) alone decides, at 2 per request.
+        let mut b = TreeBuilder::new();
+        let root = b.add_root();
+        let mid = b.add_node(root);
+        b.add_client(mid);
+        b.add_client(root);
+        let p = ProblemInstance::builder(b.build().unwrap())
+            .requests(vec![3, 4])
+            .capacities(vec![10, 0])
+            .storage_costs(vec![20, 7])
+            .build();
+        assert_eq!(rational_relaxation_optimum(&p), Some(14.0));
+        let lp = lower_bound(&p, BoundKind::Rational).unwrap();
+        assert!((lp - 14.0).abs() < 1e-9, "{lp}");
+        // With no capacity anywhere there is no ratio to scale by.
+        let idle = chain_with_clients(vec![0], vec![0, 0]);
+        assert!(multiple_is_feasible(&idle));
+        assert_eq!(rational_relaxation_optimum(&idle), None);
+    }
+
+    #[test]
+    fn closed_form_cross_multiplies_without_overflow() {
+        // Products of two values near u64::MAX need 128 bits.
+        let near = |costs: Vec<u64>, capacities: Vec<u64>| {
+            let mut b = TreeBuilder::new();
+            let root = b.add_root();
+            let mid = b.add_node(root);
+            b.add_client(mid);
+            ProblemInstance::builder(b.build().unwrap())
+                .requests(vec![2])
+                .capacities(capacities)
+                .storage_costs(costs)
+                .build()
+        };
+        let max = u64::MAX;
+        let proportional = near(vec![max, max - 1], vec![max, max - 1]);
+        assert_eq!(rational_relaxation_optimum(&proportional), Some(2.0));
+        let off_by_one = near(vec![max, max], vec![max, max - 1]);
+        assert_eq!(rational_relaxation_optimum(&off_by_one), None);
+        let halves = near(vec![max - 1, max / 2], vec![max - 1, max / 2]);
+        assert!(rational_relaxation_optimum(&halves).is_some());
     }
 
     #[test]

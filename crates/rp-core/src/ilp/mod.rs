@@ -100,13 +100,18 @@ pub fn solve_exact_ilp_with(
 /// Which LP relaxation to use for the lower bound.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum BoundKind {
-    /// Fully rational relaxation of the Multiple formulation — cheapest
-    /// to compute, weakest bound.
+    /// Fully rational relaxation of the Multiple formulation: never
+    /// above the mixed bound. Where storage costs are proportional to
+    /// capacities (both paper platforms) its optimum is the Section 3.4
+    /// volume bound `c·Σ r_i`, in closed form
+    /// ([`crate::bounds::rational_relaxation_optimum`]); elsewhere it
+    /// can rise above that bound.
     Rational,
     /// The paper's refined bound (Section 7.1): `x_j` integral, request
     /// variables rational. Falls back to the weakest open-node
     /// relaxation when the branch-and-bound node limit is hit, which is
-    /// still a valid lower bound.
+    /// still a valid lower bound (counted in
+    /// `core.ilp.mixed_node_limit`).
     Mixed,
 }
 
@@ -145,7 +150,9 @@ pub fn lower_bound_with(
 /// [`BoundKind::integrality`]), solved on `workspace`: the optimum of
 /// the LP, or the branch-and-bound bound of the mixed relaxation.
 /// `None` when the relaxation is infeasible; a solve that ends without
-/// a usable bound yields 0, which is always valid.
+/// a usable bound yields 0, which is always valid. A mixed search that
+/// stops at its node limit returns the weakest open relaxation, and
+/// counts itself in `core.ilp.mixed_node_limit`.
 ///
 /// The sweep runner calls it on a formulation it keeps per tree and
 /// re-targets per load factor ([`IlpFormulation::retarget_requests`]):
@@ -171,6 +178,9 @@ pub fn relaxation_bound(
         }
         BoundKind::Mixed => {
             let outcome = solve_milp(model, &options.branch_bound, workspace);
+            if outcome.status == Status::NodeLimit {
+                rp_obs::incr(rp_obs::Counter::CoreIlpMixedNodeLimit);
+            }
             match outcome.status {
                 Status::Infeasible => None,
                 Status::Unbounded => Some(0.0),
@@ -511,6 +521,36 @@ mod tests {
                 other => panic!("workspace reuse changed the bound for {kind:?}: {other:?}"),
             }
         }
+    }
+
+    #[test]
+    fn a_mixed_search_cut_at_its_node_limit_counts_itself_and_stays_below() {
+        // 3 requests below two servers of capacity 2: the rational root
+        // opens 1.5 servers, the mixed optimum 2.
+        let mut b = TreeBuilder::new();
+        let root = b.add_root();
+        let mid = b.add_node(root);
+        b.add_client(mid);
+        let p = ProblemInstance::replica_counting(b.build().unwrap(), vec![3], 2);
+        let model = build_model(&p, Policy::Multiple, Integrality::MixedBound).model;
+        let mut cut = IlpOptions::default();
+        cut.branch_bound.max_nodes = 1;
+        let count = || rp_obs::global().counter(rp_obs::Counter::CoreIlpMixedNodeLimit);
+        // The mode is process-global; no other test of this crate reaches
+        // a mixed node limit, so only this one moves the counter.
+        rp_obs::set_mode(rp_obs::ObsMode::Counters);
+        let before = count();
+        let limited = relaxation_bound(&model, BoundKind::Mixed, &cut, &mut LpWorkspace::new());
+        let after_cut = count();
+        let completed = lower_bound(&p, BoundKind::Mixed);
+        let after_completed = count();
+        rp_obs::set_mode(rp_obs::ObsMode::Off);
+        assert_eq!(after_cut - before, 1);
+        assert_eq!(after_completed, after_cut);
+        let (limited, completed) = (limited.unwrap(), completed.unwrap());
+        assert!(limited <= completed + 1e-9, "{limited} > {completed}");
+        assert!((limited - 1.5).abs() < 1e-9, "{limited}");
+        assert!((completed - 2.0).abs() < 1e-9, "{completed}");
     }
 
     #[test]

@@ -22,15 +22,22 @@ pub struct TrialResult {
     pub problem_size: usize,
     /// Load factor actually achieved by the generator.
     pub achieved_lambda: f64,
-    /// LP lower bound on the replica cost (`None` when the tree is not
-    /// solvable under any policy: the exact Multiple feasibility pass
-    /// fails, and the LP is then infeasible too, so it is not solved).
+    /// LP lower bound on the replica cost, rounded up to an integer
+    /// (`None` when the tree is not solvable under any policy: the exact
+    /// Multiple feasibility pass fails, and the LP is then infeasible
+    /// too, so it is not solved). The rational bound of a trial whose
+    /// storage costs are proportional to its capacities, as on both
+    /// paper platforms, is the relaxation's optimum in closed form,
+    /// `c·Σ r_i`, with no LP solved; any other bound is the optimum of
+    /// the solved relaxation.
     pub lp_bound: Option<f64>,
     /// Cost found by each heuristic (`None` = no valid solution).
     pub heuristic_costs: Vec<(Heuristic, Option<u64>)>,
-    /// Wall-clock seconds spent on the LP bound. On a trial the
-    /// feasibility pass settles, the pass's own time; on any other, the
-    /// pass is not in it (only the `exp.trial_us` histogram has it).
+    /// Wall-clock seconds spent on the LP bound: the closed form's
+    /// proportionality test and sum where the rational bound has one,
+    /// the model build or re-target and the solve otherwise. On a trial
+    /// the feasibility pass settles, the pass's own time; on any other,
+    /// the pass is not in it (only the `exp.trial_us` histogram has it).
     pub lp_seconds: f64,
     /// Wall-clock seconds spent running all heuristics: 0 on a trial the
     /// feasibility pass settles, which runs none. The pass itself is
@@ -79,7 +86,8 @@ impl LambdaBatch {
         successes as f64 / self.trials.len() as f64
     }
 
-    /// Fraction of trees the LP declared solvable.
+    /// Fraction of trees that are solvable: the exact feasibility pass
+    /// accepts them, so the LP relaxation has an optimum.
     pub fn lp_success_rate(&self) -> f64 {
         if self.trials.is_empty() {
             return 0.0;

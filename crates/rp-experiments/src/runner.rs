@@ -30,8 +30,8 @@
 //! ([`generate_trial_problem_reusing`]). The scratch keeps all three
 //! for the tree it ran last, keyed by exactly those fields. A trial
 //! with the same key, a **λ-sibling**, draws only its requests (the
-//! same instance, bit for bit, as a fresh generation) and re-targets
-//! the kept formulation to them
+//! same instance, bit for bit, as a fresh generation) and, when its
+//! bound needs an LP, re-targets the kept formulation to them
 //! ([`rp_core::ilp::IlpFormulation::retarget_requests`]), so the LP
 //! warm start re-solves the very model it solved last. A trial with
 //! any other key lets the kept state go and recycles the old tree's
@@ -59,6 +59,20 @@
 //! re-solves them, and a tree whose first trials are all settled builds
 //! its formulation on its first feasible one. `exp.infeasible_trials`
 //! counts the settled trials.
+//!
+//! # A feasible trial's rational bound
+//!
+//! When the pass accepts and the sweep asks for the rational bound, a
+//! trial whose storage costs are proportional to its capacities (both
+//! paper platforms: `s_j = 1, W_j = W` and `s_j = W_j`) takes the
+//! relaxation's exact optimum in closed form, `c·Σ r_i`
+//! ([`rational_relaxation_optimum`], whose doc has the proof), and
+//! rounds it as an LP optimum is rounded. The LP would add only a
+//! feasibility verdict, and the exact pass has given it. Such a trial
+//! builds and solves no model, so the kept formulation and LP workspace
+//! stay as they are; `exp.closed_form_bounds` counts these trials. The
+//! mixed bound, and a rational bound with other costs, build or
+//! re-target the kept formulation and solve it ([`relaxation_bound`]).
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -67,7 +81,7 @@ use std::time::Instant;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use rp_core::bounds::multiple_is_feasible;
+use rp_core::bounds::{multiple_is_feasible, rational_relaxation_optimum};
 use rp_core::heuristics::{HeuristicState, StateBuffers};
 use rp_core::ilp::{
     build_model, integral_lower_bound, relaxation_bound, BoundKind, IlpFormulation, IlpOptions,
@@ -314,9 +328,10 @@ pub fn run_single_trial(config: &ExperimentConfig, lambda: f64, tree_index: usiz
 
 /// Generates and evaluates one tree on a worker's pinned scratch state.
 /// A λ-sibling of the scratch's last trial reuses its tree, capacities
-/// and formulation; any other trial draws them afresh, and a trial the
-/// feasibility pass settles runs no heuristic and no LP (see the module
-/// docs). Either way the result equals [`run_single_trial`]'s.
+/// and formulation; any other trial draws them afresh. A trial the
+/// feasibility pass settles runs no heuristic and no LP, and a feasible
+/// one whose rational bound has a closed form runs no LP (see the
+/// module docs). Either way the result equals [`run_single_trial`]'s.
 pub fn run_single_trial_with(
     config: &ExperimentConfig,
     lambda: f64,
@@ -376,23 +391,16 @@ pub fn run_single_trial_with(
     let heuristics_seconds = heuristics_span.finish_seconds();
 
     let lp_span = rp_obs::timed_span(rp_obs::SpanKind::LpBound);
-    let formulation = match &mut kept.formulation {
-        Some(formulation) => {
-            formulation.retarget_requests(&problem);
-            formulation
-        }
-        slot => slot.insert(build_model(
-            &problem,
-            Policy::Multiple,
-            config.bound.integrality(),
-        )),
-    };
-    let options = IlpOptions::default();
     // Storage costs are integral, so the bound can always be rounded up
     // to the next integer; this markedly tightens the fully rational
     // relaxation on Replica Counting instances.
-    let lp_bound = relaxation_bound(&formulation.model, config.bound, &options, &mut scratch.lp)
-        .map(|raw| integral_lower_bound(raw) as f64);
+    let lp_bound = trial_bound(
+        &problem,
+        config.bound,
+        &mut kept.formulation,
+        &mut scratch.lp,
+    )
+    .map(|raw| integral_lower_bound(raw) as f64);
     let lp_seconds = lp_span.finish_seconds();
     // The pass accepted, so an infeasible verdict would be an LP false
     // negative.
@@ -412,6 +420,34 @@ pub fn run_single_trial_with(
     };
     scratch.kept = Some(kept);
     result
+}
+
+/// The bound `kind` of a trial's feasible `problem`, unrounded: the
+/// closed-form optimum where the rational relaxation has one, and
+/// otherwise the relaxation of the kept `formulation` (built on first
+/// use, re-targeted to `problem` after) solved on `lp`.
+fn trial_bound(
+    problem: &ProblemInstance,
+    kind: BoundKind,
+    formulation: &mut Option<IlpFormulation>,
+    lp: &mut LpWorkspace,
+) -> Option<f64> {
+    let closed_form = match kind {
+        BoundKind::Rational => rational_relaxation_optimum(problem),
+        BoundKind::Mixed => None,
+    };
+    if closed_form.is_some() {
+        rp_obs::incr(rp_obs::Counter::ExpClosedFormBounds);
+        return closed_form;
+    }
+    let formulation = match formulation {
+        Some(formulation) => {
+            formulation.retarget_requests(problem);
+            formulation
+        }
+        slot => slot.insert(build_model(problem, Policy::Multiple, kind.integrality())),
+    };
+    relaxation_bound(&formulation.model, kind, &IlpOptions::default(), lp)
 }
 
 /// The cost of each heuristic of `requested`, in that order, with every
@@ -1009,20 +1045,77 @@ mod tests {
         let config = ExperimentConfig::smoke_test();
         let mut scratch = WorkerScratch::new();
         let kept_tree = |scratch: &WorkerScratch| Arc::clone(&scratch.kept.as_ref().unwrap().tree);
-        run_single_trial_with(&config, 0.2, 1, &mut scratch);
+        let low = run_single_trial_with(&config, 0.2, 1, &mut scratch);
         let first = kept_tree(&scratch);
         // Between trials the kept handle is the tree's only other one.
         assert_eq!(Arc::strong_count(&first), 2);
-        run_single_trial_with(&config, 0.6, 1, &mut scratch);
+        let high = run_single_trial_with(&config, 0.6, 1, &mut scratch);
         assert!(Arc::ptr_eq(&first, &kept_tree(&scratch)));
-        assert_eq!(
-            scratch.lp.revised.last_stats().warm,
-            rp_lp::WarmStart::WarmHit
-        );
+        // Both rational bounds took the closed form: the tree has no
+        // model, so no LP ran.
+        assert!(low.lp_bound.is_some() && high.lp_bound.is_some());
+        assert!(scratch.kept.as_ref().unwrap().formulation.is_none());
         run_single_trial_with(&config, 0.6, 2, &mut scratch);
         assert!(!Arc::ptr_eq(&first, &kept_tree(&scratch)));
         let key = scratch.kept.as_ref().unwrap().key;
         assert_eq!(key, TreeKey::new(&config, 2));
+
+        // The mixed bound solves the kept model, and the sibling re-solves
+        // it warm, patched in place.
+        let mixed = ExperimentConfig {
+            bound: BoundKind::Mixed,
+            ..config
+        };
+        let mut scratch = WorkerScratch::new();
+        run_single_trial_with(&mixed, 0.2, 1, &mut scratch);
+        run_single_trial_with(&mixed, 0.6, 1, &mut scratch);
+        let stats = scratch.lp.revised.last_stats();
+        assert_eq!(stats.warm, rp_lp::WarmStart::WarmHit);
+        assert!(stats.patched);
+    }
+
+    #[test]
+    fn a_rational_bound_without_a_closed_form_solves_the_kept_model() {
+        // A sweep tree whose storage costs are skewed off its capacities
+        // (s_j = W_j + j mod 3): the first λ builds the model, the next
+        // ones re-target it, and every bound is the LP's.
+        let config = ExperimentConfig {
+            platform: PlatformKind::default_heterogeneous(),
+            ..ExperimentConfig::smoke_test()
+        };
+        let skewed = |lambda: f64| {
+            let p = generate_trial_problem(&config, lambda, 3);
+            let capacities: Vec<u64> = p.tree().node_ids().map(|n| p.capacity(n)).collect();
+            let costs = capacities
+                .iter()
+                .enumerate()
+                .map(|(j, &w)| w + j as u64 % 3)
+                .collect();
+            ProblemInstance::builder(p.tree_arc())
+                .requests(p.tree().client_ids().map(|c| p.requests(c)).collect())
+                .capacities(capacities)
+                .storage_costs(costs)
+                .build()
+        };
+        let (mut formulation, mut lp) = (None, LpWorkspace::new());
+        for lambda in [0.2, 0.5, 0.3] {
+            let problem = skewed(lambda);
+            assert!(multiple_is_feasible(&problem), "λ={lambda}");
+            assert_eq!(rational_relaxation_optimum(&problem), None);
+            let kept = trial_bound(&problem, BoundKind::Rational, &mut formulation, &mut lp);
+            let fresh = rp_core::ilp::lower_bound_with(
+                &problem,
+                BoundKind::Rational,
+                &IlpOptions::default(),
+            );
+            let (kept, fresh) = (kept.unwrap(), fresh.unwrap());
+            assert!(
+                (kept - fresh).abs() <= 1e-6,
+                "λ={lambda}: {kept} vs {fresh}"
+            );
+            assert_eq!(integral_lower_bound(kept), integral_lower_bound(fresh));
+            assert!(formulation.is_some());
+        }
     }
 
     #[test]

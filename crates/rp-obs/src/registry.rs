@@ -104,6 +104,7 @@ metric_enum! {
     CoreRepairRungDegraded => ("core.repair.rung.degraded", "1", "rp-core"),
     CoreRepairDroppedClients => ("core.repair.dropped_clients", "1", "rp-core"),
     CoreRepairRungsSkipped => ("core.repair.rungs_skipped", "1", "rp-core"),
+    CoreIlpMixedNodeLimit => ("core.ilp.mixed_node_limit", "1", "rp-core"),
     // --- rp-online: the incremental placement engine. ---
     OnlineApplies => ("online.applies", "1", "rp-online"),
     OnlineRollbacks => ("online.rollbacks", "1", "rp-online"),
@@ -112,6 +113,7 @@ metric_enum! {
     ExpTrials => ("exp.trials", "1", "rp-experiments"),
     ExpSiblingTrials => ("exp.sibling_trials", "1", "rp-experiments"),
     ExpInfeasibleTrials => ("exp.infeasible_trials", "1", "rp-experiments"),
+    ExpClosedFormBounds => ("exp.closed_form_bounds", "1", "rp-experiments"),
     ExpScenarioTrials => ("exp.scenario_trials", "1", "rp-experiments"),
     ExpResilienceTrials => ("exp.resilience_trials", "1", "rp-experiments"),
     ExpChurnTrials => ("exp.churn_trials", "1", "rp-experiments"),

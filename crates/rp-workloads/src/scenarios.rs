@@ -380,6 +380,20 @@ mod tests {
     }
 
     #[test]
+    fn a_bandwidth_bound_with_proportional_costs_is_the_closed_form() {
+        // s_j = W_j, so the rational relaxation's optimum is Σ r_i: the
+        // link rows shape the LP's solve but not its value.
+        use rp_core::bounds::{multiple_is_feasible, rational_relaxation_optimum};
+        use rp_core::ilp::{lower_bound, BoundKind};
+        let p = feasible_bandwidth_instance(400, 0.4, 31);
+        assert!(p.has_bandwidth_limits() && multiple_is_feasible(&p));
+        assert_eq!(p.total_requests(), 5_242);
+        assert_eq!(rational_relaxation_optimum(&p), Some(5_242.0));
+        let lp = lower_bound(&p, BoundKind::Rational).unwrap();
+        assert!((lp - 5_242.0).abs() <= 1e-9 * 5_242.0, "{lp}");
+    }
+
+    #[test]
     fn generation_is_deterministic_and_preserves_the_base_instance() {
         let a = bandwidth_instance(50, 0.5, 21);
         let b = bandwidth_instance(50, 0.5, 21);

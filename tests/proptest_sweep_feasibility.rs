@@ -66,7 +66,8 @@ proptest! {
 }
 
 /// On a sweep, `exp.infeasible_trials` counts exactly the trials whose
-/// bound is `None`: the ones the pass settled.
+/// bound is `None`: the ones the pass settled. On a rational sweep of a
+/// paper platform `exp.closed_form_bounds` counts all the others.
 #[test]
 fn the_infeasible_trials_counter_counts_the_settled_trials() {
     let config = ExperimentConfig {
@@ -80,12 +81,19 @@ fn the_infeasible_trials_counter_counts_the_settled_trials() {
     // The mode is process-global; no other test of this binary runs a
     // sweep, so only this one moves the counter.
     obs::set_mode(ObsMode::Counters);
-    let before = obs::global().counter(Counter::ExpInfeasibleTrials);
+    let count = || {
+        let registry = obs::global();
+        let closed_form = registry.counter(Counter::ExpClosedFormBounds);
+        (registry.counter(Counter::ExpInfeasibleTrials), closed_form)
+    };
+    let before = count();
     let results = run_sweep(&config);
-    let counted = obs::global().counter(Counter::ExpInfeasibleTrials) - before;
+    let after = count();
     obs::set_mode(ObsMode::Off);
     let trials = results.batches.iter().flat_map(|b| &b.trials);
     let unbounded = trials.clone().filter(|t| t.lp_bound.is_none()).count();
-    assert_eq!(counted, unbounded as u64);
-    assert!(unbounded > 0 && unbounded < trials.count(), "{unbounded}");
+    let bounded = trials.count() - unbounded;
+    assert_eq!(after.0 - before.0, unbounded as u64);
+    assert_eq!(after.1 - before.1, bounded as u64);
+    assert!(unbounded > 0 && bounded > 0, "{unbounded} / {bounded}");
 }
